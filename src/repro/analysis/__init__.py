@@ -16,21 +16,18 @@ flow-sensitive concurrency and resource-lifetime rules in
 
 Findings render as text, JSON, or SARIF 2.1.0 (:mod:`~repro.analysis.sarif`);
 accepted legacy findings live in the checked-in ``baseline.json`` with
-mandatory justifications (:mod:`~repro.analysis.baseline`).  Repeat runs
-hit the content-addressed incremental cache
-(:mod:`~repro.analysis.lintcache`), and the mechanical subset of the
-ruleset is auto-fixable (:mod:`~repro.analysis.fixes`).  The
-``repro-bisect lint`` command and the CI ``lint`` job are the consumers.
+mandatory justifications (:mod:`~repro.analysis.baseline`).  Every run
+is one uncached pass over the tree, and the linter only reports: it never
+rewrites source.  The ``repro-bisect lint`` command and the CI ``lint``
+job are the consumers.
 """
 
 from .baseline import Baseline, BaselineEntry, apply_baseline, update_baseline
 from .config import AnalysisConfig, default_config
-from .fixes import FIXABLE_RULES, FixPlan, plan_fixes
-from .lintcache import CacheStats, LintCache, run_cached_analysis
 from .project import ModuleInfo, ProjectModel
 from .report import render_json, render_text
 from .rules import Finding, Rule, Severity
-from .ruleset import ALL_RULES, RULE_ALIASES, default_rules
+from .ruleset import ALL_RULES, default_rules
 from .runner import (
     AnalysisResult,
     analyze,
@@ -46,14 +43,9 @@ __all__ = [
     "AnalysisResult",
     "Baseline",
     "BaselineEntry",
-    "CacheStats",
-    "FIXABLE_RULES",
     "Finding",
-    "FixPlan",
-    "LintCache",
     "ModuleInfo",
     "ProjectModel",
-    "RULE_ALIASES",
     "Rule",
     "SARIF_SCHEMA_URI",
     "SARIF_VERSION",
@@ -63,11 +55,9 @@ __all__ = [
     "default_baseline_path",
     "default_config",
     "default_rules",
-    "plan_fixes",
     "render_json",
     "render_text",
     "run_analysis",
-    "run_cached_analysis",
     "to_sarif",
     "update_baseline",
     "valid_rule_ids",

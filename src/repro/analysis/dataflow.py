@@ -7,8 +7,8 @@ A tiny worklist engine plus the three analyses the flow rules share:
   ``acquire``/``release`` calls.  R011 asks it "which locks are held at
   this attribute write?".
 * :class:`ResourceAnalysis` — *may*-held resource acquisition sites
-  (join = union), with release and ownership-escape kills.  R013/R009
-  ask it "can this acquisition reach function exit — normal or raising —
+  (join = union), with release and ownership-escape kills.  R013 asks
+  it "can this acquisition reach function exit — normal or raising —
   still held?".
 * :class:`TaintAnalysis` — reaching taint kinds per name (join = union
   of per-name sets).  R014 asks it "does a seed-derived value meet a

@@ -13,9 +13,7 @@ too?*  Each rule composes :mod:`repro.analysis.cfg` and
   points diverge between ``fork`` (inherits parent state) and ``spawn``
   (re-imports fresh) workers.
 * **R013** resource lifetime — every shm/file/socket acquisition must
-  reach a release on all CFG paths, including exceptional edges.  The
-  shm kind subsumes the old syntactic R009 and keeps that rule id on its
-  findings so baselines and SARIF filters continue to match.
+  reach a release on all CFG paths, including exceptional edges.
 * **R014** seed taint — values derived from the seed protocol must not
   merge with wall-clock/``id()``/hash-tainted values on their way to an
   algorithm entry point.
@@ -44,12 +42,7 @@ from .escape import concurrency_sites, global_mutations, mutable_globals
 from .project import ModuleInfo, ProjectModel, qualified_call_name
 from .rules import Finding, Rule, Severity, scoped_nodes
 
-__all__ = ["FLOW_RULES", "RULE_ALIASES"]
-
-#: Retired rule ids that now resolve to a flow rule.  R009's syntactic
-#: shm matcher was subsumed by R013; findings of the shm kind still
-#: carry the R009 id so baselines and SARIF filters keep working.
-RULE_ALIASES: dict[str, str] = {"R009": "R013"}
+__all__ = ["FLOW_RULES"]
 
 
 def _calls(node: ast.AST) -> Iterator[ast.Call]:
@@ -392,7 +385,7 @@ class R012ForkSpawnSafeModuleState(Rule):
         return reset
 
 
-# -- R013: resource lifetime (subsumes R009) ---------------------------------------
+# -- R013: resource lifetime -------------------------------------------------------
 
 _FILE_OPEN_ORIGINS = frozenset(
     {"open", "io.open", "os.fdopen", "gzip.open", "bz2.open", "lzma.open"}
@@ -440,15 +433,15 @@ class R013ResourceLifetime(Rule):
     description = (
         "Every shm/file/socket acquisition must reach a release on every "
         "CFG path — including the path where a statement between acquire "
-        "and release raises.  Shm findings keep the legacy R009 id."
+        "and release raises."
     )
 
     def check(self, module: ModuleInfo, project: ProjectModel) -> Iterator[Finding]:
         resolve = _resolver(module)
         for context, _func, cfg in function_cfgs(module.tree):
             yield from self._check_cfg(module, context, cfg, resolve)
-        # Module-level acquisitions (old R009 territory): the module body
-        # is itself a straight-line "function".
+        # Module-level acquisitions: the module body is itself a
+        # straight-line "function".
         yield from self._check_cfg(module, "", build_cfg(module.tree), resolve)
 
     def _check_cfg(
@@ -463,7 +456,6 @@ class R013ResourceLifetime(Rule):
         for site in sorted(at_exit | at_raise):
             acq = analysis.acquisitions[site]
             label = resolve(acq.node.func) or getattr(acq.node.func, "id", "call")
-            rule_id = "R009" if acq.spec.kind == "shm" else self.id
             releases = "/".join(f"`{r}()`" for r in sorted(acq.spec.releases))
             if site in at_exit:
                 message = (
@@ -479,7 +471,7 @@ class R013ResourceLifetime(Rule):
                     f"reaches {releases} too"
                 )
             yield Finding(
-                rule=rule_id,
+                rule=self.id,
                 severity=self.severity,
                 path=module.relpath,
                 line=getattr(acq.node, "lineno", 0),

@@ -11,11 +11,11 @@ import ast
 import re
 from typing import Iterator
 
-from .flowrules import FLOW_RULES, RULE_ALIASES
+from .flowrules import FLOW_RULES
 from .project import ModuleInfo, ProjectModel, qualified_call_name, self_method_calls
 from .rules import Finding, Rule, Severity, scoped_nodes, set_valued_names
 
-__all__ = ["ALL_RULES", "RULE_ALIASES", "default_rules"]
+__all__ = ["ALL_RULES", "default_rules"]
 
 
 # Module-level functions of `random` that draw from the hidden shared
@@ -483,9 +483,8 @@ def _read_keys(func: ast.AST) -> set[str] | None:
     return keys or None
 
 
-# R009 (shm-unlink-discipline) was a module-granular syntactic matcher;
-# it is now an alias for the CFG-based lifetime rule R013, which reports
-# shm findings under the R009 id (see flowrules.RULE_ALIASES).
+# R009 (shm-unlink-discipline) is retired: the CFG-based lifetime rule
+# R013 covers shared-memory segments along with files and sockets.
 
 
 # R010: the observability naming contract.  Metric names are Prometheus

@@ -14,13 +14,12 @@ from .baseline import Baseline, BaselineEntry, apply_baseline
 from .config import AnalysisConfig
 from .project import ProjectModel
 from .rules import Finding, Rule
-from .ruleset import RULE_ALIASES, default_rules
+from .ruleset import default_rules
 
 __all__ = [
     "AnalysisResult",
     "analyze",
     "default_baseline_path",
-    "relevant_stale",
     "run_analysis",
     "valid_rule_ids",
 ]
@@ -52,83 +51,35 @@ class AnalysisResult:
 
 
 def valid_rule_ids() -> list[str]:
-    """Every selectable rule id, including retired aliases (R009 -> R013)."""
-    ids = {r.id for r in default_rules()} | set(RULE_ALIASES)
-    return sorted(ids)
-
-
-def _canonical_ids(rule_ids: tuple[str, ...]) -> set[str]:
-    """Resolve aliases; raise ValueError naming the valid ids on unknowns."""
-    known = set(valid_rule_ids())
-    unknown = set(rule_ids) - known
-    if unknown:
-        raise ValueError(
-            f"unknown rule id(s): {', '.join(sorted(unknown))} "
-            f"(valid: {', '.join(sorted(known))})"
-        )
-    return {RULE_ALIASES.get(rid, rid) for rid in rule_ids}
+    """Every selectable rule id, sorted."""
+    return sorted(r.id for r in default_rules())
 
 
 def _selected_rules(config: AnalysisConfig) -> list[Rule]:
+    """The config's rule selection; unknown ids raise ValueError."""
     rules = default_rules()
     if config.rules is None:
         return rules
-    wanted = _canonical_ids(tuple(config.rules))
-    return [r for r in rules if r.id in wanted]
+    unknown = set(config.rules) - {r.id for r in rules}
+    if unknown:
+        raise ValueError(
+            f"unknown rule id(s): {', '.join(sorted(unknown))} "
+            f"(valid: {', '.join(valid_rule_ids())})"
+        )
+    return [r for r in rules if r.id in config.rules]
 
 
-def _module_findings(
-    config: AnalysisConfig,
-    module,
-    project: ProjectModel,
-    rules: list[Rule],
-) -> list[Finding]:
-    """One module's findings under the config's scopes and rule selection."""
-    findings: list[Finding] = []
-    for rule in rules:
-        if config.in_scope(rule.id, module.relpath):
-            findings.extend(rule.check(module, project))
-    if config.rules is not None:
-        # A rule may emit findings under an alias id (R013 tags its shm
-        # findings R009); match the selection through the alias map.
-        wanted = _canonical_ids(tuple(config.rules))
-        findings = [
-            f for f in findings if RULE_ALIASES.get(f.rule, f.rule) in wanted
-        ]
-    findings.sort()
-    return findings
-
-
-def analyze(
-    config: AnalysisConfig,
-    project: ProjectModel | None = None,
-    rules: list[Rule] | None = None,
-) -> tuple[list[Finding], list[Rule], ProjectModel]:
+def analyze(config: AnalysisConfig) -> tuple[list[Finding], list[Rule], ProjectModel]:
     """Run the (scoped) rules over the tree; returns every finding."""
-    if project is None:
-        project = ProjectModel.scan(config.root, config.package)
-    if rules is None:
-        rules = _selected_rules(config)
+    project = ProjectModel.scan(config.root, config.package)
+    rules = _selected_rules(config)
     findings: list[Finding] = []
     for module in project:
-        findings.extend(_module_findings(config, module, project, rules))
+        for rule in rules:
+            if config.in_scope(rule.id, module.relpath):
+                findings.extend(rule.check(module, project))
     findings.sort()
     return findings, rules, project
-
-
-def relevant_stale(
-    stale: list[BaselineEntry], config: AnalysisConfig
-) -> list[BaselineEntry]:
-    """Drop stale entries for rules outside the run's ``--rule`` selection.
-
-    A selected run never produces findings for unselected rules, so their
-    baseline entries would always look stale; that is not evidence the
-    entry rotted.
-    """
-    if config.rules is None:
-        return stale
-    wanted = _canonical_ids(tuple(config.rules))
-    return [e for e in stale if RULE_ALIASES.get(e.rule, e.rule) in wanted]
 
 
 def run_analysis(
@@ -141,7 +92,11 @@ def run_analysis(
         baseline_path if baseline_path is not None else default_baseline_path()
     )
     unsuppressed, suppressed, stale = apply_baseline(findings, baseline)
-    stale = relevant_stale(stale, config)
+    if config.rules is not None:
+        # A selected run never produces findings for unselected rules, so
+        # their baseline entries would always look stale; that is not
+        # evidence the entry rotted.
+        stale = [e for e in stale if e.rule in config.rules]
     return AnalysisResult(
         findings=unsuppressed,
         suppressed=suppressed,

@@ -104,6 +104,17 @@ _TABLES = {
 }
 
 
+class _InputError(Exception):
+    """Unusable user input: reported as one ``error:`` line, exit code 2."""
+
+
+def _read_graph(path: str):
+    try:
+        return read_edge_list(path)
+    except (OSError, ValueError) as exc:
+        raise _InputError(f"cannot read graph {path}: {exc}") from None
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -186,7 +197,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    graph = read_edge_list(args.graph)
+    graph = _read_graph(args.graph)
     spec = AlgorithmSpec.make(args.algorithm)
     engine = _make_engine(args, cache=False)
     if args.starts > 1:
@@ -236,7 +247,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_kway(args: argparse.Namespace) -> int:
     from .partition.kway import recursive_kway
 
-    graph = read_edge_list(args.graph)
+    graph = _read_graph(args.graph)
     with Timer() as timer:
         partition = recursive_kway(graph, args.k, rng=args.seed)
     weights = partition.part_weights()
@@ -256,7 +267,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     """Score a saved partition file against its graph."""
     from .partition.io import read_partition
 
-    graph = read_edge_list(args.graph)
+    graph = _read_graph(args.graph)
     partition = read_partition(graph, args.partition)
     weights = partition.part_weights()
     print(
@@ -397,7 +408,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     from .graphs.traversal import connected_components
 
-    graph = read_edge_list(args.graph)
+    graph = _read_graph(args.graph)
     print(f"path: {args.graph}")
     print(f"fingerprint: {graph_fingerprint(graph)}")
     print(f"vertices: {graph.num_vertices}")
@@ -648,15 +659,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         default_config,
         render_json,
         render_text,
+        runner,
         to_sarif,
         update_baseline,
         valid_rule_ids,
     )
-    from .analysis.lintcache import run_cached_analysis
-    from .analysis.runner import analyze
 
     if args.root:
-        config = AnalysisConfig(root=Path(args.root))
+        root = Path(args.root)
+        if not root.is_dir() or not any(root.rglob("*.py")):
+            print(
+                f"lint: root {root} is not a directory containing Python modules",
+                file=sys.stderr,
+            )
+            return 2
+        config = AnalysisConfig(root=root)
     else:
         config = default_config()
     rule_ids: list[str] = []
@@ -672,49 +689,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
             return 2
         config = replace(config, rules=tuple(rule_ids))
-    if args.dry_run and not args.fix:
-        print("--dry-run only makes sense with --fix", file=sys.stderr)
-        return 2
     baseline_path = Path(args.baseline) if args.baseline else default_baseline_path()
 
     if args.update_baseline:
         from .analysis import Baseline
 
-        findings, _, _ = analyze(config)
+        findings, _, _ = runner.analyze(config)
         baseline = update_baseline(findings, Baseline.load(baseline_path))
         baseline.save(baseline_path)
         todo = sum(1 for e in baseline.entries if e.problem())
         print(f"wrote {baseline_path} ({len(baseline.entries)} entries, {todo} needing justification)")
         return 0
 
-    result, stats = run_cached_analysis(
-        config, baseline_path, use_cache=not args.no_cache
-    )
-    if stats.enabled:
-        print(stats.describe(), file=sys.stderr)
-    if args.cache_stats:
-        with open(args.cache_stats, "w", encoding="utf-8") as handle:
-            json.dump(stats.to_json(), handle, indent=2)
-            handle.write("\n")
-
-    if args.fix:
-        from .analysis.fixes import plan_fixes
-
-        plan = plan_fixes(config, result.findings)
-        summary = (
-            f"{plan.fixed_count} finding(s) auto-fixable in "
-            f"{len(plan.modules)} file(s); {len(plan.skipped)} left for a human"
-        )
-        if args.dry_run:
-            sys.stdout.write(plan.diff())
-            print(f"dry run: {summary}")
-            return 0
-        touched = plan.apply()
-        for rel in touched:
-            print(f"rewrote {rel}")
-        print(f"applied: {summary}")
-        return 0
-
+    result = runner.run_analysis(config, baseline_path)
     if args.format == "sarif":
         sarif = to_sarif(
             result.findings,
@@ -1214,23 +1201,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only these rule ids (repeatable and/or comma-separated, "
         "e.g. --rule R002,R013; default: all rules)",
     )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore the incremental lint cache and re-analyze everything",
-    )
-    lint.add_argument(
-        "--cache-stats",
-        help="write cache hit/miss statistics as JSON to this path",
-    )
-    lint.add_argument(
-        "--fix", action="store_true",
-        help="rewrite the mechanical findings in place (R002 clock calls, "
-        "R010 metric names, R013 with-wrapping) and exit",
-    )
-    lint.add_argument(
-        "--dry-run", action="store_true",
-        help="with --fix: print the unified diff instead of writing files",
-    )
     lint.add_argument("--out", help="write the report here instead of stdout")
     lint.set_defaults(func=_cmd_lint)
 
@@ -1416,6 +1386,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(argv)
+    except _InputError as exc:
+        print(f"repro-bisect: error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # Conventional 128+SIGINT exit; the newline keeps the shell prompt
         # off the interrupted command's output line.
@@ -1438,6 +1411,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    telemetry = getattr(args, "telemetry", None)
+    if telemetry:
+        # Telemetry opens its file lazily, mid-run; fail before any work.
+        try:
+            with open(telemetry, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise _InputError(f"cannot open telemetry file {telemetry}: {exc}") from None
     ledger_target = getattr(args, "ledger", None)
     if getattr(args, "study_owns_ledger", False):
         ledger_target = None  # study builds its own (kind "study") ledger

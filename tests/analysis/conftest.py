@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisConfig, analyze
+from repro.analysis import AnalysisConfig, analyze, default_config, run_analysis
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -38,3 +38,10 @@ def lint_fixture():
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def real_tree_result():
+    """One baseline-folded scan of the shipped source tree, shared by every
+    real-tree test (a scan takes seconds; the tree does not change mid-run)."""
+    return run_analysis(default_config())

@@ -8,8 +8,6 @@ no unbaselined finding with every flow rule active.
 
 from __future__ import annotations
 
-from repro.analysis import default_config, run_analysis
-
 
 def split(findings):
     bad = [f for f in findings if f.path == "bad.py"]
@@ -65,12 +63,15 @@ class TestR013ResourceLifetime:
         findings = lint_fixture("r013", rule="R013")
         assert not any(f.path == "good.py" for f in findings)
 
-    def test_selecting_the_r009_alias_matches_shm_findings(self, lint_fixture):
-        # --rule R009 must keep selecting the shm findings R013 now emits.
-        via_alias = lint_fixture("r009", rule="R009")
-        via_canonical = lint_fixture("r009", rule="R013")
-        assert via_alias == via_canonical
-        assert all(f.rule == "R009" for f in via_alias if f.path == "bad.py")
+    def test_shm_both_directions(self, lint_fixture):
+        shm = [f for f in lint_fixture("r013", rule="R013") if f.path.startswith("shm_")]
+        # Owner semantics: `with SharedGraphSegment.create(...)` unlinks
+        # in __exit__, so context-managed creates (shm_ctx.py) and the
+        # try/finally pairs (shm_good.py) carry no finding.
+        assert [(f.path, f.context) for f in shm] == [
+            ("shm_bad.py", "export"), ("shm_bad.py", "scratch"),
+        ]
+        assert all(f.rule == "R013" and "unlink" in f.message for f in shm)
 
 
 class TestR014SeedTaint:
@@ -128,8 +129,8 @@ class TestR016JoinYourThreads:
 
 
 class TestRepoIsCleanUnderFlowRules:
-    def test_no_unbaselined_findings_with_flow_rules_active(self):
-        result = run_analysis(default_config())
+    def test_no_unbaselined_findings_with_flow_rules_active(self, real_tree_result):
+        result = real_tree_result
         active = {r.id for r in result.rules}
         assert {"R011", "R012", "R013", "R014", "R015", "R016"} <= active
         assert result.findings == []

@@ -5,21 +5,34 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis import SARIF_VERSION, Baseline
+from repro.analysis import SARIF_VERSION, Baseline, default_baseline_path, default_config
+from repro.analysis import runner
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestRepoIsClean:
-    def test_check_passes_on_the_real_tree(self, capsys):
+    # The CLI gets the session's shared real-tree scan instead of paying
+    # for a scan of its own in every test.
+    def _share_scan(self, monkeypatch, real_tree_result):
+        def shared_scan(config, baseline_path):
+            assert config == default_config()
+            assert baseline_path == default_baseline_path()
+            return real_tree_result
+
+        monkeypatch.setattr(runner, "run_analysis", shared_scan)
+
+    def test_check_passes_on_the_real_tree(self, capsys, monkeypatch, real_tree_result):
         # The headline acceptance criterion: zero unsuppressed findings on
         # the shipped source tree, baseline fully justified and non-stale.
+        self._share_scan(monkeypatch, real_tree_result)
         assert main(["lint", "--check"]) == 0
         out = capsys.readouterr().out
         assert "0 findings" in out
 
-    def test_sarif_output_on_the_real_tree(self, capsys):
+    def test_sarif_output_on_the_real_tree(self, capsys, monkeypatch, real_tree_result):
+        self._share_scan(monkeypatch, real_tree_result)
         assert main(["lint", "--format", "sarif"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == SARIF_VERSION
@@ -58,6 +71,16 @@ class TestAgainstFixtures:
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"] and payload["suppressed"] == []
         assert {f["rule"] for f in payload["findings"]} == {"R001"}
+
+    def test_retired_r009_is_an_unknown_rule(self, capsys):
+        assert main(["lint", "--root", self.ROOT, "--rule", "R009"]) == 2
+        assert "unknown rule id(s): R009" in capsys.readouterr().err
+
+    def test_missing_root_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["lint", "--check", "--root", str(tmp_path / "nope")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"lint: root {tmp_path / 'nope'} is not a directory containing Python modules\n"
 
     def test_out_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.sarif"

@@ -90,19 +90,6 @@ class TestR008PayloadRoundTrip:
         assert "'seconds'" in messages and "'swaps'" in messages
 
 
-class TestR009ShmUnlink:
-    def test_both_directions(self, lint_fixture):
-        findings = lint_fixture("r009", rule="R009")
-        bad, good = split(findings)
-        assert good == []
-        # Owner semantics: `with SharedGraphSegment.create(...)` unlinks
-        # in __exit__, so context-managed creates carry no finding.
-        assert not any(f.path == "ctx.py" for f in findings)
-        assert len(bad) == 2
-        assert {f.context for f in bad} == {"export", "scratch"}
-        assert all("unlink" in f.message for f in bad)
-
-
 class TestR010MetricNaming:
     def test_both_directions(self, lint_fixture):
         bad, good = split(lint_fixture("r010", rule="R010"))
@@ -117,35 +104,26 @@ class TestR010MetricNaming:
         assert "'retries'" in messages  # registry-method form
         assert "inside a loop" in messages  # in-loop bucket literal
 
-    def test_real_tree_is_clean(self, lint_fixture):
-        from repro.analysis import analyze, default_config
-
-        config = default_config()
-        config = type(config)(
-            root=config.root, package=config.package,
-            scopes=config.scopes, allow_zones=config.allow_zones,
-            rules=("R010",),
-        )
-        findings, _rules, _project = analyze(config)
-        assert findings == []
+    def test_real_tree_is_clean(self, real_tree_result):
+        # Baselined findings count too: R010 has no accepted exceptions.
+        found = real_tree_result.findings + real_tree_result.suppressed
+        assert [f for f in found if f.rule == "R010"] == []
 
 
 class TestRuleRegistry:
     def test_ids_are_unique_and_sequential(self, lint_fixture):
-        # R009 retired into an alias of R013 (its shm findings keep the
-        # legacy id), so it has no rule class of its own.
+        # R009 is retired: R013 reports shared-memory findings under its
+        # own id, so R009 has no rule class.
         ids = [cls.id for cls in ALL_RULES]
         assert ids == [
             f"R0{i:02d}" for i in range(1, 17) if i != 9
         ]
 
-    def test_alias_map_round_trips(self, lint_fixture):
-        from repro.analysis import RULE_ALIASES, valid_rule_ids
+    def test_valid_ids_are_the_sorted_rule_ids(self, lint_fixture):
+        from repro.analysis import valid_rule_ids
 
-        assert RULE_ALIASES == {"R009": "R013"}
-        ids = valid_rule_ids()
-        assert "R009" in ids and "R013" in ids
-        assert ids == sorted(ids)
+        assert valid_rule_ids() == sorted(cls.id for cls in ALL_RULES)
+        assert "R009" not in valid_rule_ids()
 
     def test_every_rule_has_metadata(self, lint_fixture):
         for rule in default_rules():

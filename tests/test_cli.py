@@ -174,3 +174,37 @@ class TestParser:
     def test_help_exists(self):
         parser = build_parser()
         assert parser.prog == "repro-bisect"
+
+
+class TestInputErrors:
+    """Unusable input is one ``error:`` line on stderr and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{missing}"],
+            ["info", "{missing}"],
+            ["run", "{malformed}"],
+            ["kway", "{malformed}", "--k", "2"],
+            ["score", "{malformed}", "{missing}"],
+            ["info", "{tmp}"],
+            ["run", "{good}", "--telemetry", "{tmp}/no/such/dir/t.jsonl"],
+        ],
+        ids=["run-missing", "info-missing", "run-malformed", "kway-malformed",
+             "score-malformed", "info-directory", "run-telemetry-dir"],
+    )
+    def test_one_line_error_exit_2(self, tmp_path, capsys, argv):
+        (tmp_path / "bad.edges").write_text("0 1\nnot an edge\n", encoding="utf-8")
+        main(["generate", "ladder", "--vertices", "8", "--out", str(tmp_path / "g.edges")])
+        capsys.readouterr()
+        paths = {
+            "missing": tmp_path / "missing.edges",
+            "malformed": tmp_path / "bad.edges",
+            "good": tmp_path / "g.edges",
+            "tmp": tmp_path,
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("repro-bisect: error: ")
+        assert err.count("\n") == 1
