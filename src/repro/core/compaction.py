@@ -29,7 +29,10 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
+from itertools import compress
+from operator import lt
 
+from ..graphs.csr import csr_view
 from ..graphs.graph import Graph
 from ..obs import counter, gauge, span
 from ..partition.bisection import Bisection
@@ -146,26 +149,59 @@ def compact(graph: Graph, matching: Matching) -> Compaction:
 
 
 def _compact(graph: Graph, matching: Matching) -> Compaction:
+    """Contract over the CSR's integer ids.
+
+    ``super_of`` is the id-indexed parent table.  Coarse rows are filled
+    walking the fine CSR slots with ``head < tail`` in slot order — the
+    order of ``graph.edges()`` — and a merged edge keeps the position of
+    its first occurrence, so every ``coarse.adjacency(s)`` lists its
+    neighbours exactly as an ``add_edge(..., merge=True)`` loop over
+    ``graph.edges()`` would (FM buckets and SA's CSR sampling on G' read
+    that order).
+    """
+    csr = csr_view(graph)
+    labels = csr.labels
+    index_of = csr.index_of
     parent: dict[Vertex, Vertex] = {}
     members: dict[Vertex, tuple[Vertex, ...]] = {}
-    next_label = 0
-    for u, v in matching:
-        parent[u] = parent[v] = next_label
-        members[next_label] = (u, v)
-        next_label += 1
-    for v in graph.vertices():
-        if v not in parent:
-            parent[v] = next_label
-            members[next_label] = (v,)
-            next_label += 1
+    super_of = [-1] * csr.num_vertices
+    for s, (u, v) in enumerate(matching):
+        parent[u] = parent[v] = s
+        members[s] = (u, v)
+        super_of[index_of[u]] = super_of[index_of[v]] = s
+    num_coarse = len(matching)
+    for i, s in enumerate(super_of):
+        if s < 0:
+            v = labels[i]
+            parent[v] = super_of[i] = num_coarse
+            members[num_coarse] = (v,)
+            num_coarse += 1
 
+    coarse_weight = [0] * num_coarse
+    for s, w in zip(super_of, csr.vertex_weight_list()):
+        coarse_weight[s] += w
+    rows: list[dict[int, int]] = [{} for _ in range(num_coarse)]
+    heads, tails, weights = csr.head_tail_lists()
+    super_get = super_of.__getitem__
+    contracted = 0
+    for sh, st, w in compress(
+        zip(map(super_get, heads), map(super_get, tails), weights),
+        map(lt, heads, tails),
+    ):
+        if sh == st:
+            contracted += w  # the matching edge vanishes inside its supervertex
+            continue
+        row = rows[sh]
+        if st in row:
+            row[st] = rows[st][sh] = row[st] + w
+        else:
+            row[st] = w
+            rows[st][sh] = w
+
+    # Assemble G' directly; its labels are the fresh ints 0 .. |V'|-1.
     coarse = Graph()
-    for super_v, group in members.items():
-        coarse.add_vertex(super_v, sum(graph.vertex_weight(v) for v in group))
-    for u, v, w in graph.edges():
-        pu, pv = parent[u], parent[v]
-        if pu == pv:
-            continue  # the contracted matching edge (or a parallel mate) vanishes
-        coarse.add_edge(pu, pv, w, merge=True)
-
+    coarse._adj = dict(enumerate(rows))
+    coarse._vertex_weight = dict(enumerate(coarse_weight))
+    coarse._num_edges = sum(map(len, rows)) // 2
+    coarse._total_edge_weight = graph.total_edge_weight - contracted
     return Compaction(original=graph, coarse=coarse, members=members, parent=parent)

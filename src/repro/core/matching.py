@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Hashable
+from itertools import compress
+from operator import lt
 
+from ..graphs.csr import csr_view
 from ..graphs.graph import Graph
 from ..rng import resolve_rng
 
@@ -35,17 +38,24 @@ def random_maximal_matching(
 
     Edges are visited in a uniformly random order and kept when both
     endpoints are free.  O(|E|).
+
+    The edge list is read off the graph's CSR view: the directed slots
+    with ``head < tail``, in slot order, are exactly ``graph.edges()`` in
+    order, so the shuffle — and the matching — are the same as a walk
+    over the dict adjacency, at integer-id speed.
     """
     rng = resolve_rng(rng)
-    edges = [(u, v) for u, v, _ in graph.edges()]
+    csr = csr_view(graph)
+    heads, tails, _ = csr.head_tail_lists()
+    edges = list(compress(zip(heads, tails), map(lt, heads, tails)))
     rng.shuffle(edges)
-    matched: set[Vertex] = set()
+    labels = csr.labels
+    matched = bytearray(csr.num_vertices)
     matching: Matching = []
-    for u, v in edges:
-        if u not in matched and v not in matched:
-            matching.append((u, v))
-            matched.add(u)
-            matched.add(v)
+    for h, t in edges:
+        if not matched[h] and not matched[t]:
+            matched[h] = matched[t] = 1
+            matching.append((labels[h], labels[t]))
     return matching
 
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 import os
 from array import array
 from collections.abc import Mapping
-from itertools import compress
-from operator import mul, ne
+from itertools import accumulate, compress, islice
+from operator import mul, ne, sub
 
 from .graph import Graph, Vertex
 
@@ -203,6 +203,22 @@ class CSRGraph:
         """Plain-list mirror of the ``vertex_weight`` array."""
         return self._list("vertex_weights", lambda: list(self.vertex_weight))
 
+    def weight_classes(self) -> tuple[list[int], list[int]]:
+        """``(class_of, class_weights)``: vertex-weight classes by first appearance.
+
+        ``class_of[i]`` is vertex ``i``'s class id; class ``c`` holds the
+        vertices of weight ``class_weights[c]``, and ids are numbered in
+        the order each weight first appears in id order — the order the
+        KL kernels scan classes in.
+        """
+
+        def build() -> tuple[list[int], list[int]]:
+            ids: dict[int, int] = {}
+            class_of = [ids.setdefault(w, len(ids)) for w in self.vertex_weight_list()]
+            return class_of, list(ids)
+
+        return self._list("weight_classes", build)
+
     def head_tail_lists(self) -> tuple[list[int], list[int], list[int]]:
         """``(heads, indices, edge_weight)`` as lists — one row per directed slot."""
 
@@ -256,23 +272,29 @@ def csr_move_gains(csr: CSRGraph, sides: list[int]) -> list[int]:
     """Per-vertex move gains (cut reduction of flipping each vertex alone).
 
     The shared gain-initialization of the KL and FM kernels; inner sums run
-    at C level (``sum(map(...))``).
+    at C level (``sum(map(...))``).  With weighted edges (contracted
+    graphs) one prefix sum over the per-slot ``weight * side`` products
+    replaces the per-row sums: row ``i``'s side-1 weight is
+    ``csum[indptr[i + 1]] - csum[indptr[i]]``.
     """
-    n = csr.num_vertices
     sides_get = sides.__getitem__
+    if not csr.unit_edge_weights:
+        _, tails, weights = csr.head_tail_lists()
+        csum = list(accumulate(map(mul, weights, map(sides_get, tails)), initial=0))
+        bounds = list(map(csum.__getitem__, csr.indptr))
+        return [
+            wdeg - 2 * s1 if side else 2 * s1 - wdeg
+            for s1, wdeg, side in zip(
+                map(sub, islice(bounds, 1, None), bounds), csr.weighted_degrees(), sides
+            )
+        ]
+    n = csr.num_vertices
     nbrs = csr.neighbor_lists()
     gains = [0] * n
-    if csr.unit_edge_weights:
-        for i in range(n):
-            row = nbrs[i]
-            s1 = sum(map(sides_get, row))
-            gains[i] = 2 * s1 - len(row) if sides[i] == 0 else len(row) - 2 * s1
-    else:
-        wts = csr.weight_lists()
-        wdeg = csr.weighted_degrees()
-        for i in range(n):
-            s1 = sum(map(mul, wts[i], map(sides_get, nbrs[i])))
-            gains[i] = 2 * s1 - wdeg[i] if sides[i] == 0 else wdeg[i] - 2 * s1
+    for i in range(n):
+        row = nbrs[i]
+        s1 = sum(map(sides_get, row))
+        gains[i] = 2 * s1 - len(row) if sides[i] == 0 else len(row) - 2 * s1
     return gains
 
 

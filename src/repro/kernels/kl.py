@@ -16,7 +16,8 @@ That freedom lets these kernels check the ``g_ab <= g_a + g_b`` bound
 top candidates are usually not adjacent and therefore already optimal —
 a selection costs exactly two pops and one adjacency probe.
 
-Two batch-level refinements over the previous in-module kernels:
+Two batch-level refinements over the previous in-module kernels, shared
+by the single-class kernel and the multi-class one contracted graphs use:
 
 * a ``curkey`` freshness array — ``curkey[v]`` is v's only live packed
   key (or -1 once locked), making the staleness test one list index and
@@ -235,18 +236,21 @@ def kl_sequence_single(
     return sequence
 
 
-class _SelectState:
-    __slots__ = ("heaps", "pending")
-
-    def __init__(self) -> None:
-        self.heaps: tuple[list[int], list[int]] = ([], [])
-        self.pending: tuple[deque, deque] = (deque(), deque())
-
-
 def kl_sequence_multi(
     csr: CSRGraph, sides: list[int], gains: list[int], stats: dict | None = None
 ):
-    """Pair sequence with per-vertex-weight classes (contracted graphs)."""
+    """Pair sequence with per-vertex-weight classes (contracted graphs).
+
+    Only pairs of equal vertex weight may be exchanged, so every weight
+    class has its own heaps and pending queues, held in flat lists indexed
+    by class id (ids in order of first appearance, see
+    :meth:`CSRGraph.weight_classes`).  Each step selects the best pair of
+    every class, in id order, with the single-class kernel's machinery,
+    keeps the first strict maximum, and returns the other classes' pairs
+    to their queues.  A class whose queue tops cannot beat the best pair
+    so far is not examined at all: it could not change the pick, so the
+    sequence is the same, only the obs counters count less work.
+    """
     n = csr.num_vertices
     rank = csr.rank
     by_rank = csr.by_rank
@@ -254,126 +258,180 @@ def kl_sequence_multi(
     unit = csr.unit_edge_weights
     wts = None if unit else csr.weight_lists()
     adj_maps = csr.adjacency_maps()
-    vweights = csr.vertex_weight_list()
+    class_of, class_weights = csr.weight_classes()
+    classes = range(len(class_weights))
     B = csr.max_weighted_degree
 
-    states: dict[int, _SelectState] = {}
+    curkey = [(B - gains[i]) * n + rank[i] for i in range(n)]
+    heaps0: list[list[int]] = [[] for _ in classes]
+    heaps1: list[list[int]] = [[] for _ in classes]
+    # Sides and classes are fixed for the whole pass, so is each vertex's heap.
+    heap_of = [(heaps1 if sides[i] else heaps0)[class_of[i]] for i in range(n)]
     for i in range(n):
-        state = states.setdefault(vweights[i], _SelectState())
-        state.heaps[sides[i]].append((B - gains[i]) * n + rank[i])
-    for state in states.values():
-        state.heaps[0].sort()
-        state.heaps[1].sort()
+        heap_of[i].append(curkey[i])
+    for heap in heaps0 + heaps1:
+        heap.sort()
+    pends0: list[deque] = [deque() for _ in classes]
+    pends1: list[deque] = [deque() for _ in classes]
 
     locked = bytearray(n)
     sequence: list[tuple[int, int, int]] = []
+    push = heappush
+    pop = heappop
     stale = 0  # obs only, as in the single-class kernel
     candidates = 0
     prune_hits = 0
 
-    def next_key(state: _SelectState, side: int) -> int:
-        """Next unlocked, non-stale packed key on ``side``, or -1."""
-        nonlocal stale
-        heap = state.heaps[side]
-        pend = state.pending[side]
-        while True:
-            if pend:
-                key = heappop(heap) if heap and heap[0] < pend[0] else pend.popleft()
-            elif heap:
-                key = heappop(heap)
-            else:
-                return -1
-            v = by_rank[key % n]
-            if not locked[v] and gains[v] == B - key // n:
-                return key
-            stale += 1
-
-    def select_pair(state: _SelectState):
-        nonlocal candidates, prune_hits
-        ak = next_key(state, 0)
-        if ak < 0:
-            return None
-        bk = next_key(state, 1)
-        if bk < 0:
-            state.pending[0].appendleft(ak)
-            candidates += 1
-            return None
-
-        gain_a = B - ak // n
-        top_b_gain = B - bk // n
-        best_gain = gain_a + top_b_gain - 2 * adj_maps[by_rank[ak % n]].get(
-            by_rank[bk % n], 0
-        )
-        best_ak, best_bk = ak, bk
-        a_keys = [ak]
-        b_keys = [bk]
-
-        if best_gain < gain_a + top_b_gain:
-            i = 0
-            while True:
-                if i == len(a_keys):
-                    if B - a_keys[-1] // n + top_b_gain <= best_gain:
-                        break
-                    ak = next_key(state, 0)
-                    if ak < 0:
-                        break
-                    a_keys.append(ak)
-                ak = a_keys[i]
-                gain_a = B - ak // n
-                if gain_a + top_b_gain <= best_gain:
-                    break
-                adj_a = adj_maps[by_rank[ak % n]]
-                j = 0
-                while True:
-                    if j == len(b_keys):
-                        if gain_a + (B - b_keys[-1] // n) <= best_gain:
-                            break
-                        bk = next_key(state, 1)
-                        if bk < 0:
-                            break
-                        b_keys.append(bk)
-                    bk = b_keys[j]
-                    upper = gain_a + B - bk // n
-                    if upper <= best_gain:
-                        break
-                    pair_gain = upper - 2 * adj_a.get(by_rank[bk % n], 0)
-                    if pair_gain > best_gain:
-                        best_gain, best_ak, best_bk = pair_gain, ak, bk
-                    j += 1
-                i += 1
-
-        candidates += len(a_keys) + len(b_keys)
-        if len(a_keys) + len(b_keys) == 2:
-            prune_hits += 1
-        state.pending[0].extendleft(k for k in reversed(a_keys) if k != best_ak)
-        state.pending[1].extendleft(k for k in reversed(b_keys) if k != best_bk)
-        return best_gain, best_ak, best_bk
-
     while True:
-        best = None  # (gain, a_key, b_key, state)
-        for state in states.values():
-            selected = select_pair(state)
-            if selected is None:
+        pick_class = -1  # class of the best pair so far in this step
+        for c in classes:
+            heap0 = heaps0[c]
+            pend0 = pends0[c]
+            heap1 = heaps1[c]
+            pend1 = pends1[c]
+            if pick_class >= 0:
+                # The smallest queued key per side, fresh or stale, bounds
+                # the class's best pair gain from above; a class that
+                # cannot strictly beat the pick is skipped unpopped.
+                if not ((heap0 or pend0) and (heap1 or pend1)):
+                    continue
+                top0 = min(heap0[0], pend0[0]) if heap0 and pend0 else (heap0 or pend0)[0]
+                top1 = min(heap1[0], pend1[0]) if heap1 and pend1 else (heap1 or pend1)[0]
+                if (B - top0 // n) + (B - top1 // n) <= pick_gain:
+                    continue
+            while True:
+                if pend0:
+                    ak = pop(heap0) if heap0 and heap0[0] < pend0[0] else pend0.popleft()
+                elif heap0:
+                    ak = pop(heap0)
+                else:
+                    ak = -1
+                    break
+                va = by_rank[ak % n]
+                if curkey[va] == ak:
+                    break
+                stale += 1
+            if ak < 0:
                 continue
-            gain, ak, bk = selected
-            if best is None or gain > best[0]:
-                if best is not None:
-                    # Un-choose the previous class's pair: push its pair back.
-                    _, pak, pbk, pstate = best
-                    heappush(pstate.heaps[0], pak)
-                    heappush(pstate.heaps[1], pbk)
-                best = (gain, ak, bk, state)
+            while True:
+                if pend1:
+                    bk = pop(heap1) if heap1 and heap1[0] < pend1[0] else pend1.popleft()
+                elif heap1:
+                    bk = pop(heap1)
+                else:
+                    bk = -1
+                    break
+                vb = by_rank[bk % n]
+                if curkey[vb] == bk:
+                    break
+                stale += 1
+            if bk < 0:
+                pend0.appendleft(ak)
+                candidates += 1
+                continue
+
+            w_ab = adj_maps[va].get(vb, 0)
+            if not w_ab:
+                # Non-adjacent tops settle the class with two pops.
+                candidates += 2
+                prune_hits += 1
+                best_gain = (B - ak // n) + (B - bk // n)
             else:
-                heappush(state.heaps[0], ak)
-                heappush(state.heaps[1], bk)
-        if best is None:
+                gain_a = B - ak // n
+                top_b_gain = B - bk // n
+                best_gain = gain_a + top_b_gain - 2 * w_ab
+                best_ak, best_bk = ak, bk
+                a_keys = [ak]
+                b_keys = [bk]
+
+                # Same bounded scan as the single-class kernel.
+                i = 0
+                while True:
+                    if i == len(a_keys):
+                        if B - a_keys[-1] // n + top_b_gain <= best_gain:
+                            break
+                        while True:  # pull the next a candidate
+                            if pend0:
+                                ak = (
+                                    pop(heap0)
+                                    if heap0 and heap0[0] < pend0[0]
+                                    else pend0.popleft()
+                                )
+                            elif heap0:
+                                ak = pop(heap0)
+                            else:
+                                ak = -1
+                                break
+                            if curkey[by_rank[ak % n]] == ak:
+                                break
+                            stale += 1
+                        if ak < 0:
+                            break
+                        a_keys.append(ak)
+                    ak = a_keys[i]
+                    gain_a = B - ak // n
+                    if gain_a + top_b_gain <= best_gain:
+                        break
+                    adj_a = adj_maps[by_rank[ak % n]]
+                    j = 0
+                    while True:
+                        if j == len(b_keys):
+                            if gain_a + (B - b_keys[-1] // n) <= best_gain:
+                                break
+                            while True:  # pull the next b candidate
+                                if pend1:
+                                    bk = (
+                                        pop(heap1)
+                                        if heap1 and heap1[0] < pend1[0]
+                                        else pend1.popleft()
+                                    )
+                                elif heap1:
+                                    bk = pop(heap1)
+                                else:
+                                    bk = -1
+                                    break
+                                if curkey[by_rank[bk % n]] == bk:
+                                    break
+                                stale += 1
+                            if bk < 0:
+                                break
+                            b_keys.append(bk)
+                        bk = b_keys[j]
+                        upper = gain_a + B - bk // n
+                        if upper <= best_gain:
+                            break
+                        pair_gain = upper - 2 * adj_a.get(by_rank[bk % n], 0)
+                        if pair_gain > best_gain:
+                            best_gain, best_ak, best_bk = pair_gain, ak, bk
+                        j += 1
+                    i += 1
+
+                candidates += len(a_keys) + len(b_keys)
+                if len(a_keys) + len(b_keys) == 2:
+                    prune_hits += 1
+                if len(a_keys) > 1 or a_keys[0] != best_ak:
+                    pend0.extendleft(k for k in reversed(a_keys) if k != best_ak)
+                if len(b_keys) > 1 or b_keys[0] != best_bk:
+                    pend1.extendleft(k for k in reversed(b_keys) if k != best_bk)
+                ak, bk = best_ak, best_bk
+
+            if pick_class < 0 or best_gain > pick_gain:
+                if pick_class >= 0:
+                    # Un-choose the previous class's pair.
+                    _requeue(heaps0[pick_class], pends0[pick_class], pick_ak)
+                    _requeue(heaps1[pick_class], pends1[pick_class], pick_bk)
+                pick_gain, pick_ak, pick_bk, pick_class = best_gain, ak, bk, c
+            else:
+                _requeue(heap0, pend0, ak)
+                _requeue(heap1, pend1, bk)
+        if pick_class < 0:
             break
 
-        gain, ak, bk, _state = best
-        a = by_rank[ak % n]
-        b = by_rank[bk % n]
+        a = by_rank[pick_ak % n]
+        b = by_rank[pick_bk % n]
         locked[a] = locked[b] = 1
-        sequence.append((a, b, gain))
+        curkey[a] = curkey[b] = -1
+        sequence.append((a, b, pick_gain))
 
         for moved in (a, b):
             side_moved = sides[moved]
@@ -384,9 +442,9 @@ def kl_sequence_multi(
                         continue
                     g = gains[u] + (2 if sides[u] == side_moved else -2)
                     gains[u] = g
-                    heappush(
-                        states[vweights[u]].heaps[sides[u]], (B - g) * n + rank[u]
-                    )
+                    key = (B - g) * n + rank[u]
+                    curkey[u] = key
+                    push(heap_of[u], key)
             else:
                 wrow = wts[moved]
                 for slot, u in enumerate(row):
@@ -395,10 +453,24 @@ def kl_sequence_multi(
                     w2 = 2 * wrow[slot]
                     g = gains[u] + (w2 if sides[u] == side_moved else -w2)
                     gains[u] = g
-                    heappush(
-                        states[vweights[u]].heaps[sides[u]], (B - g) * n + rank[u]
-                    )
+                    key = (B - g) * n + rank[u]
+                    curkey[u] = key
+                    push(heap_of[u], key)
 
     if stats is not None:
         _accumulate(stats, len(sequence), stale, candidates, prune_hits)
     return sequence
+
+
+def _requeue(heap: list[int], pend: deque, key: int) -> None:
+    """Return a popped, still-fresh key to its side's queues.
+
+    The pending queue must stay sorted, so the key goes to its front when
+    it is no larger than the front (always true for a top-of-side pop),
+    and onto the heap otherwise.  Both sources merge into one ascending
+    stream, so the choice never changes which key pops next.
+    """
+    if pend and pend[0] < key:
+        heappush(heap, key)
+    else:
+        pend.appendleft(key)

@@ -301,7 +301,7 @@ def _kl_pass_csr(
     """One KL pass over the CSR arrays; decision-identical to ``_kl_pass_dict``."""
     sides = csr.sides_list(assignment)
     gains = move_gains(csr, sides, backend)
-    if csr.unit_vertex_weights or len(set(csr.vertex_weight_list())) == 1:
+    if csr.unit_vertex_weights or len(csr.weight_classes()[1]) == 1:
         sequence = kl_sequence_single(csr, sides, gains, stats)
     else:
         sequence = kl_sequence_multi(csr, sides, gains, stats)

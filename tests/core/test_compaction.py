@@ -126,6 +126,7 @@ class TestCompactionProperties:
         g = gnp(40, 0.12, seed)
         m = random_maximal_matching(g, seed)
         comp = compact(g, m)
+        comp.validate()
         comp.coarse.validate()
         assert comp.coarse.total_vertex_weight == g.num_vertices
         coarse_bisection = random_bisection(comp.coarse, rng=seed)
@@ -141,5 +142,7 @@ class TestCompactionProperties:
         g = gnp(40, 0.15, seed)
         comp1 = compact(g, random_maximal_matching(g, seed))
         comp2 = compact(comp1.coarse, random_maximal_matching(comp1.coarse, seed + 1))
+        comp1.validate()
+        comp2.validate()
         comp2.coarse.validate()
         assert comp2.coarse.total_vertex_weight == g.num_vertices

@@ -15,11 +15,14 @@ from repro.graphs.generators import (
     grid_graph,
     ladder_graph,
 )
+from repro.graphs.csr import csr_move_gains, csr_view
 from repro.graphs.graph import Graph
+from repro.kernels.kl import kl_sequence_multi
 from repro.partition.bisection import Bisection, cut_weight
 from repro.partition.exact import exact_bisection_width
 from repro.partition.kl import kernighan_lin, kl_pass
 from repro.partition.random_init import random_assignment
+from repro.rng import LaggedFibonacciRandom
 
 
 class TestKLBasics:
@@ -204,6 +207,82 @@ class TestKLSelectionCorrectness:
         gain, _ = kl_pass(g, dict(assignment))
         if best > 0:
             assert gain >= best
+
+    # -- the multi-weight-class kernel (contracted graphs) ----------------------
+
+    @staticmethod
+    def _first_multi_pair(graph, assignment):
+        """First pair the multi-class kernel selects, as labels plus gain."""
+        csr = csr_view(graph)
+        sides = csr.sides_list(assignment)
+        sequence = kl_sequence_multi(csr, sides, csr_move_gains(csr, sides))
+        a, b, gain = sequence[0]
+        return csr.labels[a], csr.labels[b], gain
+
+    @staticmethod
+    def _brute_force_equal_weight(graph, assignment):
+        """Best ``g_a + g_b - 2 w(a, b)`` over equal-weight cross pairs."""
+        gains = {
+            v: sum(
+                w if assignment[u] != assignment[v] else -w
+                for u, w in graph.neighbor_items(v)
+            )
+            for v in graph.vertices()
+        }
+        weight = graph.vertex_weight
+        return max(
+            gains[a] + gains[b] - 2 * graph.edge_weight(a, b)
+            for a in graph.vertices()
+            if assignment[a] == 0
+            for b in graph.vertices()
+            if assignment[b] == 1 and weight(a) == weight(b)
+        ), gains
+
+    @staticmethod
+    def _contracted(seed, rounds):
+        rng = LaggedFibonacciRandom(seed)
+        g = gnp(40, 0.12, rng)
+        for _ in range(rounds):
+            g = compact(g, random_maximal_matching(g, rng)).coarse
+        return g
+
+    @pytest.mark.parametrize("rounds,min_classes", [(1, 2), (2, 3)])
+    @given(st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=20, deadline=None)
+    def test_multi_class_first_pair_is_argmax(self, rounds, min_classes, seed):
+        g = self._contracted(seed, rounds)
+        classes = {g.vertex_weight(v) for v in g.vertices()}
+        if len(classes) < min_classes:
+            return
+        assignment = random_assignment(g, rng=seed)
+        best, gains = self._brute_force_equal_weight(g, assignment)
+        a, b, gain = self._first_multi_pair(g, assignment)
+        assert gain == best
+        assert (assignment[a], assignment[b]) == (0, 1)
+        assert g.vertex_weight(a) == g.vertex_weight(b)
+        assert gains[a] + gains[b] - 2 * g.edge_weight(a, b) == best
+
+    @pytest.mark.parametrize("first_weight", [1, 2])
+    @pytest.mark.parametrize("no_csr", ["0", "1"])
+    def test_equal_class_gains_first_appearing_weight_wins(
+        self, monkeypatch, first_weight, no_csr
+    ):
+        # Both classes offer a best pair of gain 2.  The class whose weight
+        # appears first in vertex order wins, whatever the weight's value
+        # and although its labels sort last.
+        other = 3 - first_weight
+        g = Graph()
+        for v, w in [("z0", first_weight), ("a0", other), ("z1", first_weight), ("a1", other)]:
+            g.add_vertex(v, w)
+        g.add_edge("z0", "a1")
+        g.add_edge("a0", "z1")
+        assignment = {"z0": 0, "a0": 0, "z1": 1, "a1": 1}
+        assert self._first_multi_pair(g, assignment) == ("z0", "z1", 2)
+
+        monkeypatch.setenv("REPRO_NO_CSR", no_csr)
+        gain, swaps = kl_pass(g, assignment)
+        assert (gain, swaps) == (2, 1)
+        assert assignment == {"z0": 1, "a0": 0, "z1": 0, "a1": 1}
 
 
 class TestKLProperties:
