@@ -1,10 +1,15 @@
-"""Frozen results of the compaction family: CKL, CSA, coarse-only, multilevel.
+"""Frozen results of the compaction family and of the plain heuristics.
 
 Every run is seeded and every step is deterministic, so each
 algorithm x graph x seed cell has exactly one right answer.  The answers
 live in ``ckl_goldens.json`` next to this file; a change to matching,
-contraction, the coarse KL kernel or projection that moves any of them
-fails here, with the cell as the witness.
+contraction, a KL/FM/SA kernel or projection that moves any of them
+fails here, with the cell as the witness.  The file runs under every
+``REPRO_KERNEL`` backend, so the cells also pin cross-backend agreement.
+
+Algorithms: ``ckl``, ``csa``, ``coarse_only`` and ``multilevel`` on all
+three graphs; plain ``kl``, ``fm`` (one pass) and ``sa`` (short
+schedule) on the two uncontracted graphs.
 
 Recorded per run:
 
@@ -14,7 +19,8 @@ Recorded per run:
 * ``trace`` — the final stage's pass gains for ``ckl`` (KL on G) and
   ``coarse_only`` (KL on G'), the per-level cuts for ``multilevel``
   (three levels, one-pass FM refiner), and ``[moves_attempted, moves_accepted]`` of the
-  final SA stage for ``csa`` (short schedule).
+  final SA stage for ``csa`` (short schedule); the pass gains for ``kl``
+  and ``fm``, and ``[moves_attempted, moves_accepted]`` for ``sa``.
 
 The ``contracted2`` graph is Gbreg(2000,16,3) contracted twice, so it
 carries vertex weights 1-4 (three or more KL weight classes) and merged
@@ -39,7 +45,7 @@ from repro.core.multilevel import multilevel_bisection
 from repro.core.pipeline import ckl, coarse_only_bisection, csa
 from repro.graphs.generators import gbreg, gnp_with_degree
 from repro.graphs.graph import vertex_token
-from repro.partition.annealing import AnnealingSchedule
+from repro.partition.annealing import AnnealingSchedule, simulated_annealing
 from repro.partition.fm import fiduccia_mattheyses
 from repro.partition.kl import kernighan_lin
 from repro.rng import LaggedFibonacciRandom
@@ -105,12 +111,35 @@ def _run_multilevel(graph, seed):
     return result.bisection, result.level_cuts
 
 
+def _run_kl(graph, seed):
+    result = kernighan_lin(graph, rng=seed)
+    return result.bisection, result.pass_gains
+
+
+def _run_fm(graph, seed):
+    result = ONE_PASS_FM(graph, rng=seed)
+    return result.bisection, result.pass_gains
+
+
+def _run_sa(graph, seed):
+    result = simulated_annealing(
+        graph, rng=seed, schedule=SHORT_SCHEDULE, record_trace=False
+    )
+    return result.bisection, [result.moves_attempted, result.moves_accepted]
+
+
 ALGORITHMS = {
     "ckl": _run_ckl,
     "csa": _run_csa,
     "coarse_only": _run_coarse_only,
     "multilevel": _run_multilevel,
+    "kl": _run_kl,
+    "fm": _run_fm,
+    "sa": _run_sa,
 }
+# The plain heuristics pin the kernels themselves; the contracted graph
+# adds nothing the compaction family does not already cover there.
+PLAIN = {"kl", "fm", "sa"}
 
 
 def _record(algorithm, graph_name, seed):
@@ -130,6 +159,7 @@ CELLS = [
     (algorithm, graph_name, seed)
     for algorithm in ALGORITHMS
     for graph_name in GRAPHS
+    if not (algorithm in PLAIN and graph_name == "contracted2")
     for seed in SEEDS
 ]
 
