@@ -420,72 +420,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .bench.perf import (
-        PERF_SIZES,
-        SMALL_SIZES,
-        diff_snapshots,
-        load_snapshot,
-        measure_size,
-        render_diff,
-        render_snapshot,
-        snapshot_path,
-        write_snapshot,
-    )
-
-    if args.diff:
-        old_path, new_path = args.diff
-        try:
-            report = diff_snapshots(
-                load_snapshot(old_path), load_snapshot(new_path), args.threshold
-            )
-        except (OSError, ValueError) as exc:
-            print(f"cannot diff snapshots: {exc}", file=sys.stderr)
-            return 2
-        print(render_diff(report))
-        return 0 if report["ok"] else 1
-
-    sizes = args.size or (SMALL_SIZES if args.small else PERF_SIZES)
-    exit_code = 0
-    for two_n in sizes:
-        snapshot = measure_size(
-            two_n,
-            seed=args.seed,
-            sa_size_factor=args.sa_size_factor,
-            repeats=args.repeats,
-        )
-        print(render_snapshot(snapshot))
-        if not snapshot["ok"]:
-            print(
-                f"2n={two_n}: CSR and dict paths disagree (see 'match' column)",
-                file=sys.stderr,
-            )
-            exit_code = 1
-        path = write_snapshot(snapshot, args.out_dir)
-        print(f"wrote {path}")
-        if args.check:
-            baseline_path = snapshot_path(args.check, two_n)
-            try:
-                baseline = load_snapshot(baseline_path)
-            except OSError:
-                print(f"no baseline {baseline_path}; skipping diff", file=sys.stderr)
-                continue
-            except ValueError as exc:
-                print(f"bad baseline: {exc}", file=sys.stderr)
-                exit_code = 1
-                continue
-            try:
-                report = diff_snapshots(baseline, snapshot, args.threshold)
-            except ValueError as exc:
-                print(f"cannot diff against baseline: {exc}", file=sys.stderr)
-                exit_code = 1
-                continue
-            print(render_diff(report))
-            if not report["ok"]:
-                exit_code = 1
-    return exit_code
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     from .obs import (
         diff_ledgers,
@@ -1024,48 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     info.add_argument("graph", help="edge-list path")
     info.set_defaults(func=_cmd_info)
-
-    perf = sub.add_parser(
-        "perf",
-        help="benchmark the CSR fast path against the dict baseline "
-        "(writes BENCH_<n>.json snapshots; can diff two snapshots)",
-    )
-    perf.add_argument(
-        "--small", action="store_true",
-        help="only 2n = 500 and 2000 (the CI sizes)",
-    )
-    perf.add_argument(
-        "--size", type=_positive_int, action="append",
-        help="benchmark only this 2n (repeatable; overrides --small)",
-    )
-    perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument(
-        "--sa-size-factor", type=_positive_int, default=4,
-        help="SA/CSA temperature length factor (default: 4)",
-    )
-    perf.add_argument(
-        "--repeats", type=_positive_int, default=1,
-        help="timed repetitions per cell; minimum wall time wins (default: 1)",
-    )
-    perf.add_argument(
-        "--out-dir", default=".",
-        help="directory for BENCH_<n>.json snapshots (default: cwd)",
-    )
-    perf.add_argument(
-        "--check", metavar="DIR",
-        help="after measuring, diff each snapshot against DIR/BENCH_<n>.json "
-        "and exit non-zero on regression",
-    )
-    perf.add_argument(
-        "--diff", nargs=2, metavar=("OLD", "NEW"),
-        help="just diff two snapshot files (no measurement)",
-    )
-    perf.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="speedup-ratio regression threshold for diffs (default: 0.25)",
-    )
-    _add_obs_options(perf)
-    perf.set_defaults(func=_cmd_perf)
 
     stats = sub.add_parser(
         "stats",

@@ -1,6 +1,6 @@
 """Graph substrate: data structure, generators, traversal, properties, I/O."""
 
-from .csr import CSRGraph, cached_csr, csr_enabled, csr_view
+from .csr import CSRGraph, cached_csr, csr_view
 from .graph import Graph, graph_fingerprint, vertex_token
 from .properties import (
     degree_histogram,
@@ -28,7 +28,6 @@ __all__ = [
     "Graph",
     "CSRGraph",
     "cached_csr",
-    "csr_enabled",
     "csr_view",
     "graph_fingerprint",
     "vertex_token",

@@ -17,18 +17,18 @@ the dict kernels):
 * :attr:`CSRGraph.rank` maps each id to the position of its label in
   *sorted label order*.  The dict kernels' heaps break gain ties by
   comparing labels; the CSR kernels break them by comparing ranks, which
-  orders identically.  When labels are not mutually comparable (the heaps
-  of the dict path would fail on a tie anyway) ``rank`` is ``None`` and
-  the label-ordering kernels fall back to the dict path.
+  orders identically.  When labels are not mutually comparable (mixed
+  ``int`` and ``str``, say) the rank is insertion order instead — the
+  dict kernels would fail on such a tie, so this order is a definition,
+  not a reproduction, and it depends on nothing but the label sequence.
 
-The ``REPRO_NO_CSR=1`` environment variable is the escape hatch: it
-disables every CSR fast path, which the equivalence test matrix uses to
-prove both paths produce identical cuts, assignments, and traces.
+``REPRO_KERNEL=dict`` (see :mod:`repro.kernels`) runs the label-keyed
+reference kernels instead; the equivalence test matrix uses it to prove
+both paths produce identical cuts, assignments, and traces.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Mapping
 from itertools import accumulate, compress, islice
@@ -40,21 +40,29 @@ __all__ = [
     "CSRGraph",
     "cached_csr",
     "csr_cut_weight",
-    "csr_enabled",
     "csr_move_gains",
     "csr_side_weights",
     "csr_view",
+    "label_ranks",
 ]
 
 
-def csr_enabled() -> bool:
-    """True unless the ``REPRO_NO_CSR`` escape hatch is active.
+def label_ranks(labels: list[Vertex]) -> tuple[list[int], list[int]]:
+    """``(rank, by_rank)`` of the id-indexed ``labels`` (see module docstring).
 
-    Any non-empty value other than ``0`` disables the CSR fast paths.
-    Checked at kernel entry (not import time) so tests can flip it per
-    call.
+    ``by_rank`` lists ids in sorted label order and ``rank`` inverts it;
+    labels that do not sort keep insertion order.  Pure in ``labels``, so
+    a worker attaching a shared-memory CSR derives the same ranks.
     """
-    return os.environ.get("REPRO_NO_CSR", "0") in ("", "0")
+    n = len(labels)
+    try:
+        by_rank = sorted(range(n), key=labels.__getitem__)
+    except TypeError:
+        return list(range(n)), list(range(n))
+    rank = [0] * n
+    for position, i in enumerate(by_rank):
+        rank[i] = position
+    return rank, by_rank
 
 
 class CSRGraph:
@@ -121,19 +129,9 @@ class CSRGraph:
             if wd > max_wd:
                 max_wd = wd
 
-        try:
-            by_rank = sorted(range(n), key=labels.__getitem__)
-        except TypeError:
-            rank = by_rank = None  # labels not mutually comparable
-        else:
-            rank = [0] * n
-            for position, i in enumerate(by_rank):
-                rank[i] = position
-
         self.labels = labels
         self.index_of = index_of
-        self.rank = rank
-        self.by_rank = by_rank
+        self.rank, self.by_rank = label_ranks(labels)
         self.indptr = indptr
         self.indices = indices
         self.edge_weight = edge_weight

@@ -23,15 +23,14 @@ Every backend is held to the same contract the CSR equivalence matrix
 enforces: identical cuts, assignments, pass/temperature traces, and RNG
 stream consumption, bit for bit.  The switch is the ``REPRO_KERNEL``
 environment variable (checked at kernel entry, so tests flip it per
-call); ``REPRO_NO_CSR=1`` still forces the dict path everywhere, as
-before.
+call), and it is the only one: every label type runs on the CSR
+kernels unless ``REPRO_KERNEL=dict`` asks for the reference kernels.
+SA's ``swap`` neighbourhood has no CSR kernel and always runs on dict.
 """
 
 from __future__ import annotations
 
 import os
-
-from ..graphs.csr import csr_enabled
 
 __all__ = [
     "BACKENDS",
@@ -57,13 +56,9 @@ def numpy_available() -> bool:
 def kernel_backend() -> str:
     """The active kernel backend name (``dict`` | ``array`` | ``numpy``).
 
-    ``REPRO_NO_CSR=1`` wins over everything (the historical escape hatch
-    disables all array kernels); ``REPRO_KERNEL=numpy`` silently degrades
-    to ``array`` when numpy is missing, so a config written on one host
-    stays valid on another.
+    ``REPRO_KERNEL=numpy`` silently degrades to ``array`` when numpy is
+    missing, so a config written on one host stays valid on another.
     """
-    if not csr_enabled():
-        return "dict"
     raw = os.environ.get(KERNEL_ENV, "array").strip().lower() or "array"
     if raw not in BACKENDS:
         raise ValueError(

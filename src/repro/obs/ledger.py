@@ -1,7 +1,8 @@
 """Run ledgers: one summary JSON per run, content-addressed next to the cache.
 
 A ledger freezes everything observable about one run — wall time, the
-environment toggles that shape behaviour (``REPRO_OBS``, ``REPRO_NO_CSR``),
+environment toggles that shape behaviour (``REPRO_OBS``, and ``REPRO_KERNEL``
+as ``env.csr``: false only for the ``dict`` reference kernels),
 the workload descriptor, counter/gauge/histogram values, and per-span-name
 time totals — into a single JSON document that ``repro-bisect stats`` can
 render or diff later.  Ledgers are what make "why did this run get
@@ -32,6 +33,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
+from ..kernels import kernel_backend
 from .metrics import REGISTRY, MetricsRegistry, obs_enabled
 from .trace import RunContext
 
@@ -109,7 +111,7 @@ def build_ledger(
         "workload": dict(run.workload),
         "env": {
             "obs": obs_enabled(),
-            "csr": os.environ.get("REPRO_NO_CSR", "0") in ("", "0"),
+            "csr": kernel_backend() != "dict",
             "scale": os.environ.get("REPRO_SCALE"),
             "python": sys.version.split()[0],
         },

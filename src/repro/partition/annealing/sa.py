@@ -241,10 +241,10 @@ def simulated_annealing(
     ``record_trace=False`` skips collecting ``temperature_trace`` (the
     run itself is unaffected — the trace is purely diagnostic).
 
-    The flip neighborhood runs on the graph's CSR view when enabled
-    (``REPRO_NO_CSR=1`` disables): every decision is RNG- and
-    arithmetic-driven over the same insertion-order vertex indexing, so
-    the walk is bit-identical to the dict path's.
+    The flip neighborhood runs on the graph's CSR view unless
+    ``REPRO_KERNEL=dict``: every decision is RNG- and arithmetic-driven
+    over the same insertion-order vertex indexing, so the walk is
+    bit-identical to the dict path's.
     """
     with span("sa.run", vertices=graph.num_vertices, neighborhood=neighborhood):
         result = _simulated_annealing_impl(

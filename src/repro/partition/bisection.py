@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from collections.abc import Hashable, Iterable, Mapping
 
-from ..graphs.csr import cached_csr, csr_cut_weight, csr_enabled, csr_side_weights
+from ..graphs.csr import cached_csr, csr_cut_weight, csr_side_weights
 from ..graphs.graph import Graph
 
 __all__ = [
@@ -40,10 +40,9 @@ def cut_weight(graph: Graph, assignment: Mapping[Vertex, int]) -> int:
     drivers compile it eagerly); a one-off query on a cold graph keeps the
     plain edge walk rather than paying a compile it would not amortize.
     """
-    if csr_enabled():
-        csr = cached_csr(graph)
-        if csr is not None:
-            return csr_cut_weight(csr, csr.sides_list(assignment))
+    csr = cached_csr(graph)
+    if csr is not None:
+        return csr_cut_weight(csr, csr.sides_list(assignment))
     total = 0
     for u, v, w in graph.edges():
         if assignment[u] != assignment[v]:
@@ -53,10 +52,9 @@ def cut_weight(graph: Graph, assignment: Mapping[Vertex, int]) -> int:
 
 def side_weights(graph: Graph, assignment: Mapping[Vertex, int]) -> tuple[int, int]:
     """Total vertex weight on side 0 and side 1."""
-    if csr_enabled():
-        csr = cached_csr(graph)
-        if csr is not None:
-            return csr_side_weights(csr, csr.sides_list(assignment))
+    csr = cached_csr(graph)
+    if csr is not None:
+        return csr_side_weights(csr, csr.sides_list(assignment))
     w0 = w1 = 0
     for v in graph.vertices():
         if assignment[v] == 0:

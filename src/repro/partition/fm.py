@@ -223,11 +223,10 @@ def _fm_pass(
     """
     backend = kernel_backend()
     if backend != "dict":
-        csr = csr_view(graph)
-        if csr.rank is not None:
-            return fm_pass_csr(
-                csr, assignment, strict_tol, loose_tol, target_diff, stats, backend
-            )
+        return fm_pass_csr(
+            csr_view(graph), assignment, strict_tol, loose_tol, target_diff, stats,
+            backend,
+        )
     return _fm_pass_dict(graph, assignment, strict_tol, loose_tol, target_diff, stats)
 
 

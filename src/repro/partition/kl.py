@@ -29,10 +29,11 @@ of heaps, and each step picks the best pair across classes.
 Two implementations of the pass share this selection logic: the
 label-keyed dict kernel below, and an integer-id kernel over the graph's
 :class:`~repro.graphs.csr.CSRGraph` view with packed ``(gain, rank)``
-integer heap keys.  The CSR kernel is chosen automatically (escape hatch:
-``REPRO_NO_CSR=1``) and produces bit-identical results: ids follow
-insertion order and heap ties break by label *rank*, which orders exactly
-like the dict kernel's label comparisons.
+integer heap keys.  The CSR kernel runs unless ``REPRO_KERNEL=dict``
+and produces bit-identical results: ids follow insertion order and heap
+ties break by label *rank*, which orders exactly like the dict kernel's
+label comparisons.  Labels that do not sort (mixed ``int`` and ``str``)
+rank in insertion order; the dict kernel cannot break ties on them.
 """
 
 from __future__ import annotations
@@ -340,9 +341,7 @@ def kl_pass(
     """
     backend = kernel_backend()
     if backend != "dict":
-        csr = csr_view(graph)
-        if csr.rank is not None:
-            return _kl_pass_csr(csr, assignment, stats, backend)
+        return _kl_pass_csr(csr_view(graph), assignment, stats, backend)
     return _kl_pass_dict(graph, assignment, stats)
 
 

@@ -8,6 +8,10 @@ lists its neighbours in the order an ``add_edge(..., merge=True)`` loop
 over ``graph.edges()`` creates them — FM buckets and SA's CSR sampling on
 G' read that order.  The two reference functions below are that walk,
 kept here as the oracle.
+
+Mixed ``int``/``str`` labels do not sort, so their CSR rank is insertion
+order; the last tests run every KL/FM/SA-based bisector on them end to
+end against the cut-recount and balance oracles.
 """
 
 from __future__ import annotations
@@ -16,10 +20,17 @@ import pytest
 
 from repro.core.compaction import compact
 from repro.core.matching import random_maximal_matching
+from repro.core.multilevel import multilevel_bisection
+from repro.core.pipeline import ckl, csa
 from repro.graphs.csr import csr_view
 from repro.graphs.generators import gbreg, gnp_with_degree
 from repro.graphs.graph import Graph
+from repro.kernels import kernel_backend
+from repro.partition.annealing import AnnealingSchedule
+from repro.partition.fm import fiduccia_mattheyses
+from repro.partition.kl import kernighan_lin
 from repro.rng import LaggedFibonacciRandom, resolve_rng
+from repro.verify.invariants import check_result
 
 
 def _reference_matching(graph, rng):
@@ -142,8 +153,32 @@ class TestOrderIdentity:
         _assert_same_compaction(graph, matching)
 
 
-def test_mixed_labels_have_no_rank():
-    assert csr_view(_mixed(0)).rank is None
+def test_mixed_labels_rank_in_insertion_order():
+    view = csr_view(_mixed(0))
+    assert {type(v) for v in view.labels} == {int, str}
+    assert view.rank == view.by_rank == list(range(view.num_vertices))
+
+
+SHORT_SCHEDULE = AnnealingSchedule(size_factor=1, max_temperatures=8)
+BISECTORS = {
+    "kl": kernighan_lin,
+    "fm": fiduccia_mattheyses,
+    "ckl": ckl,
+    "csa": lambda graph, rng: csa(graph, rng=rng, schedule=SHORT_SCHEDULE),
+    "multilevel": multilevel_bisection,
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(BISECTORS))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_mixed_labels_pass_the_oracles(monkeypatch, algorithm, seed):
+    # The dict reference kernels break gain ties by comparing labels,
+    # which mixed labels cannot do; they run on a CSR backend.
+    if kernel_backend() == "dict":
+        monkeypatch.setenv("REPRO_KERNEL", "array")
+    graph = _mixed(seed)
+    result = BISECTORS[algorithm](graph, rng=seed)
+    assert check_result(graph, result) == []
 
 
 def test_weighted_family_has_weight_classes_and_merged_edges():

@@ -8,7 +8,6 @@ from repro.graphs.csr import (
     CSRGraph,
     cached_csr,
     csr_cut_weight,
-    csr_enabled,
     csr_move_gains,
     csr_side_weights,
     csr_view,
@@ -77,11 +76,12 @@ class TestRoundTrip:
         for i in range(view.num_vertices):
             assert view.by_rank[view.rank[i]] == i
 
-    def test_incomparable_labels_disable_rank(self):
+    def test_incomparable_labels_rank_in_insertion_order(self):
         g = Graph.from_edges([("a", 1), (1, "b")])
         view = csr_view(g)
-        assert view.rank is None
-        assert view.by_rank is None
+        assert view.labels == ["a", 1, "b"]
+        assert view.rank == [0, 1, 2]
+        assert view.by_rank == [0, 1, 2]
 
 
 class TestQueries:
@@ -166,15 +166,7 @@ class TestCaching:
 
 
 class TestEscapeHatch:
-    def test_env_flag_disables(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
-        assert csr_enabled()
-        monkeypatch.setenv("REPRO_NO_CSR", "0")
-        assert csr_enabled()
-        monkeypatch.setenv("REPRO_NO_CSR", "1")
-        assert not csr_enabled()
-
-    def test_cut_weight_ignores_cold_cache(self, monkeypatch):
+    def test_cut_weight_ignores_cold_cache(self):
         # A cold graph never pays a compile just to answer cut_weight.
         g = _path_graph()
         assignment = {v: v % 2 for v in g.vertices()}

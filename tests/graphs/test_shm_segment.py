@@ -74,6 +74,23 @@ class TestRoundTrip:
             owner.close()
             owner.unlink()
 
+    def test_mixed_labels_attach_with_equal_ranks(self, graph):
+        # Mixed int/str labels do not sort; the attacher must still derive
+        # the owner's (insertion-order) ranks from the label list alone.
+        label = {v: v if v % 3 else f"s{v}" for v in graph.vertices()}
+        mixed = Graph.from_edges((label[u], label[v]) for u, v, _ in graph.edges())
+        original = csr_view(mixed)
+        owner, attached = _attach_copy(mixed)
+        try:
+            csr = attached.graph()._derived["csr"]
+            assert csr.labels == original.labels
+            assert csr.rank == original.rank == list(range(csr.num_vertices))
+            assert csr.by_rank == original.by_rank
+        finally:
+            attached.close()
+            owner.close()
+            owner.unlink()
+
     def test_owner_graph_is_the_original_object(self, graph):
         with SharedGraphSegment.create(graph) as owner:
             assert owner.graph() is graph

@@ -27,35 +27,25 @@ needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not instal
 class TestBackendSwitch:
     def test_default_is_array(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
         assert kernel_backend() == "array"
 
     def test_explicit_names(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
         for name in ("dict", "array"):
             monkeypatch.setenv("REPRO_KERNEL", name)
             assert kernel_backend() == name
 
     def test_whitespace_and_case_normalized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
         monkeypatch.setenv("REPRO_KERNEL", "  Array ")
         assert kernel_backend() == "array"
         monkeypatch.setenv("REPRO_KERNEL", "")
         assert kernel_backend() == "array"
 
-    def test_no_csr_escape_hatch_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CSR", "1")
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert kernel_backend() == "dict"
-
     def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
         monkeypatch.setenv("REPRO_KERNEL", "cuda")
         with pytest.raises(ValueError, match="REPRO_KERNEL"):
             kernel_backend()
 
     def test_numpy_selects_or_degrades(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
         monkeypatch.setenv("REPRO_KERNEL", "numpy")
         expected = "numpy" if numpy_available() else "array"
         assert kernel_backend() == expected

@@ -1,11 +1,12 @@
-"""CSR-vs-dict equivalence matrix (satellite of the CSR fast path).
+"""Kernel-backend equivalence matrix (dict / array / numpy).
 
 The CSR kernels promise *bitwise identical* behaviour to the dict
-kernels: same cuts, same assignments, same pass gains and temperature
-traces, from the same seed.  This matrix runs every partition algorithm
-on both paths — toggled via the ``REPRO_NO_CSR`` escape hatch — across
-graph families (regular, sparse random, weighted/contracted, string
-labels) and seeds, and compares the full result objects.
+reference kernels: same cuts, same assignments, same pass gains and
+temperature traces, from the same seed.  This matrix runs every
+partition algorithm under each ``REPRO_KERNEL`` backend across graph
+families (regular, sparse random, weighted/contracted, string labels)
+and seeds, and compares the full result objects.  A second matrix holds
+instrumentation (``REPRO_OBS``) to the same standard.
 """
 
 from __future__ import annotations
@@ -61,15 +62,6 @@ FAMILIES = {
 SEEDS = (0, 1, 2)
 
 
-def _run_both(monkeypatch, build, seed, run):
-    """Run ``run(graph, seed)`` on the dict path, then on the CSR path."""
-    monkeypatch.setenv("REPRO_NO_CSR", "1")
-    dict_result = run(build(seed), seed)
-    monkeypatch.setenv("REPRO_NO_CSR", "0")
-    csr_result = run(build(seed), seed)
-    return dict_result, csr_result
-
-
 def _run_obs_both(monkeypatch, build, seed, run):
     """Run ``run(graph, seed)`` instrumented (REPRO_OBS=1), then bare."""
     monkeypatch.setenv("REPRO_OBS", "1")
@@ -102,55 +94,8 @@ def _assert_sa_equal(a, b):
     assert a.temperature_trace == b.temperature_trace
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("seed", SEEDS)
-class TestEquivalenceMatrix:
-    def test_kl(self, monkeypatch, family, seed):
-        d, c = _run_both(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: kernighan_lin(g, rng=s),
-        )
-        _assert_kl_like_equal(d, c)
-        assert d.swaps == c.swaps
-
-    def test_fm(self, monkeypatch, family, seed):
-        d, c = _run_both(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: fiduccia_mattheyses(g, rng=s),
-        )
-        _assert_kl_like_equal(d, c)
-        assert d.moves == c.moves
-
-    def test_sa(self, monkeypatch, family, seed):
-        d, c = _run_both(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: simulated_annealing(g, rng=s, schedule=SCHEDULE),
-        )
-        _assert_sa_equal(d, c)
-
-    def test_ckl(self, monkeypatch, family, seed):
-        d, c = _run_both(
-            monkeypatch, FAMILIES[family], seed, lambda g, s: ckl(g, rng=s)
-        )
-        _assert_bisections_equal(d.bisection, c.bisection)
-        assert d.projected_cut == c.projected_cut
-        _assert_kl_like_equal(d.coarse_result, c.coarse_result)
-        _assert_kl_like_equal(d.final_result, c.final_result)
-
-    def test_csa(self, monkeypatch, family, seed):
-        d, c = _run_both(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: csa(g, rng=s, schedule=SCHEDULE),
-        )
-        _assert_bisections_equal(d.bisection, c.bisection)
-        assert d.projected_cut == c.projected_cut
-        _assert_sa_equal(d.coarse_result, c.coarse_result)
-        _assert_sa_equal(d.final_result, c.final_result)
-
-
 def _run_backends(monkeypatch, build, seed, run):
     """Run ``run(graph, seed)`` once per kernel backend, in BACKENDS order."""
-    monkeypatch.delenv("REPRO_NO_CSR", raising=False)
     results = []
     for backend in BACKENDS:
         monkeypatch.setenv("REPRO_KERNEL", backend)
@@ -160,11 +105,10 @@ def _run_backends(monkeypatch, build, seed, run):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", SEEDS)
-class TestKernelBackendMatrix:
+class TestEquivalenceMatrix:
     """dict / array / numpy kernel backends: one answer, N engines.
 
-    ``REPRO_KERNEL`` picks the backend explicitly (the REPRO_NO_CSR
-    matrix above only exercises dict vs the default); every backend must
+    ``REPRO_KERNEL`` picks the backend explicitly; every backend must
     agree on the full result object, counters and traces included.
     """
 
@@ -193,6 +137,27 @@ class TestKernelBackendMatrix:
         )
         for other in rest:
             _assert_sa_equal(first, other)
+
+    def test_ckl(self, monkeypatch, family, seed):
+        first, *rest = _run_backends(
+            monkeypatch, FAMILIES[family], seed, lambda g, s: ckl(g, rng=s)
+        )
+        for other in rest:
+            _assert_bisections_equal(first.bisection, other.bisection)
+            assert first.projected_cut == other.projected_cut
+            _assert_kl_like_equal(first.coarse_result, other.coarse_result)
+            _assert_kl_like_equal(first.final_result, other.final_result)
+
+    def test_csa(self, monkeypatch, family, seed):
+        first, *rest = _run_backends(
+            monkeypatch, FAMILIES[family], seed,
+            lambda g, s: csa(g, rng=s, schedule=SCHEDULE),
+        )
+        for other in rest:
+            _assert_bisections_equal(first.bisection, other.bisection)
+            assert first.projected_cut == other.projected_cut
+            _assert_sa_equal(first.coarse_result, other.coarse_result)
+            _assert_sa_equal(first.final_result, other.final_result)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -249,9 +214,8 @@ class TestObsEquivalenceMatrix:
 
 
 class TestTraceOptOut:
-    def test_sa_record_trace_off_same_walk(self, monkeypatch):
+    def test_sa_record_trace_off_same_walk(self):
         """Disabling the trace must not perturb the walk itself."""
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
         graph = _gbreg_graph(0)
         with_trace = simulated_annealing(graph, rng=0, schedule=SCHEDULE)
         without = simulated_annealing(
@@ -264,14 +228,13 @@ class TestTraceOptOut:
         assert without.moves_accepted == with_trace.moves_accepted
 
     def test_sa_record_trace_off_dict_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CSR", "1")
+        monkeypatch.setenv("REPRO_KERNEL", "dict")
         result = simulated_annealing(
             _gbreg_graph(0), rng=0, schedule=SCHEDULE, record_trace=False
         )
         assert result.temperature_trace == []
 
-    def test_csa_forwards_record_trace(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CSR", raising=False)
+    def test_csa_forwards_record_trace(self):
         result = csa(_gbreg_graph(0), rng=0, schedule=SCHEDULE, record_trace=False)
         assert result.coarse_result.temperature_trace == []
         assert result.final_result.temperature_trace == []

@@ -263,9 +263,9 @@ class TestKLSelectionCorrectness:
         assert gains[a] + gains[b] - 2 * g.edge_weight(a, b) == best
 
     @pytest.mark.parametrize("first_weight", [1, 2])
-    @pytest.mark.parametrize("no_csr", ["0", "1"])
+    @pytest.mark.parametrize("kernel", ["array", "dict"])
     def test_equal_class_gains_first_appearing_weight_wins(
-        self, monkeypatch, first_weight, no_csr
+        self, monkeypatch, first_weight, kernel
     ):
         # Both classes offer a best pair of gain 2.  The class whose weight
         # appears first in vertex order wins, whatever the weight's value
@@ -279,7 +279,7 @@ class TestKLSelectionCorrectness:
         assignment = {"z0": 0, "a0": 0, "z1": 1, "a1": 1}
         assert self._first_multi_pair(g, assignment) == ("z0", "z1", 2)
 
-        monkeypatch.setenv("REPRO_NO_CSR", no_csr)
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
         gain, swaps = kl_pass(g, assignment)
         assert (gain, swaps) == (2, 1)
         assert assignment == {"z0": 1, "a0": 0, "z1": 0, "a1": 1}

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.graphs.io import read_edge_list
+from repro.graphs.graph import Graph
+from repro.graphs.io import read_edge_list, write_edge_list
 
 
 class TestGenerate:
@@ -75,6 +76,25 @@ class TestRun:
         out = capsys.readouterr().out
         assert "side 0:" in out
         assert "side 1:" in out
+
+    @pytest.mark.parametrize("algorithm", ["kl", "fm", "ckl"])
+    def test_mixed_labels(self, graph_file, tmp_path, capsys, monkeypatch, algorithm):
+        # Integer and string labels do not sort; the CSR kernels rank them
+        # in insertion order (the dict reference kernels cannot tie-break).
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        graph = read_edge_list(graph_file)
+        label = {v: v if v % 3 else f"s{v}" for v in graph.vertices()}
+        mixed = tmp_path / "mixed.edges"
+        write_edge_list(
+            Graph.from_edges((label[u], label[v]) for u, v, _ in graph.edges()), mixed
+        )
+        saved = tmp_path / "mixed.part"
+        argv = ["run", str(mixed), "--algorithm", algorithm, "--seed", "1",
+                "--save-partition", str(saved)]
+        assert main(argv) == 0
+        cut = capsys.readouterr().out.split("cut=")[1].split()[0]
+        assert main(["score", str(mixed), str(saved)]) == 0
+        assert f"cut={cut} " in capsys.readouterr().out
 
     def test_cycles_solver(self, tmp_path, capsys):
         out = tmp_path / "c.edges"
