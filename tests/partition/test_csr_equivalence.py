@@ -5,8 +5,10 @@ reference kernels: same cuts, same assignments, same pass gains and
 temperature traces, from the same seed.  This matrix runs every
 partition algorithm under each ``REPRO_KERNEL`` backend across graph
 families (regular, sparse random, weighted/contracted, string labels)
-and seeds, and compares the full result objects.  A second matrix holds
-instrumentation (``REPRO_OBS``) to the same standard.
+and seeds, and compares the full result objects.  A second matrix runs
+the default backend and the dict reference on one graph object, so the
+dict run sees the CSR the default run compiled and cached.  A third
+holds instrumentation (``REPRO_OBS``) to the same standard.
 """
 
 from __future__ import annotations
@@ -103,9 +105,76 @@ def _run_backends(monkeypatch, build, seed, run):
     return results
 
 
+def _run_default_then_dict(monkeypatch, build, seed, run):
+    """Run ``run`` with ``REPRO_KERNEL`` unset, then under ``dict``.
+
+    Both runs share one graph object, so the dict run starts with the
+    CSR snapshot the default run compiled already cached on the graph.
+    """
+    graph = build(seed)
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    default_result = run(graph, seed)
+    monkeypatch.setenv("REPRO_KERNEL", "dict")
+    dict_result = run(graph, seed)
+    return default_result, dict_result
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", SEEDS)
 class TestEquivalenceMatrix:
+    """The default backend vs the dict reference on one shared graph.
+
+    A CSR left cached on the graph by an earlier run must not change
+    what the dict kernels decide, and the unset ``REPRO_KERNEL`` default
+    must give the reference answer.
+    """
+
+    def test_kl(self, monkeypatch, family, seed):
+        c, d = _run_default_then_dict(
+            monkeypatch, FAMILIES[family], seed,
+            lambda g, s: kernighan_lin(g, rng=s),
+        )
+        _assert_kl_like_equal(d, c)
+        assert d.swaps == c.swaps
+
+    def test_fm(self, monkeypatch, family, seed):
+        c, d = _run_default_then_dict(
+            monkeypatch, FAMILIES[family], seed,
+            lambda g, s: fiduccia_mattheyses(g, rng=s),
+        )
+        _assert_kl_like_equal(d, c)
+        assert d.moves == c.moves
+
+    def test_sa(self, monkeypatch, family, seed):
+        c, d = _run_default_then_dict(
+            monkeypatch, FAMILIES[family], seed,
+            lambda g, s: simulated_annealing(g, rng=s, schedule=SCHEDULE),
+        )
+        _assert_sa_equal(d, c)
+
+    def test_ckl(self, monkeypatch, family, seed):
+        c, d = _run_default_then_dict(
+            monkeypatch, FAMILIES[family], seed, lambda g, s: ckl(g, rng=s)
+        )
+        _assert_bisections_equal(d.bisection, c.bisection)
+        assert d.projected_cut == c.projected_cut
+        _assert_kl_like_equal(d.coarse_result, c.coarse_result)
+        _assert_kl_like_equal(d.final_result, c.final_result)
+
+    def test_csa(self, monkeypatch, family, seed):
+        c, d = _run_default_then_dict(
+            monkeypatch, FAMILIES[family], seed,
+            lambda g, s: csa(g, rng=s, schedule=SCHEDULE),
+        )
+        _assert_bisections_equal(d.bisection, c.bisection)
+        assert d.projected_cut == c.projected_cut
+        _assert_sa_equal(d.coarse_result, c.coarse_result)
+        _assert_sa_equal(d.final_result, c.final_result)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("seed", SEEDS)
+class TestKernelBackendMatrix:
     """dict / array / numpy kernel backends: one answer, N engines.
 
     ``REPRO_KERNEL`` picks the backend explicitly; every backend must
