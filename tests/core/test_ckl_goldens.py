@@ -24,8 +24,18 @@ Recorded per run:
 
 The ``contracted2`` graph is Gbreg(2000,16,3) contracted twice, so it
 carries vertex weights 1-4 (three or more KL weight classes) and merged
-edge weights.  Regenerate the file (only for a change that is meant to
-move results, and say why) with::
+edge weights.
+
+``pipeline_goldens.json`` pins the rest of the level loop's callers the
+same way: the netlist pipelines ``chfm`` (final pass gains), ``chsa``
+(short schedule, ``[moves_attempted, moves_accepted]`` of the final SA
+stage) and ``mlhfm`` (per-level cuts) on two ``random_netlist``
+instances, and ``multilevel`` at its default depth and refiner (per-level
+cuts) on a Gbreg(500) graph, where the ``coarsest_size`` stop fires, and
+on ``star_graph(40)``, where the 5% shrink stop fires.
+
+Regenerate both files (only for a change that is meant to move results,
+and say why) with::
 
     PYTHONPATH=src python tests/core/test_ckl_goldens.py
 """
@@ -43,14 +53,18 @@ from repro.core.compaction import compact
 from repro.core.matching import random_maximal_matching
 from repro.core.multilevel import multilevel_bisection
 from repro.core.pipeline import ckl, coarse_only_bisection, csa
-from repro.graphs.generators import gbreg, gnp_with_degree
+from repro.graphs.generators import gbreg, gnp_with_degree, star_graph
 from repro.graphs.graph import vertex_token
+from repro.hypergraph.compaction import compacted_hypergraph_fm, multilevel_hypergraph_fm
+from repro.hypergraph.generators import random_netlist
+from repro.hypergraph.sa import compacted_hypergraph_sa
 from repro.partition.annealing import AnnealingSchedule, simulated_annealing
 from repro.partition.fm import fiduccia_mattheyses
 from repro.partition.kl import kernighan_lin
 from repro.rng import LaggedFibonacciRandom
 
 GOLDEN_PATH = Path(__file__).with_name("ckl_goldens.json")
+PIPELINE_GOLDEN_PATH = Path(__file__).with_name("pipeline_goldens.json")
 SEEDS = (0, 1, 2)
 SHORT_SCHEDULE = AnnealingSchedule(size_factor=1, max_temperatures=4)
 # Three levels of one-pass FM keep the file inside its ~3 s budget (FM on
@@ -78,11 +92,21 @@ def _contracted2():
 
 
 GRAPHS = {"gbreg": _gbreg, "gnp": _gnp, "contracted2": _contracted2}
+NETLISTS = {
+    "netlist400": lambda: random_netlist(400, rng=LaggedFibonacciRandom(4)),
+    "netlist400sparse": lambda: random_netlist(
+        400, clusters=4, global_fraction=0.05, rng=LaggedFibonacciRandom(5)
+    ),
+}
+STOP_GRAPHS = {
+    "gbreg500": lambda: gbreg(500, 8, 3, LaggedFibonacciRandom(6)).graph,
+    "star40": lambda: star_graph(40),
+}
 
 
 @lru_cache(maxsize=None)
 def _graph(name):
-    return GRAPHS[name]()
+    return {**GRAPHS, **NETLISTS, **STOP_GRAPHS}[name]()
 
 
 def _run_ckl(graph, seed):
@@ -108,6 +132,26 @@ def _run_multilevel(graph, seed):
     result = multilevel_bisection(
         graph, rng=seed, max_levels=MAX_LEVELS, refiner=ONE_PASS_FM
     )
+    return result.bisection, result.level_cuts
+
+
+def _run_multilevel_default(graph, seed):
+    result = multilevel_bisection(graph, rng=seed)
+    return result.bisection, result.level_cuts
+
+
+def _run_chfm(netlist, seed):
+    result = compacted_hypergraph_fm(netlist, rng=seed)
+    return result.bisection, result.final_result.pass_gains
+
+
+def _run_chsa(netlist, seed):
+    result = compacted_hypergraph_sa(netlist, rng=seed, schedule=SHORT_SCHEDULE)
+    return result.bisection, [result.moves_attempted, result.moves_accepted]
+
+
+def _run_mlhfm(netlist, seed):
+    result = multilevel_hypergraph_fm(netlist, rng=seed)
     return result.bisection, result.level_cuts
 
 
@@ -137,13 +181,20 @@ ALGORITHMS = {
     "fm": _run_fm,
     "sa": _run_sa,
 }
+PIPELINE_ALGORITHMS = {
+    "chfm": _run_chfm,
+    "chsa": _run_chsa,
+    "mlhfm": _run_mlhfm,
+    "multilevel_default": _run_multilevel_default,
+}
 # The plain heuristics pin the kernels themselves; the contracted graph
 # adds nothing the compaction family does not already cover there.
 PLAIN = {"kl", "fm", "sa"}
 
 
 def _record(algorithm, graph_name, seed):
-    bisection, trace = ALGORITHMS[algorithm](_graph(graph_name), seed)
+    run = {**ALGORITHMS, **PIPELINE_ALGORITHMS}[algorithm]
+    bisection, trace = run(_graph(graph_name), seed)
     side0 = sorted(
         vertex_token(v) for v, side in bisection.assignment().items() if side == 0
     )
@@ -162,15 +213,37 @@ CELLS = [
     if not (algorithm in PLAIN and graph_name == "contracted2")
     for seed in SEEDS
 ]
+PIPELINE_CELLS = [
+    (algorithm, graph_name, seed)
+    for algorithm, graph_names in (
+        ("chfm", NETLISTS),
+        ("chsa", NETLISTS),
+        ("mlhfm", NETLISTS),
+        ("multilevel_default", STOP_GRAPHS),
+    )
+    for graph_name in graph_names
+    for seed in SEEDS
+]
+GOLDEN_FILES = {GOLDEN_PATH: CELLS, PIPELINE_GOLDEN_PATH: PIPELINE_CELLS}
 
 
 @lru_cache(maxsize=None)
+def _load(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def _goldens():
-    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    return {**_load(GOLDEN_PATH), **_load(PIPELINE_GOLDEN_PATH)}
 
 
 def test_golden_file_covers_every_cell():
-    assert sorted(_goldens()) == sorted(_cell(*cell) for cell in CELLS)
+    assert sorted(_load(GOLDEN_PATH)) == sorted(_cell(*cell) for cell in CELLS)
+
+
+def test_pipeline_golden_file_covers_every_cell():
+    assert sorted(_load(PIPELINE_GOLDEN_PATH)) == sorted(
+        _cell(*cell) for cell in PIPELINE_CELLS
+    )
 
 
 def test_contracted2_has_three_or_more_weight_classes():
@@ -180,7 +253,16 @@ def test_contracted2_has_three_or_more_weight_classes():
     assert weights <= {1, 2, 3, 4}
 
 
-@pytest.mark.parametrize("algorithm,graph_name,seed", CELLS)
+def test_multilevel_stop_rules_fire():
+    # gbreg500 stops on coarsest_size (32); star40 stops on the 5% shrink
+    # rule, since one matching on a star contracts a single pair.
+    deep = multilevel_bisection(_graph("gbreg500"), rng=0)
+    assert deep.levels > 2 and deep.level_sizes[0] <= 32
+    star = multilevel_bisection(_graph("star40"), rng=0)
+    assert star.levels == 1 and star.level_sizes == [41]
+
+
+@pytest.mark.parametrize("algorithm,graph_name,seed", CELLS + PIPELINE_CELLS)
 def test_matches_golden(algorithm, graph_name, seed):
     assert _record(algorithm, graph_name, seed) == _goldens()[
         _cell(algorithm, graph_name, seed)
@@ -188,9 +270,10 @@ def test_matches_golden(algorithm, graph_name, seed):
 
 
 if __name__ == "__main__":
-    lines = [
-        f"  {json.dumps(_cell(*cell))}: {json.dumps(_record(*cell), sort_keys=True)}"
-        for cell in CELLS
-    ]
-    GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
-    print(f"wrote {len(lines)} cells to {GOLDEN_PATH}")
+    for path, cells in GOLDEN_FILES.items():
+        lines = [
+            f"  {json.dumps(_cell(*cell))}: {json.dumps(_record(*cell), sort_keys=True)}"
+            for cell in cells
+        ]
+        path.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+        print(f"wrote {len(lines)} cells to {path}")
