@@ -108,11 +108,16 @@ class _InputError(Exception):
     """Unusable user input: reported as one ``error:`` line, exit code 2."""
 
 
-def _read_graph(path: str):
+def _read_input(what: str, path: str, read):
+    """``read(path)``, with a missing or malformed file as an ``_InputError``."""
     try:
-        return read_edge_list(path)
+        return read(path)
     except (OSError, ValueError) as exc:
-        raise _InputError(f"cannot read graph {path}: {exc}") from None
+        raise _InputError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _read_graph(path: str):
+    return _read_input("graph", path, read_edge_list)
 
 
 def _positive_int(text: str) -> int:
@@ -268,7 +273,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
     from .partition.io import read_partition
 
     graph = _read_graph(args.graph)
-    partition = read_partition(graph, args.partition)
+    partition = _read_input(
+        "partition", args.partition, lambda path: read_partition(graph, path)
+    )
     weights = partition.part_weights()
     print(
         f"k={partition.k}: cut={partition.cut} part_weights={weights} "
@@ -301,7 +308,7 @@ def _cmd_netlist(args: argparse.Namespace) -> int:
         print(f"wrote {netlist!r} to {args.file}")
         return 0
 
-    netlist = read_hmetis(args.file)
+    netlist = _read_input("netlist", args.file, read_hmetis)
     if args.k > 2:
         from .hypergraph.kway import recursive_kway_hypergraph
 

@@ -6,7 +6,8 @@ back level by level with refinement at each step — is the follow-up
 direction ("A Recursive Coalescing Method for Bisecting Graphs") and the
 blueprint of every modern multilevel partitioner (METIS, KaHIP).  It is
 implemented here as the library's headline extension feature and measured
-against single-level compaction by ``bench_ablation_multilevel``.
+against single-level compaction by ``bench_ablation_multilevel``; the
+level loop itself is shared with CKL in :mod:`repro.core.pipeline`.
 
 Vertex weights grow geometrically with depth, so the per-level refiner
 must handle heterogeneous weights; Fiduccia-Mattheyses
@@ -16,45 +17,22 @@ must handle heterogeneous weights; Fiduccia-Mattheyses
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import Any
 
 from ..graphs.graph import Graph
-from ..partition.bisection import Bisection, default_tolerance, rebalance
+from ..partition.bisection import Bisection
 from ..partition.fm import fiduccia_mattheyses
-from ..rng import resolve_rng
-from .compaction import Compaction, compact
-from .matching import Matching, random_maximal_matching
+from .pipeline import Bisector, MultilevelResult, _level_loop, _multilevel_result, _rebalance
 
 __all__ = ["multilevel_bisection", "MultilevelResult"]
 
-Bisector = Callable[..., Any]
-MatchingPolicy = Callable[..., Matching]
 
-# Stop coarsening when a level shrinks the graph by less than this factor —
-# the matching has degenerated (e.g. a star) and further levels waste work.
-_MIN_SHRINK = 0.95
-
-
-@dataclass(frozen=True)
-class MultilevelResult:
-    """Outcome of recursive-coalescing bisection.
-
-    ``level_cuts[i]`` is the cut after refinement at level ``i`` (coarsest
-    first, original graph last); ``level_sizes`` the matching vertex
-    counts.  Monotone non-increasing cuts across levels indicate healthy
-    refinement.
-    """
-
-    bisection: Bisection
-    levels: int
-    level_sizes: list[int] = field(default_factory=list)
-    level_cuts: list[int] = field(default_factory=list)
-
-    @property
-    def cut(self) -> int:
-        return self.bisection.cut
+def _rebalance_or_keep(graph: Graph, projected: Bisection, rng: random.Random) -> Bisection:
+    try:
+        return _rebalance(graph, projected, rng)
+    except ValueError:
+        # Single moves could not reach the tolerance (possible with heavy
+        # supervertices); FM repairs unbalanced inits itself.
+        return projected
 
 
 def multilevel_bisection(
@@ -63,63 +41,15 @@ def multilevel_bisection(
     coarsest_size: int = 32,
     max_levels: int | None = None,
     refiner: Bisector = fiduccia_mattheyses,
-    coarsest_solver: Bisector | None = None,
-    matching_policy: MatchingPolicy = random_maximal_matching,
 ) -> MultilevelResult:
     """Bisect ``graph`` by recursive coalescing.
 
-    Coarsens with ``matching_policy`` until ``coarsest_size`` vertices (or
-    the matching stops making progress, or ``max_levels``), solves the
-    coarsest graph with ``coarsest_solver`` (default: the refiner itself,
-    from a random start), then projects upward, refining at every level.
+    Coarsens with random maximal matchings until ``coarsest_size``
+    vertices (or the matching stops making progress, or ``max_levels``),
+    solves the coarsest graph with ``refiner`` from a random start, then
+    projects upward, refining at every level.
     """
-    if graph.num_vertices == 0:
-        raise ValueError("cannot bisect the empty graph")
-    if coarsest_size < 2:
-        raise ValueError("coarsest_size must be at least 2")
-    rng = resolve_rng(rng)
-    coarsest_solver = coarsest_solver or refiner
-
-    # -- coarsening phase ---------------------------------------------------------
-    compactions: list[Compaction] = []
-    current = graph
-    while current.num_vertices > coarsest_size:
-        if max_levels is not None and len(compactions) >= max_levels:
-            break
-        matching = matching_policy(current, rng)
-        compaction = compact(current, matching)
-        if compaction.coarse.num_vertices >= _MIN_SHRINK * current.num_vertices:
-            break
-        compactions.append(compaction)
-        current = compaction.coarse
-
-    # -- coarsest solve -----------------------------------------------------------
-    coarse_result = coarsest_solver(current, rng=rng)
-    bisection: Bisection = coarse_result.bisection
-    level_sizes = [current.num_vertices]
-    level_cuts = [bisection.cut]
-
-    # -- uncoarsening + refinement ------------------------------------------------
-    for compaction in reversed(compactions):
-        projected = compaction.project(bisection)
-        fine = compaction.original
-        tolerance = default_tolerance(fine)
-        if projected.imbalance > tolerance:
-            try:
-                assignment = rebalance(fine, projected.assignment(), tolerance, rng)
-                projected = Bisection(fine, assignment)
-            except ValueError:
-                # Single moves could not reach the tolerance (possible with
-                # heavy supervertices); FM repairs unbalanced inits itself.
-                pass
-        refined = refiner(fine, init=projected, rng=rng)
-        bisection = refined.bisection
-        level_sizes.append(fine.num_vertices)
-        level_cuts.append(bisection.cut)
-
-    return MultilevelResult(
-        bisection=bisection,
-        levels=len(compactions) + 1,
-        level_sizes=level_sizes,
-        level_cuts=level_cuts,
+    cycle = _level_loop(
+        graph, rng, refiner, _rebalance_or_keep, levels=max_levels, coarsest_size=coarsest_size
     )
+    return _multilevel_result(cycle)

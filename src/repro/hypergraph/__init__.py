@@ -6,9 +6,7 @@ and hMETIS I/O.
 """
 
 from .compaction import (
-    CompactedHypergraphResult,
     HypergraphCompaction,
-    MultilevelHypergraphResult,
     compact_hypergraph,
     compacted_hypergraph_fm,
     multilevel_hypergraph_fm,
@@ -47,9 +45,7 @@ __all__ = [
     "compact_hypergraph",
     "HypergraphCompaction",
     "compacted_hypergraph_fm",
-    "CompactedHypergraphResult",
     "multilevel_hypergraph_fm",
-    "MultilevelHypergraphResult",
     "hypergraph_sa",
     "HyperSAResult",
     "compacted_hypergraph_sa",

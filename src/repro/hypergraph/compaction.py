@@ -13,6 +13,10 @@ steps to hypergraphs:
 4. project the coarse bisection back (net cut is preserved exactly);
 5. refine on the original netlist from that start.
 
+Both pipelines run through the same level loop as CKL
+(:mod:`repro.core.pipeline`), with the cell matching and netlist
+contraction below in place of the graph ones.
+
 Recursive application (:func:`multilevel_hypergraph_fm`) is precisely the
 hMETIS recipe — the historical through-line from this 1989 paper to
 modern hypergraph partitioners.
@@ -23,11 +27,16 @@ from __future__ import annotations
 import random
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Any
 
-from ..partition.bisection import minimum_achievable_imbalance
+from ..core.pipeline import (
+    CompactedResult,
+    MultilevelResult,
+    _compacted_result,
+    _level_loop,
+    _multilevel_result,
+)
 from ..rng import resolve_rng
-from .fm import HyperFMResult, hypergraph_fm
+from .fm import _default_tolerance, hypergraph_fm
 from .hypergraph import Hypergraph, HypergraphBisection
 
 __all__ = [
@@ -36,14 +45,9 @@ __all__ = [
     "HypergraphCompaction",
     "compacted_hypergraph_fm",
     "multilevel_hypergraph_fm",
-    "CompactedHypergraphResult",
-    "MultilevelHypergraphResult",
 ]
 
 Vertex = Hashable
-
-# Stop coarsening when a level shrinks the netlist by less than this factor.
-_MIN_SHRINK = 0.95
 
 
 def random_cell_matching(
@@ -159,77 +163,25 @@ def compact_hypergraph(
     )
 
 
-@dataclass(frozen=True)
-class CompactedHypergraphResult:
-    """Outcome of the five-step pipeline on a netlist."""
-
-    bisection: HypergraphBisection
-    compaction: HypergraphCompaction
-    coarse_result: HyperFMResult
-    final_result: HyperFMResult
-    projected_cut: int
-
-    @property
-    def cut(self) -> int:
-        return self.bisection.cut
-
-
 def _repair_balance(
     hypergraph: Hypergraph, bisection: HypergraphBisection, rng: random.Random
 ) -> HypergraphBisection:
     """Rebalance a projected bisection via FM's unbalanced-init repair."""
-    tolerance = (
-        hypergraph.num_vertices % 2
-        if hypergraph.is_uniform_vertex_weight()
-        else minimum_achievable_imbalance(
-            hypergraph.vertex_weight(v) for v in hypergraph.vertices()
-        )
-    )
-    if bisection.imbalance <= tolerance:
+    if bisection.imbalance <= _default_tolerance(hypergraph):
         return bisection
     repaired = hypergraph_fm(hypergraph, init=bisection, rng=rng, max_passes=1)
     return repaired.bisection
 
 
 def compacted_hypergraph_fm(
-    hypergraph: Hypergraph,
-    rng: random.Random | int | None = None,
-    max_passes: int | None = None,
-) -> CompactedHypergraphResult:
+    hypergraph: Hypergraph, rng: random.Random | int | None = None
+) -> CompactedResult:
     """Compacted hypergraph FM — CKL's netlist sibling."""
-    rng = resolve_rng(rng)
-    matching = random_cell_matching(hypergraph, rng)
-    compaction = compact_hypergraph(hypergraph, matching)
-
-    coarse_result = hypergraph_fm(compaction.coarse, rng=rng, max_passes=max_passes)
-    projected = compaction.project(coarse_result.bisection)
-    projected_cut = projected.cut
-    projected = _repair_balance(hypergraph, projected, rng)
-
-    final_result = hypergraph_fm(
-        hypergraph, init=projected, rng=rng, max_passes=max_passes
+    cycle = _level_loop(
+        hypergraph, rng, hypergraph_fm, _repair_balance,
+        match=random_cell_matching, contract=compact_hypergraph,
     )
-    return CompactedHypergraphResult(
-        bisection=final_result.bisection,
-        compaction=compaction,
-        coarse_result=coarse_result,
-        final_result=final_result,
-        projected_cut=projected_cut,
-    )
-
-
-@dataclass(frozen=True)
-class MultilevelHypergraphResult:
-    """Outcome of recursive-coalescing netlist bisection (hMETIS-style)."""
-
-    bisection: HypergraphBisection
-    levels: int
-    level_sizes: tuple[int, ...]
-    level_cuts: tuple[int, ...]
-
-    @property
-    def cut(self) -> int:
-        return self.bisection.cut
+    return _compacted_result(cycle)
 
 
 def multilevel_hypergraph_fm(
@@ -237,42 +189,11 @@ def multilevel_hypergraph_fm(
     rng: random.Random | int | None = None,
     coarsest_size: int = 32,
     max_levels: int | None = None,
-) -> MultilevelHypergraphResult:
+) -> MultilevelResult:
     """Recursive coalescing + FM refinement on a netlist."""
-    if hypergraph.num_vertices == 0:
-        raise ValueError("cannot bisect the empty hypergraph")
-    if coarsest_size < 2:
-        raise ValueError("coarsest_size must be at least 2")
-    rng = resolve_rng(rng)
-
-    compactions: list[HypergraphCompaction] = []
-    current = hypergraph
-    while current.num_vertices > coarsest_size:
-        if max_levels is not None and len(compactions) >= max_levels:
-            break
-        compaction = compact_hypergraph(current, random_cell_matching(current, rng))
-        if compaction.coarse.num_vertices >= _MIN_SHRINK * current.num_vertices:
-            break
-        compactions.append(compaction)
-        current = compaction.coarse
-
-    coarse_result = hypergraph_fm(current, rng=rng)
-    bisection = coarse_result.bisection
-    level_sizes = [current.num_vertices]
-    level_cuts = [bisection.cut]
-
-    for compaction in reversed(compactions):
-        projected = compaction.project(bisection)
-        fine = compaction.original
-        projected = _repair_balance(fine, projected, rng)
-        refined = hypergraph_fm(fine, init=projected, rng=rng)
-        bisection = refined.bisection
-        level_sizes.append(fine.num_vertices)
-        level_cuts.append(bisection.cut)
-
-    return MultilevelHypergraphResult(
-        bisection=bisection,
-        levels=len(compactions) + 1,
-        level_sizes=tuple(level_sizes),
-        level_cuts=tuple(level_cuts),
+    cycle = _level_loop(
+        hypergraph, rng, hypergraph_fm, _repair_balance,
+        levels=max_levels, coarsest_size=coarsest_size,
+        match=random_cell_matching, contract=compact_hypergraph,
     )
+    return _multilevel_result(cycle)

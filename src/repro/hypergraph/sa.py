@@ -228,11 +228,13 @@ def compacted_hypergraph_sa(
 
     Returns the *final* SA result; its ``initial_cut`` is the projected
     start's cut, so improvement bookkeeping matches the plain variant.
+    The projected start is not rebalanced: SA's balance penalty repairs it.
     """
+    from ..core.pipeline import _level_loop
     from .compaction import compact_hypergraph, random_cell_matching
 
-    rng = resolve_rng(rng)
-    compaction = compact_hypergraph(hypergraph, random_cell_matching(hypergraph, rng))
-    coarse_result = hypergraph_sa(compaction.coarse, rng=rng, schedule=schedule)
-    projected = compaction.project(coarse_result.bisection)
-    return hypergraph_sa(hypergraph, init=projected, rng=rng, schedule=schedule)
+    cycle = _level_loop(
+        hypergraph, rng, hypergraph_sa, None,
+        match=random_cell_matching, contract=compact_hypergraph, schedule=schedule,
+    )
+    return cycle.final_result

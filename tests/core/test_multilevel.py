@@ -13,7 +13,6 @@ from repro.graphs.generators import (
     ladder_graph,
 )
 from repro.graphs.graph import Graph
-from repro.partition.kl import kernighan_lin
 
 
 class TestMultilevelBasics:
@@ -66,12 +65,6 @@ class TestMultilevelBasics:
         a = multilevel_bisection(gbreg_sample.graph, rng=7)
         b = multilevel_bisection(gbreg_sample.graph, rng=7)
         assert a.cut == b.cut
-
-    def test_custom_coarsest_solver(self, gbreg_sample):
-        result = multilevel_bisection(
-            gbreg_sample.graph, rng=8, coarsest_solver=kernighan_lin
-        )
-        assert result.bisection.is_balanced()
 
 
 class TestMultilevelQuality:

@@ -5,9 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.matching import heavy_edge_matching
-from repro.core.pipeline import ckl, compacted_bisection, csa
-from repro.graphs.generators import gbreg, ladder_graph
+from repro.core.multilevel import multilevel_bisection
+from repro.core.pipeline import ckl, coarse_only_bisection, compacted_bisection, csa
+from repro.graphs.generators import gbreg, ladder_graph, star_graph
 from repro.graphs.graph import Graph
+from repro.hypergraph.compaction import compacted_hypergraph_fm, multilevel_hypergraph_fm
+from repro.hypergraph.generators import random_netlist
+from repro.hypergraph.sa import compacted_hypergraph_sa
+from repro.obs import capture_spans
 from repro.partition.annealing import AnnealingSchedule
 from repro.partition.fm import fiduccia_mattheyses
 from repro.partition.kl import kernighan_lin
@@ -69,10 +74,6 @@ class TestCKL:
         compacted = min(ckl(g, rng=s).cut for s in range(2))
         assert compacted <= plain
 
-    def test_max_passes_forwarded(self, gbreg_sample):
-        result = ckl(gbreg_sample.graph, rng=7, max_passes=2)
-        assert result.final_result.passes <= 2
-
 
 class TestCSA:
     def test_balanced_result(self, gbreg_sample):
@@ -91,8 +92,6 @@ class TestCSA:
 
 class TestCoarseOnly:
     def test_steps_1_to_4_only(self, gbreg_sample):
-        from repro.core.pipeline import coarse_only_bisection
-
         result = coarse_only_bisection(gbreg_sample.graph, kernighan_lin, rng=20)
         assert result.bisection.is_balanced()
         # Without the refinement step the result IS the projection
@@ -100,23 +99,17 @@ class TestCoarseOnly:
         assert result.cut <= result.projected_cut + 4
 
     def test_refinement_only_improves(self, gbreg_sample):
-        from repro.core.pipeline import coarse_only_bisection
-
         coarse = coarse_only_bisection(gbreg_sample.graph, kernighan_lin, rng=21)
         full = compacted_bisection(gbreg_sample.graph, kernighan_lin, rng=21)
         assert full.cut <= coarse.cut
 
     def test_beats_plain_kl_on_sparse(self):
-        from repro.core.pipeline import coarse_only_bisection
-
         sample = gbreg(300, 8, 3, rng=22)
         plain = kernighan_lin(sample.graph, rng=23).cut
         coarse = coarse_only_bisection(sample.graph, kernighan_lin, rng=23).cut
         assert coarse < plain
 
     def test_deterministic(self, gbreg_sample):
-        from repro.core.pipeline import coarse_only_bisection
-
         a = coarse_only_bisection(gbreg_sample.graph, kernighan_lin, rng=24)
         b = coarse_only_bisection(gbreg_sample.graph, kernighan_lin, rng=24)
         assert a.cut == b.cut
@@ -138,3 +131,55 @@ class TestEdgeCases:
 
         result = ckl(complete_graph(10), rng=3)
         assert result.cut == 25
+
+
+MATCH, COARSE, PROJECT, FINAL = (
+    "pipeline.match", "pipeline.coarse", "pipeline.project", "pipeline.final"
+)
+
+
+class TestPipelineSpans:
+    """The shared level loop records one match per contraction, one coarse
+    solve, and one project and one final (refinement) per level upward."""
+
+    @staticmethod
+    def _spans(monkeypatch, run):
+        monkeypatch.setenv("REPRO_OBS", "1")
+        records = []
+        with capture_spans(records):
+            run()
+        return [r["name"] for r in records if r["name"].startswith("pipeline.")]
+
+    def test_ckl_records_each_span_once_in_order(self, monkeypatch, gbreg_sample):
+        names = self._spans(monkeypatch, lambda: ckl(gbreg_sample.graph, rng=1))
+        assert names == [MATCH, COARSE, PROJECT, FINAL]
+
+    def test_coarse_only_has_no_final(self, monkeypatch, gbreg_sample):
+        names = self._spans(
+            monkeypatch,
+            lambda: coarse_only_bisection(gbreg_sample.graph, kernighan_lin, rng=2),
+        )
+        assert names == [MATCH, COARSE, PROJECT]
+
+    def test_multilevel_per_level_counts(self, monkeypatch, gbreg_sample):
+        names = self._spans(
+            monkeypatch, lambda: multilevel_bisection(gbreg_sample.graph, rng=3, max_levels=2)
+        )
+        assert names == [MATCH, MATCH, COARSE, PROJECT, FINAL, PROJECT, FINAL]
+
+    def test_discarded_level_still_records_its_match(self, monkeypatch):
+        # One matching on a star contracts one pair: the 5% stop discards it.
+        names = self._spans(monkeypatch, lambda: multilevel_bisection(star_graph(40), rng=4))
+        assert names == [MATCH, COARSE]
+
+    def test_netlist_pipelines(self, monkeypatch):
+        netlist = random_netlist(120, rng=5)
+        for run in (
+            lambda: compacted_hypergraph_fm(netlist, rng=6),
+            lambda: compacted_hypergraph_sa(netlist, rng=7, schedule=FAST_SA),
+        ):
+            assert self._spans(monkeypatch, run) == [MATCH, COARSE, PROJECT, FINAL]
+        names = self._spans(
+            monkeypatch, lambda: multilevel_hypergraph_fm(netlist, rng=8, max_levels=2)
+        )
+        assert names == [MATCH, MATCH, COARSE, PROJECT, FINAL, PROJECT, FINAL]

@@ -209,12 +209,20 @@ class TestInputErrors:
             ["score", "{malformed}", "{missing}"],
             ["info", "{tmp}"],
             ["run", "{good}", "--telemetry", "{tmp}/no/such/dir/t.jsonl"],
+            ["score", "{good}", "{missing_part}"],
+            ["score", "{good}", "{malformed_part}"],
+            ["netlist", "run", "{missing_hgr}"],
+            ["netlist", "run", "{malformed_hgr}"],
         ],
         ids=["run-missing", "info-missing", "run-malformed", "kway-malformed",
-             "score-malformed", "info-directory", "run-telemetry-dir"],
+             "score-malformed", "info-directory", "run-telemetry-dir",
+             "score-missing-partition", "score-malformed-partition",
+             "netlist-run-missing", "netlist-run-malformed"],
     )
     def test_one_line_error_exit_2(self, tmp_path, capsys, argv):
         (tmp_path / "bad.edges").write_text("0 1\nnot an edge\n", encoding="utf-8")
+        (tmp_path / "bad.part").write_text("# repro partition k=2\n0\n", encoding="utf-8")
+        (tmp_path / "bad.hgr").write_text("2 4\n1 x\n", encoding="utf-8")
         main(["generate", "ladder", "--vertices", "8", "--out", str(tmp_path / "g.edges")])
         capsys.readouterr()
         paths = {
@@ -222,6 +230,10 @@ class TestInputErrors:
             "malformed": tmp_path / "bad.edges",
             "good": tmp_path / "g.edges",
             "tmp": tmp_path,
+            "missing_part": tmp_path / "missing.part",
+            "malformed_part": tmp_path / "bad.part",
+            "missing_hgr": tmp_path / "missing.hgr",
+            "malformed_hgr": tmp_path / "bad.hgr",
         }
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err
