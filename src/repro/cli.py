@@ -30,12 +30,8 @@ Examples::
     # and metamorphic oracles (exits non-zero on any violation)
     repro-bisect check --json report.json
 
-    # Serve the engine over HTTP, then load-test it
+    # Serve the engine over HTTP
     repro-bisect serve --port 8642 --workers 4
-    repro-bisect load --url http://127.0.0.1:8642 --requests 500 --concurrency 32
-
-    # Interactive graph session (CSV import, path queries, remote submit)
-    repro-bisect repl
 
     # Inspect or bound the content-addressed result cache
     repro-bisect cache stats
@@ -721,64 +717,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_repl(args: argparse.Namespace) -> int:
-    from .service import run_repl
-
-    return run_repl(sys.stdin, sys.stdout)
-
-
-def _cmd_load(args: argparse.Namespace) -> int:
-    from .service import render_load_report, run_load
-
-    generator_params = {
-        "vertices": args.vertices,
-        "width": args.width,
-        "degree": args.degree,
-        "seed": args.graph_seed,
-    }
-    if args.url:
-        report = run_load(
-            args.url,
-            requests=args.requests,
-            concurrency=args.concurrency,
-            rounds=args.rounds,
-            algorithm=args.algorithm,
-            distinct_seeds=args.distinct_seeds,
-            generator_params=generator_params,
-            api_key=args.api_key,
-            job_timeout=args.job_timeout,
-        )
-    else:
-        # No --url: boot an in-process server on an ephemeral port and
-        # load-test that, so the command is self-contained.
-        from .service import ServiceThread
-
-        store = None if args.no_cache else ResultCache(getattr(args, "cache_dir", None))
-        with ServiceThread(
-            workers=args.workers, cache=store,
-            telemetry=Telemetry(getattr(args, "telemetry", None)),
-            max_inflight=max(64, 2 * args.concurrency),
-        ) as service:
-            print(f"self-serving on {service.url} ({args.workers} worker(s))")
-            report = run_load(
-                service.url,
-                requests=args.requests,
-                concurrency=args.concurrency,
-                rounds=args.rounds,
-                algorithm=args.algorithm,
-                distinct_seeds=args.distinct_seeds,
-                generator_params=generator_params,
-                job_timeout=args.job_timeout,
-            )
-    print(render_load_report(report))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as stream:
-            json.dump(report, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        print(f"wrote {args.json_out}")
-    return 0 if report["ok"] else 1
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     store = ResultCache(getattr(args, "cache_dir", None))
     if args.action == "stats":
@@ -1151,69 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
         "~/.cache/repro-bisect)",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    repl = sub.add_parser(
-        "repl", help="interactive graph session (CSV import, queries, submit)"
-    )
-    repl.set_defaults(func=_cmd_repl)
-
-    load = sub.add_parser(
-        "load", help="load-test a running serve (or a self-served instance)"
-    )
-    load.add_argument(
-        "--url",
-        help="service base URL; omitted = boot an in-process server first",
-    )
-    load.add_argument(
-        "--requests", type=_positive_int, default=100,
-        help="submit/poll/fetch interactions per round (default: 100)",
-    )
-    load.add_argument(
-        "--concurrency", type=_positive_int, default=8,
-        help="concurrent client threads (default: 8)",
-    )
-    load.add_argument(
-        "--rounds", type=_positive_int, default=2,
-        help="times to replay the identical request set (default: 2; "
-        "round 2 should be nearly all cache hits)",
-    )
-    load.add_argument(
-        "--algorithm", choices=_GRAPH_ALGORITHMS, default="ckl",
-        help="algorithm each job runs (default: ckl)",
-    )
-    load.add_argument(
-        "--distinct-seeds", type=_positive_int, default=None,
-        help="seed pool size; requests cycle through it "
-        "(default: requests // 4)",
-    )
-    load.add_argument(
-        "--vertices", type=_positive_int, default=500,
-        help="Gbreg graph size for the workload (default: 500)",
-    )
-    load.add_argument("--width", type=_positive_int, default=4)
-    load.add_argument("--degree", type=_positive_int, default=3)
-    load.add_argument("--graph-seed", type=int, default=0)
-    load.add_argument("--api-key", help="X-API-Key for keyed servers")
-    load.add_argument(
-        "--job-timeout", type=float, default=120.0,
-        help="per-request poll deadline in seconds (default: 120)",
-    )
-    load.add_argument(
-        "--workers", type=_positive_int, default=2,
-        help="worker threads for the self-served instance (no --url only)",
-    )
-    load.add_argument("--json-out", help="also write the full JSON report here")
-    load.add_argument(
-        "--no-cache", action="store_true",
-        help="self-served instance: disable the result cache",
-    )
-    load.add_argument(
-        "--cache-dir", help="self-served instance: result cache directory"
-    )
-    load.add_argument(
-        "--telemetry", help="self-served instance: telemetry JSONL file"
-    )
-    load.set_defaults(func=_cmd_load)
 
     cache = sub.add_parser(
         "cache", help="inspect or bound the content-addressed result cache"

@@ -24,8 +24,6 @@ __all__ = [
     "read_edge_list",
     "write_dimacs",
     "read_dimacs",
-    "read_csv_adjacency",
-    "write_csv_adjacency",
     "graph_to_string",
     "graph_from_string",
 ]
@@ -165,97 +163,6 @@ def read_dimacs(source: str | Path | TextIO) -> Graph:
                 f"DIMACS header declares {declared_edges} edges, file has {g.num_edges}"
             )
         return g
-    finally:
-        if owned:
-            stream.close()
-
-
-# -- CSV adjacency matrix ----------------------------------------------------------
-
-
-def _parse_csv_label(token: str):
-    token = token.strip()
-    try:
-        return int(token)
-    except ValueError:
-        return token
-
-
-def read_csv_adjacency(source: str | Path | TextIO) -> Graph:
-    """Read a CSV adjacency matrix (GCLI convention) into a graph.
-
-    The first row and first column (after the blank corner cell) list the
-    node ids; a non-empty, non-zero cell ``(i, j)`` creates the edge
-    ``{i, j}`` with the cell's (integer) value as its weight.  The matrix
-    may be full or triangular: when both halves carry a value they must
-    agree, or the file is rejected.  Nonzero diagonal cells are rejected
-    (self-loops are not representable).
-    """
-    import csv
-
-    stream, owned = _open_for(source, "r")
-    try:
-        rows = [row for row in csv.reader(stream) if any(cell.strip() for cell in row)]
-    finally:
-        if owned:
-            stream.close()
-    if not rows:
-        raise ValueError("CSV adjacency matrix is empty")
-    header = [_parse_csv_label(cell) for cell in rows[0][1:]]
-    if len(set(header)) != len(header):
-        raise ValueError("CSV adjacency header repeats a node id")
-    g = Graph()
-    for label in header:
-        g.add_vertex(label)
-    seen: dict[tuple, int] = {}
-    for row in rows[1:]:
-        row_label = _parse_csv_label(row[0])
-        if row_label not in g:
-            raise ValueError(f"CSV row id {row_label!r} is not in the header row")
-        for column, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if not cell or cell == "0":
-                continue
-            try:
-                weight = int(cell)
-            except ValueError:
-                raise ValueError(
-                    f"CSV cell ({row_label!r}, {header[column]!r}) is not an "
-                    f"integer weight: {cell!r}"
-                ) from None
-            column_label = header[column]
-            if column_label == row_label:
-                raise ValueError(
-                    f"CSV diagonal cell for {row_label!r} is nonzero "
-                    "(self-loops are not allowed)"
-                )
-            key = (min(str(row_label), str(column_label)),
-                   max(str(row_label), str(column_label)))
-            if key in seen:
-                if seen[key] != weight:
-                    raise ValueError(
-                        f"CSV cells for edge {key} disagree: "
-                        f"{seen[key]} vs {weight}"
-                    )
-                continue
-            seen[key] = weight
-            g.add_edge(row_label, column_label, weight)
-    return g
-
-
-def write_csv_adjacency(graph: Graph, target: str | Path | TextIO) -> None:
-    """Write ``graph`` as a full CSV adjacency matrix (GCLI convention)."""
-    import csv
-
-    stream, owned = _open_for(target, "w")
-    try:
-        writer = csv.writer(stream)
-        order = list(graph.vertices())
-        writer.writerow([""] + [str(v) for v in order])
-        for u in order:
-            writer.writerow(
-                [str(u)] + [str(graph.edge_weight(u, v)) for v in order]
-            )
     finally:
         if owned:
             stream.close()

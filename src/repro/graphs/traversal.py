@@ -19,8 +19,6 @@ __all__ = [
     "connected_components",
     "is_connected",
     "shortest_path_lengths",
-    "shortest_path",
-    "all_simple_paths",
     "cycle_decomposition",
 ]
 
@@ -107,74 +105,6 @@ def shortest_path_lengths(graph: Graph, source: Vertex) -> dict[Vertex, int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
-
-
-def shortest_path(graph: Graph, source: Vertex, target: Vertex) -> list[Vertex] | None:
-    """One unweighted shortest path from ``source`` to ``target``.
-
-    Returns the vertex sequence (``[source]`` when they coincide) or
-    ``None`` when ``target`` is unreachable.  Deterministic: BFS explores
-    neighbors in insertion order, so ties break the same way every run.
-    """
-    if source not in graph or target not in graph:
-        raise KeyError(f"both endpoints must be in the graph: {source!r}, {target!r}")
-    if source == target:
-        return [source]
-    parent: dict[Vertex, Vertex] = {source: source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v in parent:
-                continue
-            parent[v] = u
-            if v == target:
-                path = [v]
-                while path[-1] != source:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            queue.append(v)
-    return None
-
-
-def all_simple_paths(
-    graph: Graph,
-    source: Vertex,
-    target: Vertex,
-    limit: int | None = None,
-) -> list[list[Vertex]]:
-    """Every simple path from ``source`` to ``target`` (DFS backtracking).
-
-    Paths are emitted in the deterministic order induced by neighbor
-    insertion order.  ``limit`` caps the number of paths returned (the
-    count is exponential in dense graphs); ``None`` means no cap.
-    """
-    if source not in graph or target not in graph:
-        raise KeyError(f"both endpoints must be in the graph: {source!r}, {target!r}")
-    paths: list[list[Vertex]] = []
-    on_path = {source}
-    path = [source]
-
-    def extend(u: Vertex) -> bool:
-        """DFS from ``u``; returns False once the limit is reached."""
-        if u == target:
-            paths.append(list(path))
-            return limit is None or len(paths) < limit
-        for v in graph.neighbors(u):
-            if v in on_path:
-                continue
-            on_path.add(v)
-            path.append(v)
-            more = extend(v)
-            path.pop()
-            on_path.remove(v)
-            if not more:
-                return False
-        return True
-
-    extend(source)
-    return paths
 
 
 def cycle_decomposition(graph: Graph) -> list[list[Vertex]]:

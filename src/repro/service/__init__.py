@@ -1,4 +1,4 @@
-"""Partitioning-as-a-service: HTTP/JSON job server, REPL, and load harness.
+"""Partitioning-as-a-service: HTTP/JSON job server and client.
 
 The service layer is the long-running front door over the same engine the
 CLI batch commands use — submit a job through ``repro-bisect run``,
@@ -7,19 +7,13 @@ result bit for bit, served from the same content-addressed cache.
 
 * :mod:`repro.service.state` — tenants, quotas, graph store, job table;
 * :mod:`repro.service.server` — stdlib ``ThreadingHTTPServer`` front end;
-* :mod:`repro.service.client` — ``urllib`` JSON client;
-* :mod:`repro.service.repl` — the interactive graph session
-  (``repro-bisect repl``);
-* :mod:`repro.service.loadgen` — the concurrent load harness
-  (``repro-bisect load``).
+* :mod:`repro.service.client` — ``urllib`` JSON client.
 
 Everything is stdlib-only and instrumented through :mod:`repro.obs`, so
 ``GET /metrics`` exposes engine and service metrics in one scrape.
 """
 
 from .client import ServiceClient, ServiceClientError
-from .loadgen import render_load_report, run_load
-from .repl import ReplSession, run_repl
 from .server import ServiceServer, ServiceThread, make_server
 from .state import (
     AuthError,
@@ -35,7 +29,6 @@ __all__ = [
     "AuthError",
     "NotFoundError",
     "QuotaError",
-    "ReplSession",
     "ServiceClient",
     "ServiceClientError",
     "ServiceError",
@@ -45,7 +38,4 @@ __all__ = [
     "Tenant",
     "ValidationError",
     "make_server",
-    "render_load_report",
-    "run_load",
-    "run_repl",
 ]

@@ -1,11 +1,12 @@
 """A stdlib HTTP client for the partitioning service.
 
-Thin :mod:`urllib.request` wrapper used by the REPL's remote commands,
-the load generator, and the CI smoke job — anything that wants to talk
-to a running ``repro-bisect serve`` without pulling in a dependency.
+Thin :mod:`urllib.request` wrapper used by ``study --remote``, the
+benchmark's service workload, and the CI smoke job — anything that wants
+to talk to a running ``repro-bisect serve`` without pulling in a
+dependency.
 
 A :class:`ServiceClient` holds no mutable state beyond configuration, so
-concurrent calls are safe in practice; the load generator still builds
+concurrent calls are safe in practice; ``study --remote`` still builds
 one client per worker thread to keep accounting unambiguous.
 """
 

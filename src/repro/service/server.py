@@ -245,8 +245,8 @@ class ServiceServer(ThreadingHTTPServer):
 
     daemon_threads = True
     # The stdlib backlog of 5 drops/resets connections under a burst of
-    # concurrent clients (the load harness opens one TCP connection per
-    # request); a deeper accept queue absorbs it.
+    # concurrent clients (each client request opens its own TCP
+    # connection); a deeper accept queue absorbs it.
     request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], state: ServiceState,
@@ -298,8 +298,7 @@ def make_server(
 class ServiceThread:
     """Context manager running a service on a background thread.
 
-    The in-process harness tests, the load generator's ``--self-serve``
-    mode, and CI smoke jobs all use this::
+    The in-process harness tests and CI smoke jobs use this::
 
         with ServiceThread(workers=2, cache=tmp_cache) as svc:
             client = ServiceClient(svc.url)

@@ -244,15 +244,18 @@ class ServiceState:
         if not isinstance(payload, dict):
             raise ValidationError("request body must be a JSON object")
         if "edges" in payload:
+            if not isinstance(payload["edges"], str):
+                raise ValidationError("'edges' must be edge-list text (a string)")
             try:
-                graph = graph_from_string(str(payload["edges"]), "edges")
+                graph = graph_from_string(payload["edges"], "edges")
             except (ValueError, KeyError) as exc:
                 raise ValidationError(f"bad edge-list data: {exc}") from exc
             source = "upload"
         elif "generator" in payload:
-            graph = graph_from_generator_spec(
-                str(payload["generator"]), payload.get("params") or {}
-            )
+            params = payload.get("params")
+            if params is not None and not isinstance(params, dict):
+                raise ValidationError("'params' must be an object")
+            graph = graph_from_generator_spec(str(payload["generator"]), params or {})
             source = f"generator:{payload['generator']}"
         else:
             raise ValidationError(
@@ -342,9 +345,17 @@ class ServiceState:
             build_algorithm(spec)  # reject unknown params at submit, not in a worker
         except TypeError as exc:
             raise ValidationError(f"bad params for {algorithm!r}: {exc}") from exc
-        seeds = self._expand_seeds(payload)
         timeout = payload.get("timeout", self.default_timeout)
+        if timeout is not None and (
+            isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+        ):
+            raise ValidationError("'timeout' must be a number of seconds or null")
         retries = payload.get("retries", self.default_retries)
+        if retries is not None and (
+            isinstance(retries, bool) or not isinstance(retries, int)
+        ):
+            raise ValidationError("'retries' must be an integer or null")
+        seeds = self._expand_seeds(payload)
         with self._lock:
             inflight = sum(
                 1 for record in self._jobs.values()
@@ -369,7 +380,7 @@ class ServiceState:
                 seed=int(seed),
                 job_id=job_id,
                 timeout=timeout,
-                retries=int(retries) if retries is not None else None,
+                retries=retries,
                 tags=(("tenant", tenant.name),),
             )
             handle = self.runner.submit(job, graph, lane=tenant.name)
@@ -393,10 +404,7 @@ class ServiceState:
             seeds = payload["seeds"]
             if not isinstance(seeds, list) or not seeds:
                 raise ValidationError("'seeds' must be a non-empty list of integers")
-            try:
-                seeds = [int(s) for s in seeds]
-            except (TypeError, ValueError):
-                raise ValidationError("'seeds' must be a non-empty list of integers") from None
+            count = len(seeds)
         else:
             try:
                 seed = int(payload.get("seed", 0))
@@ -405,18 +413,22 @@ class ServiceState:
                 raise ValidationError("'seed' and 'starts' must be integers") from None
             if starts < 1:
                 raise ValidationError("'starts' must be at least 1")
-            if starts == 1:
-                seeds = [seed]
-            else:
-                # Best-of-R: derive start seeds exactly like the bench.
-                master = LaggedFibonacciRandom(seed)
-                seeds = [derive_seed(master, index) for index in range(starts)]
-        if len(seeds) > MAX_JOBS_PER_SUBMIT:
+            count = starts
+        # Checked before any seed is derived: derivation is linear in starts.
+        if count > MAX_JOBS_PER_SUBMIT:
             raise ValidationError(
-                f"submission expands to {len(seeds)} jobs "
-                f"(limit: {MAX_JOBS_PER_SUBMIT})"
+                f"submission expands to {count} jobs (limit: {MAX_JOBS_PER_SUBMIT})"
             )
-        return seeds
+        if "seeds" in payload:
+            try:
+                return [int(s) for s in seeds]
+            except (TypeError, ValueError):
+                raise ValidationError("'seeds' must be a non-empty list of integers") from None
+        if starts == 1:
+            return [seed]
+        # Best-of-R: derive start seeds exactly like the bench.
+        master = LaggedFibonacciRandom(seed)
+        return [derive_seed(master, index) for index in range(starts)]
 
     def _record_for(self, tenant: Tenant, job_id: str) -> dict[str, Any]:
         with self._lock:

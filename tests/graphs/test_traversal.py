@@ -93,6 +93,11 @@ class TestShortestPaths:
         dist = shortest_path_lengths(g, 0)
         assert 2 not in dist
 
+    def test_distances_on_diamond(self):
+        # 0 - 1 - 3 and 0 - 2 - 3, plus the chord 1 - 2.
+        g = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)])
+        assert shortest_path_lengths(g, 0) == {0: 0, 1: 1, 2: 1, 3: 2}
+
 
 class TestCycleDecomposition:
     def test_single_cycle(self):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import urllib.error
+import urllib.request
+
 import pytest
 
 from repro.engine import ResultCache, Telemetry
@@ -94,6 +98,44 @@ def test_error_statuses(client):
     with pytest.raises(ServiceClientError) as excinfo:
         client._request("DELETE", "/v1/graphs/abc")
     assert excinfo.value.status == 405
+
+
+@pytest.mark.parametrize(
+    "path, body",
+    [
+        ("/v1/graphs", b"{not json"),
+        ("/v1/graphs", {"generator": "gbreg", "params": [1]}),
+        ("/v1/graphs", {"edges": [[0, 1]]}),
+        ("/v1/jobs", {"algorithm": "kl", "retries": "x"}),
+        ("/v1/jobs", {"algorithm": "kl", "timeout": "x"}),
+        ("/v1/jobs", {"algorithm": "kl", "starts": 2_000_000}),
+    ],
+    ids=["malformed-json", "params-list", "edges-list", "retries-str",
+         "timeout-str", "starts-over-limit"],
+)
+def test_bad_payload_is_a_one_line_4xx(service, client, monkeypatch, path, body):
+    def no_derivation(*args):
+        raise AssertionError("seed derived for a rejected submission")
+
+    monkeypatch.setattr("repro.service.state.derive_seed", no_derivation)
+    record = client.generate_graph("gbreg", vertices=20, width=2, degree=3)
+    before = client.health(), client._request("GET", "/v1/tenants")
+    if path == "/v1/jobs":
+        body = {"graph": record["id"], **body}
+    data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+    request = urllib.request.Request(
+        service.url + path, data=data, method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30)
+    error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
+    assert 400 <= excinfo.value.code < 500
+    assert error and "\n" not in error
+    assert "internal error" not in error
+    health, tenants = client.health(), client._request("GET", "/v1/tenants")
+    assert (health["jobs"], health["graphs"]) == (before[0]["jobs"], before[0]["graphs"])
+    assert tenants == before[1]
 
 
 def test_api_keys_enforced(tmp_path):

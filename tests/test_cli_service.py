@@ -1,4 +1,4 @@
-"""CLI coverage for the service-era commands: cache, load, repl, interrupts."""
+"""CLI coverage for the service-era commands: cache, serve, interrupts."""
 
 from __future__ import annotations
 
@@ -65,43 +65,6 @@ class TestInterruptHandling:
         monkeypatch.setattr(cli, "_dispatch", pipe)
         monkeypatch.setattr("sys.stdout", io.StringIO())
         assert main(["cache", "stats"]) == 0
-
-
-class TestReplCommand:
-    def test_repl_reads_stdin_until_eof(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO("graph new g\nnode new a\ngraph info\n")
-        )
-        assert main(["repl"]) == 0
-        out = capsys.readouterr().out
-        assert "nodes: 1  edges: 0" in out
-
-
-class TestLoadCommand:
-    def test_self_serve_load_small(self, tmp_path, capsys):
-        code = main(
-            [
-                "load",
-                "--requests", "6",
-                "--concurrency", "3",
-                "--rounds", "2",
-                "--algorithm", "kl",
-                "--vertices", "40",
-                "--distinct-seeds", "2",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--json-out", str(tmp_path / "report.json"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "self-serving on http://" in out
-        assert "req/s" in out
-        assert (tmp_path / "report.json").exists()
-        import json
-
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["ok"] is True
-        assert report["round_reports"][1]["cache_hit_rate"] >= 0.9
 
 
 class TestServeParser:
