@@ -7,9 +7,10 @@ contraction, a KL/FM/SA kernel or projection that moves any of them
 fails here, with the cell as the witness.  The file runs under every
 ``REPRO_KERNEL`` backend, so the cells also pin cross-backend agreement.
 
-Algorithms: ``ckl``, ``csa``, ``coarse_only`` and ``multilevel`` on all
-three graphs; plain ``kl``, ``fm`` (one pass) and ``sa`` (short
-schedule) on the two uncontracted graphs.
+Algorithms: ``ckl``, ``csa``, ``coarse_only``, ``multilevel`` and
+``sa_swap`` (SA's swap neighbourhood, short schedule) on all three
+graphs; plain ``kl``, ``fm`` (one pass) and ``sa`` (short schedule) on the
+two uncontracted graphs.
 
 Recorded per run:
 
@@ -20,7 +21,8 @@ Recorded per run:
   ``coarse_only`` (KL on G'), the per-level cuts for ``multilevel``
   (three levels, one-pass FM refiner), and ``[moves_attempted, moves_accepted]`` of the
   final SA stage for ``csa`` (short schedule); the pass gains for ``kl``
-  and ``fm``, and ``[moves_attempted, moves_accepted]`` for ``sa``.
+  and ``fm``, and ``[moves_attempted, moves_accepted]`` for ``sa`` and
+  ``sa_swap``.
 
 The ``contracted2`` graph is Gbreg(2000,16,3) contracted twice, so it
 carries vertex weights 1-4 (three or more KL weight classes) and merged
@@ -172,6 +174,14 @@ def _run_sa(graph, seed):
     return result.bisection, [result.moves_attempted, result.moves_accepted]
 
 
+def _run_sa_swap(graph, seed):
+    result = simulated_annealing(
+        graph, rng=seed, schedule=SHORT_SCHEDULE, neighborhood="swap",
+        record_trace=False,
+    )
+    return result.bisection, [result.moves_attempted, result.moves_accepted]
+
+
 ALGORITHMS = {
     "ckl": _run_ckl,
     "csa": _run_csa,
@@ -180,6 +190,7 @@ ALGORITHMS = {
     "kl": _run_kl,
     "fm": _run_fm,
     "sa": _run_sa,
+    "sa_swap": _run_sa_swap,
 }
 PIPELINE_ALGORITHMS = {
     "chfm": _run_chfm,
