@@ -1,7 +1,7 @@
 """Zero-dependency static analysis: determinism & invariant linting.
 
 The repo's headline guarantees — seed-determinism, decision-identical
-CSR/dict kernels, zero hot-loop observability cost — are enforced
+kernel backends, zero hot-loop observability cost — are enforced
 dynamically by the test suites.  This package enforces them *statically*:
 a pure-:mod:`ast` pass over ``src/repro`` with a project model
 (:mod:`~repro.analysis.project`), a rule engine with per-rule scopes and

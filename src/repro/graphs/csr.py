@@ -8,23 +8,18 @@ graph — contiguous integer vertex ids and flat ``indptr`` / ``indices`` /
 kernels index instead.  It is compiled once per graph, cached on the
 :class:`Graph` instance, and invalidated automatically by any mutation.
 
-Determinism contract (what makes the CSR kernels *bitwise-equivalent* to
-the dict kernels):
+Determinism contract (what fixes every kernel decision):
 
-* vertex ids follow the graph's insertion order, so every loop that walks
-  ``graph.vertices()`` — gain initialization, RNG-driven vertex draws —
-  visits the same vertices in the same order on both paths;
+* vertex ids follow the graph's insertion order, so RNG-driven vertex
+  draws and id-order scans depend only on the order vertices were added;
 * :attr:`CSRGraph.rank` maps each id to the position of its label in
-  *sorted label order*.  The dict kernels' heaps break gain ties by
-  comparing labels; the CSR kernels break them by comparing ranks, which
-  orders identically.  When labels are not mutually comparable (mixed
-  ``int`` and ``str``, say) the rank is insertion order instead — the
-  dict kernels would fail on such a tie, so this order is a definition,
-  not a reproduction, and it depends on nothing but the label sequence.
+  *sorted label order*, and the kernels break gain ties by comparing
+  ranks.  When labels are not mutually comparable (mixed ``int`` and
+  ``str``, say) the rank is insertion order instead; either way it
+  depends on nothing but the label sequence.
 
-``REPRO_KERNEL=dict`` (see :mod:`repro.kernels`) runs the label-keyed
-reference kernels instead; the equivalence test matrix uses it to prove
-both paths produce identical cuts, assignments, and traces.
+The kernel backends (see :mod:`repro.kernels`) all read this view and
+make identical decisions.
 """
 
 from __future__ import annotations

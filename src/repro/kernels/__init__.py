@@ -1,31 +1,26 @@
-"""Batch gain/flip kernels over the CSR arrays, behind a backend switch.
+"""Batch gain/flip kernel backends over the CSR arrays.
 
 The partition heuristics (:mod:`repro.partition.kl`,
 :mod:`repro.partition.fm`, :mod:`repro.partition.annealing.sa`) run their
-inner loops through one of three interchangeable *kernel backends*:
+inner loops over the flat ``indptr`` / ``indices`` / ``edge_weight``
+buffers of the cached :class:`~repro.graphs.csr.CSRGraph`, through one of
+two interchangeable *kernel backends*:
 
-``dict``
-    The label-keyed reference kernels that live with each heuristic.
-    Slowest, simplest, and the determinism anchor everything else is
-    checked against.
 ``array``
-    Pure-stdlib kernels over the flat ``indptr`` / ``indices`` /
-    ``edge_weight`` buffers of the cached
-    :class:`~repro.graphs.csr.CSRGraph` (plain-list mirrors in the hot
-    loops, ``array('q')`` canonical storage).  The default.
+    Pure-stdlib kernels (plain-list mirrors in the hot loops,
+    ``array('q')`` canonical storage).  The default.
 ``numpy``
     The array kernels with numpy used for the *batch* stages — gain
-    initialization via ``np.add.reduceat``, cut/side-weight recounts,
-    and bulk lagged-Fibonacci stream generation.  Falls back to
-    ``array`` when numpy is not installed; never changes a decision.
+    initialization via prefix sums, cut/side-weight recounts, and bulk
+    lagged-Fibonacci stream generation.  Falls back to ``array`` when
+    numpy is not installed; never changes a decision.
 
-Every backend is held to the same contract the CSR equivalence matrix
-enforces: identical cuts, assignments, pass/temperature traces, and RNG
-stream consumption, bit for bit.  The switch is the ``REPRO_KERNEL``
-environment variable (checked at kernel entry, so tests flip it per
-call), and it is the only one: every label type runs on the CSR
-kernels unless ``REPRO_KERNEL=dict`` asks for the reference kernels.
-SA's ``swap`` neighbourhood has no CSR kernel and always runs on dict.
+Both backends produce identical cuts, assignments, pass/temperature
+traces, and RNG stream consumption, bit for bit.  Correctness is
+anchored by the committed goldens (``tests/core/ckl_goldens.json``) and
+the oracles of :mod:`repro.verify`, not by a second implementation.  The
+switch is the ``REPRO_KERNEL`` environment variable,
+checked at kernel entry, so tests flip it per call.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ __all__ = [
 ]
 
 KERNEL_ENV = "REPRO_KERNEL"
-BACKENDS = ("dict", "array", "numpy")
+BACKENDS = ("array", "numpy")
 
 try:  # an optional accelerator, never a requirement
     import numpy as _np
@@ -54,7 +49,7 @@ def numpy_available() -> bool:
 
 
 def kernel_backend() -> str:
-    """The active kernel backend name (``dict`` | ``array`` | ``numpy``).
+    """The active kernel backend name (``array`` | ``numpy``).
 
     ``REPRO_KERNEL=numpy`` silently degrades to ``array`` when numpy is
     missing, so a config written on one host stays valid on another.

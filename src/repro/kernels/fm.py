@@ -1,14 +1,14 @@
 """The FM single-move sweep over the CSR arrays (bucket-list selection).
 
-The dict kernel's per-side lazy heaps become true O(1) *bucket lists*:
+Each side keeps O(1) *bucket lists* instead of a lazy heap:
 ``buckets[side][gain + B]`` holds a min-heap of label ranks (gains are
 bounded by the maximum weighted degree ``B``, so ``2B + 1`` buckets
 always suffice).  A ``maxoff`` cursor per side tracks the highest
 possibly-occupied bucket; pushes raise it, selection walks it down.
 Walking offsets descending and popping ranks ascending visits fresh
-candidates in exactly the dict heaps' ``(-gain, label)`` order, so the
-first legal candidate found is the same vertex the dict kernel picks.
-A gain update is an O(1) bucket push instead of an O(log n) heap sift.
+candidates in ``(-gain, rank)`` order, so the first legal candidate
+found is the best-gain, lowest-rank legal vertex.  A gain update is an
+O(1) bucket push instead of an O(log n) heap sift.
 
 Gain initialization goes through :mod:`repro.kernels.gains`, so the
 numpy backend batches it; the sweep itself is scalar on every backend
@@ -34,7 +34,7 @@ def fm_pass_csr(
     stats: dict | None = None,
     backend: str = "array",
 ) -> tuple[int, int]:
-    """One FM pass over the CSR arrays; decision-identical to the dict kernel."""
+    """One FM pass over the CSR arrays; mutates ``assignment``."""
     n = csr.num_vertices
     labels = csr.labels
     rank = csr.rank
@@ -77,7 +77,7 @@ def fm_pass_csr(
     best_deviation = start_dev
     best_deviation_k = 0
     best_deviation_gain = 0
-    stale = 0  # obs only, as in the dict kernel
+    stale = 0  # obs only: superseded/locked entries discarded
     stashed = 0
 
     def next_allowed(side: int):
@@ -85,7 +85,7 @@ def fm_pass_csr(
 
         With uniform vertex weights every candidate on a side is equally
         (il)legal, so legality is one check per call; otherwise illegal
-        entries are stashed and restored, as in the dict kernel.
+        entries are stashed and restored.
         """
         nonlocal stale, stashed
         bks = buckets[side]
@@ -142,8 +142,8 @@ def fm_pass_csr(
         cand1 = next_allowed(1)
         if cand0 is None and cand1 is None:
             break
-        # The dict kernel compares only the gains across sides (labels never
-        # enter the cross-side comparison), so equal gains choose side 0.
+        # Only the gains are compared across sides (ranks never enter the
+        # cross-side comparison), so equal gains choose side 0.
         if cand1 is None or (cand0 is not None and cand0[0] >= cand1[0]):
             chosen, other, side_v = cand0, cand1, 0
         else:

@@ -3,21 +3,20 @@
 Heap entries are single ints: ``key = (B - gain) * n + rank``, where B is
 the graph's maximum weighted degree (a bound on |gain| at all times) and
 rank orders ids by label.  Ascending int order is exactly ascending
-``(-gain, label)`` tuple order, so pops agree with the dict kernel entry
-for entry — at one machine-int comparison per sift instead of a tuple
-compare.
+``(-gain, rank)`` order — at one machine-int comparison per sift
+instead of a tuple compare.
 
-Selection only has to *return* the same pair as the dict kernel, not pop
-the same entries: the chosen pair is a pure function of the current
-gains/locked state (argmax in (gain desc, label asc) scan order with
+Selection only has to *return* the defined pair, not pop entries in a
+fixed order: the chosen pair is a pure function of the current
+gains/locked state (argmax in (gain desc, rank asc) scan order with
 strict improvement), and stale heap entries are inert until discarded.
 That freedom lets these kernels check the ``g_ab <= g_a + g_b`` bound
 *before* pulling another candidate, so on sparse graphs — where the two
 top candidates are usually not adjacent and therefore already optimal —
 a selection costs exactly two pops and one adjacency probe.
 
-Two batch-level refinements over the previous in-module kernels, shared
-by the single-class kernel and the multi-class one contracted graphs use:
+Two batch-level refinements, shared by the single-class kernel and the
+multi-class one contracted graphs use:
 
 * a ``curkey`` freshness array — ``curkey[v]`` is v's only live packed
   key (or -1 once locked), making the staleness test one list index and

@@ -1,9 +1,8 @@
-"""The SA flip-neighborhood Metropolis sweep over the CSR arrays.
+"""The SA Metropolis sweeps over the CSR arrays: flip and swap moves.
 
-This is the hottest loop in the package (~1e6 attempted moves per run at
-2n=5000).  Three layers of batching keep it decision-identical to the
-dict walk in :mod:`repro.partition.annealing.sa` while removing per-move
-overhead:
+The flip walk is the hottest loop in the package (~1e6 attempted moves
+per run at 2n=5000).  Three layers of batching remove per-move overhead
+without changing a decision:
 
 * **Buffered RNG stream.**  When the generator is our lagged Fibonacci,
   raw 64-bit values are produced in blocks (:mod:`repro.kernels.lfg`)
@@ -12,20 +11,23 @@ overhead:
   scheme as ``_randbelow``; the uniform draw compares the raw 53-bit
   mantissa against ``exp(-delta/T) * 2**53`` — multiplying both sides of
   ``(value >> 11) * 2**-53 >= exp(...)`` by the power of two is exact in
-  IEEE double arithmetic, so the comparison is bitwise the dict path's.
+  IEEE double arithmetic, so the comparison is bitwise ``rng.random()``'s.
 * **Per-side penalty precompute.**  On unit-vertex-weight graphs the
   imbalance penalty of a flip depends only on the mover's side:
   ``alpha * ((diff -+ 2)**2 - diff**2)`` collapses to one of two floats
   recomputed per accepted move — the same product of ``alpha`` with the
-  same integer, hence the same float, as the dict path's expression.
+  same integer, hence the same float, as the weighted-graph expression
+  ``alpha * (new_diff * new_diff - diff * diff)``.
 * **Per-temperature exp memo.**  ``math.exp`` is deterministic, so the
   acceptance threshold for a given uphill delta is cached per
   temperature (``delta`` values repeat heavily: gains are small ints).
   ``math.exp`` is always the decision source — never ``np.exp``, which
   is not guaranteed bit-identical.
 
-The generic sweep (non-lagged-Fibonacci generators) keeps the previous
-inline path, consuming identical ``_randbelow``/``random`` draws.
+The generic flip sweep (non-lagged-Fibonacci generators) consumes the
+same ``_randbelow``/``random`` draws inline.  The swap walk (exchange one
+vertex from each side) is not batched: it draws through
+``rng.randrange``/``rng.random`` directly.
 """
 
 from __future__ import annotations
@@ -33,21 +35,22 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import mul
 
 from ..graphs.csr import CSRGraph
 from ..rng import LaggedFibonacciRandom
 from . import gains as gain_kernels
 from .lfg import fill_block, fill_block_numpy, history, restore_state
 
-__all__ = ["FlipWalk", "flip_walk"]
+__all__ = ["SAWalk", "flip_walk", "swap_walk"]
 
 _BLOCK = 4096
 _TWO53 = 9007199254740992.0
 
 
 @dataclass
-class FlipWalk:
-    """Raw outcome of the Metropolis sweep (id-indexed; no label types).
+class SAWalk:
+    """Raw outcome of a Metropolis sweep (id-indexed; no label types).
 
     ``best_sides`` is ``None`` when the walk never visited a balanced
     state; ``sides`` is the final (possibly unbalanced) configuration the
@@ -76,7 +79,7 @@ def flip_walk(
     balance_tolerance: int,
     record_trace: bool,
     backend: str,
-) -> FlipWalk:
+) -> SAWalk:
     """Run the annealing flip walk to freezing; mutates and returns ``sides``."""
     if type(rng) is LaggedFibonacciRandom:
         return _flip_walk_buffered(
@@ -101,7 +104,7 @@ def _flip_walk_buffered(
     balance_tolerance: int,
     record_trace: bool,
     backend: str,
-) -> FlipWalk:
+) -> SAWalk:
     n = csr.num_vertices
     nbrs = csr.neighbor_lists()
     wts = None if csr.unit_edge_weights else csr.weight_lists()
@@ -277,7 +280,7 @@ def _flip_walk_buffered(
         window = prev_tail[p:] + buf[:p]
     restore_state(rng, idx0, total, window)
 
-    return FlipWalk(
+    return SAWalk(
         sides=sides,
         best_sides=best_sides,
         cut=cut,
@@ -301,12 +304,11 @@ def _flip_walk_generic(
     balance_tolerance: int,
     record_trace: bool,
     backend: str,
-) -> FlipWalk:
+) -> SAWalk:
     """The sweep for arbitrary generators (``random.Random`` et al.).
 
-    Consumes ``rng._randbelow``/``rng.random`` exactly as the dict walk
-    does; only the state representation (id lists vs label dicts)
-    differs.
+    Draws one ``rng._randbelow(n)`` per attempt and one ``rng.random()``
+    per uphill delta, the same stream the buffered sweep replays.
     """
     n = csr.num_vertices
     nbrs = csr.neighbor_lists()
@@ -383,7 +385,123 @@ def _flip_walk_generic(
             stale = 0
         temperature = schedule.next_temperature(temperature)
 
-    return FlipWalk(
+    return SAWalk(
+        sides=sides,
+        best_sides=best_sides,
+        cut=cut,
+        attempted=attempted,
+        accepted=accepted,
+        temperatures=temperatures,
+        final_temperature=temperature,
+        trace=trace,
+    )
+
+
+def swap_walk(
+    csr: CSRGraph,
+    sides: list[int],
+    cut: int,
+    diff: int,
+    temperature: float,
+    rng: random.Random,
+    schedule,
+    alpha: float,
+    balance_tolerance: int,
+    record_trace: bool,
+) -> SAWalk:
+    """Run the annealing swap walk to freezing; mutates and returns ``sides``.
+
+    Each move exchanges ``a`` (side 0) with ``b`` (side 1), drawn by
+    ``rng.randrange`` over per-side id lists built in id order; an
+    accepted swap trades the two list slots in place.  The swap cut delta
+    is both flip deltas plus ``2 w(a, b)`` (the shared edge stays cut).
+    """
+    n = csr.num_vertices
+    nbrs = csr.neighbor_lists()
+    wts = None if csr.unit_edge_weights else csr.weight_lists()
+    wdeg = csr.weighted_degrees()
+    adj = csr.adjacency_maps()
+    vweights = csr.vertex_weight_list()
+    sides_get = sides.__getitem__
+
+    side_lists: tuple[list[int], list[int]] = ([], [])
+    for i, side in enumerate(sides):
+        side_lists[side].append(i)
+    left, right = side_lists
+    if not left or not right:
+        raise ValueError("swap neighborhood needs vertices on both sides")
+
+    def side1_weight(i: int) -> int:
+        if wts is None:
+            return sum(map(sides_get, nbrs[i]))
+        return sum(map(mul, wts[i], map(sides_get, nbrs[i])))
+
+    best_cut = cut if abs(diff) <= balance_tolerance else None
+    best_sides = sides.copy() if best_cut is not None else None
+
+    moves_per_temp = schedule.moves_per_temperature(n)
+    cutoff = schedule.acceptance_cutoff(n)
+
+    attempted = accepted = 0
+    temperatures = 0
+    stale = 0
+    trace: list[tuple[float, float, int]] = []
+
+    rand = rng.random
+    randrange = rng.randrange
+    exp = math.exp
+
+    while not schedule.is_frozen(stale, temperature):
+        if temperatures >= schedule.max_temperatures:
+            break
+        accepted_here = 0
+        attempted_here = 0
+        improved_best = False
+        for _ in range(moves_per_temp):
+            if cutoff is not None and accepted_here >= cutoff:
+                break  # Johnson's cutoff: this temperature equilibrated
+            attempted_here += 1
+            i = randrange(len(left))
+            j = randrange(len(right))
+            a = left[i]
+            b = right[j]
+            # Flip deltas: (same-side weight) - (other-side weight).
+            cut_delta = (
+                wdeg[a] - 2 * side1_weight(a)
+                + 2 * side1_weight(b) - wdeg[b]
+                + 2 * adj[a].get(b, 0)
+            )
+            new_diff = diff - 2 * vweights[a] + 2 * vweights[b]
+            delta = cut_delta + alpha * (new_diff * new_diff - diff * diff)
+            if delta > 0:
+                if rand() >= exp(-delta / temperature):
+                    continue
+            sides[a] = 1
+            sides[b] = 0
+            left[i] = b
+            right[j] = a
+            cut += cut_delta
+            diff = new_diff
+            accepted_here += 1
+            if abs(diff) <= balance_tolerance and (
+                best_cut is None or cut < best_cut
+            ):
+                best_cut = cut
+                best_sides = sides.copy()
+                improved_best = True
+        attempted += attempted_here
+        accepted += accepted_here
+        ratio = accepted_here / attempted_here if attempted_here else 0.0
+        if record_trace:
+            trace.append((temperature, ratio, cut))
+        temperatures += 1
+        if ratio < schedule.min_acceptance and not improved_best:
+            stale += 1
+        else:
+            stale = 0
+        temperature = schedule.next_temperature(temperature)
+
+    return SAWalk(
         sides=sides,
         best_sides=best_sides,
         cut=cut,

@@ -41,13 +41,15 @@ def _fmt_num(value: Any) -> str:
 
 def _header(ledger: dict[str, Any]) -> list[str]:
     env = ledger.get("env", {})
+    # Older ledgers record only whether the CSR kernels ran (env.csr).
+    backend = f"kernel={env['kernel']}" if "kernel" in env else f"csr={env.get('csr')}"
     started = time.strftime(
         "%Y-%m-%d %H:%M:%S", time.localtime(ledger.get("started_at", 0))
     )
     lines = [
         f"run {ledger.get('run_id', '?')}",
         f"  started  {started}   wall {ledger.get('wall_seconds', 0.0):.3f}s",
-        f"  env      obs={env.get('obs')} csr={env.get('csr')}"
+        f"  env      obs={env.get('obs')} {backend}"
         + (f" scale={env['scale']}" if env.get("scale") else ""),
     ]
     if ledger.get("argv"):

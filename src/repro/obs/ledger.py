@@ -1,9 +1,9 @@
 """Run ledgers: one summary JSON per run, content-addressed next to the cache.
 
 A ledger freezes everything observable about one run — wall time, the
-environment toggles that shape behaviour (``REPRO_OBS``, and ``REPRO_KERNEL``
-as ``env.csr``: false only for the ``dict`` reference kernels),
-the workload descriptor, counter/gauge/histogram values, and per-span-name
+environment toggles that shape behaviour (``REPRO_OBS``, and the
+``REPRO_KERNEL`` backend as ``env.kernel``; ledgers written before the
+backend was recorded carry a boolean ``env.csr`` instead), the workload descriptor, counter/gauge/histogram values, and per-span-name
 time totals — into a single JSON document that ``repro-bisect stats`` can
 render or diff later.  Ledgers are what make "why did this run get
 slower?" answerable after the fact: diff two ledgers of the same workload
@@ -111,7 +111,7 @@ def build_ledger(
         "workload": dict(run.workload),
         "env": {
             "obs": obs_enabled(),
-            "csr": kernel_backend() != "dict",
+            "kernel": kernel_backend(),
             "scale": os.environ.get("REPRO_SCALE"),
             "python": sys.version.split()[0],
         },

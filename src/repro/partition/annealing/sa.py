@@ -19,10 +19,8 @@ Two details the paper's Section VII calls out are implemented here:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-
 from operator import mul
 
 from ...graphs.csr import CSRGraph, csr_view
@@ -30,11 +28,11 @@ from ...graphs.graph import Graph
 from ...kernels import kernel_backend
 from ...kernels.gains import cut_weight as kernel_cut_weight
 from ...kernels.gains import side_weights as kernel_side_weights
-from ...kernels.sa import flip_walk
+from ...kernels.sa import flip_walk, swap_walk
 from ...obs import counter, gauge, histogram, obs_enabled, span
 from ...obs.metrics import RATIO_BUCKETS
 from ...rng import resolve_rng
-from ..bisection import Bisection, cut_weight, default_tolerance, rebalance, side_weights
+from ..bisection import Bisection, default_tolerance, rebalance
 from ..random_init import random_assignment
 from .cost import BalanceCost
 from .schedule import AnnealingSchedule, estimate_initial_temperature
@@ -82,33 +80,7 @@ class SAResult:
         return self.moves_accepted / self.moves_attempted
 
 
-def _sample_initial_temperature(
-    graph: Graph,
-    assignment: dict,
-    vertices: list,
-    cost: BalanceCost,
-    schedule: AnnealingSchedule,
-    rng: random.Random,
-) -> float:
-    """Estimate T0 from the uphill deltas of a burst of random trial moves."""
-    w0, w1 = side_weights(graph, assignment)
-    diff = w0 - w1
-    deltas = []
-    sample_size = min(max(200, graph.num_vertices), 4 * graph.num_vertices)
-    for _ in range(sample_size):
-        v = vertices[rng.randrange(len(vertices))]
-        side_v = assignment[v]
-        cut_delta = 0
-        for u, w in graph.neighbor_items(v):
-            cut_delta += w if assignment[u] == side_v else -w
-        signed_weight = graph.vertex_weight(v) if side_v == 0 else -graph.vertex_weight(v)
-        delta = cost.move_delta(cut_delta, diff, signed_weight)
-        if delta > 0:
-            deltas.append(delta)
-    return estimate_initial_temperature(deltas, schedule.initial_acceptance)
-
-
-def _sample_initial_temperature_csr(
+def _sample_t0(
     csr: CSRGraph,
     sides: list[int],
     diff: int,
@@ -116,11 +88,11 @@ def _sample_initial_temperature_csr(
     schedule: AnnealingSchedule,
     rng: random.Random,
 ) -> float:
-    """CSR twin of :func:`_sample_initial_temperature`.
+    """Estimate T0 from the uphill deltas of a burst of random trial flips.
 
-    Consumes the same ``rng.randrange`` draws over the same insertion-order
-    vertex indexing and funnels each trial through ``cost.move_delta``
-    verbatim, so the estimated T0 is bit-identical to the dict path's.
+    Each trial draws ``rng.randrange(n)`` and scores that vertex's flip
+    through ``cost.move_delta`` against the initial state; no trial is
+    applied.
     """
     n = csr.num_vertices
     sides_get = sides.__getitem__
@@ -138,8 +110,7 @@ def _sample_initial_temperature_csr(
             s1 = sum(map(sides_get, row))
         else:
             s1 = sum(map(mul, wts[i], map(sides_get, row)))
-        # cut_delta is (same-side weight) - (other-side weight), as in the
-        # dict kernel's accumulation.
+        # cut_delta is (same-side weight) - (other-side weight).
         cut_delta = wdeg[i] - 2 * s1 if sides[i] == 0 else 2 * s1 - wdeg[i]
         signed_weight = vweights[i] if sides[i] == 0 else -vweights[i]
         delta = cost.move_delta(cut_delta, diff, signed_weight)
@@ -148,27 +119,24 @@ def _sample_initial_temperature_csr(
     return estimate_initial_temperature(deltas, schedule.initial_acceptance)
 
 
-def _anneal_flip_csr(
+def _anneal_csr(
     graph: Graph,
     assignment: dict,
     rng: random.Random,
     schedule: AnnealingSchedule,
     cost: BalanceCost,
     balance_tolerance: int,
+    neighborhood: str,
     record_trace: bool,
-    backend: str,
 ) -> SAResult:
-    """The flip-neighborhood Metropolis walk over the CSR view.
+    """The Metropolis walk over the CSR view, flip or swap moves.
 
-    Bit-identical to the dict loop in :func:`simulated_annealing`: vertex
-    ids follow insertion order so the index draws pick the same vertices,
-    the uniform draw is consumed under exactly the same condition
-    (``delta > 0``), and every decision float is computed from the same
-    expressions.  The sweep itself lives in :mod:`repro.kernels.sa`
-    (buffered lagged-Fibonacci stream, per-side penalty precompute,
-    per-temperature exp memo); this wrapper owns the framing — initial
-    state, T0 sampling, and the result envelope.
+    Vertex ids follow insertion order, so the index draws of T0 sampling
+    and of the walk pick vertices in a label-independent way.  The sweeps
+    live in :mod:`repro.kernels.sa`; this wrapper owns the framing —
+    initial state, T0 sampling, and the result envelope.
     """
+    backend = kernel_backend()
     csr = csr_view(graph)
     sides = csr.sides_list(assignment)
 
@@ -178,23 +146,17 @@ def _anneal_flip_csr(
     diff = w0 - w1
     initial_imbalance = abs(diff)
 
-    temperature = _sample_initial_temperature_csr(csr, sides, diff, cost, schedule, rng)
+    temperature = _sample_t0(csr, sides, diff, cost, schedule, rng)
 
-    walk = flip_walk(
-        csr,
-        sides,
-        cut,
-        diff,
-        temperature,
-        rng,
-        schedule,
-        cost.alpha,
-        balance_tolerance,
-        record_trace,
-        backend,
+    args = (
+        csr, sides, cut, diff, temperature, rng, schedule, cost.alpha,
+        balance_tolerance, record_trace,
     )
+    walk = flip_walk(*args, backend) if neighborhood == "flip" else swap_walk(*args)
 
     if walk.best_sides is None:
+        # The walk never touched a balanced state (possible with a tiny
+        # alpha); repair the final incumbent instead.
         best_assignment = rebalance(
             graph, csr.assignment_dict(walk.sides), balance_tolerance, rng
         )
@@ -241,10 +203,8 @@ def simulated_annealing(
     ``record_trace=False`` skips collecting ``temperature_trace`` (the
     run itself is unaffected — the trace is purely diagnostic).
 
-    The flip neighborhood runs on the graph's CSR view unless
-    ``REPRO_KERNEL=dict``: every decision is RNG- and arithmetic-driven
-    over the same insertion-order vertex indexing, so the walk is
-    bit-identical to the dict path's.
+    Both neighborhoods run on the graph's CSR view; the ``REPRO_KERNEL``
+    backend only changes how batch stages are computed, never a decision.
     """
     with span("sa.run", vertices=graph.num_vertices, neighborhood=neighborhood):
         result = _simulated_annealing_impl(
@@ -304,130 +264,7 @@ def _simulated_annealing_impl(
     else:
         assignment = random_assignment(graph, rng)
 
-    backend = kernel_backend()
-    if neighborhood == "flip" and backend != "dict":
-        return _anneal_flip_csr(
-            graph, assignment, rng, schedule, cost, balance_tolerance, record_trace,
-            backend,
-        )
-
-    vertices = list(graph.vertices())
-    n = len(vertices)
-    weight = {v: graph.vertex_weight(v) for v in vertices}
-
-    cut = cut_weight(graph, assignment)
-    initial_cut = cut
-    w0, w1 = side_weights(graph, assignment)
-    diff = w0 - w1
-    initial_imbalance = abs(diff)
-
-    best_cut = cut if abs(diff) <= balance_tolerance else None
-    best_assignment = dict(assignment) if best_cut is not None else None
-
-    temperature = _sample_initial_temperature(graph, assignment, vertices, cost, schedule, rng)
-    initial_temperature = temperature
-    moves_per_temp = schedule.moves_per_temperature(n)
-    cutoff = schedule.acceptance_cutoff(n)
-
-    attempted = accepted = 0
-    temperatures = 0
-    stale = 0
-    trace: list[tuple[float, float, int]] = []
-
-    rand = rng.random
-    randrange = rng.randrange
-    alpha = cost.alpha
-
-    # Per-side vertex lists for the swap neighborhood (O(1) exchange).
-    side_lists: tuple[list, list] = ([], [])
-    if neighborhood == "swap":
-        for v in vertices:
-            side_lists[assignment[v]].append(v)
-        if not side_lists[0] or not side_lists[1]:
-            raise ValueError("swap neighborhood needs vertices on both sides")
-
-    def move_gain(v, side_v: int) -> int:
-        g = 0
-        for u, w in graph.neighbor_items(v):
-            g += w if assignment[u] == side_v else -w
-        return g
-
-    while not schedule.is_frozen(stale, temperature):
-        if temperatures >= schedule.max_temperatures:
-            break
-        accepted_here = 0
-        attempted_here = 0
-        improved_best = False
-        for _ in range(moves_per_temp):
-            if cutoff is not None and accepted_here >= cutoff:
-                break  # Johnson's cutoff: this temperature has equilibrated
-            attempted_here += 1
-            if neighborhood == "flip":
-                v = vertices[randrange(n)]
-                side_v = assignment[v]
-                cut_delta = move_gain(v, side_v)
-                wv = weight[v]
-                new_diff = diff - 2 * wv if side_v == 0 else diff + 2 * wv
-                delta = cut_delta + alpha * (new_diff * new_diff - diff * diff)
-                if delta <= 0 or rand() < math.exp(-delta / temperature):
-                    assignment[v] = 1 - side_v
-                    cut += cut_delta
-                    diff = new_diff
-                    accepted_here += 1
-                    if abs(diff) <= balance_tolerance and (
-                        best_cut is None or cut < best_cut
-                    ):
-                        best_cut = cut
-                        best_assignment = dict(assignment)
-                        improved_best = True
-            else:  # swap
-                i = randrange(len(side_lists[0]))
-                j = randrange(len(side_lists[1]))
-                a = side_lists[0][i]
-                b = side_lists[1][j]
-                cut_delta = move_gain(a, 0) + move_gain(b, 1) + 2 * graph.edge_weight(a, b)
-                new_diff = diff - 2 * weight[a] + 2 * weight[b]
-                delta = cut_delta + alpha * (new_diff * new_diff - diff * diff)
-                if delta <= 0 or rand() < math.exp(-delta / temperature):
-                    assignment[a] = 1
-                    assignment[b] = 0
-                    side_lists[0][i] = b
-                    side_lists[1][j] = a
-                    cut += cut_delta
-                    diff = new_diff
-                    accepted_here += 1
-                    if abs(diff) <= balance_tolerance and (
-                        best_cut is None or cut < best_cut
-                    ):
-                        best_cut = cut
-                        best_assignment = dict(assignment)
-                        improved_best = True
-        attempted += attempted_here
-        accepted += accepted_here
-        ratio = accepted_here / attempted_here if attempted_here else 0.0
-        if record_trace:
-            trace.append((temperature, ratio, cut))
-        temperatures += 1
-        if ratio < schedule.min_acceptance and not improved_best:
-            stale += 1
-        else:
-            stale = 0
-        temperature = schedule.next_temperature(temperature)
-
-    if best_assignment is None:
-        # The walk never touched a balanced state (possible with a tiny
-        # alpha); repair the final incumbent instead.
-        best_assignment = rebalance(graph, dict(assignment), balance_tolerance, rng)
-
-    return SAResult(
-        bisection=Bisection(graph, best_assignment),
-        initial_cut=initial_cut,
-        temperatures=temperatures,
-        moves_attempted=attempted,
-        moves_accepted=accepted,
-        final_temperature=temperature,
-        initial_temperature=initial_temperature,
-        temperature_trace=trace,
-        balance_tolerance=balance_tolerance,
-        initial_imbalance=initial_imbalance,
+    return _anneal_csr(
+        graph, assignment, rng, schedule, cost, balance_tolerance, neighborhood,
+        record_trace,
     )

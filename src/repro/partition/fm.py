@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 from ..graphs.csr import csr_view
 from ..graphs.graph import Graph
@@ -75,136 +74,6 @@ class FMResult:
         return trace
 
 
-def _fm_pass_dict(
-    graph: Graph,
-    assignment: dict,
-    strict_tol: int,
-    loose_tol: int,
-    target_diff: int = 0,
-    stats: dict | None = None,
-) -> tuple[int, int]:
-    """One FM pass over the dict adjacency (reference kernel)."""
-    gains: dict = {}
-    for v in graph.vertices():
-        side_v = assignment[v]
-        gains[v] = sum(
-            w if assignment[u] != side_v else -w for u, w in graph.neighbor_items(v)
-        )
-
-    heaps: tuple[list, list] = ([], [])
-    for v in graph.vertices():
-        heappush(heaps[assignment[v]], (-gains[v], v))
-
-    w0, w1 = side_weights(graph, assignment)
-    diff = w0 - w1
-    locked: set = set()
-    sequence: list = []  # moved vertices in order
-    running_gain = 0
-
-    def deviation(d: int) -> int:
-        return abs(d - target_diff)
-
-    start_balanced = deviation(diff) <= strict_tol
-    best_balanced_gain = 0 if start_balanced else None
-    best_balanced_k = 0
-    best_deviation = deviation(diff)
-    best_deviation_k = 0
-    best_deviation_gain = 0
-    stale = 0  # obs only: superseded/locked entries discarded
-    stashed = 0  # obs only: balance-illegal entries stashed and restored
-
-    def next_allowed(side: int):
-        """Pop the best unlocked, fresh, balance-legal vertex on ``side``.
-
-        Stale or illegal entries are discarded; an entry that is merely
-        illegal *now* was pushed again on every gain update, and vertices
-        never become illegal-forever while unlocked, because the loose
-        window always admits moves off the heavier side.
-        """
-        nonlocal stale, stashed
-        heap = heaps[side]
-        stash = []
-        found = None
-        while heap:
-            neg_gain, v = heappop(heap)
-            if v in locked or assignment[v] != side or gains[v] != -neg_gain:
-                stale += 1
-                continue
-            wv = graph.vertex_weight(v)
-            new_diff = diff - 2 * wv if side == 0 else diff + 2 * wv
-            if deviation(new_diff) <= loose_tol or deviation(new_diff) < deviation(diff):
-                found = (neg_gain, v)
-                break
-            stash.append((neg_gain, v))
-        stashed += len(stash)
-        for item in stash:
-            heappush(heap, item)
-        return found
-
-    num_vertices = graph.num_vertices
-    while len(sequence) < num_vertices:
-        cand0 = next_allowed(0)
-        cand1 = next_allowed(1)
-        if cand0 is None and cand1 is None:
-            break
-        if cand1 is None or (cand0 is not None and cand0[0] <= cand1[0]):
-            chosen, other = cand0, cand1
-        else:
-            chosen, other = cand1, cand0
-        if other is not None:
-            heappush(heaps[assignment[other[1]]], other)
-
-        _, v = chosen
-        side_v = assignment[v]
-        gain_v = gains[v]
-        wv = graph.vertex_weight(v)
-        locked.add(v)
-        assignment[v] = 1 - side_v
-        diff = diff - 2 * wv if side_v == 0 else diff + 2 * wv
-        running_gain += gain_v
-        sequence.append(v)
-
-        for u, w in graph.neighbor_items(v):
-            if u in locked:
-                continue
-            # v left u's side (edge now cut) or joined it (edge now internal).
-            gains[u] += 2 * w if assignment[u] == side_v else -2 * w
-            heappush(heaps[assignment[u]], (-gains[u], u))
-        gains[v] = -gain_v
-
-        k = len(sequence)
-        dev = deviation(diff)
-        if dev <= strict_tol:
-            if best_balanced_gain is None or running_gain > best_balanced_gain:
-                best_balanced_gain = running_gain
-                best_balanced_k = k
-        if dev < best_deviation or (dev == best_deviation and running_gain > best_deviation_gain):
-            best_deviation = dev
-            best_deviation_k = k
-            best_deviation_gain = running_gain
-
-    if best_balanced_gain is not None:
-        keep, applied = best_balanced_k, best_balanced_gain
-    else:
-        # No strictly balanced prefix reachable; take the closest-to-target one.
-        keep, applied = best_deviation_k, best_deviation_gain
-    for v in reversed(sequence[keep:]):
-        assignment[v] = 1 - assignment[v]
-    if stats is not None:
-        _accumulate_pass_stats(
-            stats, considered=len(sequence), stale=stale, stashed=stashed
-        )
-    return applied, keep
-
-
-def _accumulate_pass_stats(
-    stats: dict, *, considered: int, stale: int, stashed: int
-) -> None:
-    stats["moves_considered"] = stats.get("moves_considered", 0) + considered
-    stats["stale_pops"] = stats.get("stale_pops", 0) + stale
-    stats["stash_restores"] = stats.get("stash_restores", 0) + stashed
-
-
 def _fm_pass(
     graph: Graph,
     assignment: dict,
@@ -218,16 +87,13 @@ def _fm_pass(
     "Balance" throughout is the deviation ``|w0 - w1 - target_diff|``;
     ``target_diff = 0`` is the ordinary bisection case.  ``applied_gain``
     is relative to the cut at pass entry and may be negative when the pass
-    was used to repair balance.  Dispatches to the CSR bucket-list kernel
-    when enabled; both kernels make identical decisions.
+    was used to repair balance.  The pass runs on the CSR bucket-list
+    kernel (:mod:`repro.kernels.fm`).
     """
-    backend = kernel_backend()
-    if backend != "dict":
-        return fm_pass_csr(
-            csr_view(graph), assignment, strict_tol, loose_tol, target_diff, stats,
-            backend,
-        )
-    return _fm_pass_dict(graph, assignment, strict_tol, loose_tol, target_diff, stats)
+    return fm_pass_csr(
+        csr_view(graph), assignment, strict_tol, loose_tol, target_diff, stats,
+        kernel_backend(),
+    )
 
 
 def fiduccia_mattheyses(
@@ -280,8 +146,7 @@ def fiduccia_mattheyses(
     max_weight = max(graph.vertex_weight(v) for v in graph.vertices())
     loose_tol = max(strict_tol, 2 * max_weight)
 
-    if kernel_backend() != "dict":
-        csr_view(graph)  # compile once up front; cut/side weights reuse it
+    csr_view(graph)  # compile once up front; cut/side weights reuse it
 
     initial_cut = cut_weight(graph, assignment)
     cut = initial_cut

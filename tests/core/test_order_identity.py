@@ -25,7 +25,6 @@ from repro.core.pipeline import ckl, csa
 from repro.graphs.csr import csr_view
 from repro.graphs.generators import gbreg, gnp_with_degree
 from repro.graphs.graph import Graph
-from repro.kernels import kernel_backend
 from repro.partition.annealing import AnnealingSchedule
 from repro.partition.fm import fiduccia_mattheyses
 from repro.partition.kl import kernighan_lin
@@ -171,11 +170,8 @@ BISECTORS = {
 
 @pytest.mark.parametrize("algorithm", sorted(BISECTORS))
 @pytest.mark.parametrize("seed", (0, 1, 2))
-def test_mixed_labels_pass_the_oracles(monkeypatch, algorithm, seed):
-    # The dict reference kernels break gain ties by comparing labels,
-    # which mixed labels cannot do; they run on a CSR backend.
-    if kernel_backend() == "dict":
-        monkeypatch.setenv("REPRO_KERNEL", "array")
+def test_mixed_labels_pass_the_oracles(algorithm, seed):
+    # Mixed labels do not sort; gain ties break by insertion-order rank.
     graph = _mixed(seed)
     result = BISECTORS[algorithm](graph, rng=seed)
     assert check_result(graph, result) == []

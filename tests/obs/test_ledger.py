@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.kernels import kernel_backend
 from repro.obs import (
     LEDGER_SCHEMA,
     build_ledger,
@@ -21,6 +22,7 @@ from repro.obs import (
     validate_ledger,
     write_ledger,
 )
+from repro.obs.dashboard import render_ledger, render_ledger_diff
 
 
 def _make_ledger(workload=None, swaps=10, wall_gauge=0.5):
@@ -40,7 +42,7 @@ class TestBuildLedger:
         assert ledger["schema"] == LEDGER_SCHEMA
         assert ledger["kind"] == "ledger"
         assert ledger["env"]["obs"] is True
-        assert isinstance(ledger["env"]["csr"], bool)
+        assert ledger["env"]["kernel"] == kernel_backend()
         assert ledger["argv"] == ["table", "gbreg-d3"]
         assert ledger["counters"] == {"kl_swaps_total": 10}
         assert ledger["gauges"]["compaction_ratio"] == 0.5
@@ -126,6 +128,15 @@ class TestDiff:
         new = _make_ledger(workload={"command": "report"})
         assert diff_ledgers(old, new)["same_workload"] is False
 
+    def test_kernel_backend_change_is_an_env_change(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "array")
+        old = _make_ledger()
+        new = _make_ledger()
+        new["env"]["kernel"] = "numpy"
+        report = diff_ledgers(old, new)
+        assert report["env_changes"]["kernel"] == ["array", "numpy"]
+        assert "kernel: 'array' -> 'numpy'" in render_ledger_diff(report)
+
     def test_refuses_instrumented_vs_uninstrumented(self, monkeypatch):
         instrumented = _make_ledger()
         monkeypatch.setenv("REPRO_OBS", "0")
@@ -140,6 +151,13 @@ class TestDiff:
 class TestValidation:
     def test_real_ledger_is_valid(self):
         assert validate_ledger(_make_ledger()) == []
+
+    def test_ledger_with_legacy_csr_flag_is_valid_and_renders(self):
+        ledger = _make_ledger()
+        del ledger["env"]["kernel"]
+        ledger["env"]["csr"] = True
+        assert validate_ledger(ledger) == []
+        assert "csr=True" in render_ledger(ledger)
 
     def test_missing_required_key_is_a_violation(self):
         ledger = _make_ledger()

@@ -1,14 +1,14 @@
-"""Kernel-backend equivalence matrix (dict / array / numpy).
+"""Kernel-backend equivalence matrix (array / numpy).
 
-The CSR kernels promise *bitwise identical* behaviour to the dict
-reference kernels: same cuts, same assignments, same pass gains and
-temperature traces, from the same seed.  This matrix runs every
-partition algorithm under each ``REPRO_KERNEL`` backend across graph
-families (regular, sparse random, weighted/contracted, string labels)
-and seeds, and compares the full result objects.  A second matrix runs
-the default backend and the dict reference on one graph object, so the
-dict run sees the CSR the default run compiled and cached.  A third
-holds instrumentation (``REPRO_OBS``) to the same standard.
+The kernel backends promise *bitwise identical* behaviour: same cuts,
+same assignments, same pass gains and temperature traces, from the same
+seed.  This matrix runs every partition algorithm under each
+``REPRO_KERNEL`` backend across graph families (regular, sparse random,
+weighted/contracted, string labels) and seeds, and compares the full
+result objects.  A second matrix runs the unset default and then
+``numpy`` on one graph object, so the second run starts from the CSR and
+list mirrors the first run cached.  A third holds instrumentation
+(``REPRO_OBS``) to the same standard.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.partition.kl import kernighan_lin
 from repro.rng import LaggedFibonacciRandom
 
 SCHEDULE = AnnealingSchedule(size_factor=2, max_temperatures=60)
-BACKENDS = ("dict", "array") + (("numpy",) if numpy_available() else ())
+BACKENDS = ("array",) + (("numpy",) if numpy_available() else ())
 
 
 def _gbreg_graph(seed):
@@ -105,32 +105,31 @@ def _run_backends(monkeypatch, build, seed, run):
     return results
 
 
-def _run_default_then_dict(monkeypatch, build, seed, run):
-    """Run ``run`` with ``REPRO_KERNEL`` unset, then under ``dict``.
+def _run_default_then_numpy(monkeypatch, build, seed, run):
+    """Run ``run`` with ``REPRO_KERNEL`` unset, then under ``numpy``.
 
-    Both runs share one graph object, so the dict run starts with the
-    CSR snapshot the default run compiled already cached on the graph.
+    Both runs share one graph object, so the numpy run starts with the
+    CSR snapshot and list mirrors the default run cached on the graph.
     """
     graph = build(seed)
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     default_result = run(graph, seed)
-    monkeypatch.setenv("REPRO_KERNEL", "dict")
-    dict_result = run(graph, seed)
-    return default_result, dict_result
+    monkeypatch.setenv("REPRO_KERNEL", "numpy")
+    numpy_result = run(graph, seed)
+    return default_result, numpy_result
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", SEEDS)
 class TestEquivalenceMatrix:
-    """The default backend vs the dict reference on one shared graph.
+    """The unset default vs ``numpy`` on one shared graph.
 
-    A CSR left cached on the graph by an earlier run must not change
-    what the dict kernels decide, and the unset ``REPRO_KERNEL`` default
-    must give the reference answer.
+    A CSR and its list mirrors left cached on the graph by an earlier run
+    must not steer the next run: the second run must repeat the first.
     """
 
     def test_kl(self, monkeypatch, family, seed):
-        c, d = _run_default_then_dict(
+        c, d = _run_default_then_numpy(
             monkeypatch, FAMILIES[family], seed,
             lambda g, s: kernighan_lin(g, rng=s),
         )
@@ -138,7 +137,7 @@ class TestEquivalenceMatrix:
         assert d.swaps == c.swaps
 
     def test_fm(self, monkeypatch, family, seed):
-        c, d = _run_default_then_dict(
+        c, d = _run_default_then_numpy(
             monkeypatch, FAMILIES[family], seed,
             lambda g, s: fiduccia_mattheyses(g, rng=s),
         )
@@ -146,14 +145,14 @@ class TestEquivalenceMatrix:
         assert d.moves == c.moves
 
     def test_sa(self, monkeypatch, family, seed):
-        c, d = _run_default_then_dict(
+        c, d = _run_default_then_numpy(
             monkeypatch, FAMILIES[family], seed,
             lambda g, s: simulated_annealing(g, rng=s, schedule=SCHEDULE),
         )
         _assert_sa_equal(d, c)
 
     def test_ckl(self, monkeypatch, family, seed):
-        c, d = _run_default_then_dict(
+        c, d = _run_default_then_numpy(
             monkeypatch, FAMILIES[family], seed, lambda g, s: ckl(g, rng=s)
         )
         _assert_bisections_equal(d.bisection, c.bisection)
@@ -162,7 +161,7 @@ class TestEquivalenceMatrix:
         _assert_kl_like_equal(d.final_result, c.final_result)
 
     def test_csa(self, monkeypatch, family, seed):
-        c, d = _run_default_then_dict(
+        c, d = _run_default_then_numpy(
             monkeypatch, FAMILIES[family], seed,
             lambda g, s: csa(g, rng=s, schedule=SCHEDULE),
         )
@@ -175,7 +174,7 @@ class TestEquivalenceMatrix:
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", SEEDS)
 class TestKernelBackendMatrix:
-    """dict / array / numpy kernel backends: one answer, N engines.
+    """array / numpy kernel backends: one answer, N engines.
 
     ``REPRO_KERNEL`` picks the backend explicitly; every backend must
     agree on the full result object, counters and traces included.
@@ -296,12 +295,19 @@ class TestTraceOptOut:
         assert without.moves_attempted == with_trace.moves_attempted
         assert without.moves_accepted == with_trace.moves_accepted
 
-    def test_sa_record_trace_off_dict_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "dict")
-        result = simulated_annealing(
-            _gbreg_graph(0), rng=0, schedule=SCHEDULE, record_trace=False
+    def test_sa_record_trace_off_swap(self):
+        """The swap walk honours the opt-out and walks the same either way."""
+        with_trace = simulated_annealing(
+            _gbreg_graph(0), rng=0, schedule=SCHEDULE, neighborhood="swap"
         )
-        assert result.temperature_trace == []
+        without = simulated_annealing(
+            _gbreg_graph(0), rng=0, schedule=SCHEDULE, neighborhood="swap",
+            record_trace=False,
+        )
+        assert without.temperature_trace == []
+        assert with_trace.temperature_trace
+        assert without.bisection.assignment() == with_trace.bisection.assignment()
+        assert without.moves_attempted == with_trace.moves_attempted
 
     def test_csa_forwards_record_trace(self):
         result = csa(_gbreg_graph(0), rng=0, schedule=SCHEDULE, record_trace=False)

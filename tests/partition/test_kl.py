@@ -152,8 +152,8 @@ class TestKLWeighted:
 class TestKLSelectionCorrectness:
     """The pruned-heap selection must pick a true max-gain pair.
 
-    This targets the trickiest code in the package: `_select_pair`'s
-    early-termination bound.  We reconstruct the first selected pair of a
+    This targets the trickiest code in the package: the selection
+    kernels' early-termination bound.  We reconstruct the first selected pair of a
     pass and compare its gain against a brute-force argmax over all cross
     pairs.
     """
@@ -263,7 +263,7 @@ class TestKLSelectionCorrectness:
         assert gains[a] + gains[b] - 2 * g.edge_weight(a, b) == best
 
     @pytest.mark.parametrize("first_weight", [1, 2])
-    @pytest.mark.parametrize("kernel", ["array", "dict"])
+    @pytest.mark.parametrize("kernel", ["array", "numpy"])
     def test_equal_class_gains_first_appearing_weight_wins(
         self, monkeypatch, first_weight, kernel
     ):

@@ -182,6 +182,13 @@ class TestSwapNeighborhood:
         with pytest.raises(ValueError, match="neighborhood"):
             simulated_annealing(two_cliques, neighborhood="teleport")
 
+    def test_one_sided_start_rejected(self, two_cliques):
+        init = Bisection(two_cliques, {v: 0 for v in two_cliques.vertices()})
+        with pytest.raises(ValueError, match="both sides"):
+            simulated_annealing(
+                two_cliques, init=init, rng=24, schedule=FAST, neighborhood="swap"
+            )
+
     def test_quality_comparable_to_flip(self):
         sample = gbreg(200, 6, 3, rng=23)
         flip = min(

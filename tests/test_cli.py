@@ -78,10 +78,9 @@ class TestRun:
         assert "side 1:" in out
 
     @pytest.mark.parametrize("algorithm", ["kl", "fm", "ckl"])
-    def test_mixed_labels(self, graph_file, tmp_path, capsys, monkeypatch, algorithm):
-        # Integer and string labels do not sort; the CSR kernels rank them
-        # in insertion order (the dict reference kernels cannot tie-break).
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_mixed_labels(self, graph_file, tmp_path, capsys, algorithm):
+        # Integer and string labels do not sort; the kernels rank them in
+        # insertion order to break gain ties.
         graph = read_edge_list(graph_file)
         label = {v: v if v % 3 else f"s{v}" for v in graph.vertices()}
         mixed = tmp_path / "mixed.edges"
