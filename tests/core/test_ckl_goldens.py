@@ -36,6 +36,11 @@ instances, and ``multilevel`` at its default depth and refiner (per-level
 cuts) on a Gbreg(500) graph, where the ``coarsest_size`` stop fires, and
 on ``star_graph(40)``, where the 5% shrink stop fires.
 
+``KL_SELECTION_COUNTERS`` pins plain KL's selection counters
+(``selections``, ``stale_pops``, ``candidates``, ``prune_hits``) on the
+gbreg and gnp graphs, seed 0.  They live in this file; the regeneration
+below leaves them alone.
+
 Regenerate both files (only for a change that is meant to move results,
 and say why) with::
 
@@ -61,8 +66,9 @@ from repro.hypergraph.compaction import compacted_hypergraph_fm, multilevel_hype
 from repro.hypergraph.generators import random_netlist
 from repro.hypergraph.sa import compacted_hypergraph_sa
 from repro.partition.annealing import AnnealingSchedule, simulated_annealing
+from repro.partition import kl as kl_module
 from repro.partition.fm import fiduccia_mattheyses
-from repro.partition.kl import kernighan_lin
+from repro.partition.kl import kernighan_lin, kl_pass
 from repro.rng import LaggedFibonacciRandom
 
 GOLDEN_PATH = Path(__file__).with_name("ckl_goldens.json")
@@ -201,6 +207,13 @@ PIPELINE_ALGORITHMS = {
 # The plain heuristics pin the kernels themselves; the contracted graph
 # adds nothing the compaction family does not already cover there.
 PLAIN = {"kl", "fm", "sa"}
+# Plain KL's selection counters (seed 0), summed over all its passes.  They
+# never steer a decision, but they are deterministic per seed, so a kernel
+# change that keeps every pair yet does different work shows up here.
+KL_SELECTION_COUNTERS = {
+    "gbreg": {"selections": 8000, "stale_pops": 18138, "candidates": 16008, "prune_hits": 7993},
+    "gnp": {"selections": 4000, "stale_pops": 6907, "candidates": 8001, "prune_hits": 3999},
+}
 
 
 def _record(algorithm, graph_name, seed):
@@ -271,6 +284,19 @@ def test_multilevel_stop_rules_fire():
     assert deep.levels > 2 and deep.level_sizes[0] <= 32
     star = multilevel_bisection(_graph("star40"), rng=0)
     assert star.levels == 1 and star.level_sizes == [41]
+
+
+@pytest.mark.parametrize("graph_name", sorted(KL_SELECTION_COUNTERS))
+def test_kl_selection_counters(monkeypatch, graph_name):
+    seen = []
+
+    def recording_pass(graph, assignment, stats=None):
+        seen.append(stats)
+        return kl_pass(graph, assignment, stats)
+
+    monkeypatch.setattr(kl_module, "kl_pass", recording_pass)
+    kernighan_lin(_graph(graph_name), rng=0)
+    assert seen[0] == KL_SELECTION_COUNTERS[graph_name]
 
 
 @pytest.mark.parametrize("algorithm,graph_name,seed", CELLS + PIPELINE_CELLS)
