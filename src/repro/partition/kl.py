@@ -24,7 +24,8 @@ is merged with the heap on the next selection, instead of being re-pushed
 
 Weighted (contracted) graphs: to preserve exact balance, only pairs of
 equal vertex weight are exchanged — each weight class gets its own pair
-of heaps, and each step picks the best pair across classes.
+of heaps, and each step picks the best pair across classes.  A graph of
+unit or uniform vertex weights is the one-class case of the same kernel.
 
 The pass runs over the graph's :class:`~repro.graphs.csr.CSRGraph` view
 with packed ``(gain, rank)`` integer heap keys (:mod:`repro.kernels.kl`):
@@ -42,7 +43,7 @@ from ..graphs.csr import CSRGraph, csr_view
 from ..graphs.graph import Graph
 from ..kernels import kernel_backend
 from ..kernels.gains import move_gains
-from ..kernels.kl import kl_sequence_multi, kl_sequence_single
+from ..kernels.kl import kl_sequence
 from ..obs import counter, span
 from ..rng import resolve_rng
 from .bisection import Bisection, cut_weight
@@ -86,11 +87,7 @@ def _kl_pass_csr(
 ) -> tuple[int, int]:
     """One KL pass over the CSR arrays: select the pair sequence, apply its best prefix."""
     sides = csr.sides_list(assignment)
-    gains = move_gains(csr, sides, backend)
-    if csr.unit_vertex_weights or len(csr.weight_classes()[1]) == 1:
-        sequence = kl_sequence_single(csr, sides, gains, stats)
-    else:
-        sequence = kl_sequence_multi(csr, sides, gains, stats)
+    sequence = kl_sequence(csr, sides, move_gains(csr, sides, backend), stats)
 
     best_total = 0
     best_k = 0
