@@ -9,6 +9,7 @@ from repro.graphs.graph import Graph
 from repro.partition.annealing import AnnealingSchedule, BalanceCost, simulated_annealing
 from repro.partition.bisection import Bisection, cut_weight
 from repro.partition.exact import exact_bisection_width
+from repro.rng import LaggedFibonacciRandom
 
 FAST = AnnealingSchedule(size_factor=2, cooling_ratio=0.9, max_temperatures=60)
 
@@ -220,3 +221,54 @@ class TestSAWeighted:
             weighted_graph, rng=12, schedule=FAST, balance_tolerance=2
         )
         assert result.bisection.imbalance <= 2
+
+
+class _PlainLaggedFibonacci(LaggedFibonacciRandom):
+    """Same stream, but not exactly the class: SA draws one value at a time."""
+
+
+@pytest.fixture(scope="module")
+def stream_graphs():
+    from repro.core.compaction import compact
+    from repro.core.matching import random_maximal_matching
+
+    g = gbreg(400, b=8, d=3, rng=5).graph
+    return {"gbreg": g, "contracted": compact(g, random_maximal_matching(g, rng=6)).coarse}
+
+
+class TestSAStreamOracle:
+    """The block-buffered flip walk against the one-draw-at-a-time walk.
+
+    Each walk crosses several 4096-value refills, so this pins the block
+    recurrence, the refill bookkeeping and the generator state written
+    back after the walk.
+    """
+
+    @staticmethod
+    def _assert_same_walk(graph, seed):
+        schedule = AnnealingSchedule(size_factor=2, max_temperatures=20)
+        runs = []
+        for rng in (LaggedFibonacciRandom(seed), _PlainLaggedFibonacci(seed)):
+            result = simulated_annealing(graph, rng=rng, schedule=schedule)
+            runs.append((result, rng))
+        (fast, fast_rng), (slow, slow_rng) = runs
+        assert fast.bisection.assignment() == slow.bisection.assignment()
+        assert fast.moves_attempted == slow.moves_attempted
+        assert fast.moves_accepted == slow.moves_accepted
+        assert fast.temperature_trace == slow.temperature_trace
+        assert fast.final_temperature == slow.final_temperature
+        assert fast_rng.getstate() == slow_rng.getstate()
+        assert [fast_rng.getrandbits(64) for _ in range(10)] == [
+            slow_rng.getrandbits(64) for _ in range(10)
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["gbreg", "contracted"])
+    def test_buffered_walk_matches_scalar_draws(self, stream_graphs, kind, seed):
+        self._assert_same_walk(stream_graphs[kind], seed)
+
+    @pytest.mark.parametrize("seed", [44, 302])
+    def test_walk_ending_early_in_a_block(self, stream_graphs, seed):
+        # These seeds stop within the first 55 values of a later block, so
+        # the restored ring mixes the previous block's tail with this one.
+        self._assert_same_walk(stream_graphs["gbreg"], seed)
