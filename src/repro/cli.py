@@ -46,19 +46,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bench import (
-    current_scale,
-    g2set_cases,
-    gbreg_cases,
-    gnp_cases,
-    grid_cases,
-    btree_cases,
-    ladder_cases,
-    render_generic_table,
-    render_paper_table,
-    run_workload,
-    standard_algorithm_specs,
-)
 from .engine import (
     AlgorithmSpec,
     Engine,
@@ -87,16 +74,16 @@ __all__ = ["main"]
 _GRAPH_ALGORITHMS = ("ckl", "csa", "cycles", "fm", "greedy", "kl", "multilevel", "sa")
 
 _TABLES = {
-    "gbreg-d3": lambda scale: gbreg_cases(scale, 3),
-    "gbreg-d4": lambda scale: gbreg_cases(scale, 4),
-    "g2set-2.5": lambda scale: g2set_cases(scale, 2.5),
-    "g2set-3": lambda scale: g2set_cases(scale, 3.0),
-    "g2set-3.5": lambda scale: g2set_cases(scale, 3.5),
-    "g2set-4": lambda scale: g2set_cases(scale, 4.0),
-    "gnp": lambda scale: gnp_cases(scale),
-    "ladder": lambda scale: ladder_cases(scale),
-    "grid": lambda scale: grid_cases(scale),
-    "btree": lambda scale: btree_cases(scale),
+    "gbreg-d3": lambda bench, scale: bench.gbreg_cases(scale, 3),
+    "gbreg-d4": lambda bench, scale: bench.gbreg_cases(scale, 4),
+    "g2set-2.5": lambda bench, scale: bench.g2set_cases(scale, 2.5),
+    "g2set-3": lambda bench, scale: bench.g2set_cases(scale, 3.0),
+    "g2set-3.5": lambda bench, scale: bench.g2set_cases(scale, 3.5),
+    "g2set-4": lambda bench, scale: bench.g2set_cases(scale, 4.0),
+    "gnp": lambda bench, scale: bench.gnp_cases(scale),
+    "ladder": lambda bench, scale: bench.ladder_cases(scale),
+    "grid": lambda bench, scale: bench.grid_cases(scale),
+    "btree": lambda bench, scale: bench.btree_cases(scale),
 }
 
 
@@ -332,6 +319,7 @@ def _cmd_netlist(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .bench import current_scale
     from .bench.report import generate_report
 
     scale = current_scale()
@@ -349,17 +337,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    scale = current_scale()
-    cases = _TABLES[args.table](scale)
+    from . import bench
+
+    scale = bench.current_scale()
+    cases = _TABLES[args.table](bench, scale)
     include_sa = not args.kl_only
-    algorithms = standard_algorithm_specs(scale, include_sa=include_sa)
+    algorithms = bench.standard_algorithm_specs(scale, include_sa=include_sa)
     engine = _make_engine(args)
-    rows = run_workload(
+    rows = bench.run_workload(
         cases, algorithms, rng=args.seed, starts=scale.starts, engine=engine
     )
     pairs = (("sa", "csa"), ("kl", "ckl")) if include_sa else (("kl", "ckl"),)
     print(
-        render_paper_table(
+        bench.render_paper_table(
             f"table {args.table} @ scale={scale.name}", rows, base_pairs=pairs
         )
     )
@@ -368,6 +358,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from .bench import render_generic_table
+
     try:
         entries = read_batch_file(args.spec)
     except (OSError, ValueError) as exc:
@@ -424,6 +416,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .bench import render_generic_table
     from .obs import (
         diff_ledgers,
         ledger_dir,

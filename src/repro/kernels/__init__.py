@@ -11,9 +11,9 @@ two interchangeable *kernel backends*:
     ``array('q')`` canonical storage).  The default.
 ``numpy``
     The array kernels with numpy used for the *batch* stages — gain
-    initialization via prefix sums, cut/side-weight recounts, and bulk
-    lagged-Fibonacci stream generation.  Falls back to ``array`` when
-    numpy is not installed; never changes a decision.
+    initialization via prefix sums and cut/side-weight recounts.  Falls
+    back to ``array`` when numpy is not installed; never changes a
+    decision.  numpy is imported only when this backend is asked for.
 
 Both backends produce identical cuts, assignments, pass/temperature
 traces, and RNG stream consumption, bit for bit.  Correctness is
@@ -25,6 +25,7 @@ checked at kernel entry, so tests flip it per call.
 
 from __future__ import annotations
 
+import functools
 import os
 
 __all__ = [
@@ -37,15 +38,15 @@ __all__ = [
 KERNEL_ENV = "REPRO_KERNEL"
 BACKENDS = ("array", "numpy")
 
-try:  # an optional accelerator, never a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
-
+@functools.cache
 def numpy_available() -> bool:
-    """True when the optional numpy backend can actually run."""
-    return _np is not None
+    """True when the optional numpy backend can run (imports numpy once)."""
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
 
 
 def kernel_backend() -> str:
@@ -59,6 +60,6 @@ def kernel_backend() -> str:
         raise ValueError(
             f"{KERNEL_ENV} must be one of {BACKENDS}, got {raw!r}"
         )
-    if raw == "numpy" and _np is None:
+    if raw == "numpy" and not numpy_available():
         return "array"
     return raw

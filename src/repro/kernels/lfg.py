@@ -4,8 +4,9 @@ The SA flip sweep consumes one raw 64-bit value per index draw (plus one
 per uphill move), millions per run.  Drawing them through
 :class:`~repro.rng.LaggedFibonacciRandom` costs a ring-buffer store and
 wrap check per value even when inlined; generating them in *blocks* ahead
-of the walk amortizes that to a C-level list comprehension (or a numpy
-vector add) per 24 values.
+of the walk amortizes that to a handful of C-level big-int operations per
+24 values: the stream is packed into ints of 24 lanes, one 64-bit lane
+per value, and each chunk of the recurrence is a lane-wise add.
 
 The block values are exactly the values the generator would produce —
 the recurrence is a pure function of the last 55 outputs — and
@@ -17,16 +18,29 @@ same rng) sees an indistinguishable generator.
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 from ..rng import LaggedFibonacciRandom
 
 __all__ = [
     "fill_block",
-    "fill_block_numpy",
     "history",
     "restore_state",
 ]
 
-_MASK = (1 << 64) - 1
+if array("Q").itemsize != 8:  # pragma: no cover - no such CPython platform today
+    raise ImportError("repro.kernels.lfg needs an 8-byte array('Q') item")
+
+# One 64-bit lane per stream value, lane 0 the least significant, 24
+# lanes (the short lag) to a chunk.  LO keeps the low 63 bits of each
+# lane of a chunk, HI their top bits: adding two LO-masked chunks cannot
+# carry across a lane, and the dropped top bits are put back with XOR
+# (top-bit addition mod 2**64).
+_CHUNK_BITS = 64 * 24
+_CHUNK = (1 << _CHUNK_BITS) - 1
+_HI = sum(1 << (64 * k + 63) for k in range(24))
+_LO = _CHUNK ^ _HI
 
 
 def history(rng: LaggedFibonacciRandom) -> list[int]:
@@ -47,37 +61,25 @@ def fill_block(hist: list[int], count: int) -> tuple[list[int], list[int]]:
     Returns ``(values, new_hist)`` where ``new_hist`` is the trailing 55
     values ready for the next call.  Values come in chunks of 24 — the
     short lag — because within a chunk every output depends only on
-    values already in ``hist``, which makes the chunk one zip/listcomp.
+    values already in ``hist``, which makes the chunk one lane-wise add
+    of two packed 24-lane ints.
     """
-    h = hist
-    out: list[int] = []
-    while len(out) < count:
-        # x[n] = x[n-24] + x[n-55]: h[31:] supplies the 24-lag operands,
-        # h[:24] the 55-lag operands (zip stops at the shorter side).
-        chunk = [(a + b) & _MASK for a, b in zip(h[31:], h)]
-        out += chunk
-        h = h[24:] + chunk
-    return out, h
-
-
-def fill_block_numpy(hist: list[int], count: int) -> tuple[list[int], list[int]]:
-    """:func:`fill_block` with the chunk recurrence run as numpy uint64 adds.
-
-    uint64 addition wraps mod 2**64, which *is* the recurrence; the result
-    list contains the identical integers.  Returns plain Python lists so
-    the scalar sweep indexes unboxed ints exactly as in the array path.
-    """
-    import numpy as np
-
-    rounds = -(-count // 24)
-    buf = np.empty(55 + rounds * 24, dtype=np.uint64)
-    buf[:55] = hist
-    pos = 55
-    for _ in range(rounds):
-        buf[pos : pos + 24] = buf[pos - 24 : pos] + buf[pos - 55 : pos - 31]
-        pos += 24
-    values = buf[55:pos].tolist()
-    return values, buf[pos - 55 : pos].tolist()
+    # Behind 17 zero lanes the history is three whole chunks c3, c2, c1,
+    # oldest first.  For the next chunk, x[n-24] is c1 and x[n-55] is
+    # lanes 17..40 of c3:c2; the masks drop the lanes above 23.
+    w = sum(value << (64 * k) for k, value in enumerate(hist, 17))
+    c3, c2, c1 = w & _CHUNK, (w >> _CHUNK_BITS) & _CHUNK, w >> (2 * _CHUNK_BITS)
+    parts = []
+    for _ in range(-(-count // 24)):
+        b = (c3 >> (64 * 17)) | (c2 << (64 * 7))
+        chunk = ((c1 & _LO) + (b & _LO)) ^ ((c1 ^ b) & _HI)
+        parts.append(chunk.to_bytes(192, "little"))
+        c3, c2, c1 = c2, c1, chunk
+    words = array("Q", b"".join(parts))
+    if sys.byteorder == "big":  # pragma: no cover - little-endian hosts only
+        words.byteswap()
+    values = words.tolist()
+    return values, (hist + values)[-55:]
 
 
 def restore_state(

@@ -5,13 +5,15 @@ per run at 2n=5000).  Three layers of batching remove per-move overhead
 without changing a decision:
 
 * **Buffered RNG stream.**  When the generator is our lagged Fibonacci,
-  raw 64-bit values are produced in blocks (:mod:`repro.kernels.lfg`)
-  instead of through the ring buffer per draw; the generator state is
-  restored exactly afterwards.  Index draws use the same shift/reject
-  scheme as ``_randbelow``; the uniform draw compares the raw 53-bit
-  mantissa against ``exp(-delta/T) * 2**53`` — multiplying both sides of
-  ``(value >> 11) * 2**-53 >= exp(...)`` by the power of two is exact in
-  IEEE double arithmetic, so the comparison is bitwise ``rng.random()``'s.
+  raw 64-bit values are produced in blocks by packed 64-bit-lane int adds
+  (:func:`repro.kernels.lfg.fill_block`, the same under both kernel
+  backends) instead of through the ring buffer per draw; the generator
+  state is restored exactly afterwards.  Index draws use the same
+  shift/reject scheme as ``_randbelow``; the uniform draw compares the
+  raw 53-bit mantissa against ``exp(-delta/T) * 2**53`` — multiplying
+  both sides of ``(value >> 11) * 2**-53 >= exp(...)`` by the power of
+  two is exact in IEEE double arithmetic, so the comparison is bitwise
+  ``rng.random()``'s.
 * **Per-side penalty precompute.**  On unit-vertex-weight graphs the
   imbalance penalty of a flip depends only on the mover's side:
   ``alpha * ((diff -+ 2)**2 - diff**2)`` collapses to one of two floats
@@ -40,7 +42,7 @@ from operator import mul
 from ..graphs.csr import CSRGraph
 from ..rng import LaggedFibonacciRandom
 from . import gains as gain_kernels
-from .lfg import fill_block, fill_block_numpy, history, restore_state
+from .lfg import fill_block, history, restore_state
 
 __all__ = ["SAWalk", "flip_walk", "swap_walk"]
 
@@ -128,7 +130,6 @@ def _flip_walk_buffered(
     kbits = n.bit_length()
     shift = 64 - kbits
 
-    fill = fill_block_numpy if backend == "numpy" else fill_block
     idx0 = rng._index
     hist = history(rng)
     buf: list[int] = []
@@ -142,7 +143,7 @@ def _flip_walk_buffered(
         consumed += p
         if blen:
             prev_tail = buf[-55:]
-        buf, hist = fill(hist, _BLOCK)
+        buf, hist = fill_block(hist, _BLOCK)
         blen = len(buf)
         p = 0
 

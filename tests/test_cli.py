@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.graphs.graph import Graph
 from repro.graphs.io import read_edge_list, write_edge_list
@@ -239,3 +245,19 @@ class TestInputErrors:
         assert "Traceback" not in err
         assert err.startswith("repro-bisect: error: ")
         assert err.count("\n") == 1
+
+
+def test_import_loads_neither_numpy_nor_bench():
+    # Commands import what they use; a plain `run` must not pay for numpy
+    # (an optional kernel backend) or the bench protocol.
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('numpy', 'repro.bench') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
