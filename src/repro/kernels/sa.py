@@ -1,7 +1,7 @@
 """The SA Metropolis sweeps over the CSR arrays: flip and swap moves.
 
-The flip walk is the hottest loop in the package (~1e6 attempted moves
-per run at 2n=5000).  Three layers of batching remove per-move overhead
+The flip walk is the hottest loop in the package (1.4M attempted moves
+per run at 2n=5000).  Two layers of batching remove per-move overhead
 without changing a decision:
 
 * **Buffered RNG stream.**  When the generator is our lagged Fibonacci,
@@ -14,15 +14,20 @@ without changing a decision:
   both sides of ``(value >> 11) * 2**-53 >= exp(...)`` by the power of
   two is exact in IEEE double arithmetic, so the comparison is bitwise
   ``rng.random()``'s.
-* **Per-side penalty precompute.**  On unit-vertex-weight graphs the
-  imbalance penalty of a flip depends only on the mover's side:
-  ``alpha * ((diff -+ 2)**2 - diff**2)`` collapses to one of two floats
-  recomputed per accepted move — the same product of ``alpha`` with the
-  same integer, hence the same float, as the weighted-graph expression
-  ``alpha * (new_diff * new_diff - diff * diff)``.
-* **Per-temperature exp memo.**  ``math.exp`` is deterministic, so the
-  acceptance threshold for a given uphill delta is cached per
-  temperature (``delta`` values repeat heavily: gains are small ints).
+* **Per-temperature threshold tables.**  On unit-vertex-weight graphs a
+  flip's cost delta is ``cut_delta + alpha * (4 -+ 4*diff)``: the same
+  product of ``alpha`` with the same integer, hence the same float, as
+  the weighted-graph expression ``alpha * (new_diff**2 - diff**2)``.
+  So for one temperature the acceptance threshold depends only on
+  ``(diff, side, cut_delta)``, and ``|cut_delta|`` is at most the
+  maximum weighted degree ``B``.  Each temperature keeps, per visited
+  ``diff``, one list per side indexed by ``cut_delta + B``, filled
+  lazily: ``-1.0`` for a downhill move (accepted without a draw),
+  otherwise ``exp(-delta/T) * 2**53``.  An attempted move is one list
+  lookup, and ``exp`` runs at most once per entry (about 1.5k calls per
+  run at 2n=5000).  Graphs with ``B`` above ``_MAX_TABLE_DEGREE`` (very
+  heavy edges), whose tables would be large, and graphs with vertex
+  weights keep a per-temperature memo keyed by the float ``delta``.
   ``math.exp`` is always the decision source — never ``np.exp``, which
   is not guaranteed bit-identical.
 
@@ -48,6 +53,7 @@ __all__ = ["SAWalk", "flip_walk", "swap_walk"]
 
 _BLOCK = 4096
 _TWO53 = 9007199254740992.0
+_MAX_TABLE_DEGREE = 1 << 10  # heavier edges keep the float-keyed memo
 
 
 @dataclass
@@ -150,9 +156,9 @@ def _flip_walk_buffered(
     refill()
 
     cdelta = [-g for g in gain_kernels.move_gains(csr, sides, backend)]
-
-    d4 = 4 * diff
-    pens = (alpha * (4 - d4), alpha * (4 + d4))
+    B = csr.max_weighted_degree
+    tabled = unit_vw and B <= _MAX_TABLE_DEGREE
+    width = 2 * B + 1  # cut deltas -B..B
 
     while not schedule.is_frozen(stale, temperature):
         if temperatures >= schedule.max_temperatures:
@@ -160,13 +166,13 @@ def _flip_walk_buffered(
         accepted_here = 0
         attempted_here = 0
         improved_best = False
-        memo: dict[float, float] = {}
-        memo_get = memo.get
-        if unit_vw:
-            for _ in range(moves_per_temp):
-                if accepted_here >= cutoff:
-                    break  # Johnson's cutoff: this temperature equilibrated
-                attempted_here += 1
+        if tabled:
+            attempted_here = moves_per_temp
+            # tables[diff][side][cdelta + B]: the acceptance threshold of
+            # that flip at this temperature; None until first needed.
+            tables: dict[int, tuple[list, list]] = {}
+            tabs = tables[diff] = ([None] * width, [None] * width)
+            for k in range(moves_per_temp):
                 while True:  # rejection-sample an index, as _randbelow does
                     if p >= blen:
                         refill()
@@ -175,26 +181,27 @@ def _flip_walk_buffered(
                     i = value >> shift
                     if i < n:
                         break
-                delta = cdelta[i] + pens[sides[i]]
-                if delta > 0:
+                side_v = sides[i]
+                cut_delta = cdelta[i]
+                thr = tabs[side_v][cut_delta + B]
+                if thr is None:
+                    d4 = 4 * diff
+                    delta = cut_delta + alpha * (4 - d4 if side_v == 0 else 4 + d4)
+                    thr = exp(-delta / temperature) * _TWO53 if delta > 0 else -1.0
+                    tabs[side_v][cut_delta + B] = thr
+                if thr >= 0.0:  # uphill: one uniform draw decides
                     if p >= blen:
                         refill()
                     u53 = buf[p] >> 11
                     p += 1
-                    thr = memo_get(delta)
-                    if thr is None:
-                        thr = exp(-delta / temperature) * _TWO53
-                        memo[delta] = thr
                     if u53 >= thr:
                         continue
-                side_v = sides[i]
                 sides[i] = 1 - side_v
-                cut_delta = cdelta[i]
                 cut += cut_delta
                 diff = diff - 2 if side_v == 0 else diff + 2
-                d4 = 4 * diff
-                pens = (alpha * (4 - d4), alpha * (4 + d4))
-                accepted_here += 1
+                tabs = tables.get(diff)
+                if tabs is None:
+                    tabs = tables[diff] = ([None] * width, [None] * width)
                 cdelta[i] = -cut_delta
                 row = nbrs[i]
                 if wts is None:
@@ -211,7 +218,13 @@ def _flip_walk_buffered(
                     best_cut = cut
                     best_sides = sides.copy()
                     improved_best = True
+                accepted_here += 1
+                if accepted_here >= cutoff:
+                    attempted_here = k + 1
+                    break  # Johnson's cutoff: this temperature equilibrated
         else:
+            memo: dict[float, float] = {}
+            memo_get = memo.get
             for _ in range(moves_per_temp):
                 if accepted_here >= cutoff:
                     break

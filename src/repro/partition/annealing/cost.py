@@ -15,6 +15,7 @@ close to the raw incumbent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["BalanceCost"]
@@ -30,6 +31,11 @@ class BalanceCost:
     """
 
     alpha: float = 0.05
+
+    def __post_init__(self) -> None:
+        # A negative penalty rewards imbalance; NaN or inf poisons every delta.
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
 
     def total(self, cut: int, weight_diff: int) -> float:
         """Full cost of a state with the given cut and ``w(A) - w(B)``."""

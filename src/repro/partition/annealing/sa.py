@@ -256,6 +256,8 @@ def _simulated_annealing_impl(
     cost = cost or BalanceCost()
     if balance_tolerance is None:
         balance_tolerance = default_tolerance(graph)
+    elif balance_tolerance < 0:
+        raise ValueError(f"balance_tolerance must be nonnegative, got {balance_tolerance}")
 
     if init is not None:
         if init.graph is not graph and init.graph != graph:

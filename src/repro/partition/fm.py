@@ -118,6 +118,8 @@ def fiduccia_mattheyses(
     """
     if graph.num_vertices == 0:
         raise ValueError("cannot bisect the empty graph")
+    if balance_tolerance is not None and balance_tolerance < 0:
+        raise ValueError(f"balance_tolerance must be nonnegative, got {balance_tolerance}")
     rng = resolve_rng(rng)
 
     total = graph.total_vertex_weight

@@ -50,3 +50,13 @@ class TestMoveDelta:
     def test_unbalancing_move_is_uphill(self):
         cost = BalanceCost(alpha=1.0)
         assert cost.move_delta(0, 0, 1) > 0
+
+
+class TestValidation:
+    def test_zero_alpha_allowed(self):
+        assert BalanceCost(alpha=0.0).total(3, 10) == 3
+
+    @pytest.mark.parametrize("alpha", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            BalanceCost(alpha=alpha)

@@ -72,6 +72,10 @@ class TestFMBalanceRepair:
         result = fiduccia_mattheyses(small_grid, rng=5, balance_tolerance=2)
         assert result.bisection.imbalance <= 2
 
+    def test_negative_tolerance_rejected(self, small_grid):
+        with pytest.raises(ValueError, match="balance_tolerance"):
+            fiduccia_mattheyses(small_grid, rng=5, balance_tolerance=-1)
+
 
 class TestFMQuality:
     def test_matches_exact_on_small(self):
