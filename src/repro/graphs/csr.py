@@ -18,14 +18,13 @@ Determinism contract (what fixes every kernel decision):
   ``str``, say) the rank is insertion order instead; either way it
   depends on nothing but the label sequence.
 
-The kernel backends (see :mod:`repro.kernels`) all read this view and
-make identical decisions.
+The kernels (see :mod:`repro.kernels`) all read this view.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from itertools import accumulate, compress, islice
 from operator import mul, ne, sub
 
@@ -35,6 +34,7 @@ __all__ = [
     "CSRGraph",
     "cached_csr",
     "csr_cut_weight",
+    "csr_flip",
     "csr_move_gains",
     "csr_side_weights",
     "csr_view",
@@ -289,6 +289,31 @@ def csr_move_gains(csr: CSRGraph, sides: list[int]) -> list[int]:
         s1 = sum(map(sides_get, row))
         gains[i] = 2 * s1 - len(row) if sides[i] == 0 else len(row) - 2 * s1
     return gains
+
+
+def csr_flip(
+    csr: CSRGraph, sides: list[int], gains: list[int], moved: Iterable[int]
+) -> None:
+    """Flip each id of ``moved`` in turn, keeping ``gains`` exact for ``sides``.
+
+    ``gains`` must equal :func:`csr_move_gains` of ``sides`` on entry and
+    does again on return: each flip moves its neighbours' gains by
+    ``+2w`` (same side as the mover before it flips) or ``-2w`` (other
+    side), and negates the mover's own.  KL and FM apply a pass's
+    committed prefix with it instead of recounting every gain.
+    """
+    nbrs = csr.neighbor_lists()
+    wts = None if csr.unit_edge_weights else csr.weight_lists()
+    for v in moved:
+        side = sides[v]
+        if wts is None:
+            for u in nbrs[v]:
+                gains[u] += 2 if sides[u] == side else -2
+        else:
+            for u, w in zip(nbrs[v], wts[v]):
+                gains[u] += 2 * w if sides[u] == side else -2 * w
+        gains[v] = -gains[v]
+        sides[v] = 1 - side
 
 
 def csr_cut_weight(csr: CSRGraph, sides: list[int]) -> int:

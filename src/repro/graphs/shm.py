@@ -264,14 +264,14 @@ class SharedGraphSegment:
         """Drop this process's mapping (creator keeps the segment alive).
 
         Releases every exported view first; if user code still holds one
-        (a cached numpy view, a kernel mid-flight) the unmap is deferred
-        to process exit rather than raising.
+        (a kernel mid-flight, say) the unmap is deferred to process exit
+        rather than raising.
         """
         graph = self._graph
         if graph is not None and not self.owner:
             csr = graph._derived.get("csr")
             if isinstance(csr, CSRGraph):
-                csr._lists.clear()  # may cache numpy frombuffer views
+                csr._lists.clear()  # mirrors read from the mapping go with it
         self._graph = None
         for view in self._views:
             view.release()

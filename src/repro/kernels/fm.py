@@ -10,33 +10,40 @@ candidates in ``(-gain, rank)`` order, so the first legal candidate
 found is the best-gain, lowest-rank legal vertex.  A gain update is an
 O(1) bucket push instead of an O(log n) heap sift.
 
-Gain initialization goes through :mod:`repro.kernels.gains`, so the
-numpy backend batches it; the sweep itself is scalar on every backend
-(each move depends on the previous one).
+The pass starts from the caller's side and gain lists, which the run
+carries from pass to pass, and sweeps working copies of them: the sweep
+flips sides as it goes and stops updating the gains of locked vertices.
+Only the committed prefix reaches the caller's lists, through
+:func:`~repro.graphs.csr.csr_flip`.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from ..graphs.csr import CSRGraph, csr_side_weights
-from . import gains as gain_kernels
+from ..graphs.csr import CSRGraph, csr_flip, csr_side_weights
 
 __all__ = ["fm_pass_csr"]
 
 
 def fm_pass_csr(
     csr: CSRGraph,
-    assignment: dict,
+    carried_sides: list[int],
+    carried_gains: list[int],
     strict_tol: int,
     loose_tol: int,
     target_diff: int = 0,
     stats: dict | None = None,
-    backend: str = "array",
 ) -> tuple[int, int]:
-    """One FM pass over the CSR arrays; mutates ``assignment``."""
+    """One FM pass over CSR ids; returns ``(applied_gain, moves_kept)``.
+
+    "Balance" throughout is the deviation ``|w0 - w1 - target_diff|``;
+    ``target_diff = 0`` is the ordinary bisection case.  ``applied_gain``
+    is relative to the cut at pass entry and may be negative when the pass
+    was used to repair balance.  ``carried_gains`` must be the move gains
+    of ``carried_sides``; both are advanced past the kept moves in place.
+    """
     n = csr.num_vertices
-    labels = csr.labels
     rank = csr.rank
     by_rank = csr.by_rank
     nbrs = csr.neighbor_lists()
@@ -46,8 +53,8 @@ def fm_pass_csr(
     uniform_vw = csr.unit_vertex_weights
     B = csr.max_weighted_degree
 
-    sides = csr.sides_list(assignment)
-    gains = gain_kernels.move_gains(csr, sides, backend)
+    sides = carried_sides.copy()
+    gains = carried_gains.copy()
 
     buckets: tuple[list[list[int]], list[list[int]]] = (
         [[] for _ in range(2 * B + 1)],
@@ -205,9 +212,7 @@ def fm_pass_csr(
         keep, applied = best_balanced_k, best_balanced_gain
     else:
         keep, applied = best_deviation_k, best_deviation_gain
-    for v in sequence[:keep]:
-        lv = labels[v]
-        assignment[lv] = 1 - assignment[lv]
+    csr_flip(csr, carried_sides, carried_gains, sequence[:keep])
     if stats is not None:
         stats["moves_considered"] = stats.get("moves_considered", 0) + len(sequence)
         stats["stale_pops"] = stats.get("stale_pops", 0) + stale

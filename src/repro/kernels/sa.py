@@ -6,13 +6,13 @@ without changing a decision:
 
 * **Buffered RNG stream.**  When the generator is our lagged Fibonacci,
   raw 64-bit values are produced in blocks by packed 64-bit-lane int adds
-  (:func:`repro.kernels.lfg.fill_block`, the same under both kernel
-  backends) instead of through the ring buffer per draw; the generator
-  state is restored exactly afterwards.  Index draws use the same
-  shift/reject scheme as ``_randbelow``; the uniform draw compares the
-  raw 53-bit mantissa against ``exp(-delta/T) * 2**53`` — multiplying
-  both sides of ``(value >> 11) * 2**-53 >= exp(...)`` by the power of
-  two is exact in IEEE double arithmetic, so the comparison is bitwise
+  (:func:`repro.kernels.lfg.fill_block`) instead of through the ring
+  buffer per draw; the generator state is restored exactly afterwards.
+  Index draws use the same shift/reject scheme as ``_randbelow``; the
+  uniform draw compares the raw 53-bit mantissa against
+  ``exp(-delta/T) * 2**53`` — multiplying both sides of
+  ``(value >> 11) * 2**-53 >= exp(...)`` by the power of two is exact in
+  IEEE double arithmetic, so the comparison is bitwise
   ``rng.random()``'s.
 * **Per-temperature threshold tables.**  On unit-vertex-weight graphs a
   flip's cost delta is ``cut_delta + alpha * (4 -+ 4*diff)``: the same
@@ -44,9 +44,8 @@ import random
 from dataclasses import dataclass, field
 from operator import mul
 
-from ..graphs.csr import CSRGraph
+from ..graphs.csr import CSRGraph, csr_move_gains
 from ..rng import LaggedFibonacciRandom
-from . import gains as gain_kernels
 from .lfg import fill_block, history, restore_state
 
 __all__ = ["SAWalk", "flip_walk", "swap_walk"]
@@ -86,17 +85,16 @@ def flip_walk(
     alpha: float,
     balance_tolerance: int,
     record_trace: bool,
-    backend: str,
 ) -> SAWalk:
     """Run the annealing flip walk to freezing; mutates and returns ``sides``."""
     if type(rng) is LaggedFibonacciRandom:
         return _flip_walk_buffered(
             csr, sides, cut, diff, temperature, rng, schedule, alpha,
-            balance_tolerance, record_trace, backend,
+            balance_tolerance, record_trace,
         )
     return _flip_walk_generic(
         csr, sides, cut, diff, temperature, rng, schedule, alpha,
-        balance_tolerance, record_trace, backend,
+        balance_tolerance, record_trace,
     )
 
 
@@ -111,7 +109,6 @@ def _flip_walk_buffered(
     alpha: float,
     balance_tolerance: int,
     record_trace: bool,
-    backend: str,
 ) -> SAWalk:
     n = csr.num_vertices
     nbrs = csr.neighbor_lists()
@@ -155,7 +152,7 @@ def _flip_walk_buffered(
 
     refill()
 
-    cdelta = [-g for g in gain_kernels.move_gains(csr, sides, backend)]
+    cdelta = [-g for g in csr_move_gains(csr, sides)]
     B = csr.max_weighted_degree
     tabled = unit_vw and B <= _MAX_TABLE_DEGREE
     width = 2 * B + 1  # cut deltas -B..B
@@ -317,7 +314,6 @@ def _flip_walk_generic(
     alpha: float,
     balance_tolerance: int,
     record_trace: bool,
-    backend: str,
 ) -> SAWalk:
     """The sweep for arbitrary generators (``random.Random`` et al.).
 
@@ -346,7 +342,7 @@ def _flip_walk_generic(
     randbelow = rng._randbelow
     exp = math.exp
 
-    cdelta = [-g for g in gain_kernels.move_gains(csr, sides, backend)]
+    cdelta = [-g for g in csr_move_gains(csr, sides)]
 
     while not schedule.is_frozen(stale, temperature):
         if temperatures >= schedule.max_temperatures:

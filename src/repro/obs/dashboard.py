@@ -41,15 +41,16 @@ def _fmt_num(value: Any) -> str:
 
 def _header(ledger: dict[str, Any]) -> list[str]:
     env = ledger.get("env", {})
-    # Older ledgers record only whether the CSR kernels ran (env.csr).
-    backend = f"kernel={env['kernel']}" if "kernel" in env else f"csr={env.get('csr')}"
+    # Older ledgers record the kernel backend (env.kernel) or whether the
+    # CSR kernels ran (env.csr); newer ones have one kernel and neither key.
+    legacy = "".join(f" {key}={env[key]}" for key in ("kernel", "csr") if key in env)
     started = time.strftime(
         "%Y-%m-%d %H:%M:%S", time.localtime(ledger.get("started_at", 0))
     )
     lines = [
         f"run {ledger.get('run_id', '?')}",
         f"  started  {started}   wall {ledger.get('wall_seconds', 0.0):.3f}s",
-        f"  env      obs={env.get('obs')} {backend}"
+        f"  env      obs={env.get('obs')}{legacy}"
         + (f" scale={env['scale']}" if env.get("scale") else ""),
     ]
     if ledger.get("argv"):

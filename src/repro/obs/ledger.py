@@ -1,13 +1,14 @@
 """Run ledgers: one summary JSON per run, content-addressed next to the cache.
 
 A ledger freezes everything observable about one run — wall time, the
-environment toggles that shape behaviour (``REPRO_OBS``, and the
-``REPRO_KERNEL`` backend as ``env.kernel``; ledgers written before the
-backend was recorded carry a boolean ``env.csr`` instead), the workload descriptor, counter/gauge/histogram values, and per-span-name
-time totals — into a single JSON document that ``repro-bisect stats`` can
-render or diff later.  Ledgers are what make "why did this run get
-slower?" answerable after the fact: diff two ledgers of the same workload
-and read the counter deltas (heap pops, acceptance ratios, cache hits).
+environment toggles that shape behaviour (``REPRO_OBS`` and
+``REPRO_SCALE``; older ledgers also carry the kernel backend they ran as
+``env.kernel``, or a boolean ``env.csr``), the workload descriptor,
+counter/gauge/histogram values, and per-span-name time totals — into a
+single JSON document that ``repro-bisect stats`` can render or diff
+later.  Ledgers are what make "why did this run get slower?" answerable
+after the fact: diff two ledgers of the same workload and read the
+counter deltas (heap pops, acceptance ratios, cache hits).
 
 Counters and histograms in a ledger are the *delta over the run* (the
 :func:`repro.obs.trace.run_context` snapshots the registry on entry);
@@ -33,7 +34,6 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from ..kernels import kernel_backend
 from .metrics import REGISTRY, MetricsRegistry, obs_enabled
 from .trace import RunContext
 
@@ -111,7 +111,6 @@ def build_ledger(
         "workload": dict(run.workload),
         "env": {
             "obs": obs_enabled(),
-            "kernel": kernel_backend(),
             "scale": os.environ.get("REPRO_SCALE"),
             "python": sys.version.split()[0],
         },

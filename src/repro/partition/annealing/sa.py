@@ -15,6 +15,10 @@ Two details the paper's Section VII calls out are implemented here:
 * **schedule sensitivity** — every schedule knob is explicit (see
   :class:`~repro.partition.annealing.schedule.AnnealingSchedule`), and the
   ablation bench sweeps them.
+
+The walks run over the graph's CSR view (:mod:`repro.kernels.sa`); the
+start state's cut, side weights and move gains come straight from the
+CSR recounts of :mod:`repro.graphs.csr`.
 """
 
 from __future__ import annotations
@@ -23,11 +27,8 @@ import random
 from dataclasses import dataclass, field
 from operator import mul
 
-from ...graphs.csr import CSRGraph, csr_view
+from ...graphs.csr import CSRGraph, csr_cut_weight, csr_side_weights, csr_view
 from ...graphs.graph import Graph
-from ...kernels import kernel_backend
-from ...kernels.gains import cut_weight as kernel_cut_weight
-from ...kernels.gains import side_weights as kernel_side_weights
 from ...kernels.sa import flip_walk, swap_walk
 from ...obs import counter, gauge, histogram, obs_enabled, span
 from ...obs.metrics import RATIO_BUCKETS
@@ -136,13 +137,12 @@ def _anneal_csr(
     live in :mod:`repro.kernels.sa`; this wrapper owns the framing —
     initial state, T0 sampling, and the result envelope.
     """
-    backend = kernel_backend()
     csr = csr_view(graph)
     sides = csr.sides_list(assignment)
 
-    cut = kernel_cut_weight(csr, sides, backend)
+    cut = csr_cut_weight(csr, sides)
     initial_cut = cut
-    w0, w1 = kernel_side_weights(csr, sides, backend)
+    w0, w1 = csr_side_weights(csr, sides)
     diff = w0 - w1
     initial_imbalance = abs(diff)
 
@@ -152,7 +152,7 @@ def _anneal_csr(
         csr, sides, cut, diff, temperature, rng, schedule, cost.alpha,
         balance_tolerance, record_trace,
     )
-    walk = flip_walk(*args, backend) if neighborhood == "flip" else swap_walk(*args)
+    walk = flip_walk(*args) if neighborhood == "flip" else swap_walk(*args)
 
     if walk.best_sides is None:
         # The walk never touched a balanced state (possible with a tiny
@@ -203,8 +203,7 @@ def simulated_annealing(
     ``record_trace=False`` skips collecting ``temperature_trace`` (the
     run itself is unaffected — the trace is purely diagnostic).
 
-    Both neighborhoods run on the graph's CSR view; the ``REPRO_KERNEL``
-    backend only changes how batch stages are computed, never a decision.
+    Both neighborhoods run on the graph's CSR view.
     """
     with span("sa.run", vertices=graph.num_vertices, neighborhood=neighborhood):
         result = _simulated_annealing_impl(

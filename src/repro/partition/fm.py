@@ -22,6 +22,10 @@ Beyond 50/50 splits, FM accepts ``target_weights``: the pass then treats
 "balance" as *deviation from the target split*, which is what k-way
 recursive bisection (:mod:`repro.partition.kway`) needs to carve a graph
 into unequal shares (e.g. 3:2 when splitting five parts).
+
+Like KL, a run carries one id-indexed side list and one gain list across
+its passes (:mod:`repro.kernels.fm`) and builds the label dict once, at
+the end.
 """
 
 from __future__ import annotations
@@ -29,19 +33,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..graphs.csr import csr_view
+from ..graphs.csr import csr_cut_weight, csr_move_gains, csr_side_weights, csr_view
 from ..graphs.graph import Graph
-from ..kernels import kernel_backend
 from ..kernels.fm import fm_pass_csr
 from ..obs import counter, span
 from ..rng import resolve_rng
-from .bisection import (
-    Bisection,
-    cut_weight,
-    default_tolerance,
-    minimum_achievable_deviation,
-    side_weights,
-)
+from .bisection import Bisection, default_tolerance, minimum_achievable_deviation
 from .random_init import random_assignment
 
 __all__ = ["fiduccia_mattheyses", "FMResult"]
@@ -72,28 +69,6 @@ class FMResult:
         for gain in self.pass_gains:
             trace.append(trace[-1] - gain)
         return trace
-
-
-def _fm_pass(
-    graph: Graph,
-    assignment: dict,
-    strict_tol: int,
-    loose_tol: int,
-    target_diff: int = 0,
-    stats: dict | None = None,
-) -> tuple[int, int]:
-    """One FM pass; mutates ``assignment``.  Returns ``(applied_gain, moves_kept)``.
-
-    "Balance" throughout is the deviation ``|w0 - w1 - target_diff|``;
-    ``target_diff = 0`` is the ordinary bisection case.  ``applied_gain``
-    is relative to the cut at pass entry and may be negative when the pass
-    was used to repair balance.  The pass runs on the CSR bucket-list
-    kernel (:mod:`repro.kernels.fm`).
-    """
-    return fm_pass_csr(
-        csr_view(graph), assignment, strict_tol, loose_tol, target_diff, stats,
-        kernel_backend(),
-    )
 
 
 def fiduccia_mattheyses(
@@ -148,9 +123,10 @@ def fiduccia_mattheyses(
     max_weight = max(graph.vertex_weight(v) for v in graph.vertices())
     loose_tol = max(strict_tol, 2 * max_weight)
 
-    csr_view(graph)  # compile once up front; cut/side weights reuse it
-
-    initial_cut = cut_weight(graph, assignment)
+    csr = csr_view(graph)
+    sides = csr.sides_list(assignment)
+    gains = csr_move_gains(csr, sides)
+    initial_cut = csr_cut_weight(csr, sides)
     cut = initial_cut
     passes = 0
     total_moves = 0
@@ -158,11 +134,11 @@ def fiduccia_mattheyses(
     stats: dict[str, int] = {}
     with span("fm.run", vertices=graph.num_vertices):
         while max_passes is None or passes < max_passes:
-            w0, w1 = side_weights(graph, assignment)
+            w0, w1 = csr_side_weights(csr, sides)
             was_balanced = abs(w0 - w1 - target_diff) <= strict_tol
             with span("fm.pass"):
-                gain, kept = _fm_pass(
-                    graph, assignment, strict_tol, loose_tol, target_diff, stats
+                gain, kept = fm_pass_csr(
+                    csr, sides, gains, strict_tol, loose_tol, target_diff, stats
                 )
             passes += 1
             cut -= gain
@@ -181,7 +157,7 @@ def fiduccia_mattheyses(
     counter("fm_stale_pops_total").inc(stats.get("stale_pops", 0))
     counter("fm_stash_restores_total").inc(stats.get("stash_restores", 0))
 
-    result = Bisection(graph, assignment)
+    result = Bisection(graph, csr.assignment_dict(sides))
     assert result.cut == cut, "incremental cut diverged from recomputation"
     return FMResult(
         bisection=result,

@@ -32,6 +32,12 @@ with packed ``(gain, rank)`` integer heap keys (:mod:`repro.kernels.kl`):
 ids follow insertion order and gain ties break by label *rank*, the
 position of the label in sorted order.  Labels that do not sort (mixed
 ``int`` and ``str``) rank in insertion order.
+
+A run keeps one id-indexed side list and one gain list from start to
+finish.  Step 1 of every pass after the first reads the carried gains:
+the previous pass's committed swaps were applied to them move by move
+(:func:`~repro.graphs.csr.csr_flip`), which leaves exactly the gains a
+recount would give.  The label dict is built once, at the end.
 """
 
 from __future__ import annotations
@@ -39,14 +45,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..graphs.csr import CSRGraph, csr_view
+from ..graphs.csr import CSRGraph, csr_cut_weight, csr_flip, csr_move_gains, csr_view
 from ..graphs.graph import Graph
-from ..kernels import kernel_backend
-from ..kernels.gains import move_gains
 from ..kernels.kl import kl_sequence
 from ..obs import counter, span
 from ..rng import resolve_rng
-from .bisection import Bisection, cut_weight
+from .bisection import Bisection
 from .random_init import random_assignment
 
 __all__ = ["kernighan_lin", "kl_pass", "KLResult"]
@@ -83,11 +87,14 @@ class KLResult:
 
 
 def _kl_pass_csr(
-    csr: CSRGraph, assignment: dict, stats: dict | None, backend: str
+    csr: CSRGraph, sides: list[int], gains: list[int], stats: dict | None
 ) -> tuple[int, int]:
-    """One KL pass over the CSR arrays: select the pair sequence, apply its best prefix."""
-    sides = csr.sides_list(assignment)
-    sequence = kl_sequence(csr, sides, move_gains(csr, sides, backend), stats)
+    """One KL pass over CSR ids: select the pair sequence, apply its best prefix.
+
+    ``gains`` must be the move gains of ``sides``; both are advanced past
+    the exchanged pairs in place.
+    """
+    sequence = kl_sequence(csr, sides, gains, stats)
 
     best_total = 0
     best_k = 0
@@ -97,10 +104,7 @@ def _kl_pass_csr(
         if running > best_total:
             best_total = running
             best_k = k
-    labels = csr.labels
-    for a, b, _ in sequence[:best_k]:
-        la, lb = labels[a], labels[b]
-        assignment[la], assignment[lb] = assignment[lb], assignment[la]
+    csr_flip(csr, sides, gains, [v for a, b, _ in sequence[:best_k] for v in (a, b)])
     return best_total, best_k
 
 
@@ -116,11 +120,12 @@ def kl_pass(
     ``stats``, when given, accumulates selection-machinery counts
     (``selections`` / ``stale_pops`` / ``candidates`` / ``prune_hits``)
     for the observability layer; it never influences the pass.
-
-    The ``REPRO_KERNEL`` backend only changes how gains are initialized,
-    never a decision.
     """
-    return _kl_pass_csr(csr_view(graph), assignment, stats, kernel_backend())
+    csr = csr_view(graph)
+    sides = csr.sides_list(assignment)
+    result = _kl_pass_csr(csr, sides, csr_move_gains(csr, sides), stats)
+    assignment.update(zip(csr.labels, sides))
+    return result
 
 
 def kernighan_lin(
@@ -145,9 +150,10 @@ def kernighan_lin(
     else:
         assignment = random_assignment(graph, resolve_rng(rng))
 
-    csr_view(graph)  # compile once up front; cut_weight reuses it
-
-    initial_cut = cut_weight(graph, assignment)
+    csr = csr_view(graph)
+    sides = csr.sides_list(assignment)
+    gains = csr_move_gains(csr, sides)
+    initial_cut = csr_cut_weight(csr, sides)
     cut = initial_cut
     pass_gains: list[int] = []
     swaps = 0
@@ -156,7 +162,7 @@ def kernighan_lin(
     with span("kl.run", vertices=graph.num_vertices):
         while max_passes is None or passes < max_passes:
             with span("kl.pass"):
-                gain, applied = kl_pass(graph, assignment, stats)
+                gain, applied = _kl_pass_csr(csr, sides, gains, stats)
             passes += 1
             if applied == 0:
                 break
@@ -172,7 +178,7 @@ def kernighan_lin(
     counter("kl_candidates_total").inc(stats.get("candidates", 0))
     counter("kl_prune_hits_total").inc(stats.get("prune_hits", 0))
 
-    result = Bisection(graph, assignment)
+    result = Bisection(graph, csr.assignment_dict(sides))
     assert result.cut == cut, "incremental cut diverged from recomputation"
     return KLResult(
         bisection=result,

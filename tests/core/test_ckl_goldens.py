@@ -4,8 +4,7 @@ Every run is seeded and every step is deterministic, so each
 algorithm x graph x seed cell has exactly one right answer.  The answers
 live in ``ckl_goldens.json`` next to this file; a change to matching,
 contraction, a KL/FM/SA kernel or projection that moves any of them
-fails here, with the cell as the witness.  The file runs under every
-``REPRO_KERNEL`` backend, so the cells also pin cross-backend agreement.
+fails here, with the cell as the witness.
 
 Algorithms: ``ckl``, ``csa``, ``coarse_only``, ``multilevel`` and
 ``sa_swap`` (SA's swap neighbourhood, short schedule) on all three
@@ -68,7 +67,7 @@ from repro.hypergraph.sa import compacted_hypergraph_sa
 from repro.partition.annealing import AnnealingSchedule, simulated_annealing
 from repro.partition import kl as kl_module
 from repro.partition.fm import fiduccia_mattheyses
-from repro.partition.kl import kernighan_lin, kl_pass
+from repro.partition.kl import kernighan_lin
 from repro.rng import LaggedFibonacciRandom
 
 GOLDEN_PATH = Path(__file__).with_name("ckl_goldens.json")
@@ -289,12 +288,13 @@ def test_multilevel_stop_rules_fire():
 @pytest.mark.parametrize("graph_name", sorted(KL_SELECTION_COUNTERS))
 def test_kl_selection_counters(monkeypatch, graph_name):
     seen = []
+    kl_pass_csr = kl_module._kl_pass_csr
 
-    def recording_pass(graph, assignment, stats=None):
+    def recording_pass(csr, sides, gains, stats):
         seen.append(stats)
-        return kl_pass(graph, assignment, stats)
+        return kl_pass_csr(csr, sides, gains, stats)
 
-    monkeypatch.setattr(kl_module, "kl_pass", recording_pass)
+    monkeypatch.setattr(kl_module, "_kl_pass_csr", recording_pass)
     kernighan_lin(_graph(graph_name), rng=0)
     assert seen[0] == KL_SELECTION_COUNTERS[graph_name]
 

@@ -183,21 +183,6 @@ class TestLifecycle:
         owner.unlink()
         assert owner.name not in _segment_names()
 
-    def test_attacher_numpy_views_do_not_pin_the_mapping(self, graph):
-        pytest.importorskip("numpy")
-        owner, attached = _attach_copy(graph)
-        try:
-            twin = attached.graph()
-            csr = twin._derived["csr"]
-            from repro.kernels.gains import move_gains
-
-            sides = [i % 2 for i in range(csr.num_vertices)]
-            move_gains(csr, sides, "numpy")  # caches frombuffer views
-            attached.close()  # must release them without BufferError
-        finally:
-            owner.close()
-            owner.unlink()
-
 
 class TestEnableSwitch:
     def test_shm_enabled_env(self, monkeypatch):

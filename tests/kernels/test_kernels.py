@@ -1,69 +1,22 @@
-"""Kernel subsystem unit tests: backend switch, bulk LFG stream, gains.
+"""Kernel subsystem unit tests: bulk LFG stream, gains.
 
-The decision-identity contract between backends is enforced end to end
-by the kernel matrix in ``tests/partition/test_csr_equivalence.py``;
-these tests pin down the building blocks in isolation — the
-``REPRO_KERNEL`` parsing rules, the exactness of block lagged-Fibonacci
-generation against the scalar generator, and the batch gain/recount
-kernels on edge-case graphs (empty, isolated vertices, weighted).
+These tests pin down the building blocks in isolation — the exactness of
+block lagged-Fibonacci generation against the scalar generator, and the
+batch gain/recount kernels against a recount from the graph's own
+adjacency on edge-case graphs (empty, isolated vertices, weighted).
 """
 
 from __future__ import annotations
-
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.csr import csr_view
+from repro.graphs.csr import csr_cut_weight, csr_move_gains, csr_side_weights, csr_view
 from repro.graphs.generators import gbreg
 from repro.graphs.graph import Graph
-from repro.kernels import BACKENDS, kernel_backend, numpy_available
-from repro.kernels.gains import cut_weight, move_gains, side_weights
 from repro.kernels.lfg import fill_block, history, restore_state
 from repro.rng import LaggedFibonacciRandom
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-
-
-class TestBackendSwitch:
-    def test_default_is_array(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert kernel_backend() == "array"
-
-    def test_explicit_names(self, monkeypatch):
-        for name in ("array",) + (("numpy",) if numpy_available() else ()):
-            monkeypatch.setenv("REPRO_KERNEL", name)
-            assert kernel_backend() == name
-
-    def test_whitespace_and_case_normalized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "  Array ")
-        assert kernel_backend() == "array"
-        monkeypatch.setenv("REPRO_KERNEL", "")
-        assert kernel_backend() == "array"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        for name in ("cuda", "dict"):
-            monkeypatch.setenv("REPRO_KERNEL", name)
-            with pytest.raises(ValueError, match="REPRO_KERNEL"):
-                kernel_backend()
-
-    def test_numpy_selects_or_degrades(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        expected = "numpy" if numpy_available() else "array"
-        assert kernel_backend() == expected
-        # A numpy-free install keeps the config valid by degrading.
-        numpy_available.cache_clear()
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        try:
-            assert kernel_backend() == "array"
-            assert not numpy_available()
-        finally:
-            numpy_available.cache_clear()
-
-    def test_backends_tuple_is_the_contract(self):
-        assert BACKENDS == ("array", "numpy")
 
 
 def _warmed_rng(seed: int, burn: int = 7) -> LaggedFibonacciRandom:
@@ -147,9 +100,20 @@ def _with_isolated(seed: int) -> Graph:
     return graph
 
 
-@needs_numpy
+def _recount(graph: Graph, sides: list[int]):
+    """Gains, cut and side weights straight from the ``Graph`` adjacency."""
+    side_of = dict(zip(graph.vertices(), sides))
+    gains = [
+        sum(w if side_of[u] != side_of[v] else -w for u, w in graph.neighbor_items(v))
+        for v in graph.vertices()
+    ]
+    cut = sum(w for u, v, w in graph.edges() if side_of[u] != side_of[v])
+    w1 = sum(graph.vertex_weight(v) for v in graph.vertices() if side_of[v])
+    return gains, cut, (graph.total_vertex_weight - w1, w1)
+
+
 class TestGainKernels:
-    """array-vs-numpy agreement on shapes the matrix graphs don't cover."""
+    """The CSR gain and recount kernels against the ``Graph``'s own adjacency."""
 
     CASES = {
         "empty": Graph,
@@ -164,24 +128,22 @@ class TestGainKernels:
         n = csr.num_vertices
         for split in range(3):  # a few distinct partitions, incl. lopsided
             sides = [(i + split) % 2 if split < 2 else 0 for i in range(n)]
-            assert move_gains(csr, sides, "numpy") == move_gains(csr, sides, "array")
-            assert cut_weight(csr, sides, "numpy") == cut_weight(csr, sides, "array")
-            assert side_weights(csr, sides, "numpy") == side_weights(
-                csr, sides, "array"
-            )
+            gains, cut, weights = _recount(graph, sides)
+            assert csr_move_gains(csr, sides) == gains
+            assert csr_cut_weight(csr, sides) == cut
+            assert csr_side_weights(csr, sides) == weights
 
     def test_empty_graph_zeroes(self):
         csr = csr_view(Graph())
-        assert move_gains(csr, [], "numpy") == []
-        assert cut_weight(csr, [], "numpy") == 0
-        assert side_weights(csr, [], "numpy") == (0, 0)
+        assert csr_move_gains(csr, []) == []
+        assert csr_cut_weight(csr, []) == 0
+        assert csr_side_weights(csr, []) == (0, 0)
 
     def test_gain_sign_convention(self):
         # One crossing edge of weight 5: moving either endpoint un-cuts it.
         graph = Graph()
         graph.add_edge("u", "v", 5)
         csr = csr_view(graph)
-        for backend in ("array", "numpy"):
-            assert move_gains(csr, [0, 1], backend) == [5, 5]
-            assert move_gains(csr, [0, 0], backend) == [-5, -5]
-            assert cut_weight(csr, [0, 1], backend) == 5
+        assert csr_move_gains(csr, [0, 1]) == [5, 5]
+        assert csr_move_gains(csr, [0, 0]) == [-5, -5]
+        assert csr_cut_weight(csr, [0, 1]) == 5

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.kernels import kernel_backend
 from repro.obs import (
     LEDGER_SCHEMA,
     build_ledger,
@@ -42,7 +41,7 @@ class TestBuildLedger:
         assert ledger["schema"] == LEDGER_SCHEMA
         assert ledger["kind"] == "ledger"
         assert ledger["env"]["obs"] is True
-        assert ledger["env"]["kernel"] == kernel_backend()
+        assert "kernel" not in ledger["env"]
         assert ledger["argv"] == ["table", "gbreg-d3"]
         assert ledger["counters"] == {"kl_swaps_total": 10}
         assert ledger["gauges"]["compaction_ratio"] == 0.5
@@ -128,14 +127,14 @@ class TestDiff:
         new = _make_ledger(workload={"command": "report"})
         assert diff_ledgers(old, new)["same_workload"] is False
 
-    def test_kernel_backend_change_is_an_env_change(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "array")
+    def test_scale_change_is_an_env_change(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
         old = _make_ledger()
+        monkeypatch.setenv("REPRO_SCALE", "paper")
         new = _make_ledger()
-        new["env"]["kernel"] = "numpy"
         report = diff_ledgers(old, new)
-        assert report["env_changes"]["kernel"] == ["array", "numpy"]
-        assert "kernel: 'array' -> 'numpy'" in render_ledger_diff(report)
+        assert report["env_changes"]["scale"] == ["smoke", "paper"]
+        assert "scale: 'smoke' -> 'paper'" in render_ledger_diff(report)
 
     def test_refuses_instrumented_vs_uninstrumented(self, monkeypatch):
         instrumented = _make_ledger()
@@ -154,10 +153,22 @@ class TestValidation:
 
     def test_ledger_with_legacy_csr_flag_is_valid_and_renders(self):
         ledger = _make_ledger()
-        del ledger["env"]["kernel"]
         ledger["env"]["csr"] = True
         assert validate_ledger(ledger) == []
         assert "csr=True" in render_ledger(ledger)
+
+    def test_ledger_with_legacy_kernel_field_is_valid_and_renders(self):
+        ledger = _make_ledger()
+        ledger["env"]["kernel"] = "numpy"
+        assert validate_ledger(ledger) == []
+        header = render_ledger(ledger)
+        assert "kernel=numpy" in header
+        assert "csr=" not in header
+
+    def test_current_ledger_header_names_no_backend(self):
+        header = render_ledger(_make_ledger())
+        assert "kernel=" not in header
+        assert "csr=" not in header
 
     def test_missing_required_key_is_a_violation(self):
         ledger = _make_ledger()

@@ -1,14 +1,17 @@
-"""Kernel-backend equivalence matrix (array / numpy).
+"""Equivalence matrices: one seed, one answer, however the run is set up.
 
-The kernel backends promise *bitwise identical* behaviour: same cuts,
-same assignments, same pass gains and temperature traces, from the same
-seed.  This matrix runs every partition algorithm under each
-``REPRO_KERNEL`` backend across graph families (regular, sparse random,
-weighted/contracted, string labels) and seeds, and compares the full
-result objects.  A second matrix runs the unset default and then
-``numpy`` on one graph object, so the second run starts from the CSR and
-list mirrors the first run cached.  A third holds instrumentation
-(``REPRO_OBS``) to the same standard.
+Every partition algorithm runs across graph families (regular, sparse
+random, weighted/contracted, string labels) and seeds, and the full
+result objects are compared: cuts, assignments, pass gains and
+temperature traces.
+
+* The first matrix runs twice on one graph object, so the second run
+  starts from the CSR and list mirrors the first run cached.
+* The second runs on the graph and on its twin attached from a
+  shared-memory segment, whose CSR buffers are ``memoryview`` windows
+  into the mapping rather than ``array('q')``: the kernels must make the
+  same decisions on either backing, as the engine's workers rely on.
+* The third holds instrumentation (``REPRO_OBS``) to the same standard.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ from repro.core.matching import random_maximal_matching
 from repro.core.pipeline import ckl, csa
 from repro.graphs.generators import gbreg, gnp_with_degree
 from repro.graphs.graph import Graph
-from repro.kernels import numpy_available
+from repro.graphs.shm import SharedGraphSegment
 from repro.partition.annealing import AnnealingSchedule, simulated_annealing
 from repro.partition.fm import fiduccia_mattheyses
 from repro.partition.kl import kernighan_lin
 from repro.rng import LaggedFibonacciRandom
 
 SCHEDULE = AnnealingSchedule(size_factor=2, max_temperatures=60)
-BACKENDS = ("array",) + (("numpy",) if numpy_available() else ())
 
 
 def _gbreg_graph(seed):
@@ -64,15 +66,6 @@ FAMILIES = {
 SEEDS = (0, 1, 2)
 
 
-def _run_obs_both(monkeypatch, build, seed, run):
-    """Run ``run(graph, seed)`` instrumented (REPRO_OBS=1), then bare."""
-    monkeypatch.setenv("REPRO_OBS", "1")
-    on_result = run(build(seed), seed)
-    monkeypatch.setenv("REPRO_OBS", "0")
-    off_result = run(build(seed), seed)
-    return on_result, off_result
-
-
 def _assert_bisections_equal(a, b):
     assert a.cut == b.cut
     assert a.assignment() == b.assignment()
@@ -83,6 +76,16 @@ def _assert_kl_like_equal(a, b):
     assert a.initial_cut == b.initial_cut
     assert a.passes == b.passes
     assert a.pass_gains == b.pass_gains
+
+
+def _assert_kl_equal(a, b):
+    _assert_kl_like_equal(a, b)
+    assert a.swaps == b.swaps
+
+
+def _assert_fm_equal(a, b):
+    _assert_kl_like_equal(a, b)
+    assert a.moves == b.moves
 
 
 def _assert_sa_equal(a, b):
@@ -96,141 +99,98 @@ def _assert_sa_equal(a, b):
     assert a.temperature_trace == b.temperature_trace
 
 
-def _run_backends(monkeypatch, build, seed, run):
-    """Run ``run(graph, seed)`` once per kernel backend, in BACKENDS order."""
-    results = []
-    for backend in BACKENDS:
-        monkeypatch.setenv("REPRO_KERNEL", backend)
-        results.append(run(build(seed), seed))
-    return results
+def _pipeline_check(assert_stage_equal):
+    def check(a, b):
+        _assert_bisections_equal(a.bisection, b.bisection)
+        assert a.projected_cut == b.projected_cut
+        assert_stage_equal(a.coarse_result, b.coarse_result)
+        assert_stage_equal(a.final_result, b.final_result)
+
+    return check
 
 
-def _run_default_then_numpy(monkeypatch, build, seed, run):
-    """Run ``run`` with ``REPRO_KERNEL`` unset, then under ``numpy``.
+# algorithm -> (run(graph, seed), assert_equal(a, b))
+ALGORITHMS = {
+    "kl": (lambda g, s: kernighan_lin(g, rng=s), _assert_kl_equal),
+    "fm": (lambda g, s: fiduccia_mattheyses(g, rng=s), _assert_fm_equal),
+    "sa": (
+        lambda g, s: simulated_annealing(g, rng=s, schedule=SCHEDULE),
+        _assert_sa_equal,
+    ),
+    "ckl": (lambda g, s: ckl(g, rng=s), _pipeline_check(_assert_kl_like_equal)),
+    "csa": (
+        lambda g, s: csa(g, rng=s, schedule=SCHEDULE),
+        _pipeline_check(_assert_sa_equal),
+    ),
+}
 
-    Both runs share one graph object, so the numpy run starts with the
-    CSR snapshot and list mirrors the default run cached on the graph.
-    """
-    graph = build(seed)
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    default_result = run(graph, seed)
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
-    numpy_result = run(graph, seed)
-    return default_result, numpy_result
+
+class _Matrix:
+    """One test per algorithm; subclasses say how the two runs differ."""
+
+    def check(self, algorithm, family, seed, monkeypatch):
+        raise NotImplementedError
+
+    def test_kl(self, family, seed, monkeypatch):
+        self.check("kl", family, seed, monkeypatch)
+
+    def test_fm(self, family, seed, monkeypatch):
+        self.check("fm", family, seed, monkeypatch)
+
+    def test_sa(self, family, seed, monkeypatch):
+        self.check("sa", family, seed, monkeypatch)
+
+    def test_ckl(self, family, seed, monkeypatch):
+        self.check("ckl", family, seed, monkeypatch)
+
+    def test_csa(self, family, seed, monkeypatch):
+        self.check("csa", family, seed, monkeypatch)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", SEEDS)
-class TestEquivalenceMatrix:
-    """The unset default vs ``numpy`` on one shared graph.
+class TestEquivalenceMatrix(_Matrix):
+    """Two runs on one shared graph.
 
     A CSR and its list mirrors left cached on the graph by an earlier run
     must not steer the next run: the second run must repeat the first.
     """
 
-    def test_kl(self, monkeypatch, family, seed):
-        c, d = _run_default_then_numpy(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: kernighan_lin(g, rng=s),
-        )
-        _assert_kl_like_equal(d, c)
-        assert d.swaps == c.swaps
-
-    def test_fm(self, monkeypatch, family, seed):
-        c, d = _run_default_then_numpy(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: fiduccia_mattheyses(g, rng=s),
-        )
-        _assert_kl_like_equal(d, c)
-        assert d.moves == c.moves
-
-    def test_sa(self, monkeypatch, family, seed):
-        c, d = _run_default_then_numpy(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: simulated_annealing(g, rng=s, schedule=SCHEDULE),
-        )
-        _assert_sa_equal(d, c)
-
-    def test_ckl(self, monkeypatch, family, seed):
-        c, d = _run_default_then_numpy(
-            monkeypatch, FAMILIES[family], seed, lambda g, s: ckl(g, rng=s)
-        )
-        _assert_bisections_equal(d.bisection, c.bisection)
-        assert d.projected_cut == c.projected_cut
-        _assert_kl_like_equal(d.coarse_result, c.coarse_result)
-        _assert_kl_like_equal(d.final_result, c.final_result)
-
-    def test_csa(self, monkeypatch, family, seed):
-        c, d = _run_default_then_numpy(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: csa(g, rng=s, schedule=SCHEDULE),
-        )
-        _assert_bisections_equal(d.bisection, c.bisection)
-        assert d.projected_cut == c.projected_cut
-        _assert_sa_equal(d.coarse_result, c.coarse_result)
-        _assert_sa_equal(d.final_result, c.final_result)
+    def check(self, algorithm, family, seed, monkeypatch):
+        run, assert_equal = ALGORITHMS[algorithm]
+        graph = FAMILIES[family](seed)
+        first = run(graph, seed)
+        assert_equal(run(graph, seed), first)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", SEEDS)
-class TestKernelBackendMatrix:
-    """array / numpy kernel backends: one answer, N engines.
+class TestKernelBackendMatrix(_Matrix):
+    """In-process CSR buffers vs a shared-memory twin's: one answer.
 
-    ``REPRO_KERNEL`` picks the backend explicitly; every backend must
-    agree on the full result object, counters and traces included.
+    The attached twin's adjacency is rebuilt from the CSR rows and its
+    CSR arrays are windows into the segment; every result object must
+    match the original graph's, counters and traces included.  The
+    comparison runs before the segment closes, since a bisection counts
+    its cut lazily from the CSR it was built on.
     """
 
-    def test_kl(self, monkeypatch, family, seed):
-        first, *rest = _run_backends(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: kernighan_lin(g, rng=s),
-        )
-        for other in rest:
-            _assert_kl_like_equal(first, other)
-            assert first.swaps == other.swaps
-
-    def test_fm(self, monkeypatch, family, seed):
-        first, *rest = _run_backends(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: fiduccia_mattheyses(g, rng=s),
-        )
-        for other in rest:
-            _assert_kl_like_equal(first, other)
-            assert first.moves == other.moves
-
-    def test_sa(self, monkeypatch, family, seed):
-        first, *rest = _run_backends(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: simulated_annealing(g, rng=s, schedule=SCHEDULE),
-        )
-        for other in rest:
-            _assert_sa_equal(first, other)
-
-    def test_ckl(self, monkeypatch, family, seed):
-        first, *rest = _run_backends(
-            monkeypatch, FAMILIES[family], seed, lambda g, s: ckl(g, rng=s)
-        )
-        for other in rest:
-            _assert_bisections_equal(first.bisection, other.bisection)
-            assert first.projected_cut == other.projected_cut
-            _assert_kl_like_equal(first.coarse_result, other.coarse_result)
-            _assert_kl_like_equal(first.final_result, other.final_result)
-
-    def test_csa(self, monkeypatch, family, seed):
-        first, *rest = _run_backends(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: csa(g, rng=s, schedule=SCHEDULE),
-        )
-        for other in rest:
-            _assert_bisections_equal(first.bisection, other.bisection)
-            assert first.projected_cut == other.projected_cut
-            _assert_sa_equal(first.coarse_result, other.coarse_result)
-            _assert_sa_equal(first.final_result, other.final_result)
+    def check(self, algorithm, family, seed, monkeypatch):
+        run, assert_equal = ALGORITHMS[algorithm]
+        graph = FAMILIES[family](seed)
+        owner = SharedGraphSegment.create(graph)
+        attached = SharedGraphSegment.attach(owner.name)
+        try:
+            assert_equal(run(graph, seed), run(attached.graph(), seed))
+        finally:
+            attached.close()
+            owner.close()
+            owner.unlink()
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", SEEDS)
-class TestObsEquivalenceMatrix:
+class TestObsEquivalenceMatrix(_Matrix):
     """REPRO_OBS=1 vs REPRO_OBS=0: instrumentation must not perturb results.
 
     The observability layer (spans, counters, histograms) promises to be
@@ -238,47 +198,12 @@ class TestObsEquivalenceMatrix:
     object must match seed-for-seed with instrumentation on and off.
     """
 
-    def test_kl(self, monkeypatch, family, seed):
-        on, off = _run_obs_both(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: kernighan_lin(g, rng=s),
-        )
-        _assert_kl_like_equal(on, off)
-        assert on.swaps == off.swaps
-
-    def test_fm(self, monkeypatch, family, seed):
-        on, off = _run_obs_both(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: fiduccia_mattheyses(g, rng=s),
-        )
-        _assert_kl_like_equal(on, off)
-        assert on.moves == off.moves
-
-    def test_sa(self, monkeypatch, family, seed):
-        on, off = _run_obs_both(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: simulated_annealing(g, rng=s, schedule=SCHEDULE),
-        )
-        _assert_sa_equal(on, off)
-
-    def test_ckl(self, monkeypatch, family, seed):
-        on, off = _run_obs_both(
-            monkeypatch, FAMILIES[family], seed, lambda g, s: ckl(g, rng=s)
-        )
-        _assert_bisections_equal(on.bisection, off.bisection)
-        assert on.projected_cut == off.projected_cut
-        _assert_kl_like_equal(on.coarse_result, off.coarse_result)
-        _assert_kl_like_equal(on.final_result, off.final_result)
-
-    def test_csa(self, monkeypatch, family, seed):
-        on, off = _run_obs_both(
-            monkeypatch, FAMILIES[family], seed,
-            lambda g, s: csa(g, rng=s, schedule=SCHEDULE),
-        )
-        _assert_bisections_equal(on.bisection, off.bisection)
-        assert on.projected_cut == off.projected_cut
-        _assert_sa_equal(on.coarse_result, off.coarse_result)
-        _assert_sa_equal(on.final_result, off.final_result)
+    def check(self, algorithm, family, seed, monkeypatch):
+        run, assert_equal = ALGORITHMS[algorithm]
+        monkeypatch.setenv("REPRO_OBS", "1")
+        on = run(FAMILIES[family](seed), seed)
+        monkeypatch.setenv("REPRO_OBS", "0")
+        assert_equal(on, run(FAMILIES[family](seed), seed))
 
 
 class TestTraceOptOut:

@@ -17,8 +17,6 @@ from repro.graphs.generators import (
 )
 from repro.graphs.csr import csr_move_gains, csr_view
 from repro.graphs.graph import Graph
-from repro.kernels import kernel_backend
-from repro.kernels.gains import move_gains
 from repro.kernels.kl import kl_sequence
 from repro.partition.bisection import Bisection, cut_weight
 from repro.partition.exact import exact_bisection_width
@@ -265,10 +263,7 @@ class TestKLSelectionCorrectness:
         assert gains[a] + gains[b] - 2 * g.edge_weight(a, b) == best
 
     @pytest.mark.parametrize("first_weight", [1, 2])
-    @pytest.mark.parametrize("kernel", ["array", "numpy"])
-    def test_equal_class_gains_first_appearing_weight_wins(
-        self, monkeypatch, first_weight, kernel
-    ):
+    def test_equal_class_gains_first_appearing_weight_wins(self, first_weight):
         # Both classes offer a best pair of gain 2.  The class whose weight
         # appears first in vertex order wins, whatever the weight's value
         # and although its labels sort last.
@@ -281,15 +276,14 @@ class TestKLSelectionCorrectness:
         assignment = {"z0": 0, "a0": 0, "z1": 1, "a1": 1}
         assert self._first_multi_pair(g, assignment) == ("z0", "z1", 2)
 
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
         gain, swaps = kl_pass(g, assignment)
         assert (gain, swaps) == (2, 1)
         assert assignment == {"z0": 1, "a0": 0, "z1": 0, "a1": 1}
 
 
 def _kernel_sequence(csr, sides):
-    """The kernel's whole pair sequence, gains initialized by the active backend."""
-    return kl_sequence(csr, sides, move_gains(csr, sides, kernel_backend()))
+    """The kernel's whole pair sequence from freshly counted gains."""
+    return kl_sequence(csr, sides, csr_move_gains(csr, sides))
 
 
 def _reference_sequence(csr, sides):
