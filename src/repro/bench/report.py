@@ -95,14 +95,11 @@ def generate_report(
         # Extension workload: native netlist bisection.
         netlist_rows = run_workload(
             netlist_cases(scale),
-            netlist_algorithm_specs(scale, include_sa=include_sa),
+            netlist_algorithm_specs(scale),
             rng=spawn(rng, 99),
             starts=scale.starts,
             engine=engine,
         )
-    netlist_pairs = (
-        (("hsa", "chsa"), ("hfm", "chfm")) if include_sa else (("hfm", "chfm"),)
-    )
     sections.append("## Netlists (extension: the paper's heuristics on hypergraphs)")
     sections.append("")
     sections.append(
@@ -110,7 +107,7 @@ def generate_report(
             render_paper_table(
                 "Clustered netlists (net-cut objective)",
                 netlist_rows,
-                base_pairs=netlist_pairs,
+                base_pairs=(("hfm", "chfm"),),
             )
         )
     )

@@ -301,29 +301,27 @@ def netlist_cases(scale: Scale) -> list[WorkloadCase]:
     return cases
 
 
-def netlist_algorithm_specs(
-    scale: Scale, include_sa: bool = True
-) -> dict[str, AlgorithmSpec]:
-    """Netlist bisectors as engine specs (see :func:`netlist_algorithms`)."""
-    specs = {
+def netlist_algorithm_specs(scale: Scale) -> dict[str, AlgorithmSpec]:
+    """Netlist bisectors as engine specs (see :func:`netlist_algorithms`).
+
+    ``scale`` is accepted for symmetry with the graph workloads; the
+    netlist bisectors run with their defaults at every scale.
+    """
+    return {
         "hfm": AlgorithmSpec.make("hfm"),
         "chfm": AlgorithmSpec.make("chfm"),
     }
-    if include_sa:
-        specs["hsa"] = AlgorithmSpec.make("hsa", size_factor=scale.sa_size_factor)
-        specs["chsa"] = AlgorithmSpec.make("chsa", size_factor=scale.sa_size_factor)
-    return specs
 
 
-def netlist_algorithms(scale: Scale, include_sa: bool = True) -> dict:
+def netlist_algorithms(scale: Scale) -> dict:
     """Netlist bisectors as ``(hypergraph, rng) -> result`` callables.
 
     ``hfm``/``chfm`` mirror KL/CKL (deterministic-ish local search, plain
-    and compacted); ``hsa``/``chsa`` mirror SA/CSA.
+    and compacted).
     """
     return {
         name: build_algorithm(spec)
-        for name, spec in netlist_algorithm_specs(scale, include_sa).items()
+        for name, spec in netlist_algorithm_specs(scale).items()
     }
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -97,6 +98,19 @@ def _read_input(what: str, path: str, read):
         return read(path)
     except (OSError, ValueError) as exc:
         raise _InputError(f"cannot read {what} {path}: {exc}") from None
+
+
+@contextmanager
+def _parameters(what: str):
+    """A library ``ValueError`` over bad CLI parameters as an ``_InputError``.
+
+    The library call is the only place the valid ranges are defined; this
+    only changes how its refusal reaches the user.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise _InputError(f"{what}: {exc}") from None
 
 
 def _read_graph(path: str):
@@ -164,21 +178,22 @@ def _make_engine(
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.model == "gbreg":
-        graph = gbreg(args.vertices, args.width, args.degree, args.seed).graph
-    elif args.model == "g2set":
-        graph = g2set(args.vertices, args.p, args.p, args.width, args.seed).graph
-    elif args.model == "gnp":
-        graph = gnp(args.vertices, args.p, args.seed)
-    elif args.model == "ladder":
-        graph = ladder_graph(args.vertices // 2)
-    elif args.model == "grid":
-        side = int(round(args.vertices**0.5))
-        graph = grid_graph(side, side)
-    elif args.model == "btree":
-        graph = binary_tree(args.vertices)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.model)
+    with _parameters(args.model):
+        if args.model == "gbreg":
+            graph = gbreg(args.vertices, args.width, args.degree, args.seed).graph
+        elif args.model == "g2set":
+            graph = g2set(args.vertices, args.p, args.p, args.width, args.seed).graph
+        elif args.model == "gnp":
+            graph = gnp(args.vertices, args.p, args.seed)
+        elif args.model == "ladder":
+            graph = ladder_graph(args.vertices // 2)
+        elif args.model == "grid":
+            side = int(round(args.vertices**0.5))
+            graph = grid_graph(side, side)
+        elif args.model == "btree":
+            graph = binary_tree(args.vertices)
+        else:  # pragma: no cover - argparse restricts choices
+            raise AssertionError(args.model)
     write_edge_list(graph, args.out)
     print(f"wrote {graph!r} to {args.out}")
     return 0
@@ -236,7 +251,7 @@ def _cmd_kway(args: argparse.Namespace) -> int:
     from .partition.kway import recursive_kway
 
     graph = _read_graph(args.graph)
-    with Timer() as timer:
+    with Timer() as timer, _parameters("kway"):
         partition = recursive_kway(graph, args.k, rng=args.seed)
     weights = partition.part_weights()
     print(
@@ -286,23 +301,13 @@ def _cmd_netlist(args: argparse.Namespace) -> int:
     )
 
     if args.action == "generate":
-        netlist = random_netlist(args.cells, clusters=args.clusters, rng=args.seed)
+        with _parameters("netlist generate"):
+            netlist = random_netlist(args.cells, clusters=args.clusters, rng=args.seed)
         write_hmetis(netlist, args.file)
         print(f"wrote {netlist!r} to {args.file}")
         return 0
 
     netlist = _read_input("netlist", args.file, read_hmetis)
-    if args.k > 2:
-        from .hypergraph.kway import recursive_kway_hypergraph
-
-        with Timer() as timer:
-            partition = recursive_kway_hypergraph(netlist, args.k, rng=args.seed)
-        print(
-            f"kway k={args.k}: cut_nets={partition.cut_nets} "
-            f"connectivity-1={partition.connectivity_minus_one} "
-            f"part_weights={partition.part_weights()} time={timer.seconds:.3f}s"
-        )
-        return 0
     runners = {
         "fm": hypergraph_fm,
         "cfm": compacted_hypergraph_fm,
@@ -850,9 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     netlist.add_argument("--clusters", type=int, default=8)
     netlist.add_argument(
         "--algorithm", choices=["fm", "cfm", "multilevel"], default="multilevel"
-    )
-    netlist.add_argument(
-        "--k", type=int, default=2, help="parts for k-way netlist partitioning (run only)"
     )
     netlist.add_argument("--seed", type=int, default=0)
     netlist.set_defaults(func=_cmd_netlist)

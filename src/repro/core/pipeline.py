@@ -18,8 +18,7 @@ convention whose result exposes ``.bisection`` can be compacted;
 Every compaction pipeline in the library runs the five steps through one
 level loop, :func:`_level_loop`: CKL, CSA and :func:`coarse_only_bisection`
 here, recursive coalescing (:mod:`repro.core.multilevel`) and the netlist
-pipelines (:mod:`repro.hypergraph.compaction`,
-:func:`repro.hypergraph.sa.compacted_hypergraph_sa`).  The single-level
+pipelines (:mod:`repro.hypergraph.compaction`).  The single-level
 pipelines contract exactly once; the multilevel ones repeat steps 1-2
 until a stop rule fires and steps 4-5 once per level on the way back up.
 """

@@ -26,7 +26,6 @@ from .registry import (
     build_algorithm,
     register_algorithm,
 )
-from .replicas import ChainCell, ReplicaSet, sa_replicas, sa_temperature_chain
 from .telemetry import Telemetry, TelemetryEvent, Timer
 
 __all__ = [
@@ -34,14 +33,12 @@ __all__ = [
     "AlgorithmInfo",
     "AlgorithmSpec",
     "BatchEntry",
-    "ChainCell",
     "Engine",
     "Job",
     "JobHandle",
     "JobResult",
     "JobRunner",
     "JobTimeout",
-    "ReplicaSet",
     "ResultCache",
     "Telemetry",
     "TelemetryEvent",
@@ -56,6 +53,4 @@ __all__ = [
     "register_algorithm",
     "retry_seed",
     "run_batch",
-    "sa_replicas",
-    "sa_temperature_chain",
 ]

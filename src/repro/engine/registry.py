@@ -8,11 +8,11 @@ engine stays cheap.
 
 The built-in names mirror the CLI and the bench: ``kl``, ``sa``, ``ckl``,
 ``csa``, ``fm``, ``greedy``, ``multilevel``, ``cycles`` for graphs and
-``hfm``, ``chfm``, ``hsa``, ``chsa`` for hypergraph netlists.  The
-``sa``/``csa``/``hsa``/``chsa`` builders take a ``size_factor`` param
-(the annealing temperature length multiplier); omitted params fall back
-to the algorithm's own defaults, so ``AlgorithmSpec.make("sa")`` is
-exactly ``simulated_annealing(graph, rng=rng)``.
+``hfm``, ``chfm`` for hypergraph netlists.  The ``sa``/``csa`` builders
+take a ``size_factor`` param (the annealing temperature length
+multiplier); omitted params fall back to the algorithm's own defaults, so
+``AlgorithmSpec.make("sa")`` is exactly
+``simulated_annealing(graph, rng=rng)``.
 """
 
 from __future__ import annotations
@@ -193,20 +193,6 @@ def _build_chfm() -> Algorithm:
     return lambda hg, rng: compacted_hypergraph_fm(hg, rng=rng)
 
 
-def _build_hsa(size_factor: int | None = None) -> Algorithm:
-    from ..hypergraph.sa import hypergraph_sa
-
-    schedule = _sa_schedule(size_factor)
-    return lambda hg, rng: hypergraph_sa(hg, rng=rng, schedule=schedule)
-
-
-def _build_chsa(size_factor: int | None = None) -> Algorithm:
-    from ..hypergraph.sa import compacted_hypergraph_sa
-
-    schedule = _sa_schedule(size_factor)
-    return lambda hg, rng: compacted_hypergraph_sa(hg, rng=rng, schedule=schedule)
-
-
 for _name, _builder, _domain, _max_degree, _stochastic in (
     ("kl", _build_kl, "graph", None, True),
     ("ckl", _build_ckl, "graph", None, True),
@@ -218,8 +204,6 @@ for _name, _builder, _domain, _max_degree, _stochastic in (
     ("cycles", _build_cycles, "graph", 2, False),
     ("hfm", _build_hfm, "hypergraph", None, True),
     ("chfm", _build_chfm, "hypergraph", None, True),
-    ("hsa", _build_hsa, "hypergraph", None, True),
-    ("chsa", _build_chsa, "hypergraph", None, True),
 ):
     register_algorithm(
         _name,

@@ -119,43 +119,6 @@ def random_bisection_expected_cut(graph: Graph) -> float:
     return graph.total_edge_weight * n / (two_n - 1)
 
 
-def triangle_count(graph: Graph) -> int:
-    """Number of triangles (3-cycles) in the graph.
-
-    Rank-ordered neighbor intersection: each triangle is counted exactly
-    once at its lowest-ranked vertex.  ``O(sum deg(v)^2)`` worst case,
-    fast on the sparse graphs this package deals in.
-    """
-    rank = {v: i for i, v in enumerate(graph.vertices())}
-    count = 0
-    for u in graph.vertices():
-        higher = [w for w in graph.neighbors(u) if rank[w] > rank[u]]
-        higher_set = set(higher)
-        for i, w in enumerate(higher):
-            for x in higher[i + 1 :]:
-                if graph.has_edge(w, x):
-                    count += 1
-        del higher_set
-    return count
-
-
-def clustering_coefficient(graph: Graph) -> float:
-    """Global clustering coefficient: ``3 * triangles / open-or-closed wedges``.
-
-    Random sparse models (``Gnp``, ``Gbreg`` at fixed degree) have
-    vanishing clustering while real netlist clique expansions have a lot;
-    the model-study example reports this as a structure diagnostic.
-    Returns 0.0 for graphs with no wedge.
-    """
-    wedges = 0
-    for v in graph.vertices():
-        d = graph.degree(v)
-        wedges += d * (d - 1) // 2
-    if wedges == 0:
-        return 0.0
-    return 3.0 * triangle_count(graph) / wedges
-
-
 def degree_statistics(graph: Graph) -> dict[str, float]:
     """Summary dict: min/max/mean/std of degrees (population std)."""
     degrees = [graph.degree(v) for v in graph.vertices()]
@@ -171,4 +134,4 @@ def degree_statistics(graph: Graph) -> dict[str, float]:
     }
 
 
-__all__.extend(["degree_statistics", "triangle_count", "clustering_coefficient"])
+__all__.append("degree_statistics")

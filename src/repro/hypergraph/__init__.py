@@ -16,8 +16,6 @@ from .expansion import clique_expansion, star_expansion
 from .fm import HyperFMResult, hypergraph_fm, random_hypergraph_bisection
 from .generators import from_graph, grid_netlist, random_netlist
 from .hypergraph import Hypergraph, HypergraphBisection, net_cut_weight
-from .kway import KWayNetlistPartition, recursive_kway_hypergraph
-from .sa import HyperSAResult, compacted_hypergraph_sa, hypergraph_sa
 from .io import (
     hypergraph_from_string,
     hypergraph_to_string,
@@ -46,9 +44,4 @@ __all__ = [
     "HypergraphCompaction",
     "compacted_hypergraph_fm",
     "multilevel_hypergraph_fm",
-    "hypergraph_sa",
-    "HyperSAResult",
-    "compacted_hypergraph_sa",
-    "recursive_kway_hypergraph",
-    "KWayNetlistPartition",
 ]

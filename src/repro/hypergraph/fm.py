@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 from ..partition.bisection import minimum_achievable_imbalance
 from ..rng import resolve_rng
@@ -97,7 +96,6 @@ def _fm_pass(
     strict_tol: int,
     loose_tol: int,
     gain_structure: str = "heap",
-    target_diff: int = 0,
 ) -> tuple[int, int]:
     """One hypergraph-FM pass; mutates ``assignment``.
 
@@ -121,13 +119,10 @@ def _fm_pass(
     sequence: list = []
     running_gain = 0
 
-    def deviation(d: int) -> int:
-        return abs(d - target_diff)
-
-    start_balanced = deviation(diff) <= strict_tol
+    start_balanced = abs(diff) <= strict_tol
     best_balanced_gain = 0 if start_balanced else None
     best_balanced_k = 0
-    best_imbalance = deviation(diff)
+    best_imbalance = abs(diff)
     best_imbalance_k = 0
     best_imbalance_gain = 0
 
@@ -144,7 +139,7 @@ def _fm_pass(
                 return False
             wv = hypergraph.vertex_weight(v)
             new_diff = diff - 2 * wv if side == 0 else diff + 2 * wv
-            return deviation(new_diff) <= loose_tol or deviation(new_diff) < deviation(diff)
+            return abs(new_diff) <= loose_tol or abs(new_diff) < abs(diff)
 
         return container.select(side, allowed)
 
@@ -199,7 +194,7 @@ def _fm_pass(
         gains[v] = -gain_v
 
         k = len(sequence)
-        imb = deviation(diff)
+        imb = abs(diff)
         if imb <= strict_tol and (
             best_balanced_gain is None or running_gain > best_balanced_gain
         ):
@@ -226,16 +221,13 @@ def hypergraph_fm(
     max_passes: int | None = None,
     balance_tolerance: int | None = None,
     gain_structure: str = "bucket",
-    target_weights: tuple[int, int] | None = None,
 ) -> HyperFMResult:
     """Bisect a hypergraph minimizing net cut with FM passes.
 
     ``gain_structure`` selects the gain container — ``"bucket"`` (FM's
     classic bucket array, the default: ~5x faster in the ablation bench)
     or ``"heap"`` (lazy max-heaps); both produce identical move sequences
-    up to tie-breaking.  ``target_weights = (t0, t1)`` requests an unequal
-    split (they must sum to the total cell weight), as in the graph FM —
-    this is what k-way netlist partitioning uses.
+    up to tie-breaking.
     """
     if hypergraph.num_vertices == 0:
         raise ValueError("cannot bisect the empty hypergraph")
@@ -247,23 +239,10 @@ def hypergraph_fm(
     else:
         assignment = random_hypergraph_bisection(hypergraph, rng).assignment()
 
-    total = hypergraph.total_vertex_weight
-    if target_weights is None:
-        target_diff = 0
-        strict_default = _default_tolerance(hypergraph)
+    if balance_tolerance is None:
+        strict_tol = _default_tolerance(hypergraph)
     else:
-        t0, t1 = target_weights
-        if t0 < 0 or t1 < 0 or t0 + t1 != total:
-            raise ValueError(
-                f"target_weights must be nonnegative and sum to {total}, got {target_weights}"
-            )
-        target_diff = t0 - t1
-        from ..partition.bisection import minimum_achievable_deviation
-
-        strict_default = minimum_achievable_deviation(
-            (hypergraph.vertex_weight(v) for v in hypergraph.vertices()), target_diff
-        )
-    strict_tol = strict_default if balance_tolerance is None else balance_tolerance
+        strict_tol = balance_tolerance
     max_weight = max(hypergraph.vertex_weight(v) for v in hypergraph.vertices())
     loose_tol = max(strict_tol, 2 * max_weight)
 
@@ -278,10 +257,8 @@ def hypergraph_fm(
             for v in hypergraph.vertices()
             if assignment[v] == 0
         )
-        was_balanced = abs(2 * w0 - hypergraph.total_vertex_weight - target_diff) <= strict_tol
-        gain, kept = _fm_pass(
-            hypergraph, assignment, strict_tol, loose_tol, gain_structure, target_diff
-        )
+        was_balanced = abs(2 * w0 - hypergraph.total_vertex_weight) <= strict_tol
+        gain, kept = _fm_pass(hypergraph, assignment, strict_tol, loose_tol, gain_structure)
         passes += 1
         cut -= gain
         total_moves += kept

@@ -43,8 +43,6 @@ __all__ = ["CheckRecord", "CheckReport", "run_check"]
 _FAST_PARAMS: dict[str, dict[str, Any]] = {
     "sa": {"size_factor": 1},
     "csa": {"size_factor": 1},
-    "hsa": {"size_factor": 1},
-    "chsa": {"size_factor": 1},
 }
 
 

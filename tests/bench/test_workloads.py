@@ -113,15 +113,10 @@ class TestNetlistWorkloads:
         rng = LaggedFibonacciRandom(8)
         hg = netlist_cases(SMOKE)[0].build(rng)
         algorithms = netlist_algorithms(SMOKE)
-        assert set(algorithms) == {"hfm", "chfm", "hsa", "chsa"}
+        assert set(algorithms) == {"hfm", "chfm"}
         for name, algorithm in algorithms.items():
             result = algorithm(hg, LaggedFibonacciRandom(9))
             assert result.cut >= 0, name
-
-    def test_netlist_kl_only(self):
-        from repro.bench.workloads import netlist_algorithms
-
-        assert set(netlist_algorithms(SMOKE, include_sa=False)) == {"hfm", "chfm"}
 
 
 class TestStandardAlgorithms:

@@ -28,12 +28,11 @@ carries vertex weights 1-4 (three or more KL weight classes) and merged
 edge weights.
 
 ``pipeline_goldens.json`` pins the rest of the level loop's callers the
-same way: the netlist pipelines ``chfm`` (final pass gains), ``chsa``
-(short schedule, ``[moves_attempted, moves_accepted]`` of the final SA
-stage) and ``mlhfm`` (per-level cuts) on two ``random_netlist``
-instances, and ``multilevel`` at its default depth and refiner (per-level
-cuts) on a Gbreg(500) graph, where the ``coarsest_size`` stop fires, and
-on ``star_graph(40)``, where the 5% shrink stop fires.
+same way: the netlist pipelines ``chfm`` (final pass gains) and ``mlhfm``
+(per-level cuts) on two ``random_netlist`` instances, and ``multilevel``
+at its default depth and refiner (per-level cuts) on a Gbreg(500) graph,
+where the ``coarsest_size`` stop fires, and on ``star_graph(40)``, where
+the 5% shrink stop fires.
 
 ``KL_SELECTION_COUNTERS`` pins plain KL's selection counters
 (``selections``, ``stale_pops``, ``candidates``, ``prune_hits``) on the
@@ -63,7 +62,6 @@ from repro.graphs.generators import gbreg, gnp_with_degree, star_graph
 from repro.graphs.graph import vertex_token
 from repro.hypergraph.compaction import compacted_hypergraph_fm, multilevel_hypergraph_fm
 from repro.hypergraph.generators import random_netlist
-from repro.hypergraph.sa import compacted_hypergraph_sa
 from repro.partition.annealing import AnnealingSchedule, simulated_annealing
 from repro.partition import kl as kl_module
 from repro.partition.fm import fiduccia_mattheyses
@@ -152,11 +150,6 @@ def _run_chfm(netlist, seed):
     return result.bisection, result.final_result.pass_gains
 
 
-def _run_chsa(netlist, seed):
-    result = compacted_hypergraph_sa(netlist, rng=seed, schedule=SHORT_SCHEDULE)
-    return result.bisection, [result.moves_attempted, result.moves_accepted]
-
-
 def _run_mlhfm(netlist, seed):
     result = multilevel_hypergraph_fm(netlist, rng=seed)
     return result.bisection, result.level_cuts
@@ -199,7 +192,6 @@ ALGORITHMS = {
 }
 PIPELINE_ALGORITHMS = {
     "chfm": _run_chfm,
-    "chsa": _run_chsa,
     "mlhfm": _run_mlhfm,
     "multilevel_default": _run_multilevel_default,
 }
@@ -240,7 +232,6 @@ PIPELINE_CELLS = [
     (algorithm, graph_name, seed)
     for algorithm, graph_names in (
         ("chfm", NETLISTS),
-        ("chsa", NETLISTS),
         ("mlhfm", NETLISTS),
         ("multilevel_default", STOP_GRAPHS),
     )

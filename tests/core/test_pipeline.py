@@ -11,7 +11,6 @@ from repro.graphs.generators import gbreg, ladder_graph, star_graph
 from repro.graphs.graph import Graph
 from repro.hypergraph.compaction import compacted_hypergraph_fm, multilevel_hypergraph_fm
 from repro.hypergraph.generators import random_netlist
-from repro.hypergraph.sa import compacted_hypergraph_sa
 from repro.obs import capture_spans
 from repro.partition.annealing import AnnealingSchedule
 from repro.partition.fm import fiduccia_mattheyses
@@ -174,11 +173,8 @@ class TestPipelineSpans:
 
     def test_netlist_pipelines(self, monkeypatch):
         netlist = random_netlist(120, rng=5)
-        for run in (
-            lambda: compacted_hypergraph_fm(netlist, rng=6),
-            lambda: compacted_hypergraph_sa(netlist, rng=7, schedule=FAST_SA),
-        ):
-            assert self._spans(monkeypatch, run) == [MATCH, COARSE, PROJECT, FINAL]
+        names = self._spans(monkeypatch, lambda: compacted_hypergraph_fm(netlist, rng=6))
+        assert names == [MATCH, COARSE, PROJECT, FINAL]
         names = self._spans(
             monkeypatch, lambda: multilevel_hypergraph_fm(netlist, rng=8, max_levels=2)
         )

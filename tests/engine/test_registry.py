@@ -14,7 +14,7 @@ GRAPH_ALGORITHMS = ["kl", "ckl", "sa", "csa", "fm", "greedy", "multilevel"]
 class TestRegistry:
     def test_all_builtins_registered(self):
         names = algorithm_names()
-        for name in GRAPH_ALGORITHMS + ["hfm", "chfm", "hsa", "chsa"]:
+        for name in GRAPH_ALGORITHMS + ["hfm", "chfm"]:
             assert name in names
 
     @pytest.mark.parametrize("name", GRAPH_ALGORITHMS)

@@ -76,43 +76,6 @@ class TestRegularity:
             is_simple(g)
 
 
-class TestTrianglesAndClustering:
-    def test_triangle_count_known(self):
-        from repro.graphs.properties import triangle_count
-
-        assert triangle_count(complete_graph(4)) == 4
-        assert triangle_count(complete_graph(5)) == 10
-        assert triangle_count(cycle_graph(3)) == 1
-        assert triangle_count(cycle_graph(5)) == 0
-        assert triangle_count(path_graph(5)) == 0
-
-    def test_clustering_complete_is_one(self):
-        from repro.graphs.properties import clustering_coefficient
-
-        assert clustering_coefficient(complete_graph(6)) == pytest.approx(1.0)
-
-    def test_clustering_triangle_free_is_zero(self):
-        from repro.graphs.properties import clustering_coefficient
-
-        assert clustering_coefficient(ladder_graph(5)) == 0.0
-        assert clustering_coefficient(Graph()) == 0.0
-
-    def test_clustering_bounded(self):
-        from repro.graphs.generators import gnp
-        from repro.graphs.properties import clustering_coefficient
-
-        for seed in range(3):
-            c = clustering_coefficient(gnp(60, 0.1, rng=seed))
-            assert 0.0 <= c <= 1.0
-
-    def test_gbreg_low_clustering(self):
-        # Random regular graphs are locally tree-like: few triangles.
-        from repro.graphs.properties import clustering_coefficient
-
-        sample = gbreg(200, 4, 3, rng=1)
-        assert clustering_coefficient(sample.graph) < 0.1
-
-
 class TestModelMath:
     def test_expected_gnp_degree(self):
         assert expected_gnp_degree(101, 0.1) == pytest.approx(10.0)

@@ -181,14 +181,15 @@ class TestNetlist:
         with pytest.raises(SystemExit):
             main(["netlist", "run", "x.hgr", "--algorithm", "nonsense"])
 
-    def test_kway_netlist(self, tmp_path, capsys):
+    def test_k_flag_rejected(self, tmp_path, capsys):
+        # Netlists are bisected only; k-way partitioning is for graphs.
         path = tmp_path / "n.hgr"
         main(["netlist", "generate", str(path), "--cells", "60", "--seed", "3"])
         capsys.readouterr()
-        assert main(["netlist", "run", str(path), "--k", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "kway k=3" in out
-        assert "connectivity-1=" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["netlist", "run", str(path), "--k", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
 
 
 class TestParser:
@@ -218,11 +219,24 @@ class TestInputErrors:
             ["score", "{good}", "{malformed_part}"],
             ["netlist", "run", "{missing_hgr}"],
             ["netlist", "run", "{malformed_hgr}"],
+            ["generate", "gbreg", "--vertices", "7", "--width", "2", "--degree", "3",
+             "--out", "{out}"],
+            ["generate", "gbreg", "--vertices", "10", "--width", "100", "--degree", "3",
+             "--out", "{out}"],
+            ["generate", "gnp", "--vertices", "10", "--p", "2", "--out", "{out}"],
+            ["generate", "btree", "--vertices", "0", "--out", "{out}"],
+            ["kway", "{good}", "--k", "0"],
+            ["kway", "{good}", "--k", "99"],
+            ["netlist", "generate", "{new_hgr}", "--cells", "0"],
+            ["netlist", "generate", "{new_hgr}", "--clusters", "0"],
         ],
         ids=["run-missing", "info-missing", "run-malformed", "kway-malformed",
              "score-malformed", "info-directory", "run-telemetry-dir",
              "score-missing-partition", "score-malformed-partition",
-             "netlist-run-missing", "netlist-run-malformed"],
+             "netlist-run-missing", "netlist-run-malformed",
+             "generate-gbreg-odd", "generate-gbreg-width", "generate-gnp-p",
+             "generate-btree-empty", "kway-k0", "kway-k-too-large",
+             "netlist-generate-cells", "netlist-generate-clusters"],
     )
     def test_one_line_error_exit_2(self, tmp_path, capsys, argv):
         (tmp_path / "bad.edges").write_text("0 1\nnot an edge\n", encoding="utf-8")
@@ -239,6 +253,8 @@ class TestInputErrors:
             "malformed_part": tmp_path / "bad.part",
             "missing_hgr": tmp_path / "missing.hgr",
             "malformed_hgr": tmp_path / "bad.hgr",
+            "out": tmp_path / "o.edges",
+            "new_hgr": tmp_path / "x.hgr",
         }
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err

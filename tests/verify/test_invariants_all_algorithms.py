@@ -15,7 +15,7 @@ from repro.hypergraph import from_graph
 from repro.rng import LaggedFibonacciRandom
 from repro.verify import DEFAULT_FAMILIES, check_result, make_instance
 
-_FAST = {"sa", "csa", "hsa", "chsa"}
+_FAST = {"sa", "csa"}
 SEEDS = (0, 1, 2)
 
 

@@ -23,7 +23,7 @@ from repro.verify import (
 
 pytestmark = pytest.mark.property
 
-_FAST = {"sa", "csa", "hsa", "chsa"}
+_FAST = {"sa", "csa"}
 GRAPH_ALGORITHMS = tuple(
     name for name in algorithm_names() if algorithm_info(name).domain == "graph"
 )
