@@ -86,12 +86,12 @@ class _KLOracle:
         self.csr = None
         real = kl_module._kl_pass_csr
 
-        def hooked(csr, sides, gains, stats):
+        def hooked(csr, sides, gains, cut, stats):
             self.csr = csr
-            cut = _recounted_cut(csr, sides, gains)
+            assert _recounted_cut(csr, sides, gains) == cut
             self.entry_cuts.append(cut)
             before = sides.copy()
-            gain, swaps = real(csr, sides, gains, stats)
+            gain, swaps = real(csr, sides, gains, cut, stats)
             assert _recounted_cut(csr, sides, gains) == cut - gain
             moved = [i for i, (s, t) in enumerate(zip(before, sides)) if s != t]
             assert len(moved) == 2 * swaps
