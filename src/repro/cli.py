@@ -201,6 +201,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
+    if graph.num_vertices == 0:
+        raise _InputError(f"graph {args.graph} has no vertices to bisect")
     spec = AlgorithmSpec.make(args.algorithm)
     engine = _make_engine(args, cache=False)
     if args.starts > 1:
@@ -730,7 +732,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.max_bytes is None:
         print("cache prune requires --max-bytes", file=sys.stderr)
         return 2
-    report = store.prune(args.max_bytes)
+    with _parameters("cache prune"):
+        report = store.prune(args.max_bytes)
     print(
         f"removed {report['removed']} entr{'y' if report['removed'] == 1 else 'ies'}, "
         f"freed {report['freed_bytes']} bytes, kept {report['kept_bytes']} bytes"
@@ -823,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algorithm", choices=_GRAPH_ALGORITHMS, default="ckl")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
-        "--starts", type=int, default=1,
+        "--starts", type=_positive_int, default=1,
         help="independent random starts (best cut wins; paper protocol is 2)",
     )
     run.add_argument("--show-sides", action="store_true")

@@ -229,6 +229,8 @@ class TestInputErrors:
             ["kway", "{good}", "--k", "99"],
             ["netlist", "generate", "{new_hgr}", "--cells", "0"],
             ["netlist", "generate", "{new_hgr}", "--clusters", "0"],
+            ["cache", "prune", "--max-bytes", "-5", "--cache-dir", "{tmp}/cache"],
+            ["run", "{empty}"],
         ],
         ids=["run-missing", "info-missing", "run-malformed", "kway-malformed",
              "score-malformed", "info-directory", "run-telemetry-dir",
@@ -236,12 +238,14 @@ class TestInputErrors:
              "netlist-run-missing", "netlist-run-malformed",
              "generate-gbreg-odd", "generate-gbreg-width", "generate-gnp-p",
              "generate-btree-empty", "kway-k0", "kway-k-too-large",
-             "netlist-generate-cells", "netlist-generate-clusters"],
+             "netlist-generate-cells", "netlist-generate-clusters",
+             "cache-prune-negative", "run-empty-graph"],
     )
     def test_one_line_error_exit_2(self, tmp_path, capsys, argv):
         (tmp_path / "bad.edges").write_text("0 1\nnot an edge\n", encoding="utf-8")
         (tmp_path / "bad.part").write_text("# repro partition k=2\n0\n", encoding="utf-8")
         (tmp_path / "bad.hgr").write_text("2 4\n1 x\n", encoding="utf-8")
+        (tmp_path / "empty.edges").write_text("", encoding="utf-8")
         main(["generate", "ladder", "--vertices", "8", "--out", str(tmp_path / "g.edges")])
         capsys.readouterr()
         paths = {
@@ -255,12 +259,25 @@ class TestInputErrors:
             "malformed_hgr": tmp_path / "bad.hgr",
             "out": tmp_path / "o.edges",
             "new_hgr": tmp_path / "x.hgr",
+            "empty": tmp_path / "empty.edges",
         }
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("repro-bisect: error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("starts", ["0", "-5"])
+    def test_starts_below_one_rejected(self, tmp_path, capsys, starts):
+        path = tmp_path / "g.edges"
+        main(["generate", "ladder", "--vertices", "8", "--out", str(path)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--starts", starts])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith("argument --starts: must be at least 1")
 
 
 def test_import_loads_neither_numpy_nor_bench():
