@@ -66,7 +66,8 @@ class TestReadBatchFile:
 
 
 class TestRunBatch:
-    def test_matches_best_of_starts_protocol(self, tmp_path, graph_file):
+    def test_matches_best_of_starts_protocol(self, tmp_path, graph_file, capsys):
+        from repro.cli import main
         from repro.graphs.io import read_edge_list
 
         _, gpath = graph_file
@@ -84,6 +85,12 @@ class TestRunBatch:
         assert rows[0]["status"] == "ok"
         assert rows[0]["cut"] == reference.cut
         assert tuple(rows[0]["start_cuts"]) == reference.start_cuts
+        # The CLI's best-of-R door derives the same start seeds.
+        capsys.readouterr()
+        assert main(["run", str(gpath), "--algorithm", "kl",
+                     "--seed", "9", "--starts", "3"]) == 0
+        printed = capsys.readouterr().out
+        assert f"cuts: {list(reference.start_cuts)}" in printed
 
     def test_failures_do_not_abort_batch(self, tmp_path, graph_file):
         _, gpath = graph_file
