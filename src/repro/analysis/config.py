@@ -44,8 +44,10 @@ DEFAULT_ALLOW_ZONES: Mapping[str, tuple[str, ...]] = {
 
 #: Rules that only apply to part of the tree (empty/absent = whole tree).
 DEFAULT_SCOPES: Mapping[str, tuple[str, ...]] = {
-    # The "flush local ints once per run" contract guards the hot kernels.
+    # The "flush local ints once per run" contract guards the hot kernels
+    # and the pass drivers around them.
     "R004": (
+        "kernels/",
         "partition/kl.py",
         "partition/fm.py",
         "partition/annealing/sa.py",

@@ -483,7 +483,7 @@ class R013ResourceLifetime(Rule):
 
 # -- R014: seed/RNG taint ----------------------------------------------------------
 
-_SEED_ORIGIN_SUFFIXES = (".derive_seed", ".spawn_seed", ".seed_for")
+_SEED_ORIGIN_SUFFIXES = (".derive_seed", ".start_seeds", ".spawn_seed", ".seed_for")
 _IMPURE_ORIGINS = frozenset(
     {
         "time.time", "time.time_ns", "time.perf_counter", "time.perf_counter_ns",

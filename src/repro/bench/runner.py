@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from ..engine.executor import Engine
 from ..engine.job import Algorithm, AlgorithmSpec, Job, JobResult
 from ..graphs.graph import Graph
-from ..rng import derive_seed, resolve_rng, spawn
+from ..rng import resolve_rng, spawn, start_seeds
 
 __all__ = [
     "Algorithm",
@@ -90,11 +90,11 @@ def _start_jobs(
         Job(
             graph_key=graph_key,
             algorithm=algorithm,
-            seed=derive_seed(rng, index),
+            seed=seed,
             job_id=f"{prefix}start{index}",
             tags=(("start", index),),
         )
-        for index in range(starts)
+        for index, seed in enumerate(start_seeds(rng, starts))
     ]
 
 

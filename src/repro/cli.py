@@ -57,17 +57,10 @@ from .engine import (
     read_batch_file,
     run_batch,
 )
-from .graphs.generators import (
-    binary_tree,
-    g2set,
-    gbreg,
-    gnp,
-    grid_graph,
-    ladder_graph,
-)
+from .graphs.generators import GENERATOR_DEFAULTS, generate_graph
 from .graphs.graph import graph_fingerprint
 from .graphs.io import read_edge_list, write_edge_list
-from .rng import derive_seed, resolve_rng
+from .rng import resolve_rng, start_seeds
 
 __all__ = ["main"]
 
@@ -178,22 +171,9 @@ def _make_engine(
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    params = {name: getattr(args, name) for name in GENERATOR_DEFAULTS[args.model]}
     with _parameters(args.model):
-        if args.model == "gbreg":
-            graph = gbreg(args.vertices, args.width, args.degree, args.seed).graph
-        elif args.model == "g2set":
-            graph = g2set(args.vertices, args.p, args.p, args.width, args.seed).graph
-        elif args.model == "gnp":
-            graph = gnp(args.vertices, args.p, args.seed)
-        elif args.model == "ladder":
-            graph = ladder_graph(args.vertices // 2)
-        elif args.model == "grid":
-            side = int(round(args.vertices**0.5))
-            graph = grid_graph(side, side)
-        elif args.model == "btree":
-            graph = binary_tree(args.vertices)
-        else:  # pragma: no cover - argparse restricts choices
-            raise AssertionError(args.model)
+        graph = generate_graph(args.model, params)
     write_edge_list(graph, args.out)
     print(f"wrote {graph!r} to {args.out}")
     return 0
@@ -206,12 +186,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = AlgorithmSpec.make(args.algorithm)
     engine = _make_engine(args, cache=False)
     if args.starts > 1:
-        # Best-of-R protocol: start seeds derive from the master seed
-        # exactly as the bench harness derives them.
-        master = resolve_rng(args.seed)
+        # Best-of-R protocol: the bench harness's start-seed rule.
+        seeds = start_seeds(resolve_rng(args.seed), args.starts)
         jobs = [
-            Job("graph", spec, derive_seed(master, index), job_id=f"start{index}")
-            for index in range(args.starts)
+            Job("graph", spec, seed, job_id=f"start{index}")
+            for index, seed in enumerate(seeds)
         ]
     else:
         jobs = [Job("graph", spec, args.seed, job_id="run")]
@@ -428,9 +407,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         diff_ledgers,
         ledger_dir,
         load_ledger,
+        prometheus_text,
         render_ledger,
         render_ledger_diff,
-        render_ledger_prometheus,
         validate_ledger,
     )
 
@@ -493,7 +472,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         if index:
             print()
         if args.prometheus:
-            print(render_ledger_prometheus(ledger), end="")
+            print(prometheus_text(ledger), end="")
         else:
             print(render_ledger(ledger))
     return exit_code
@@ -812,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a graph and write an edge list")
-    gen.add_argument("model", choices=["gbreg", "g2set", "gnp", "ladder", "grid", "btree"])
+    gen.add_argument("model", choices=list(GENERATOR_DEFAULTS))
     gen.add_argument("--vertices", type=int, required=True, help="number of vertices (2n)")
     gen.add_argument("--width", type=int, default=8, help="planted bisection width b")
     gen.add_argument("--degree", type=int, default=3, help="Gbreg regular degree d")

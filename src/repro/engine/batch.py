@@ -13,8 +13,9 @@ over saved graphs::
       ]
     }
 
-Every entry expands to ``starts`` engine jobs whose seeds derive from the
-entry seed exactly like :func:`repro.bench.runner.best_of_starts`, so a
+Every entry expands to ``starts`` engine jobs whose seeds come from the
+entry seed by :func:`repro.rng.start_seeds`, the rule
+:func:`repro.bench.runner.best_of_starts` uses, so a
 batch run of one entry reproduces the bench protocol bit for bit.
 Results come back as plain dicts ready for JSONL output.
 """
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Any
 
 from ..graphs.io import read_edge_list
-from ..rng import LaggedFibonacciRandom, derive_seed
+from ..rng import LaggedFibonacciRandom, start_seeds
 from .executor import Engine
 from .job import AlgorithmSpec, Job
 
@@ -98,13 +99,13 @@ def run_batch(entries: Sequence[BatchEntry], engine: Engine) -> list[dict[str, A
         if entry.graph_path not in graphs:
             graphs[entry.graph_path] = read_edge_list(entry.graph_path)
         first = len(jobs)
-        master = LaggedFibonacciRandom(entry.seed)
-        for index in range(entry.starts):
+        seeds = start_seeds(LaggedFibonacciRandom(entry.seed), entry.starts)
+        for index, seed in enumerate(seeds):
             jobs.append(
                 Job(
                     graph_key=entry.graph_path,
                     algorithm=entry.spec,
-                    seed=derive_seed(master, index),
+                    seed=seed,
                     job_id=f"batch{position}:start{index}",
                     timeout=entry.timeout,
                     retries=entry.retries,

@@ -37,13 +37,13 @@ from collections.abc import Mapping, Sequence
 from dataclasses import replace
 from typing import Any
 
-from ..graphs.graph import Graph, graph_fingerprint, vertex_token
+from ..graphs.graph import Graph, vertex_token
 from ..graphs.shm import SharedGraphSegment, ShmAttachError, ShmGraphRef, shm_enabled
 from ..obs import counter, current_run, gauge, histogram, obs_enabled, span
 from ..obs.clock import monotonic_time
 from ..obs.shipper import collect_shipment, merge_shipment
 from ..rng import LaggedFibonacciRandom
-from .cache import ResultCache, cache_key
+from .cache import ResultCache, job_cache_key, lookup_result, store_result
 from .job import Job, JobResult
 from .registry import build_algorithm
 from .telemetry import Telemetry
@@ -386,13 +386,14 @@ class Engine:
             pending: list[tuple[int, Job, str | None]] = []
             fingerprints: dict[str, str | None] = {}
             for index, job in enumerate(jobs):
-                key = self._cache_key(job, graphs, fingerprints)
+                key = None
+                if self.cache is not None:
+                    key = job_cache_key(
+                        job, graphs[job.graph_key], self.telemetry, fingerprints
+                    )
                 if key is not None:
-                    payload = self.cache.get(key)
-                    if payload is not None:
-                        results[index] = self._from_payload(job, payload)
-                        self.telemetry.emit("cache_hit", job.job_id, key=key)
-                        counter("engine_cache_hits_total").inc()
+                    results[index] = lookup_result(self.cache, key, job, self.telemetry)
+                    if results[index] is not None:
                         continue
                     counter("engine_cache_misses_total").inc()
                 pending.append((index, job, key))
@@ -447,62 +448,6 @@ class Engine:
             changes["retries"] = self.retries
         return replace(job, **changes) if changes else job
 
-    def _cache_key(
-        self,
-        job: Job,
-        graphs: Mapping[str, Any],
-        fingerprints: dict[str, str | None],
-    ) -> str | None:
-        """The job's cache key, or ``None`` when it cannot be cached."""
-        spec = job.spec()
-        if self.cache is None or spec is None:
-            return None
-        if job.graph_key not in fingerprints:
-            try:
-                fingerprints[job.graph_key] = graph_fingerprint(graphs[job.graph_key])
-            except (AttributeError, TypeError):
-                # Not a Graph (e.g. a hypergraph netlist): run uncached.
-                fingerprints[job.graph_key] = None
-                self.telemetry.emit("uncacheable_graph", job.job_id,
-                                    graph_key=job.graph_key)
-        fingerprint = fingerprints[job.graph_key]
-        if fingerprint is None:
-            return None
-        return cache_key(fingerprint, spec, job.seed)
-
-    def _from_payload(self, job: Job, payload: Mapping[str, Any]) -> JobResult:
-        return JobResult(
-            job_id=job.job_id,
-            graph_key=job.graph_key,
-            algorithm=job.algorithm_name(),
-            seed=job.seed,
-            status=payload.get("status", "ok"),
-            cut=payload.get("cut"),
-            side0=tuple(payload.get("side0", ())),
-            seconds=payload.get("seconds", 0.0),
-            attempts=payload.get("attempts", 1),
-            from_cache=True,
-            counters=dict(payload.get("counters", {})),
-            tags=job.tags,
-        )
-
-    @staticmethod
-    def _to_payload(result: JobResult) -> dict[str, Any]:
-        return {
-            "status": result.status,
-            "cut": result.cut,
-            "side0": list(result.side0),
-            "seconds": result.seconds,
-            "attempts": result.attempts,
-            "counters": dict(result.counters),
-        }
-
-    def _store(self, key: str | None, result: JobResult) -> None:
-        if key is not None and result.ok:
-            self.cache.put(key, self._to_payload(result))
-            self.telemetry.emit("cache_store", result.job_id, key=key)
-            counter("engine_cache_stores_total").inc()
-
     def _run_pending(
         self,
         pending: list[tuple[int, Job, str | None]],
@@ -549,7 +494,7 @@ class Engine:
             self.telemetry.emit("job_start", job.job_id)
             result = execute_job(job, graphs[job.graph_key])
             results[index] = result
-            self._store(key, result)
+            store_result(self.cache, key, result, self.telemetry)
 
     def _share_graphs(
         self,
@@ -675,7 +620,7 @@ class Engine:
                         wait = monotonic_time() - submitted[future] - result.seconds
                         queue_wait.observe(max(0.0, wait))
                     results[index] = result
-                    self._store(key, result)
+                    store_result(self.cache, key, result, self.telemetry)
         except (BrokenExecutor, OSError) as exc:
             # A worker died (or the pool broke mid-flight): finish the
             # unfinished jobs serially rather than failing the batch.

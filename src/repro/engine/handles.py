@@ -42,7 +42,7 @@ from typing import Any
 
 from ..obs import counter, histogram, obs_enabled
 from ..obs.clock import monotonic_time, wall_time
-from .cache import ResultCache, cache_key
+from .cache import ResultCache, job_cache_key, lookup_result, store_result
 from .executor import execute_job
 from .job import Job, JobResult
 from .telemetry import Telemetry
@@ -166,11 +166,6 @@ class JobRunner:
         self._closed = False
         self._key_locks: dict[str, threading.Lock] = {}
         self._key_guard = threading.Lock()
-        # Shared-memory graph handles resolved by submit: one attach per
-        # segment name, shared by every job that references it.
-        self._shm_guard = threading.Lock()
-        self._shm_segments: dict[str, Any] = {}
-        self._shm_graphs: dict[str, Any] = {}
         self._threads = [
             threading.Thread(target=self._worker_loop, name=f"job-runner-{i}", daemon=True)
             for i in range(workers)
@@ -183,25 +178,17 @@ class JobRunner:
     def submit(self, job: Job, graph: Any, lane: str = "") -> JobHandle:
         """Queue ``job`` against ``graph``; returns its handle immediately.
 
-        ``graph`` may also be a shared-memory handle — a
-        :class:`~repro.graphs.shm.SharedGraphSegment` or a by-name
-        :class:`~repro.graphs.shm.ShmGraphRef` — in which case the
-        segment is attached once, cached by name, and every job that
-        names it shares the one zero-copy reconstruction
-        (:class:`~repro.graphs.shm.ShmAttachError` propagates when the
-        name is stale).  A cache hit resolves the handle before it ever
-        reaches a worker.
+        A cache hit resolves the handle before it ever reaches a worker.
         """
-        graph = self._resolve_graph(job, graph)
-        key = self._key_for(job, graph)
+        key = None
+        if self.cache is not None:
+            key = job_cache_key(job, graph, self.telemetry)
         handle = JobHandle(job, lane, key)
-        if key is not None and self.cache is not None:
-            payload = self.cache.get(key)
-            if payload is not None:
+        if key is not None:
+            hit = lookup_result(self.cache, key, job, self.telemetry)
+            if hit is not None:
                 handle._start()
-                handle._finish(self._from_payload(job, payload))
-                self.telemetry.emit("cache_hit", job.job_id, key=key)
-                counter("engine_cache_hits_total").inc()
+                handle._finish(hit)
                 return handle
             counter("engine_cache_misses_total").inc()
         handle._graph = graph
@@ -251,11 +238,6 @@ class JobRunner:
         if wait:
             for thread in self._threads:
                 thread.join(timeout=5.0)
-        with self._shm_guard:
-            self._shm_graphs.clear()
-            while self._shm_segments:
-                _name, segment = self._shm_segments.popitem()
-                segment.close()
 
     def __enter__(self) -> "JobRunner":
         return self
@@ -265,63 +247,6 @@ class JobRunner:
         return False
 
     # -- internals ----------------------------------------------------------------
-
-    def _resolve_graph(self, job: Job, graph: Any) -> Any:
-        """Materialize shared-memory graph handles (one attach per name)."""
-        from ..graphs.shm import SharedGraphSegment, ShmGraphRef
-
-        if isinstance(graph, SharedGraphSegment):
-            return graph.graph()  # caller owns the segment's lifecycle
-        if isinstance(graph, ShmGraphRef):
-            with self._shm_guard:
-                cached = self._shm_graphs.get(graph.name)
-                if cached is None:
-                    segment = SharedGraphSegment.attach(graph.name)
-                    try:
-                        cached = segment.graph()
-                    except Exception:
-                        # Rebuilding can fail after the attach mapped the
-                        # segment; detach before propagating or the
-                        # mapping outlives this runner.
-                        segment.close()
-                        raise
-                    self._shm_segments[graph.name] = segment
-                    self._shm_graphs[graph.name] = cached
-                    self.telemetry.emit(
-                        "shm_attach", job.job_id, segment=graph.name
-                    )
-            return cached
-        return graph
-
-    def _key_for(self, job: Job, graph: Any) -> str | None:
-        spec = job.spec()
-        if self.cache is None or spec is None:
-            return None
-        from ..graphs.graph import graph_fingerprint
-
-        try:
-            fingerprint = graph_fingerprint(graph)
-        except (AttributeError, TypeError):
-            self.telemetry.emit("uncacheable_graph", job.job_id)
-            return None
-        return cache_key(fingerprint, spec, job.seed)
-
-    @staticmethod
-    def _from_payload(job: Job, payload: dict[str, Any]) -> JobResult:
-        return JobResult(
-            job_id=job.job_id,
-            graph_key=job.graph_key,
-            algorithm=job.algorithm_name(),
-            seed=job.seed,
-            status=payload.get("status", "ok"),
-            cut=payload.get("cut"),
-            side0=tuple(payload.get("side0", ())),
-            seconds=payload.get("seconds", 0.0),
-            attempts=payload.get("attempts", 1),
-            from_cache=True,
-            counters=dict(payload.get("counters", {})),
-            tags=job.tags,
-        )
 
     def _pop_next(self) -> JobHandle | None:
         """Next handle, round-robin across lanes (dispatch lock held)."""
@@ -364,19 +289,10 @@ class JobRunner:
             # computes and stores; everyone after re-checks and replays
             # the stored payload, so a result is executed exactly once.
             with self._key_lock(handle.cache_key):
-                payload = self.cache.get(handle.cache_key)
-                if payload is not None:
-                    result = self._from_payload(job, payload)
-                    self.telemetry.emit("cache_hit", job.job_id, key=handle.cache_key)
-                    counter("engine_cache_hits_total").inc()
-                else:
+                result = lookup_result(self.cache, handle.cache_key, job, self.telemetry)
+                if result is None:
                     result = execute_job(job, graph)
-                    if result.ok:
-                        self.cache.put(handle.cache_key, self._to_payload(result))
-                        self.telemetry.emit(
-                            "cache_store", job.job_id, key=handle.cache_key
-                        )
-                        counter("engine_cache_stores_total").inc()
+                    store_result(self.cache, handle.cache_key, result, self.telemetry)
         else:
             result = execute_job(job, graph)
         counter("engine_jobs_total").inc()
@@ -394,14 +310,3 @@ class JobRunner:
             algorithm=result.algorithm,
             error=result.error,
         )
-
-    @staticmethod
-    def _to_payload(result: JobResult) -> dict[str, Any]:
-        return {
-            "status": result.status,
-            "cut": result.cut,
-            "side0": list(result.side0),
-            "seconds": result.seconds,
-            "attempts": result.attempts,
-            "counters": dict(result.counters),
-        }

@@ -123,8 +123,9 @@ class JobResult:
     deltas and span records — see :mod:`repro.obs.shipper`) attached by
     pool workers and consumed (merged into the parent registry, then
     stripped back to ``None``) by the engine before results reach
-    callers.  It never enters the result cache: the cache payload
-    whitelists its keys.
+    callers.  It never enters the result cache: :meth:`to_payload`
+    whitelists the keys a cached result keeps, and :meth:`from_payload`
+    replays them for either job door.
     """
 
     job_id: str
@@ -152,6 +153,35 @@ class JobResult:
             if k == key:
                 return v
         return default
+
+    def to_payload(self) -> dict[str, Any]:
+        """The result-cache payload: the outcome, without the job's identity."""
+        return {
+            "status": self.status,
+            "cut": self.cut,
+            "side0": list(self.side0),
+            "seconds": self.seconds,
+            "attempts": self.attempts,
+            "counters": dict(self.counters),
+        }
+
+    @classmethod
+    def from_payload(cls, job: Job, payload: Mapping[str, Any]) -> "JobResult":
+        """Replay a cached payload as ``job``'s result (``from_cache=True``)."""
+        return cls(
+            job_id=job.job_id,
+            graph_key=job.graph_key,
+            algorithm=job.algorithm_name(),
+            seed=job.seed,
+            status=payload.get("status", "ok"),
+            cut=payload.get("cut"),
+            side0=tuple(payload.get("side0", ())),
+            seconds=payload.get("seconds", 0.0),
+            attempts=payload.get("attempts", 1),
+            from_cache=True,
+            counters=dict(payload.get("counters", {})),
+            tags=job.tags,
+        )
 
     def bisection(self, graph):
         """Rebuild the :class:`Bisection` of ``graph`` this result encodes."""

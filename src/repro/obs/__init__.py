@@ -21,7 +21,6 @@ draws from the RNG, never reorders iteration, never rounds a decision.
 """
 
 from .accumulator import (
-    P2Quantile,
     StreamingStats,
     TailFit,
     best_of_k_extrapolation,
@@ -51,9 +50,11 @@ from .metrics import (
     histogram,
     histogram_quantile,
     obs_enabled,
+    parse_series,
+    prometheus_text,
 )
 from .profiler import SamplingProfiler, maybe_profile, profiling_enabled
-from .shipper import build_shipment, collect_shipment, merge_shipment, parse_series
+from .shipper import build_shipment, collect_shipment, merge_shipment
 from .timeline import (
     export_chrome_trace,
     read_event_records,
@@ -82,7 +83,6 @@ from .trace import (
 _DASHBOARD_EXPORTS = (
     "render_ledger",
     "render_ledger_diff",
-    "render_ledger_prometheus",
 )
 _TOP_EXPORTS = (
     "TopMonitor",
@@ -109,7 +109,6 @@ __all__ = [
     "LEDGER_SCHEMA",
     "MetricsRegistry",
     "NOOP",
-    "P2Quantile",
     "REGISTRY",
     "RunContext",
     "SamplingProfiler",
@@ -142,13 +141,13 @@ __all__ = [
     "new_run_id",
     "obs_enabled",
     "parse_series",
+    "prometheus_text",
     "process_rss_bytes",
     "profiling_enabled",
     "read_event_records",
     "refresh_process_gauges",
     "render_ledger",
     "render_ledger_diff",
-    "render_ledger_prometheus",
     "reset_span_totals",
     "run_context",
     "run_top",

@@ -1,35 +1,24 @@
 """Streaming distribution summaries for ensemble-scale studies.
 
-A :class:`StreamingStats` accumulator folds an unbounded stream of
-observations into a bounded summary — count/mean/variance (Welford),
-min/max, and quantiles — without ever holding the per-run value list in
-memory.  It is the aggregation core of the ``repro-bisect study``
-command, where a single sweep feeds hundreds of heuristic runs per cell
-into one accumulator each.
+A :class:`StreamingStats` accumulator folds a stream of integer
+observations (cut sizes) into an exact ``{value: count}`` table —
+count/mean/variance, min/max and quantiles all read from it — without
+holding the per-run value list in memory.  It is the aggregation core
+of the ``repro-bisect study`` command, where a single sweep feeds
+hundreds of heuristic runs per cell into one accumulator each.
 
-Two quantile regimes, switched automatically:
+The table is bounded by the support, not the stream: a cell's cut sizes
+are integers in ``[0, total edge weight]``, so it holds at most
+``min(runs, total edge weight + 1)`` entries, and in practice a few
+dozen (heuristic cut sizes form narrow integer distributions).
+Summaries iterate values in sorted order, so the final summary is
+exactly permutation invariant.
 
-* **Exact sparse counts** (the normal regime for cut sizes, which are
-  small non-negative integers): a ``{value: count}`` table capped at
-  ``max_exact_values`` distinct values.  Summaries computed from the
-  table iterate values in sorted order, so the final summary is *exactly*
-  permutation invariant and merge order cannot change it.
-* **P² estimators** (the fallback once the table overflows or a
-  non-integer value arrives): the Jain & Chlamtac (1985) piecewise-
-  parabolic marker algorithm, O(1) memory per tracked quantile.  P² is
-  order-sensitive, so summaries in this regime are approximate (the
-  property suite bounds the error, it does not pin it).
-
-Merging shards (:meth:`StreamingStats.merge`) uses Chan's parallel
-update for the moments and plain table addition for exact counts, so a
-sharded aggregation equals the single-stream one on the exact path.
-
-:func:`fit_lower_tail` fits a Weibull lower tail to the exact-count
-table — the extreme-value model Schreiber & Martin use for cut-size
-distributions of bisection heuristics — and
-:func:`best_of_k_extrapolation` turns the fit into a predicted best cut
-over ``k`` independent runs, the statistic the paper's best-of-R
-protocol samples at ``R = 2``.
+:func:`fit_lower_tail` fits a Weibull lower tail to the table — the
+extreme-value model Schreiber & Martin use for cut-size distributions
+of bisection heuristics — and :func:`best_of_k_extrapolation` turns the
+fit into a predicted best cut over ``k`` independent runs, the
+statistic the paper's best-of-R protocol samples at ``R = 2``.
 """
 
 from __future__ import annotations
@@ -39,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
-    "P2Quantile",
     "StreamingStats",
     "TailFit",
     "best_of_k_extrapolation",
@@ -50,236 +38,60 @@ __all__ = [
 SUMMARY_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 #: Decimal places for floats in :meth:`StreamingStats.summary` — coarse
-#: enough that the exact path's sorted-order arithmetic is reproducible
-#: bit for bit, fine enough for any statistical use downstream.
+#: enough that the sorted-order arithmetic is reproducible bit for bit,
+#: fine enough for any statistical use downstream.
 SUMMARY_DIGITS = 9
 
 
-class P2Quantile:
-    """The P² streaming quantile estimator (Jain & Chlamtac, 1985).
-
-    Maintains five markers whose heights converge on the ``q``-quantile
-    using piecewise-parabolic interpolation; O(1) memory and O(1) update.
-    Exact until five observations have arrived (it just sorts them).
-    """
-
-    __slots__ = ("q", "heights", "positions", "desired", "increments", "count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"P2 quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.heights: list[float] = []
-        self.positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self.desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self.increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        if len(self.heights) < 5:
-            self.heights.append(float(value))
-            self.heights.sort()
-            return
-        h = self.heights
-        if value < h[0]:
-            h[0] = float(value)
-            cell = 0
-        elif value >= h[4]:
-            h[4] = float(value)
-            cell = 3
-        else:
-            cell = 0
-            while value >= h[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            self.positions[i] += 1.0
-        for i in range(5):
-            self.desired[i] += self.increments[i]
-        for i in (1, 2, 3):
-            delta = self.desired[i] - self.positions[i]
-            below = self.positions[i] - self.positions[i - 1]
-            above = self.positions[i + 1] - self.positions[i]
-            if (delta >= 1.0 and above > 1.0) or (delta <= -1.0 and below > 1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                self.positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self.heights, self.positions
-        span = n[i + 1] - n[i - 1]
-        return h[i] + (step / span) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self.heights, self.positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def estimate(self) -> float | None:
-        """Current quantile estimate (``None`` before any observation)."""
-        if self.count == 0:
-            return None
-        if len(self.heights) < 5 or self.count <= 5:
-            rank = self.q * (len(self.heights) - 1)
-            low = int(rank)
-            high = min(low + 1, len(self.heights) - 1)
-            return self.heights[low] + (rank - low) * (
-                self.heights[high] - self.heights[low]
-            )
-        return self.heights[2]
-
-
 class StreamingStats:
-    """Single-pass distribution summary with exact-then-P² quantiles.
+    """Single-pass distribution summary over an exact integer count table."""
 
-    ``max_exact_values`` bounds the sparse counting table; the default
-    (4096 distinct values) comfortably covers cut-size distributions,
-    where the support is a few dozen integers wide.
-    """
+    __slots__ = ("count", "min", "max", "_counts")
 
-    __slots__ = ("count", "_mean", "_m2", "min", "max", "_counts", "_p2", "max_exact_values")
-
-    def __init__(self, max_exact_values: int = 4096) -> None:
-        if max_exact_values < 1:
-            raise ValueError("max_exact_values must be positive")
+    def __init__(self) -> None:
         self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-        self._counts: dict[int, int] | None = {}
-        self._p2: dict[float, P2Quantile] | None = None
-        self.max_exact_values = max_exact_values
+        self.min: int | None = None
+        self.max: int | None = None
+        self._counts: dict[int, int] = {}
 
     # -- ingestion ----------------------------------------------------------------
 
-    def add(self, value: int | float) -> None:
-        """Fold one observation into the summary."""
+    def add(self, value: int) -> None:
+        """Fold one integer observation into the summary."""
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"StreamingStats counts integers, got {value!r}")
         self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if self._counts is not None:
-            if isinstance(value, int) and not isinstance(value, bool):
-                self._counts[value] = self._counts.get(value, 0) + 1
-                if len(self._counts) > self.max_exact_values:
-                    self._spill()
-            else:
-                self._spill()
-                self._observe_p2(float(value))
-        else:
-            self._observe_p2(float(value))
+        self._counts[value] = self._counts.get(value, 0) + 1
 
     def add_many(self, values) -> None:
         for value in values:
             self.add(value)
 
-    def _spill(self) -> None:
-        """Collapse the exact table into P² estimators (one-way door)."""
-        counts, self._counts = self._counts, None
-        self._p2 = {q: P2Quantile(q) for q in SUMMARY_QUANTILES}
-        for value in sorted(counts):
-            for _ in range(counts[value]):
-                self._observe_p2(float(value))
-
-    def _observe_p2(self, value: float) -> None:
-        for estimator in self._p2.values():
-            estimator.observe(value)
-
-    # -- merging ------------------------------------------------------------------
-
-    def merge(self, other: "StreamingStats") -> None:
-        """Fold ``other``'s summary into this one (shard aggregation).
-
-        Exact on the sparse-count path (plain table addition plus Chan's
-        parallel moment update); when either side has spilled to P², the
-        other side's markers are replayed as weighted observations — an
-        approximation, like everything else in the P² regime.
-        """
-        if other.count == 0:
-            return
-        # With self.count == 0 (and so self._mean == 0.0) Chan's update
-        # reduces to copying other's moments — no special case needed.
-        delta = other._mean - self._mean
-        total = self.count + other.count
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        if self._counts is not None and other._counts is not None:
-            for value, count in other._counts.items():
-                self._counts[value] = self._counts.get(value, 0) + count
-            if len(self._counts) > self.max_exact_values:
-                self._spill()
-            return
-        if self._counts is not None:
-            self._spill()
-        if other._counts is not None:
-            for value in sorted(other._counts):
-                for _ in range(other._counts[value]):
-                    self._observe_p2(float(value))
-        else:
-            # Replay the other shard's median markers as weighted samples.
-            weight = max(1, other.count // 5)
-            for height in other._p2[0.5].heights:
-                for _ in range(weight):
-                    self._observe_p2(height)
-
     # -- readout ------------------------------------------------------------------
-
-    @property
-    def exact(self) -> bool:
-        """True while quantiles come from the exact sparse-count table."""
-        return self._counts is not None
 
     @property
     def mean(self) -> float | None:
         if self.count == 0:
             return None
-        if self._counts is not None:
-            return sum(v * c for v, c in sorted(self._counts.items())) / self.count
-        return self._mean
+        return sum(v * c for v, c in sorted(self._counts.items())) / self.count
 
     @property
     def variance(self) -> float | None:
         """Sample variance (n-1 denominator); ``None`` below two values."""
         if self.count < 2:
             return None
-        if self._counts is not None:
-            mean = self.mean
-            squares = sum(
-                c * (v - mean) ** 2 for v, c in sorted(self._counts.items())
-            )
-            return squares / (self.count - 1)
-        return self._m2 / (self.count - 1)
+        mean = self.mean
+        squares = sum(c * (v - mean) ** 2 for v, c in sorted(self._counts.items()))
+        return squares / (self.count - 1)
 
     @property
     def std(self) -> float | None:
         variance = self.variance
         return math.sqrt(variance) if variance is not None else None
-
-    @property
-    def welford_mean(self) -> float | None:
-        """The running (order-sensitive) Welford mean, for the property suite."""
-        return self._mean if self.count else None
-
-    @property
-    def welford_variance(self) -> float | None:
-        return self._m2 / (self.count - 1) if self.count >= 2 else None
 
     def quantile(self, q: float) -> float | None:
         """The ``q``-quantile (linear interpolation between closest ranks)."""
@@ -287,17 +99,6 @@ class StreamingStats:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return None
-        if self._counts is None:
-            if q <= 0.0:
-                return float(self.min)
-            if q >= 1.0:
-                return float(self.max)
-            estimator = self._p2.get(q)
-            if estimator is None:
-                # Untracked quantile in the approx regime: nearest tracked.
-                tracked = min(SUMMARY_QUANTILES, key=lambda t: abs(t - q))
-                estimator = self._p2[tracked]
-            return estimator.estimate()
         rank = q * (self.count - 1)
         low_rank = int(math.floor(rank))
         fraction = rank - low_rank
@@ -315,18 +116,16 @@ class StreamingStats:
             return float(low)
         return low + fraction * (high - low)
 
-    def value_counts(self) -> dict[int, int] | None:
-        """The exact ``{value: count}`` table, or ``None`` after a spill."""
-        if self._counts is None:
-            return None
+    def value_counts(self) -> dict[int, int]:
+        """The ``{value: count}`` table, in ascending value order."""
         return dict(sorted(self._counts.items()))
 
     def summary(self) -> dict[str, Any]:
         """The bounded, JSON-ready summary the study ledger stores.
 
-        Floats are rounded to :data:`SUMMARY_DIGITS`; on the exact path
-        every field is a deterministic function of the value multiset, so
-        the summary is permutation and shard invariant.
+        Floats are rounded to :data:`SUMMARY_DIGITS`; every field is a
+        deterministic function of the value multiset, so the summary is
+        permutation invariant.
         """
         if self.count == 0:
             return {"count": 0}
@@ -336,7 +135,6 @@ class StreamingStats:
             "std": round(self.std, SUMMARY_DIGITS) if self.count >= 2 else None,
             "min": self.min,
             "max": self.max,
-            "exact": self.exact,
         }
         for q in SUMMARY_QUANTILES:
             out[f"q{int(q * 100):02d}"] = round(self.quantile(q), SUMMARY_DIGITS)
@@ -382,18 +180,17 @@ def fit_lower_tail(
     tail_fraction: float = 0.3,
     min_points: int = 3,
 ) -> TailFit | None:
-    """Fit a Weibull to the lower tail of an exact-mode accumulator.
+    """Fit a Weibull to the lower tail of an accumulator's count table.
 
     Takes the empirical CDF points carrying the lowest ``tail_fraction``
     of the mass (always at least ``min_points`` distinct values when
     available), anchors the location just below the observed minimum, and
     regresses ``ln(-ln(1 - F))`` on ``ln(x - location)`` — the standard
     Weibull probability-plot linearization.  Returns ``None`` when the
-    accumulator has spilled to P² mode or the tail has too few distinct
-    values to regress.
+    tail has too few distinct values to regress.
     """
     counts = stats.value_counts()
-    if counts is None or stats.count < 2 or len(counts) < min_points:
+    if stats.count < 2 or len(counts) < min_points:
         return None
     location = float(stats.min) - 1.0
     xs: list[float] = []

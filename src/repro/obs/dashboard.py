@@ -15,7 +15,7 @@ from typing import Any
 from ..bench.ascii import horizontal_bars, sparkline
 from ..bench.tables import render_generic_table
 
-__all__ = ["render_ledger", "render_ledger_diff", "render_ledger_prometheus"]
+__all__ = ["render_ledger", "render_ledger_diff"]
 
 #: Counters that record the engine degrading gracefully instead of dying.
 #: Any nonzero value deserves a visible callout in the dashboard: the run
@@ -238,29 +238,3 @@ def render_ledger_diff(report: dict[str, Any]) -> str:
             )
         )
     return "\n\n".join(lines)
-
-
-def render_ledger_prometheus(ledger: dict[str, Any]) -> str:
-    """A ledger's counters/gauges/histograms in Prometheus text format."""
-    lines: list[str] = []
-    for name in sorted(ledger.get("counters", {})):
-        bare = name.split("{", 1)[0]
-        lines.append(f"# TYPE {bare} counter")
-        lines.append(f"{name} {ledger['counters'][name]:g}")
-    for name in sorted(ledger.get("gauges", {})):
-        bare = name.split("{", 1)[0]
-        lines.append(f"# TYPE {bare} gauge")
-        lines.append(f"{name} {ledger['gauges'][name]:g}")
-    for name in sorted(ledger.get("histograms", {})):
-        snap = ledger["histograms"][name]
-        bare = name.split("{", 1)[0]
-        lines.append(f"# TYPE {bare} histogram")
-        cumulative = 0
-        for bound, count in zip(
-            list(snap.get("buckets", [])) + ["+Inf"], snap.get("counts", [])
-        ):
-            cumulative += count
-            lines.append(f'{bare}_bucket{{le="{bound}"}} {cumulative}')
-        lines.append(f"{bare}_sum {snap.get('sum', 0):g}")
-        lines.append(f"{bare}_count {snap.get('count', 0)}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -13,8 +13,9 @@ in order:
    no-op object whose methods do nothing, so instrumented code needs no
    ``if`` guards of its own.
 3. **Zero dependencies.**  Snapshots are plain dicts;
-   :meth:`MetricsRegistry.render_prometheus` emits the Prometheus text
-   exposition format with nothing but string joins.
+   :func:`prometheus_text` renders one (the registry's own, or a run
+   ledger's sections) in the Prometheus text exposition format with
+   nothing but string joins.
 
 Metric identity is ``name`` plus an optional frozen label set; the same
 identity always returns the same object, and re-registering a name as a
@@ -26,6 +27,7 @@ different metric type raises.  Names follow the Prometheus convention:
 from __future__ import annotations
 
 import os
+import re
 from bisect import bisect_left
 from typing import Any
 
@@ -41,6 +43,8 @@ __all__ = [
     "histogram",
     "histogram_quantile",
     "obs_enabled",
+    "parse_series",
+    "prometheus_text",
 ]
 
 # Default histogram buckets: wall-time seconds spanning sub-millisecond
@@ -231,6 +235,64 @@ def _series_name(name: str, labels: tuple[tuple[str, str], ...]) -> str:
     return f"{name}{{{inner}}}"
 
 
+# A snapshot series name is ``name`` or ``name{k="v",...}`` (labels are
+# rendered sorted by _series_name).
+_SERIES_RE = re.compile(r'^([A-Za-z_:][A-Za-z0-9_:]*)(?:\{(.*)\})?$')
+_LABEL_RE = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)="([^"]*)"')
+
+
+def parse_series(series: str) -> tuple[str, dict[str, str]]:
+    """Split a snapshot series name back into ``(name, labels)``.
+
+    Inverse of :func:`_series_name`; label values were stringified on the
+    way in, so round-tripping (through a worker shipment, say) keeps
+    series identity exact.
+    """
+    match = _SERIES_RE.match(series)
+    if match is None:
+        raise ValueError(f"unparseable metric series name: {series!r}")
+    name, inner = match.groups()
+    labels = dict(_LABEL_RE.findall(inner)) if inner else {}
+    return name, labels
+
+
+_SECTION_KINDS = (("counters", "counter"), ("gauges", "gauge"), ("histograms", "histogram"))
+
+
+def prometheus_text(snapshot: dict[str, Any]) -> str:
+    """The Prometheus text exposition of a snapshot's three sections.
+
+    ``snapshot`` is laid out like :meth:`MetricsRegistry.snapshot`, as a
+    run ledger's ``counters``/``gauges``/``histograms`` sections are.
+    Series are sorted by name, then labels; each metric family gets one
+    ``# TYPE`` line however many labelled series it has, and histogram
+    series keep their labels on every ``_bucket``/``_sum``/``_count`` line.
+    """
+    series = []
+    for section, kind in _SECTION_KINDS:
+        for text, value in snapshot.get(section, {}).items():
+            name, labels = parse_series(text)
+            series.append((name, tuple(labels.items()), kind, value))
+    lines: list[str] = []
+    typed: set[str] = set()
+    for name, labels, kind, value in sorted(series, key=lambda entry: entry[:2]):
+        if name not in typed:
+            lines.append(f"# TYPE {name} {kind}")
+            typed.add(name)
+        if kind != "histogram":
+            lines.append(f"{_series_name(name, labels)} {value:g}")
+            continue
+        cumulative = 0
+        bounds = list(value.get("buckets", [])) + ["+Inf"]
+        for bound, bucket_count in zip(bounds, value.get("counts", [])):
+            cumulative += bucket_count
+            bucket = _series_name(f"{name}_bucket", labels + (("le", str(bound)),))
+            lines.append(f"{bucket} {cumulative}")
+        lines.append(f"{_series_name(f'{name}_sum', labels)} {value.get('sum', 0):g}")
+        lines.append(f"{_series_name(f'{name}_count', labels)} {value.get('count', 0)}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 class MetricsRegistry:
     """Name -> metric table with get-or-create factories and exporters."""
 
@@ -287,30 +349,7 @@ class MetricsRegistry:
 
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format for everything registered."""
-        lines: list[str] = []
-        seen_types: set[str] = set()
-        for (name, labels), metric in sorted(self._metrics.items()):
-            if name not in seen_types:
-                lines.append(f"# TYPE {name} {metric.kind}")
-                seen_types.add(name)
-            series = _series_name(name, labels)
-            if isinstance(metric, Histogram):
-                cumulative = 0
-                for bound, bucket_count in zip(
-                    list(metric.buckets) + ["+Inf"], metric.counts
-                ):
-                    cumulative += bucket_count
-                    label_str = f'le="{bound}"'
-                    if labels:
-                        label_str = (
-                            ",".join(f'{k}="{v}"' for k, v in labels) + "," + label_str
-                        )
-                    lines.append(f"{name}_bucket{{{label_str}}} {cumulative}")
-                lines.append(f"{series.replace(name, name + '_sum', 1)} {metric.total:g}")
-                lines.append(f"{series.replace(name, name + '_count', 1)} {metric.count}")
-            else:
-                lines.append(f"{series} {metric.snapshot():g}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return prometheus_text(self.snapshot())
 
 
 #: The process-wide default registry every instrumented module uses.

@@ -30,13 +30,12 @@ dict empty and :func:`merge_shipment` returns immediately.
 from __future__ import annotations
 
 import os
-import re
 from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any
 
 from .ledger import _counter_delta, _histogram_delta
-from .metrics import REGISTRY, Histogram, MetricsRegistry, obs_enabled
+from .metrics import REGISTRY, Histogram, MetricsRegistry, obs_enabled, parse_series
 from .trace import capture_spans, ingest_span_record
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "build_shipment",
     "collect_shipment",
     "merge_shipment",
-    "parse_series",
 ]
 
 SHIPMENT_VERSION = 1
@@ -55,27 +53,6 @@ SHIPMENT_VERSION = 1
 MAX_SPANS = 256
 #: Per-job metric-series cap across all three sections combined.
 MAX_SERIES = 1024
-
-# A snapshot series name is ``name`` or ``name{k="v",...}`` (labels are
-# rendered sorted by repro.obs.metrics._series_name).
-_SERIES_RE = re.compile(r'^([A-Za-z_:][A-Za-z0-9_:]*)(?:\{(.*)\})?$')
-_LABEL_RE = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)="([^"]*)"')
-
-
-def parse_series(series: str) -> tuple[str, dict[str, str]]:
-    """Split a snapshot series name back into ``(name, labels)``.
-
-    Inverse of the registry's inline label rendering; label values were
-    stringified on the way in, so round-tripping through a shipment keeps
-    series identity exact.
-    """
-    match = _SERIES_RE.match(series)
-    if match is None:
-        raise ValueError(f"unparseable metric series name: {series!r}")
-    name, inner = match.groups()
-    labels = dict(_LABEL_RE.findall(inner)) if inner else {}
-    return name, labels
-
 
 def build_shipment(
     before: dict[str, Any],

@@ -32,11 +32,12 @@ from ..engine.cache import ResultCache
 from ..engine.handles import JobHandle, JobRunner
 from ..engine.job import AlgorithmSpec, Job
 from ..engine.registry import algorithm_info, algorithm_names, build_algorithm
+from ..graphs.generators import generate_graph
 from ..graphs.graph import Graph, graph_fingerprint
 from ..graphs.io import graph_from_string
 from ..obs import counter
 from ..obs.clock import wall_time
-from ..rng import LaggedFibonacciRandom, derive_seed
+from ..rng import LaggedFibonacciRandom, start_seeds
 
 __all__ = [
     "AuthError",
@@ -104,67 +105,21 @@ class Tenant:
         }
 
 
-_GENERATOR_DEFAULTS = {
-    "gbreg": {"vertices": 100, "width": 4, "degree": 3, "seed": 0},
-    "g2set": {"vertices": 100, "p": 0.03, "width": 4, "seed": 0},
-    "gnp": {"vertices": 100, "p": 0.05, "seed": 0},
-    "ladder": {"vertices": 100},
-    "grid": {"vertices": 100},
-    "btree": {"vertices": 63},
-}
-
-
 def graph_from_generator_spec(model: str, params: dict[str, Any]) -> Graph:
     """Build a graph from a generator spec (the ``POST /v1/graphs`` body).
 
-    Mirrors ``repro-bisect generate``: same models, same parameter names,
-    same defaults — so a spec submitted over HTTP reproduces the CLI graph
-    bit for bit.
+    Same models and parameter names as ``repro-bisect generate``, through
+    the same dispatcher (:func:`~repro.graphs.generators.generate_graph`),
+    so a spec that names every parameter reproduces the CLI graph bit for
+    bit.  The defaults differ: a parameter the spec leaves out takes the
+    service default in :data:`~repro.graphs.generators.GENERATOR_DEFAULTS`
+    (``width`` 4, ``p`` 0.03 or 0.05, ``vertices`` 100), where the CLI
+    defaults to ``--width 8``, ``--p 0.002`` and requires ``--vertices``.
     """
-    if model not in _GENERATOR_DEFAULTS:
-        raise ValidationError(
-            f"unknown generator {model!r} (known: {', '.join(sorted(_GENERATOR_DEFAULTS))})"
-        )
-    merged = {**_GENERATOR_DEFAULTS[model], **(params or {})}
-    unknown = set(merged) - set(_GENERATOR_DEFAULTS[model])
-    if unknown:
-        raise ValidationError(
-            f"unknown {model} parameter(s): {', '.join(sorted(unknown))}"
-        )
     try:
-        if model == "gbreg":
-            from ..graphs.generators import gbreg
-
-            return gbreg(
-                int(merged["vertices"]), int(merged["width"]),
-                int(merged["degree"]), int(merged["seed"]),
-            ).graph
-        if model == "g2set":
-            from ..graphs.generators import g2set
-
-            p = float(merged["p"])
-            return g2set(
-                int(merged["vertices"]), p, p, int(merged["width"]),
-                int(merged["seed"]),
-            ).graph
-        if model == "gnp":
-            from ..graphs.generators import gnp
-
-            return gnp(int(merged["vertices"]), float(merged["p"]), int(merged["seed"]))
-        if model == "ladder":
-            from ..graphs.generators import ladder_graph
-
-            return ladder_graph(int(merged["vertices"]) // 2)
-        if model == "grid":
-            from ..graphs.generators import grid_graph
-
-            side = int(round(int(merged["vertices"]) ** 0.5))
-            return grid_graph(side, side)
-        from ..graphs.generators import binary_tree
-
-        return binary_tree(int(merged["vertices"]))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad {model} parameters: {exc}") from exc
+        return generate_graph(model, params)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def _graph_record(graph: Graph, graph_id: str, source: str) -> dict[str, Any]:
@@ -426,9 +381,7 @@ class ServiceState:
                 raise ValidationError("'seeds' must be a non-empty list of integers") from None
         if starts == 1:
             return [seed]
-        # Best-of-R: derive start seeds exactly like the bench.
-        master = LaggedFibonacciRandom(seed)
-        return [derive_seed(master, index) for index in range(starts)]
+        return start_seeds(LaggedFibonacciRandom(seed), starts)
 
     def _record_for(self, tenant: Tenant, job_id: str) -> dict[str, Any]:
         with self._lock:

@@ -11,8 +11,8 @@ deterministic seed protocol, so a ``--remote`` study against a live
 * Heuristic seeds come from :func:`cell_seeds`, a pure function of
   ``(master_seed, cell_index, count)`` — independent of sweep size,
   submission order, and client count.
-* Aggregation uses :class:`~repro.obs.accumulator.StreamingStats` in its
-  exact regime, whose summaries are permutation and shard invariant, so
+* Aggregation uses :class:`~repro.obs.accumulator.StreamingStats`, an
+  exact count table whose summaries are permutation invariant, so
   out-of-order remote completion cannot change the result.
 
 The remote runner doubles as the standing load/soak test: N worker

@@ -3,7 +3,7 @@
 import os
 import time
 
-from repro.rng import derive_seed
+from repro.rng import derive_seed, start_seeds
 
 
 def jittered(seed):
@@ -14,6 +14,11 @@ def reseed(base_seed, idx):
     run_seed = derive_seed(base_seed, idx)
     launch(run_seed, seed=os.getpid())  # finding: impure value into seed=
     return run_seed
+
+
+def stamped_start(master, count):
+    first = start_seeds(master, count)[0]
+    return first + int(time.time())  # finding: merge — not replayable
 
 
 def launch(run_seed, seed):

@@ -79,9 +79,10 @@ class TestR014SeedTaint:
         findings = lint_fixture("r014", rule="R014")
         bad, good = split(findings)
         assert good == []
-        assert {f.context for f in bad} == {"jittered", "reseed"}
+        assert {f.context for f in bad} == {"jittered", "reseed", "stamped_start"}
         by_ctx = {f.context: f.message for f in bad}
         assert "merges" in by_ctx["jittered"]
+        assert "merges" in by_ctx["stamped_start"]
         assert "`seed=`" in by_ctx["reseed"]
 
     def test_impure_alone_is_not_a_taint_violation(self, lint_fixture):

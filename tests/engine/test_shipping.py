@@ -19,7 +19,7 @@ from repro.engine.job import AlgorithmSpec, Job
 from repro.engine.telemetry import Telemetry
 from repro.graphs.generators import gbreg
 from repro.obs import REGISTRY, reset_span_totals, run_context
-from repro.obs.shipper import parse_series
+from repro.obs.metrics import parse_series
 from repro.rng import LaggedFibonacciRandom, derive_seed
 
 #: Kernel counters that must match a serial run exactly after the merge.

@@ -1,10 +1,9 @@
 """Property/metamorphic suite for the streaming stats accumulator.
 
-The study subsystem leans on four guarantees, each pinned here:
-merged-shard aggregation equals single-stream aggregation, the Welford
-moments match an exact two-pass computation, P²-regime quantiles stay
-within their known error envelope, and the final summary is invariant
-under permutation of the input stream.
+The study subsystem leans on three guarantees, each pinned here: the
+table's moments match an exact two-pass computation, its quantiles match
+sorted interpolation, and the final summary is invariant under
+permutation of the input stream.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import random
 import pytest
 
 from repro.obs import (
-    P2Quantile,
     StreamingStats,
     TailFit,
     best_of_k_extrapolation,
@@ -30,123 +28,45 @@ def _integer_corpus(seed: int, count: int = 500) -> list[int]:
     return [rng.randrange(120) for _ in range(count)]
 
 
-def _float_corpus(seed: int, count: int = 2000) -> list[float]:
-    rng = LaggedFibonacciRandom(seed)
-    return [rng.random() * 40.0 + 2.0 for _ in range(count)]
-
-
 def _two_pass_moments(values) -> tuple[float, float]:
     mean = sum(values) / len(values)
     variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
     return mean, variance
 
 
-# -- Welford vs exact two-pass moments ---------------------------------------------
+# -- table moments vs exact two-pass moments ---------------------------------------
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
-def test_welford_matches_two_pass_on_integers(seed):
+def test_moments_match_two_pass_on_integers(seed):
     values = _integer_corpus(seed)
     stats = StreamingStats()
     stats.add_many(values)
-    mean, variance = _two_pass_moments(values)
-    assert stats.welford_mean == pytest.approx(mean, rel=1e-12)
-    assert stats.welford_variance == pytest.approx(variance, rel=1e-9)
-    # The exact-table readout agrees with the running moments.
-    assert stats.mean == pytest.approx(mean, rel=1e-12)
-    assert stats.variance == pytest.approx(variance, rel=1e-9)
-
-
-def test_welford_matches_two_pass_on_floats():
-    values = _float_corpus(3)
-    stats = StreamingStats()
-    stats.add_many(values)  # floats force the P² regime
-    assert not stats.exact
     mean, variance = _two_pass_moments(values)
     assert stats.mean == pytest.approx(mean, rel=1e-12)
     assert stats.variance == pytest.approx(variance, rel=1e-9)
     assert stats.std == pytest.approx(math.sqrt(variance), rel=1e-9)
 
 
-# -- merged shards vs single stream ------------------------------------------------
-
-
-@pytest.mark.parametrize("shards", [2, 3, 7])
-def test_merged_shards_equal_single_stream_exactly(shards):
-    values = _integer_corpus(11, count=700)
-    single = StreamingStats()
-    single.add_many(values)
-
-    merged = StreamingStats()
-    size = len(values) // shards
-    for index in range(shards):
-        shard = StreamingStats()
-        hi = len(values) if index == shards - 1 else (index + 1) * size
-        shard.add_many(values[index * size : hi])
-        merged.merge(shard)
-
-    assert merged.summary() == single.summary()
-    assert merged.value_counts() == single.value_counts()
-
-
-def test_merge_moments_match_two_pass_after_spill():
-    values = _float_corpus(5, count=600)
-    left, right = StreamingStats(), StreamingStats()
-    left.add_many(values[:250])
-    right.add_many(values[250:])
-    left.merge(right)
+def test_wide_support_stays_exact():
+    # One entry per distinct value, however wide the support.
+    values = list(range(5000))
+    stats = StreamingStats()
+    stats.add_many(values)
+    assert stats.value_counts() == {v: 1 for v in values}
     mean, variance = _two_pass_moments(values)
-    # Chan's update keeps count/mean/variance exact even in the
-    # (approximate-quantile) P² regime.
-    assert left.count == len(values)
-    assert left.mean == pytest.approx(mean, rel=1e-12)
-    assert left.variance == pytest.approx(variance, rel=1e-9)
+    assert stats.mean == pytest.approx(mean)
+    assert stats.variance == pytest.approx(variance)
+    assert stats.quantile(0.5) == 2499.5
+    assert stats.min == 0 and stats.max == 4999
 
 
-def test_merge_into_empty_and_with_empty():
-    values = _integer_corpus(2, count=100)
-    loaded = StreamingStats()
-    loaded.add_many(values)
-    empty = StreamingStats()
-    empty.merge(loaded)
-    assert empty.summary() == loaded.summary()
-    # The Welford state must be absorbed too, not just the count table —
-    # it is what mean/variance read after a spill or further add()s.
-    mean, variance = _two_pass_moments(values)
-    assert empty.welford_mean == pytest.approx(mean, rel=1e-12)
-    assert empty.welford_variance == pytest.approx(variance, rel=1e-9)
-    before = loaded.summary()
-    loaded.merge(StreamingStats())
-    assert loaded.summary() == before
-
-
-def test_merge_p2_shard_into_empty_keeps_moments():
-    # Float values put the shard in the P² regime, where mean/variance
-    # come straight from the Welford state — merging into a fresh
-    # accumulator must copy that state, not zero it.
-    values = _float_corpus(8, count=300)
-    shard = StreamingStats()
-    shard.add_many(values)
-    assert not shard.exact
-    empty = StreamingStats()
-    empty.merge(shard)
-    mean, variance = _two_pass_moments(values)
-    assert empty.count == len(values)
-    assert empty.mean == pytest.approx(mean, rel=1e-12)
-    assert empty.variance == pytest.approx(variance, rel=1e-9)
-
-
-def test_add_after_merge_into_empty_stays_exact():
-    # Regression: a stale zero Welford mean after merge-into-empty used
-    # to corrupt the moments of any subsequent add() once spilled.
-    empty = StreamingStats()
-    shard = StreamingStats()
-    shard.add_many([3, 4])
-    empty.merge(shard)
-    empty.add(7)
-    mean, variance = _two_pass_moments([3, 4, 7])
-    assert empty.welford_mean == pytest.approx(mean, rel=1e-12)
-    assert empty.welford_variance == pytest.approx(variance, rel=1e-9)
+def test_rejects_non_integer_values():
+    stats = StreamingStats()
+    for bad in (2.5, True, "3"):
+        with pytest.raises(TypeError):
+            stats.add(bad)
+    assert stats.count == 0
 
 
 # -- permutation invariance --------------------------------------------------------
@@ -180,41 +100,6 @@ def test_exact_quantiles_match_sorted_interpolation():
         assert stats.quantile(q) == pytest.approx(expected)
 
 
-@pytest.mark.parametrize("q", [0.05, 0.25, 0.5, 0.75, 0.95])
-def test_p2_quantiles_within_error_bounds_on_uniform(q):
-    # Uniform(0, 1): P² markers converge near the true quantile; the
-    # classical empirical envelope for n=5000 is well under ±0.03.
-    rng = LaggedFibonacciRandom(23)
-    estimator = P2Quantile(q)
-    for _ in range(5000):
-        estimator.observe(rng.random())
-    assert estimator.estimate() == pytest.approx(q, abs=0.03)
-
-
-def test_streaming_stats_p2_regime_within_bounds():
-    values = _float_corpus(29, count=5000)
-    stats = StreamingStats()
-    stats.add_many(values)
-    assert not stats.exact
-    ordered = sorted(values)
-    for q in (0.25, 0.5, 0.75):
-        true = ordered[int(q * (len(ordered) - 1))]
-        spread = ordered[-1] - ordered[0]
-        assert abs(stats.quantile(q) - true) <= 0.05 * spread
-
-
-def test_spill_on_table_overflow_keeps_moments():
-    stats = StreamingStats(max_exact_values=16)
-    values = list(range(64))
-    stats.add_many(values)
-    assert not stats.exact
-    assert stats.value_counts() is None
-    mean, variance = _two_pass_moments(values)
-    assert stats.mean == pytest.approx(mean)
-    assert stats.variance == pytest.approx(variance)
-    assert stats.min == 0 and stats.max == 63
-
-
 # -- boundaries and validation -----------------------------------------------------
 
 
@@ -232,9 +117,7 @@ def test_quantile_argument_validation():
     with pytest.raises(ValueError):
         stats.quantile(1.5)
     with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        StreamingStats(max_exact_values=0)
+        stats.quantile(-0.1)
 
 
 # -- tail fit and best-of-k --------------------------------------------------------
@@ -267,9 +150,9 @@ def test_best_of_k_rejects_k_below_two():
 
 
 def test_tail_fit_declines_degenerate_inputs():
-    spilled = StreamingStats(max_exact_values=2)
-    spilled.add_many([1, 2, 3])
-    assert fit_lower_tail(spilled) is None
+    single = StreamingStats()
+    single.add(4)
+    assert fit_lower_tail(single) is None
 
     narrow = StreamingStats()
     narrow.add_many([5, 5, 5, 5])

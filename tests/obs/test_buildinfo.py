@@ -10,7 +10,7 @@ from repro.obs.buildinfo import (
     set_build_info,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.shipper import parse_series
+from repro.obs.metrics import parse_series
 
 
 class TestBuildInfo:

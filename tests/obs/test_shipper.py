@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import REGISTRY, counter, gauge, histogram, run_context, span
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, parse_series
 from repro.obs.shipper import (
     MAX_SERIES,
     MAX_SPANS,
@@ -13,7 +13,6 @@ from repro.obs.shipper import (
     build_shipment,
     collect_shipment,
     merge_shipment,
-    parse_series,
 )
 
 

@@ -7,7 +7,14 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import build_ledger, counter, ledger_dir, run_context, write_ledger
+from repro.obs import (
+    build_ledger,
+    counter,
+    histogram,
+    ledger_dir,
+    run_context,
+    write_ledger,
+)
 
 
 def _ledger_file(tmp_path, name, swaps, workload=None):
@@ -28,6 +35,26 @@ class TestStatsRender:
         path = _ledger_file(tmp_path, "a.json", swaps=7)
         assert main(["stats", path, "--prometheus"]) == 0
         assert "kl_swaps_total 7" in capsys.readouterr().out
+
+    def test_prometheus_dump_is_valid_exposition_for_labelled_series(
+        self, tmp_path, capsys
+    ):
+        with run_context(workload={"command": "run"}) as run:
+            counter("engine_worker_jobs_total", worker="0").inc(2)
+            counter("engine_worker_jobs_total", worker="1").inc(3)
+            histogram("stage_seconds", stage="a").observe(0.02)
+            histogram("stage_seconds", stage="b").observe(3.0)
+        path = write_ledger(build_ledger(run, argv=["run"]), tmp_path / "f.json")
+        assert main(["stats", path, "--prometheus"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        families = [line.split()[2] for line in lines if line.startswith("# TYPE ")]
+        assert len(families) == len(set(families))
+        assert len(lines) == len(set(lines))
+        assert 'engine_worker_jobs_total{worker="0"} 2' in lines
+        assert 'engine_worker_jobs_total{worker="1"} 3' in lines
+        assert 'stage_seconds_bucket{stage="a",le="0.05"} 1' in lines
+        assert 'stage_seconds_bucket{stage="b",le="0.05"} 0' in lines
+        assert 'stage_seconds_count{stage="b"} 1' in lines
 
     def test_unreadable_ledger_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

@@ -117,7 +117,7 @@ def test_bad_payload_is_a_one_line_4xx(service, client, monkeypatch, path, body)
     def no_derivation(*args):
         raise AssertionError("seed derived for a rejected submission")
 
-    monkeypatch.setattr("repro.service.state.derive_seed", no_derivation)
+    monkeypatch.setattr("repro.service.state.start_seeds", no_derivation)
     record = client.generate_graph("gbreg", vertices=20, width=2, degree=3)
     before = client.health(), client._request("GET", "/v1/tenants")
     if path == "/v1/jobs":

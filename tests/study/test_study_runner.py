@@ -25,7 +25,6 @@ def test_local_study_runs_every_cell_and_seed():
     assert outcome.failed_requests == 0
     for stats in outcome.cell_stats:
         assert stats.count == 6
-        assert stats.exact
     payload = outcome.to_payload()
     assert len(payload["cells"]) == len(grid.cells)
     assert payload["cells"][0]["stats"]["count"] == 6
