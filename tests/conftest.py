@@ -80,3 +80,33 @@ def weighted_graph():
     for u, v, w in [(0, 1, 2), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 2), (5, 0, 1)]:
         g.add_edge(u, v, w)
     return g
+
+
+#: A short annealing schedule for end-to-end tests that only need SA's shape.
+FAST_SA = dict(size_factor=2, cooling_ratio=0.9, max_temperatures=80)
+
+
+@pytest.fixture
+def fast_sa_specs(monkeypatch):
+    """Registry specs ``fast_sa``/``fast_csa``: SA and CSA on :data:`FAST_SA`.
+
+    The registry builders take only ``size_factor``, so the short
+    schedule is registered under its own names for the test's duration.
+    """
+    from repro.core.pipeline import csa
+    from repro.engine import registry
+    from repro.engine.job import AlgorithmSpec
+    from repro.partition.annealing import AnnealingSchedule, simulated_annealing
+
+    schedule = AnnealingSchedule(**FAST_SA)
+    monkeypatch.setitem(
+        registry._BUILDERS,
+        "fast_sa",
+        lambda: lambda g, rng: simulated_annealing(g, rng=rng, schedule=schedule),
+    )
+    monkeypatch.setitem(
+        registry._BUILDERS,
+        "fast_csa",
+        lambda: lambda g, rng: csa(g, rng=rng, schedule=schedule),
+    )
+    return {"sa": AlgorithmSpec.make("fast_sa"), "csa": AlgorithmSpec.make("fast_csa")}
