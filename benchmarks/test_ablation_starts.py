@@ -14,9 +14,8 @@ from statistics import mean
 from conftest import run_once
 
 from repro.bench import best_of_starts, current_scale, render_generic_table
-from repro.core.pipeline import ckl
+from repro.engine import AlgorithmSpec
 from repro.graphs.generators import gbreg
-from repro.partition.kl import kernighan_lin
 from repro.rng import LaggedFibonacciRandom
 
 STARTS = (1, 2, 4, 8)
@@ -40,7 +39,7 @@ def test_ablation_starts(benchmark, save_table):
                 kl_cuts.append(
                     best_of_starts(
                         sample.graph,
-                        lambda g, r: kernighan_lin(g, rng=r),
+                        AlgorithmSpec.make("kl"),
                         rng=LaggedFibonacciRandom(1000 + j),
                         starts=n_starts,
                     ).cut
@@ -48,7 +47,7 @@ def test_ablation_starts(benchmark, save_table):
                 ckl_cuts.append(
                     best_of_starts(
                         sample.graph,
-                        lambda g, r: ckl(g, rng=r),
+                        AlgorithmSpec.make("ckl"),
                         rng=LaggedFibonacciRandom(2000 + j),
                         starts=n_starts,
                     ).cut

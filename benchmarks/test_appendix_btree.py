@@ -19,14 +19,14 @@ from repro.bench import (
     cut_improvement_percent,
     render_paper_table,
     run_workload,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
 
 
 def test_appendix_btree_table(benchmark, save_table):
     scale = current_scale()
     cases = btree_cases(scale)
-    algorithms = standard_algorithms(scale)
+    algorithms = standard_algorithm_specs(scale)
 
     rows = run_once(
         benchmark,

@@ -22,7 +22,7 @@ from repro.bench import (
     g2set_cases,
     render_paper_table,
     run_workload,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
 
 
@@ -32,7 +32,7 @@ def test_appendix_g2set_table(benchmark, save_table, avg_degree):
     cases = g2set_cases(scale, avg_degree)
     # SA dominates wall time; run the full quartet only at the sparse
     # degrees where the paper's effect lives, KL-only at degree 4.
-    algorithms = standard_algorithms(scale, include_sa=avg_degree < 4.0)
+    algorithms = standard_algorithm_specs(scale, include_sa=avg_degree < 4.0)
 
     rows = run_once(
         benchmark,

@@ -24,7 +24,7 @@ from repro.bench import (
     gbreg_cases,
     render_paper_table,
     run_workload,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
 
 
@@ -32,7 +32,7 @@ from repro.bench import (
 def test_appendix_gbreg_table(benchmark, save_table, degree):
     scale = current_scale()
     cases = gbreg_cases(scale, degree)
-    algorithms = standard_algorithms(scale)
+    algorithms = standard_algorithm_specs(scale)
 
     rows = run_once(
         benchmark,

@@ -19,7 +19,7 @@ from repro.bench import (
     gnp_cases,
     render_paper_table,
     run_workload,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
 from repro.graphs.properties import random_bisection_expected_cut
 
@@ -27,7 +27,7 @@ from repro.graphs.properties import random_bisection_expected_cut
 def test_appendix_gnp_table(benchmark, save_table):
     scale = current_scale()
     cases = gnp_cases(scale)
-    algorithms = standard_algorithms(scale, include_sa=False)
+    algorithms = standard_algorithm_specs(scale, include_sa=False)
 
     rows = run_once(
         benchmark,

@@ -14,14 +14,14 @@ from repro.bench import (
     grid_cases,
     render_paper_table,
     run_workload,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
 
 
 def test_appendix_grid_table(benchmark, save_table):
     scale = current_scale()
     cases = grid_cases(scale)
-    algorithms = standard_algorithms(scale)
+    algorithms = standard_algorithm_specs(scale)
 
     rows = run_once(
         benchmark,

@@ -16,14 +16,14 @@ from repro.bench import (
     ladder_cases,
     render_paper_table,
     run_workload,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
 
 
 def test_appendix_ladder_table(benchmark, save_table):
     scale = current_scale()
     cases = ladder_cases(scale)
-    algorithms = standard_algorithms(scale)
+    algorithms = standard_algorithm_specs(scale)
 
     rows = run_once(
         benchmark,

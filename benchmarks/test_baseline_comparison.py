@@ -13,14 +13,9 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.bench import best_of_starts, current_scale, render_generic_table
-from repro.core.multilevel import multilevel_bisection
-from repro.core.pipeline import ckl, csa
+from repro.engine import AlgorithmSpec
 from repro.graphs.generators import gbreg, grid_graph, ladder_graph
-from repro.partition.annealing import AnnealingSchedule, simulated_annealing
 from repro.partition.bounds import bisection_lower_bound
-from repro.partition.fm import fiduccia_mattheyses
-from repro.partition.greedy import greedy_improvement
-from repro.partition.kl import kernighan_lin
 from repro.rng import LaggedFibonacciRandom, spawn
 
 try:
@@ -34,7 +29,7 @@ except ImportError:  # pragma: no cover
 def test_baseline_comparison(benchmark, save_table):
     scale = current_scale()
     two_n = min(scale.random_graph_sizes[0], 500)
-    schedule = AnnealingSchedule(size_factor=scale.sa_size_factor)
+    size_factor = scale.sa_size_factor
 
     workload = {
         f"Gbreg({two_n},8,3)": gbreg(two_n, 8, 3, rng=270).graph,
@@ -42,13 +37,13 @@ def test_baseline_comparison(benchmark, save_table):
         "grid(22x22)": grid_graph(22, 22),
     }
     algorithms = {
-        "greedy": lambda g, r: greedy_improvement(g, rng=r),
-        "kl": lambda g, r: kernighan_lin(g, rng=r),
-        "fm": lambda g, r: fiduccia_mattheyses(g, rng=r),
-        "sa": lambda g, r: simulated_annealing(g, rng=r, schedule=schedule),
-        "ckl": lambda g, r: ckl(g, rng=r),
-        "csa": lambda g, r: csa(g, rng=r, schedule=schedule),
-        "multilevel": lambda g, r: multilevel_bisection(g, rng=r),
+        "greedy": AlgorithmSpec.make("greedy"),
+        "kl": AlgorithmSpec.make("kl"),
+        "fm": AlgorithmSpec.make("fm"),
+        "sa": AlgorithmSpec.make("sa", size_factor=size_factor),
+        "ckl": AlgorithmSpec.make("ckl"),
+        "csa": AlgorithmSpec.make("csa", size_factor=size_factor),
+        "multilevel": AlgorithmSpec.make("multilevel"),
     }
 
     def experiment():

@@ -25,7 +25,7 @@ from repro.bench import (
     paired_comparison,
     render_generic_table,
     run_workload,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
 
 
@@ -34,7 +34,7 @@ def test_consistency_and_win_rates(benchmark, save_table):
     cases = (
         g2set_cases(scale, 2.5) + g2set_cases(scale, 3.0) + g2set_cases(scale, 3.5)
     )
-    algorithms = standard_algorithms(scale)
+    algorithms = standard_algorithm_specs(scale)
 
     rows = run_once(
         benchmark,

@@ -14,8 +14,7 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.bench import best_of_starts, current_scale, render_generic_table
-from repro.core.multilevel import multilevel_bisection
-from repro.core.pipeline import ckl
+from repro.engine import AlgorithmSpec
 from repro.graphs.generators import (
     cycle_graph,
     grid_graph,
@@ -43,11 +42,11 @@ def test_known_width_oracles(benchmark, save_table):
         for i, (label, build, width) in enumerate(ORACLES):
             graph = build()
             ckl_cut = best_of_starts(
-                graph, lambda g, r: ckl(g, rng=r), rng=spawn(root, 2 * i), starts=2
+                graph, AlgorithmSpec.make("ckl"), rng=spawn(root, 2 * i), starts=2
             ).cut
             ml_cut = best_of_starts(
                 graph,
-                lambda g, r: multilevel_bisection(g, rng=r),
+                AlgorithmSpec.make("multilevel"),
                 rng=spawn(root, 2 * i + 1),
                 starts=2,
             ).cut

@@ -21,13 +21,13 @@ from repro.bench import (
     gbreg_cases,
     render_generic_table,
     run_workload,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
 
 
 def test_obs1_degree_effect(benchmark, save_table):
     scale = current_scale()
-    algorithms = standard_algorithms(scale)
+    algorithms = standard_algorithm_specs(scale)
 
     def experiment():
         return {

@@ -20,13 +20,13 @@ from repro.bench import (
     ladder_cases,
     render_generic_table,
     run_workload,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
 
 
 def test_obs4_kl_vs_sa(benchmark, save_table):
     scale = current_scale()
-    algorithms = standard_algorithms(scale)
+    algorithms = standard_algorithm_specs(scale)
     families = {
         "gbreg_d3": gbreg_cases(scale, 3)[:2],
         "gbreg_d4": gbreg_cases(scale, 4)[:2],

@@ -21,13 +21,13 @@ from repro.bench import (
     ladder_cases,
     render_generic_table,
     run_workload,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
 
 
 def test_obs5_compacted_comparison(benchmark, save_table):
     scale = current_scale()
-    algorithms = standard_algorithms(scale)
+    algorithms = standard_algorithm_specs(scale)
     families = {
         "gbreg_d3": gbreg_cases(scale, 3)[:2],
         "ladder": ladder_cases(scale),

@@ -27,7 +27,7 @@ from repro.bench import (
     ladder_cases,
     render_generic_table,
     run_workload,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
 
 
@@ -44,7 +44,7 @@ def _family_improvements(cases, algorithms, scale, seed):
 
 def test_table1_special_graphs(benchmark, save_table):
     scale = current_scale()
-    algorithms = standard_algorithms(scale)
+    algorithms = standard_algorithm_specs(scale)
     families = {
         "grid": grid_cases(scale),
         "ladder": ladder_cases(scale),

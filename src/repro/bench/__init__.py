@@ -16,47 +16,30 @@ from .metrics import (
     geometric_mean,
     relative_speedup_percent,
 )
-from .runner import (
-    Algorithm,
-    BestOfStarts,
-    RowResult,
-    best_of_starts,
-    compare_algorithms,
-    run_workload,
-)
+from .runner import BestOfStarts, RowResult, best_of_starts, run_workload
 from .tables import aggregate_rows, render_generic_table, render_paper_table
 from .workloads import (
-    STUDY_GBREG_DEGREES,
-    STUDY_GNP_DEGREES,
     Scale,
     WorkloadCase,
     btree_cases,
     current_scale,
-    parity_fixed_width,
     g2set_cases,
     gbreg_cases,
     gnp_cases,
     grid_cases,
     ladder_cases,
     netlist_algorithm_specs,
-    netlist_algorithms,
     netlist_cases,
     standard_algorithm_specs,
-    standard_algorithms,
 )
 
 __all__ = [
-    "STUDY_GBREG_DEGREES",
-    "STUDY_GNP_DEGREES",
-    "parity_fixed_width",
     "cut_improvement_percent",
     "relative_speedup_percent",
     "cut_ratio",
     "geometric_mean",
     "best_of_starts",
-    "compare_algorithms",
     "run_workload",
-    "Algorithm",
     "BestOfStarts",
     "RowResult",
     "render_generic_table",
@@ -65,9 +48,7 @@ __all__ = [
     "Scale",
     "WorkloadCase",
     "current_scale",
-    "standard_algorithms",
     "standard_algorithm_specs",
-    "netlist_algorithms",
     "netlist_algorithm_specs",
     "netlist_cases",
     "gbreg_cases",

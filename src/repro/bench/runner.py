@@ -7,18 +7,15 @@ All timing results will be the total time it took the procedure to
 complete both starting configurations (including the time to generate the
 initial bisections)."
 
-:func:`best_of_starts` is that protocol; :func:`compare_algorithms` runs a
-whole algorithm suite on one graph and :func:`run_workload` sweeps a list
-of workload cases into table rows.
+:func:`best_of_starts` is that protocol on one graph; :func:`run_workload`
+sweeps a list of workload cases into table rows.
 
-All three now execute through the :mod:`repro.engine` job engine: each
-start becomes a :class:`~repro.engine.job.Job` whose seed is derived from
-the master generator exactly as :func:`repro.rng.spawn` would, so results
-are bitwise identical to the historical in-process loop — and passing an
-``engine`` configured with ``jobs=N`` fans the starts out across worker
-processes (algorithms given as registry :class:`AlgorithmSpec` values
-required; plain callables degrade to serial).  An engine with a cache
-makes repeated sweeps near-free.
+Both run through the :mod:`repro.engine` job engine: each start becomes a
+:class:`~repro.engine.job.Job` carrying the algorithm's registry
+:class:`~repro.engine.job.AlgorithmSpec` and a seed from
+:func:`repro.rng.start_seeds`.  Passing an ``engine`` configured with
+``jobs=N`` fans the starts out across worker processes with identical
+results, and an engine with a cache makes repeated sweeps near-free.
 """
 
 from __future__ import annotations
@@ -28,21 +25,16 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ..engine.executor import Engine
-from ..engine.job import Algorithm, AlgorithmSpec, Job, JobResult
+from ..engine.job import AlgorithmSpec, Job, JobResult
 from ..graphs.graph import Graph
 from ..rng import resolve_rng, spawn, start_seeds
 
 __all__ = [
-    "Algorithm",
     "BestOfStarts",
     "RowResult",
     "best_of_starts",
-    "compare_algorithms",
     "run_workload",
 ]
-
-# An algorithm cell may be a (graph, rng) callable or a registry spec.
-AlgorithmLike = Algorithm | AlgorithmSpec
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,7 @@ class RowResult:
 
 def _start_jobs(
     graph_key: str,
-    algorithm: AlgorithmLike,
+    algorithm: AlgorithmSpec,
     rng: random.Random,
     starts: int,
     prefix: str = "",
@@ -115,7 +107,7 @@ def _assemble(results: Sequence[JobResult]) -> BestOfStarts:
 
 def best_of_starts(
     graph: Graph,
-    algorithm: AlgorithmLike,
+    algorithm: AlgorithmSpec,
     rng: random.Random | int | None = None,
     starts: int = 2,
     engine: Engine | None = None,
@@ -134,36 +126,9 @@ def best_of_starts(
     return _assemble(engine.run(jobs, {"graph": graph}))
 
 
-def compare_algorithms(
-    graph: Graph,
-    algorithms: Mapping[str, AlgorithmLike],
-    rng: random.Random | int | None = None,
-    starts: int = 2,
-    label: str = "",
-    expected_b: int | None = None,
-    engine: Engine | None = None,
-) -> RowResult:
-    """Run every algorithm on ``graph`` under the best-of-starts protocol."""
-    rng = resolve_rng(rng)
-    engine = engine if engine is not None else Engine()
-    names = sorted(algorithms)
-    jobs: list[Job] = []
-    for salt, name in enumerate(names):
-        cell_rng = spawn(rng, salt)
-        jobs.extend(
-            _start_jobs("graph", algorithms[name], cell_rng, starts, prefix=f"{name}:")
-        )
-    results = engine.run(jobs, {"graph": graph})
-    cells = {
-        name: _assemble(results[i * starts : (i + 1) * starts])
-        for i, name in enumerate(names)
-    }
-    return RowResult(label=label, expected_b=expected_b, cells=cells)
-
-
 def run_workload(
     cases: Sequence,
-    algorithms: Mapping[str, AlgorithmLike],
+    algorithms: Mapping[str, AlgorithmSpec],
     rng: random.Random | int | None = None,
     starts: int = 2,
     engine: Engine | None = None,

@@ -24,7 +24,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..engine.job import AlgorithmSpec
-from ..engine.registry import build_algorithm
 from ..graphs.generators import (
     binary_tree,
     g2set_with_degree,
@@ -32,19 +31,15 @@ from ..graphs.generators import (
     gnp_with_degree,
     grid_graph,
     ladder_graph,
+    parity_fixed_width,
 )
 from ..graphs.graph import Graph
 
 __all__ = [
-    "STUDY_GBREG_DEGREES",
-    "STUDY_GNP_DEGREES",
     "Scale",
     "WorkloadCase",
     "current_scale",
-    "parity_fixed_width",
-    "standard_algorithms",
     "standard_algorithm_specs",
-    "netlist_algorithms",
     "netlist_algorithm_specs",
     "gbreg_cases",
     "g2set_cases",
@@ -121,10 +116,9 @@ def standard_algorithm_specs(
 ) -> dict[str, AlgorithmSpec]:
     """The paper's four procedures as engine :class:`AlgorithmSpec` values.
 
-    Specs (unlike the callables from :func:`standard_algorithms`) are
-    picklable and cacheable, so they are what the parallel engine and the
-    result cache consume.  SA and CSA carry the scale tier's temperature
-    length (``size_factor * |V|``).
+    SA and CSA carry the scale tier's temperature length
+    (``size_factor * |V|``); set ``include_sa=False`` for the KL-only
+    sweeps (SA dominates wall time, exactly as the paper found).
     """
     specs = {
         "kl": AlgorithmSpec.make("kl"),
@@ -136,20 +130,6 @@ def standard_algorithm_specs(
     return specs
 
 
-def standard_algorithms(scale: Scale, include_sa: bool = True) -> dict:
-    """The paper's four procedures as ``(graph, rng) -> result`` callables.
-
-    Built from :func:`standard_algorithm_specs` through the engine
-    registry, so the two forms are guaranteed to agree; set
-    ``include_sa=False`` for the KL-only sweeps (SA dominates wall time,
-    exactly as the paper found).
-    """
-    return {
-        name: build_algorithm(spec)
-        for name, spec in standard_algorithm_specs(scale, include_sa).items()
-    }
-
-
 @dataclass(frozen=True)
 class WorkloadCase:
     """A parameter point: label, planted width (or None), graph builder."""
@@ -159,39 +139,13 @@ class WorkloadCase:
     build: Callable[[random.Random], Graph]
 
 
-def _parity_fix(two_n: int, d: int, b: int) -> int:
-    """Round ``b`` up to the nearest ``Gbreg``-feasible width."""
-    n = two_n // 2
-    return b if (n * d - b) % 2 == 0 else b + 1
-
-
-def parity_fixed_width(two_n: int, degree: int, width: int) -> int:
-    """Public :func:`_parity_fix`: the nearest feasible ``Gbreg`` width.
-
-    The ensemble ``study`` sweeps build their own cells (one fixed graph,
-    hundreds of heuristic seeds) rather than :class:`WorkloadCase` lists,
-    but must respect the same stub-parity constraint the table sweeps do.
-    """
-    return _parity_fix(two_n, degree, width)
-
-
-#: Degree sweep for the planted-vs-random phase study on ``Gbreg(2n, b, d)``:
-#: at low degree the planted width-``b`` cut is not optimal (random-like
-#: phase, heuristics beat it); as the degree grows every other cut inflates
-#: until the planted bisection is the clear optimum (planted phase).
-STUDY_GBREG_DEGREES = (2, 3, 4, 5, 6)
-
-#: Degree sweep for the ``Gnp`` phase study, bracketing the critical mean
-#: degree ``2 ln 2 ≈ 1.386`` below which the bisection width vanishes
-#: (Percus et al., *The Peculiar Phase Structure of Random Graph Bisection*).
-STUDY_GNP_DEGREES = (0.8, 1.1, 1.4, 1.7, 2.2, 3.0)
-
-
 def gbreg_cases(scale: Scale, degree: int) -> list[WorkloadCase]:
     """``Gbreg(2n, b, d)`` sweep (appendix tables, d = 3 and d = 4)."""
     cases = []
     for two_n in scale.random_graph_sizes:
-        widths = sorted({_parity_fix(two_n, degree, b) for b in scale.gbreg_widths})
+        widths = sorted(
+            {parity_fixed_width(two_n, degree, b) for b in scale.gbreg_widths}
+        )
         for b in widths:
             for seed in range(scale.seeds_per_point):
                 cases.append(
@@ -283,7 +237,7 @@ def netlist_cases(scale: Scale) -> list[WorkloadCase]:
     """Clustered synthetic netlists (the VLSI-domain extension workload).
 
     Cases build :class:`~repro.hypergraph.Hypergraph` objects; pair them
-    with :func:`netlist_algorithms` (graph algorithms do not apply).
+    with :func:`netlist_algorithm_specs` (graph algorithms do not apply).
     """
     from ..hypergraph.generators import random_netlist
 
@@ -302,26 +256,15 @@ def netlist_cases(scale: Scale) -> list[WorkloadCase]:
 
 
 def netlist_algorithm_specs(scale: Scale) -> dict[str, AlgorithmSpec]:
-    """Netlist bisectors as engine specs (see :func:`netlist_algorithms`).
+    """Netlist bisectors as engine specs.
 
+    ``hfm``/``chfm`` mirror KL/CKL (plain and compacted local search).
     ``scale`` is accepted for symmetry with the graph workloads; the
     netlist bisectors run with their defaults at every scale.
     """
     return {
         "hfm": AlgorithmSpec.make("hfm"),
         "chfm": AlgorithmSpec.make("chfm"),
-    }
-
-
-def netlist_algorithms(scale: Scale) -> dict:
-    """Netlist bisectors as ``(hypergraph, rng) -> result`` callables.
-
-    ``hfm``/``chfm`` mirror KL/CKL (deterministic-ish local search, plain
-    and compacted).
-    """
-    return {
-        name: build_algorithm(spec)
-        for name, spec in netlist_algorithm_specs(scale).items()
     }
 
 

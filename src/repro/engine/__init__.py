@@ -18,7 +18,7 @@ from .batch import BatchEntry, read_batch_file, run_batch
 from .cache import ResultCache, cache_key, default_cache_dir
 from .executor import Engine, JobTimeout, execute_job, retry_seed
 from .handles import JobHandle, JobRunner
-from .job import Algorithm, AlgorithmSpec, Job, JobResult
+from .job import AlgorithmSpec, Job, JobResult
 from .registry import (
     AlgorithmInfo,
     algorithm_info,
@@ -29,7 +29,6 @@ from .registry import (
 from .telemetry import Telemetry, TelemetryEvent, Timer
 
 __all__ = [
-    "Algorithm",
     "AlgorithmInfo",
     "AlgorithmSpec",
     "BatchEntry",

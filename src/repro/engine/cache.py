@@ -80,13 +80,10 @@ def job_cache_key(
 ) -> str | None:
     """``job``'s cache key against ``graph``, or ``None`` when uncacheable.
 
-    In-process callables and graphs without a canonical fingerprint (a
-    hypergraph netlist) run uncached.  ``fingerprints`` memoizes the
-    fingerprint per graph key across a batch.
+    Graphs without a canonical fingerprint (a hypergraph netlist) run
+    uncached.  ``fingerprints`` memoizes the fingerprint per graph key
+    across a batch.
     """
-    spec = job.spec()
-    if spec is None:
-        return None
     memo = fingerprints if fingerprints is not None else {}
     if job.graph_key not in memo:
         try:
@@ -95,7 +92,9 @@ def job_cache_key(
             memo[job.graph_key] = None
             telemetry.emit("uncacheable_graph", job.job_id, graph_key=job.graph_key)
     fingerprint = memo[job.graph_key]
-    return None if fingerprint is None else cache_key(fingerprint, spec, job.seed)
+    if fingerprint is None:
+        return None
+    return cache_key(fingerprint, job.algorithm, job.seed)
 
 
 def lookup_result(

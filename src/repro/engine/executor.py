@@ -14,9 +14,8 @@ order**.  Design invariants:
   ``(seed, attempt)``; exhaustion yields a ``status="failed"`` result
   instead of an exception, so one bad job never sinks a batch.
 * **Graceful degradation** — when the pool cannot be created (restricted
-  environments, missing semaphores) or the algorithm is an unpicklable
-  in-process callable, the engine falls back to serial execution and
-  records the downgrade in telemetry.
+  environments, missing semaphores), the engine falls back to serial
+  execution and records the downgrade in telemetry.
 
 Graphs are passed to ``run`` in a separate ``graphs`` table keyed by
 ``Job.graph_key`` and shipped to each worker once via the pool
@@ -44,7 +43,7 @@ from ..obs.clock import monotonic_time
 from ..obs.shipper import collect_shipment, merge_shipment
 from ..rng import LaggedFibonacciRandom
 from .cache import ResultCache, job_cache_key, lookup_result, store_result
-from .job import Job, JobResult
+from .job import AlgorithmSpec, Job, JobResult
 from .registry import build_algorithm
 from .telemetry import Telemetry
 
@@ -145,16 +144,24 @@ def _extract_side0(result: Any) -> tuple[str, ...]:
     return tuple(sorted(vertex_token(v) for v in side(0)))
 
 
+def require_spec(job: Job) -> None:
+    """Raise ``TypeError`` unless ``job``'s algorithm is an :class:`AlgorithmSpec`."""
+    if not isinstance(job.algorithm, AlgorithmSpec):
+        raise TypeError(
+            f"job {job.job_id!r} algorithm must be an AlgorithmSpec, "
+            f"got {type(job.algorithm).__name__}"
+        )
+
+
 def execute_job(job: Job, graph: Any) -> JobResult:
     """Run one job to completion (attempts + retries) in this process."""
-    spec = job.spec()
     try:
-        algorithm = build_algorithm(spec) if spec is not None else job.algorithm
+        algorithm = build_algorithm(job.algorithm)
     except Exception as exc:  # unknown name / bad params: fail, don't crash
         return JobResult(
             job_id=job.job_id,
             graph_key=job.graph_key,
-            algorithm=job.algorithm_name(),
+            algorithm=job.algorithm.name,
             seed=job.seed,
             status="failed",
             cut=None,
@@ -188,7 +195,7 @@ def execute_job(job: Job, graph: Any) -> JobResult:
         return JobResult(
             job_id=job.job_id,
             graph_key=job.graph_key,
-            algorithm=job.algorithm_name(),
+            algorithm=job.algorithm.name,
             seed=job.seed,
             status="ok",
             cut=result.cut,
@@ -202,7 +209,7 @@ def execute_job(job: Job, graph: Any) -> JobResult:
     return JobResult(
         job_id=job.job_id,
         graph_key=job.graph_key,
-        algorithm=job.algorithm_name(),
+        algorithm=job.algorithm.name,
         seed=job.seed,
         status="failed",
         cut=None,
@@ -287,7 +294,7 @@ def _worker_run(job: Job) -> JobResult:
             return JobResult(
                 job_id=job.job_id,
                 graph_key=job.graph_key,
-                algorithm=job.algorithm_name(),
+                algorithm=job.algorithm.name,
                 seed=job.seed,
                 status="failed",
                 cut=None,
@@ -372,9 +379,15 @@ class Engine:
     # -- public API ---------------------------------------------------------------
 
     def run(self, jobs: Sequence[Job], graphs: Mapping[str, Any]) -> list[JobResult]:
-        """Execute ``jobs`` and return their results in submission order."""
+        """Execute ``jobs`` and return their results in submission order.
+
+        Raises ``TypeError`` for a job whose algorithm is not an
+        :class:`AlgorithmSpec` and ``KeyError`` for one whose graph key
+        is not in ``graphs``.
+        """
         jobs = [self._normalize(job, index) for index, job in enumerate(jobs)]
         for job in jobs:
+            require_spec(job)
             if job.graph_key not in graphs:
                 raise KeyError(f"job {job.job_id!r} references unknown graph "
                                f"{job.graph_key!r}")
@@ -456,12 +469,6 @@ class Engine:
         results: list[JobResult | None],
     ) -> None:
         parallel = self.jobs > 1 and len(pending) > 1
-        if parallel and any(job.spec() is None for _, job, _ in pending):
-            self.telemetry.emit(
-                "serial_fallback", reason="in-process callable algorithm"
-            )
-            counter("engine_serial_fallbacks_total").inc()
-            parallel = False
         segments: dict[str, SharedGraphSegment] = {}
         if parallel:
             needed = {job.graph_key for _, job, _ in pending}

@@ -43,7 +43,7 @@ from typing import Any
 from ..obs import counter, histogram, obs_enabled
 from ..obs.clock import monotonic_time, wall_time
 from .cache import ResultCache, job_cache_key, lookup_result, store_result
-from .executor import execute_job
+from .executor import execute_job, require_spec
 from .job import Job, JobResult
 from .telemetry import Telemetry
 
@@ -179,7 +179,9 @@ class JobRunner:
         """Queue ``job`` against ``graph``; returns its handle immediately.
 
         A cache hit resolves the handle before it ever reaches a worker.
+        Raises ``TypeError`` when the algorithm is not an ``AlgorithmSpec``.
         """
+        require_spec(job)
         key = None
         if self.cache is not None:
             key = job_cache_key(job, graph, self.telemetry)

@@ -1,11 +1,12 @@
 """Declarative job specs for the partitioning execution engine.
 
 A :class:`Job` is everything needed to run one partitioning attempt — a
-graph reference (key into the batch's graph table), an algorithm (a
-registry :class:`AlgorithmSpec` or an in-process callable), and an
-integer seed — plus robustness knobs (timeout, retries).  Jobs are
-frozen, hashable, and, when the algorithm is a spec, picklable, so they
-can cross process boundaries and serve as cache identities.
+graph reference (key into the batch's graph table), a registry
+:class:`AlgorithmSpec` (name plus scalar params, resolved to a callable
+by :mod:`repro.engine.registry` where the job runs), and an integer seed
+— plus robustness knobs (timeout, retries).  Jobs are frozen, hashable
+and picklable, so they can cross process boundaries and serve as cache
+identities.
 
 A :class:`JobResult` carries only primitives (cut, side-0 vertex tokens,
 timings, counters), never live ``Graph``/``Bisection`` objects, which
@@ -17,18 +18,13 @@ original graph when callers need one.
 
 from __future__ import annotations
 
-import random
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..graphs.graph import vertex_token
 
-__all__ = ["Algorithm", "AlgorithmSpec", "Job", "JobResult"]
-
-# An algorithm takes (graph, rng) and returns a result exposing `.cut`
-# (and usually `.bisection`).
-Algorithm = Callable[[Any, random.Random], Any]
+__all__ = ["AlgorithmSpec", "Job", "JobResult"]
 
 
 def _freeze_params(params: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
@@ -82,24 +78,12 @@ class Job:
     """
 
     graph_key: str
-    algorithm: AlgorithmSpec | Algorithm
+    algorithm: AlgorithmSpec
     seed: int
     job_id: str = ""
     timeout: float | None = None
     retries: int | None = None
     tags: tuple[tuple[str, Any], ...] = ()
-
-    def spec(self) -> AlgorithmSpec | None:
-        """The registry spec, or ``None`` when the algorithm is a callable."""
-        if isinstance(self.algorithm, AlgorithmSpec):
-            return self.algorithm
-        return None
-
-    def algorithm_name(self) -> str:
-        spec = self.spec()
-        if spec is not None:
-            return spec.name
-        return getattr(self.algorithm, "__name__", "callable")
 
     def tag(self, key: str, default: Any = None) -> Any:
         for k, v in self.tags:
@@ -171,7 +155,7 @@ class JobResult:
         return cls(
             job_id=job.job_id,
             graph_key=job.graph_key,
-            algorithm=job.algorithm_name(),
+            algorithm=job.algorithm.name,
             seed=job.seed,
             status=payload.get("status", "ok"),
             cut=payload.get("cut"),

@@ -1,8 +1,10 @@
 """Algorithm registry: names + params -> ``(graph, rng) -> result`` callables.
 
-The engine ships :class:`~repro.engine.job.AlgorithmSpec` values (plain
-name + scalar params) across process boundaries and resolves them here,
-inside the worker, into real callables.  Builders are registered lazily
+Jobs name their algorithm only by :class:`~repro.engine.job.AlgorithmSpec`
+(plain name + scalar params), which crosses process boundaries and keys
+the result cache; :func:`build_algorithm` resolves it here, inside the
+process that runs the job, and is the one place a callable is made.
+Builders are registered lazily
 and import their heavy modules inside the function body, so importing the
 engine stays cheap.
 
@@ -17,18 +19,25 @@ multiplier); omitted params fall back to the algorithm's own defaults, so
 
 from __future__ import annotations
 
+import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
-from .job import Algorithm, AlgorithmSpec
+from .job import AlgorithmSpec
 
 __all__ = [
+    "Algorithm",
     "AlgorithmInfo",
     "algorithm_info",
     "algorithm_names",
     "build_algorithm",
     "register_algorithm",
 ]
+
+# An algorithm takes (graph, rng) and returns a result exposing `.cut`
+# (and usually `.bisection`).
+Algorithm = Callable[[Any, random.Random], Any]
 
 _BUILDERS: dict[str, Callable[..., Algorithm]] = {}
 _INFO: dict[str, "AlgorithmInfo"] = {}
@@ -95,19 +104,14 @@ def algorithm_info(name: str) -> AlgorithmInfo:
     return _INFO[name]
 
 
-def build_algorithm(spec: AlgorithmSpec | str, **params) -> Algorithm:
-    """Resolve a spec (or bare name + kwargs) to an algorithm callable."""
-    if isinstance(spec, AlgorithmSpec):
-        if params:
-            raise TypeError("pass params inside the AlgorithmSpec, not as kwargs")
-        name, params = spec.name, spec.params_dict()
-    else:
-        name = spec
-    if name not in _BUILDERS:
+def build_algorithm(spec: AlgorithmSpec) -> Algorithm:
+    """Resolve ``spec`` to an algorithm callable."""
+    if spec.name not in _BUILDERS:
         raise KeyError(
-            f"unknown algorithm {name!r}; registered: {', '.join(algorithm_names())}"
+            f"unknown algorithm {spec.name!r}; "
+            f"registered: {', '.join(algorithm_names())}"
         )
-    return _BUILDERS[name](**params)
+    return _BUILDERS[spec.name](**spec.params_dict())
 
 
 class _BisectionOnly:

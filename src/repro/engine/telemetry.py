@@ -4,7 +4,7 @@ Every engine action emits a :class:`TelemetryEvent` — batch lifecycle
 (``batch_start``/``batch_finish``), per-job flow (``job_queued``,
 ``job_start``, ``job_finish``), cache traffic (``cache_hit``,
 ``cache_store``), and degradations (``pool_unavailable``,
-``serial_fallback``, ``pool_broken``).  Events accumulate in memory for
+``pool_broken``).  Events accumulate in memory for
 programmatic summaries and, when a ``jsonl_path`` is given, are appended
 to disk one JSON object per line using the shared observability envelope
 (``ts`` / ``run_id`` / ``kind`` first — see
@@ -137,7 +137,6 @@ class Telemetry:
             ),
             "compute_seconds": sum(e.payload.get("seconds", 0.0) for e in executed),
             "pool_unavailable": self.count("pool_unavailable"),
-            "serial_fallback": self.count("serial_fallback"),
         }
 
     def render_summary(self) -> str:
@@ -152,6 +151,6 @@ class Telemetry:
         ]
         if s["retries"]:
             parts.append(f"{s['retries']} retries")
-        if s["pool_unavailable"] or s["serial_fallback"]:
+        if s["pool_unavailable"]:
             parts.append("degraded to serial")
         return "engine: " + " | ".join(parts)

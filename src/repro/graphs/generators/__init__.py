@@ -18,7 +18,12 @@ from typing import Any
 
 from ..graph import Graph
 
-from .bregular import BisectionRegularGraph, feasible_bisection_widths, gbreg
+from .bregular import (
+    BisectionRegularGraph,
+    feasible_bisection_widths,
+    gbreg,
+    parity_fixed_width,
+)
 from .gnp import gnp, gnp_with_degree
 from .planted import PlantedGraph, g2set, g2set_with_degree
 from .regular import random_regular_graph, sample_with_degrees
@@ -51,6 +56,7 @@ __all__ = [
     "gbreg",
     "BisectionRegularGraph",
     "feasible_bisection_widths",
+    "parity_fixed_width",
     "random_regular_graph",
     "sample_with_degrees",
     "path_graph",
@@ -86,12 +92,23 @@ GENERATOR_DEFAULTS: dict[str, dict[str, Any]] = {
 _PARAMETER_TYPES = {"vertices": int, "width": int, "degree": int, "seed": int, "p": float}
 
 
+def _coerce(name: str, value: Any) -> Any:
+    """``value`` as its parameter's type; a bool or a fraction is no integer."""
+    kind = _PARAMETER_TYPES[name]
+    if kind is int and (
+        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return kind(value)
+
+
 def generate_graph(model: str, params: Mapping[str, Any] | None = None) -> Graph:
     """Build a ``model`` graph from named parameters (see :data:`GENERATOR_DEFAULTS`).
 
     ``vertices`` is the vertex count (2n); ``ladder`` and ``grid`` round
     it to two rails and a square.  Raises :class:`ValueError` for an
-    unknown model or parameter, a value of the wrong type, or a value the
+    unknown model or parameter, a value of the wrong type (a bool or a
+    non-integral number for an integer parameter), or a value the
     generator rejects.
 
     >>> generate_graph("ladder", {"vertices": 8}).num_vertices
@@ -105,7 +122,7 @@ def generate_graph(model: str, params: Mapping[str, Any] | None = None) -> Graph
     if unknown:
         raise ValueError(f"unknown {model} parameter(s): {', '.join(sorted(unknown))}")
     try:
-        args = {name: _PARAMETER_TYPES[name](value) for name, value in merged.items()}
+        args = {name: _coerce(name, value) for name, value in merged.items()}
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad {model} parameters: {exc}") from exc
     vertices = args["vertices"]

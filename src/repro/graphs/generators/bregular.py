@@ -24,7 +24,12 @@ from ...rng import resolve_rng
 from ..graph import Graph
 from .regular import sample_with_degrees
 
-__all__ = ["gbreg", "BisectionRegularGraph", "feasible_bisection_widths"]
+__all__ = [
+    "gbreg",
+    "BisectionRegularGraph",
+    "feasible_bisection_widths",
+    "parity_fixed_width",
+]
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,16 @@ def feasible_bisection_widths(num_vertices: int, degree: int, limit: int) -> lis
     n = num_vertices // 2
     parity = (n * degree) % 2
     return [b for b in range(limit + 1) if b % 2 == parity]
+
+
+def parity_fixed_width(num_vertices: int, degree: int, width: int) -> int:
+    """``width`` rounded up to the nearest ``Gbreg(2n, b, d)``-feasible ``b``.
+
+    The same parity rule as :func:`feasible_bisection_widths`: the bench
+    table sweeps and the ``study`` grids both round a nominal width here.
+    """
+    n = num_vertices // 2
+    return width if (n * degree - width) % 2 == 0 else width + 1
 
 
 def gbreg(

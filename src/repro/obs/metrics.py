@@ -259,6 +259,11 @@ def parse_series(series: str) -> tuple[str, dict[str, str]]:
 _SECTION_KINDS = (("counters", "counter"), ("gauges", "gauge"), ("histograms", "histogram"))
 
 
+def _sample(value: Any) -> str:
+    """A sample value as text: integers exactly, floats at full precision."""
+    return repr(value) if isinstance(value, float) else str(int(value))
+
+
 def prometheus_text(snapshot: dict[str, Any]) -> str:
     """The Prometheus text exposition of a snapshot's three sections.
 
@@ -280,7 +285,7 @@ def prometheus_text(snapshot: dict[str, Any]) -> str:
             lines.append(f"# TYPE {name} {kind}")
             typed.add(name)
         if kind != "histogram":
-            lines.append(f"{_series_name(name, labels)} {value:g}")
+            lines.append(f"{_series_name(name, labels)} {_sample(value)}")
             continue
         cumulative = 0
         bounds = list(value.get("buckets", [])) + ["+Inf"]
@@ -288,7 +293,8 @@ def prometheus_text(snapshot: dict[str, Any]) -> str:
             cumulative += bucket_count
             bucket = _series_name(f"{name}_bucket", labels + (("le", str(bound)),))
             lines.append(f"{bucket} {cumulative}")
-        lines.append(f"{_series_name(f'{name}_sum', labels)} {value.get('sum', 0):g}")
+        total = _sample(value.get("sum", 0))
+        lines.append(f"{_series_name(f'{name}_sum', labels)} {total}")
         lines.append(f"{_series_name(f'{name}_count', labels)} {value.get('count', 0)}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -18,13 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bench.workloads import (
-    STUDY_GBREG_DEGREES,
-    STUDY_GNP_DEGREES,
-    parity_fixed_width,
-)
 from ..engine.job import AlgorithmSpec
 from ..engine.registry import algorithm_info
+from ..graphs.generators import parity_fixed_width
 from ..graphs.properties import gnp_probability_for_degree
 
 __all__ = [
@@ -34,6 +30,17 @@ __all__ = [
     "algorithm_specs",
     "preset_grid",
 ]
+
+#: Degree sweep for the planted-vs-random phase study on ``Gbreg(2n, b, d)``:
+#: at low degree the planted width-``b`` cut is not optimal (random-like
+#: phase, heuristics beat it); as the degree grows every other cut inflates
+#: until the planted bisection is the clear optimum (planted phase).
+STUDY_GBREG_DEGREES = (2, 3, 4, 5, 6)
+
+#: Degree sweep for the ``Gnp`` phase study, bracketing the critical mean
+#: degree ``2 ln 2 ≈ 1.386`` below which the bisection width vanishes
+#: (Percus et al., *The Peculiar Phase Structure of Random Graph Bisection*).
+STUDY_GNP_DEGREES = (0.8, 1.1, 1.4, 1.7, 2.2, 3.0)
 
 #: Heuristics a study may sweep (graph-domain registry names).
 STUDY_ALGORITHMS = ("kl", "fm", "sa", "ckl", "csa", "greedy", "multilevel")

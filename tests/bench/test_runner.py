@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runner import best_of_starts, compare_algorithms, run_workload
+from repro.bench.runner import best_of_starts, run_workload
 from repro.bench.workloads import WorkloadCase
+from repro.engine.job import AlgorithmSpec
 from repro.graphs.generators import gbreg, ladder_graph
-from repro.partition.kl import kernighan_lin
 
-
-def kl(graph, rng):
-    return kernighan_lin(graph, rng=rng)
+kl = AlgorithmSpec.make("kl")
 
 
 class TestBestOfStarts:
@@ -40,27 +38,6 @@ class TestBestOfStarts:
         a = best_of_starts(gbreg_sample.graph, kl, rng=4)
         b = best_of_starts(gbreg_sample.graph, kl, rng=4)
         assert a.start_cuts == b.start_cuts
-
-
-class TestCompareAlgorithms:
-    def test_all_cells_present(self, gbreg_sample):
-        algorithms = {"kl": kl, "kl2": kl}
-        row = compare_algorithms(
-            gbreg_sample.graph, algorithms, rng=1, label="x", expected_b=4
-        )
-        assert set(row.cells) == {"kl", "kl2"}
-        assert row.label == "x"
-        assert row.expected_b == 4
-        assert row.cut("kl") >= 0
-        assert row.seconds("kl") > 0
-
-    def test_cells_use_independent_streams(self, gbreg_sample):
-        # The same algorithm under two names gets different salts, but
-        # results stay deterministic across runs.
-        a = compare_algorithms(gbreg_sample.graph, {"kl": kl, "kl2": kl}, rng=2)
-        b = compare_algorithms(gbreg_sample.graph, {"kl": kl, "kl2": kl}, rng=2)
-        assert a.cells["kl"].start_cuts == b.cells["kl"].start_cuts
-        assert a.cells["kl2"].start_cuts == b.cells["kl2"].start_cuts
 
 
 class TestRunWorkload:

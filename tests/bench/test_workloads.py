@@ -13,8 +13,9 @@ from repro.bench.workloads import (
     gnp_cases,
     grid_cases,
     ladder_cases,
-    standard_algorithms,
+    standard_algorithm_specs,
 )
+from repro.engine.registry import build_algorithm
 from repro.rng import LaggedFibonacciRandom
 
 SMOKE = Scale(
@@ -108,29 +109,29 @@ class TestNetlistWorkloads:
         assert hg.num_vertices == 60
 
     def test_netlist_algorithms_runnable(self):
-        from repro.bench.workloads import netlist_algorithms, netlist_cases
+        from repro.bench.workloads import netlist_algorithm_specs, netlist_cases
 
         rng = LaggedFibonacciRandom(8)
         hg = netlist_cases(SMOKE)[0].build(rng)
-        algorithms = netlist_algorithms(SMOKE)
-        assert set(algorithms) == {"hfm", "chfm"}
-        for name, algorithm in algorithms.items():
-            result = algorithm(hg, LaggedFibonacciRandom(9))
+        specs = netlist_algorithm_specs(SMOKE)
+        assert set(specs) == {"hfm", "chfm"}
+        for name, spec in specs.items():
+            result = build_algorithm(spec)(hg, LaggedFibonacciRandom(9))
             assert result.cut >= 0, name
 
 
 class TestStandardAlgorithms:
     def test_kl_only(self):
-        algorithms = standard_algorithms(SMOKE, include_sa=False)
-        assert set(algorithms) == {"kl", "ckl"}
+        specs = standard_algorithm_specs(SMOKE, include_sa=False)
+        assert set(specs) == {"kl", "ckl"}
 
     def test_full_suite(self):
-        algorithms = standard_algorithms(SMOKE)
-        assert set(algorithms) == {"kl", "ckl", "sa", "csa"}
+        specs = standard_algorithm_specs(SMOKE)
+        assert set(specs) == {"kl", "ckl", "sa", "csa"}
+        assert specs["sa"].params_dict() == {"size_factor": SMOKE.sa_size_factor}
 
     def test_algorithms_runnable(self, small_ladder):
         rng = LaggedFibonacciRandom(6)
-        algorithms = standard_algorithms(SMOKE)
-        for name, algorithm in algorithms.items():
-            result = algorithm(small_ladder, rng)
+        for name, spec in standard_algorithm_specs(SMOKE).items():
+            result = build_algorithm(spec)(small_ladder, rng)
             assert result.cut >= 2, name

@@ -82,23 +82,20 @@ def weighted_graph():
     return g
 
 
-#: A short annealing schedule for end-to-end tests that only need SA's shape.
-FAST_SA = dict(size_factor=2, cooling_ratio=0.9, max_temperatures=80)
-
-
 @pytest.fixture
 def fast_sa_specs(monkeypatch):
-    """Registry specs ``fast_sa``/``fast_csa``: SA and CSA on :data:`FAST_SA`.
+    """Registry specs ``fast_sa``/``fast_csa``: SA and CSA on a short schedule.
 
-    The registry builders take only ``size_factor``, so the short
-    schedule is registered under its own names for the test's duration.
+    For end-to-end tests that only need SA's shape.  The registry builders
+    take only ``size_factor``, so the short schedule is registered under
+    its own names for the test's duration.
     """
     from repro.core.pipeline import csa
     from repro.engine import registry
     from repro.engine.job import AlgorithmSpec
     from repro.partition.annealing import AnnealingSchedule, simulated_annealing
 
-    schedule = AnnealingSchedule(**FAST_SA)
+    schedule = AnnealingSchedule(size_factor=2, cooling_ratio=0.9, max_temperatures=80)
     monkeypatch.setitem(
         registry._BUILDERS,
         "fast_sa",

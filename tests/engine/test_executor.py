@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.engine import registry
 from repro.engine.cache import ResultCache
 from repro.engine.executor import Engine, execute_job, retry_seed
 from repro.engine.job import AlgorithmSpec, Job
@@ -24,6 +25,18 @@ from repro.rng import LaggedFibonacciRandom, derive_seed
 @pytest.fixture(scope="module")
 def graph():
     return gbreg(60, b=4, d=3, rng=11).graph
+
+
+@pytest.fixture
+def register(monkeypatch):
+    """Register a test algorithm for one test; returns its spec."""
+
+    def _register(algorithm):
+        name = f"test_{algorithm.__name__}"
+        monkeypatch.setitem(registry._BUILDERS, name, lambda: algorithm)
+        return AlgorithmSpec.make(name)
+
+    return _register
 
 
 def _start_jobs(spec, seed, starts):
@@ -52,17 +65,17 @@ class TestExecuteJob:
         assert any(key.startswith("coarse_") for key in result.counters)
         assert any(key.startswith("final_") for key in result.counters)
 
-    def test_failing_algorithm_reports_not_raises(self, graph):
+    def test_failing_algorithm_reports_not_raises(self, graph, register):
         def explode(g, rng):
             raise RuntimeError("kaboom")
 
-        result = execute_job(Job("g", explode, seed=1, retries=2), graph)
+        result = execute_job(Job("g", register(explode), seed=1, retries=2), graph)
         assert result.status == "failed"
         assert result.attempts == 3
         assert "kaboom" in result.error
         assert result.seeds_tried == (1, retry_seed(1, 1), retry_seed(1, 2))
 
-    def test_retry_recovers_with_derived_seed(self, graph):
+    def test_retry_recovers_with_derived_seed(self, graph, register):
         calls = []
 
         def flaky(g, rng):
@@ -71,7 +84,7 @@ class TestExecuteJob:
                 raise RuntimeError("transient")
             return SimpleNamespace(cut=7)
 
-        result = execute_job(Job("g", flaky, seed=9, retries=1), graph)
+        result = execute_job(Job("g", register(flaky), seed=9, retries=1), graph)
         assert result.ok
         assert result.attempts == 2
         assert result.seeds_tried == (9, retry_seed(9, 1))
@@ -93,25 +106,26 @@ class TestRetrySeed:
 class TestTimeout:
     @pytest.mark.skipif(not hasattr(__import__("signal"), "SIGALRM"),
                         reason="needs SIGALRM")
-    def test_timeout_reported_as_failure(self, graph):
+    def test_timeout_reported_as_failure(self, graph, register):
         def sleepy(g, rng):
             time.sleep(5.0)
 
         began = time.perf_counter()
-        result = execute_job(Job("g", sleepy, seed=1, timeout=0.05, retries=1), graph)
+        job = Job("g", register(sleepy), seed=1, timeout=0.05, retries=1)
+        result = execute_job(job, graph)
         assert time.perf_counter() - began < 2.0
         assert result.status == "failed"
         assert result.error.startswith("timeout")
         assert result.attempts == 2
 
-    def test_timeout_does_not_sink_the_batch(self, graph):
+    def test_timeout_does_not_sink_the_batch(self, graph, register):
         def sleepy(g, rng):
             time.sleep(5.0)
 
         engine = Engine()
         jobs = [
             Job("g", AlgorithmSpec.make("kl"), seed=1),
-            Job("g", sleepy, seed=2, timeout=0.05),
+            Job("g", register(sleepy), seed=2, timeout=0.05),
             Job("g", AlgorithmSpec.make("kl"), seed=3),
         ]
         results = engine.run(jobs, {"g": graph})
@@ -142,9 +156,8 @@ class TestDeterminism:
         from repro.rng import resolve_rng, spawn
 
         master = resolve_rng(9)
-        expected = [
-            build_algorithm("kl")(graph, spawn(master, index)).cut for index in range(3)
-        ]
+        kl = build_algorithm(AlgorithmSpec.make("kl"))
+        expected = [kl(graph, spawn(master, index)).cut for index in range(3)]
         results = Engine(jobs=2).run(
             _start_jobs(AlgorithmSpec.make("kl"), 9, 3), {"g": graph}
         )
@@ -167,18 +180,6 @@ class TestGracefulDegradation:
                                     {"g": graph})
         assert [r.cut for r in results] == [r.cut for r in serial]
 
-    def test_callable_algorithms_force_serial(self, graph):
-        from repro.engine.registry import build_algorithm
-
-        engine = Engine(jobs=4)
-        jobs = [
-            Job("g", build_algorithm("kl"), seed=seed, job_id=f"j{seed}")
-            for seed in (1, 2)
-        ]
-        results = engine.run(jobs, {"g": graph})
-        assert all(r.ok for r in results)
-        assert engine.telemetry.count("serial_fallback") == 1
-
 
 class TestEngineBasics:
     def test_rejects_zero_workers(self):
@@ -188,6 +189,15 @@ class TestEngineBasics:
     def test_unknown_graph_key_raises(self, graph):
         with pytest.raises(KeyError, match="unknown graph"):
             Engine().run([Job("missing", AlgorithmSpec.make("kl"), 0)], {"g": graph})
+
+    def test_callable_algorithm_raises(self, graph):
+        def kl(g, rng):
+            raise AssertionError("a callable must not run")
+
+        engine = Engine(jobs=2)
+        with pytest.raises(TypeError, match="must be an AlgorithmSpec"):
+            engine.run([Job("g", kl, 1), Job("g", kl, 2)], {"g": graph})
+        assert engine.telemetry.count("batch_start") == 0
 
     def test_job_ids_are_normalized(self, graph):
         results = Engine().run(
@@ -225,12 +235,12 @@ class TestResultCaching:
         assert engine.telemetry.count("cache_hit") == 0
         assert engine.telemetry.count("cache_store") == 2
 
-    def test_failed_results_are_not_cached(self, graph, tmp_path):
+    def test_failed_results_are_not_cached(self, graph, tmp_path, register):
         def explode(g, rng):
             raise RuntimeError("no")
 
         engine = Engine(cache=ResultCache(tmp_path))
-        engine.run([Job("g", explode, 1)], {"g": graph})
+        engine.run([Job("g", register(explode), 1)], {"g": graph})
         assert engine.telemetry.count("cache_store") == 0
         assert len(engine.cache) == 0
 

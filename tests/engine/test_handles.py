@@ -128,17 +128,14 @@ class TestCaching:
         assert engine_replay == runner_replay
         assert engine_replay.counters == first.result.counters
 
-    def test_callable_algorithms_bypass_the_cache(self, graph, tmp_path):
+    def test_callable_algorithm_raises(self, graph, tmp_path):
         def algo(g, rng):
-            class R:
-                cut = 0
-            return R()
+            raise AssertionError("a callable must not run")
 
         runner = JobRunner(workers=0, cache=ResultCache(tmp_path / "cache"))
-        handle = runner.submit(Job("g", algo, 0, job_id="c"), graph)
-        assert handle.cache_key is None
-        runner.step()
-        assert handle.result.ok
+        with pytest.raises(TypeError, match="must be an AlgorithmSpec"):
+            runner.submit(Job("g", algo, 0, job_id="c"), graph)
+        assert runner.pending() == 0
 
 
 class TestWorkerThreads:

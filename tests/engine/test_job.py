@@ -31,18 +31,10 @@ class TestAlgorithmSpec:
 
 
 class TestJob:
-    def test_spec_extraction(self):
-        spec = AlgorithmSpec.make("kl")
-        assert Job("g", spec, 1).spec() is spec
-        assert Job("g", lambda g, rng: None, 1).spec() is None
-
     def test_algorithm_name(self):
-        assert Job("g", AlgorithmSpec.make("fm"), 0).algorithm_name() == "fm"
-
-        def my_algo(g, rng):
-            return None
-
-        assert Job("g", my_algo, 0).algorithm_name() == "my_algo"
+        # A result names its algorithm by the spec's name, without params.
+        job = Job("g", AlgorithmSpec.make("sa", size_factor=2), 0)
+        assert JobResult.from_payload(job, {"cut": 3}).algorithm == "sa"
 
     def test_tags(self):
         job = Job("g", AlgorithmSpec.make("kl"), 0, tags=(("start", 3),))

@@ -28,7 +28,9 @@ class TestRegistry:
         from repro.graphs.graph import Graph
 
         cycle = Graph.from_edges([(i, (i + 1) % 8) for i in range(8)])
-        result = build_algorithm("cycles")(cycle, LaggedFibonacciRandom(0))
+        result = build_algorithm(AlgorithmSpec.make("cycles"))(
+            cycle, LaggedFibonacciRandom(0)
+        )
         assert result.cut == 2
 
     def test_sa_size_factor_param(self, two_cliques):
@@ -38,11 +40,7 @@ class TestRegistry:
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown algorithm"):
-            build_algorithm("nonsense")
-
-    def test_spec_plus_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="inside the AlgorithmSpec"):
-            build_algorithm(AlgorithmSpec.make("sa"), size_factor=2)
+            build_algorithm(AlgorithmSpec.make("nonsense"))
 
     def test_duplicate_registration_guarded(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -54,6 +52,6 @@ class TestRegistry:
         marker = object()
         register_algorithm("_test_tmp", lambda: marker, overwrite=True)
         try:
-            assert build_algorithm("_test_tmp") is marker
+            assert build_algorithm(AlgorithmSpec.make("_test_tmp")) is marker
         finally:
             registry._BUILDERS.pop("_test_tmp", None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.generators import feasible_bisection_widths, gbreg
+from repro.graphs.generators import feasible_bisection_widths, gbreg, parity_fixed_width
 from repro.graphs.properties import is_regular, is_simple
 from repro.partition.bisection import Bisection
 
@@ -90,6 +90,13 @@ class TestFeasibleWidths:
     def test_odd_vertices_rejected(self):
         with pytest.raises(ValueError):
             feasible_bisection_widths(11, 3, 5)
+
+    @pytest.mark.parametrize("num_vertices,degree", [(100, 3), (10, 3), (120, 4)])
+    def test_parity_fixed_width_rounds_up_to_feasible(self, num_vertices, degree):
+        feasible = feasible_bisection_widths(num_vertices, degree, 12)
+        for width in range(11):
+            fixed = parity_fixed_width(num_vertices, degree, width)
+            assert fixed == min(b for b in feasible if b >= width)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=15, deadline=None)

@@ -163,6 +163,17 @@ class TestPrometheusRendering:
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().render_prometheus() == ""
 
+    def test_values_keep_full_precision(self):
+        reg = MetricsRegistry()
+        reg.counter("moves_total").inc(1_234_567)
+        h = reg.histogram("t_seconds", buckets=(1.0,))
+        h.observe(1_234_567.125)
+        h.observe(0.1)
+        lines = reg.render_prometheus().splitlines()
+        assert "moves_total 1234567" in lines
+        assert f"t_seconds_sum {1_234_567.125 + 0.1!r}" in lines
+        assert "t_seconds_count 2" in lines
+
 
 class TestGating:
     def test_enabled_by_default(self):

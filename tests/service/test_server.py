@@ -106,12 +106,15 @@ def test_error_statuses(client):
         ("/v1/graphs", b"{not json"),
         ("/v1/graphs", {"generator": "gbreg", "params": [1]}),
         ("/v1/graphs", {"edges": [[0, 1]]}),
+        ("/v1/graphs", {"generator": "gbreg",
+                        "params": {"vertices": 20.9, "width": 2.5}}),
+        ("/v1/graphs", {"generator": "gbreg", "params": {"vertices": True}}),
         ("/v1/jobs", {"algorithm": "kl", "retries": "x"}),
         ("/v1/jobs", {"algorithm": "kl", "timeout": "x"}),
         ("/v1/jobs", {"algorithm": "kl", "starts": 2_000_000}),
     ],
-    ids=["malformed-json", "params-list", "edges-list", "retries-str",
-         "timeout-str", "starts-over-limit"],
+    ids=["malformed-json", "params-list", "edges-list", "params-fractional",
+         "params-bool", "retries-str", "timeout-str", "starts-over-limit"],
 )
 def test_bad_payload_is_a_one_line_4xx(service, client, monkeypatch, path, body):
     def no_derivation(*args):

@@ -85,6 +85,8 @@ class TestGraphStore:
             {"generator": "nope"},
             {"generator": "gbreg", "params": {"bogus": 1}},
             {"generator": "gbreg", "params": {"vertices": "NaN"}},
+            {"generator": "gbreg", "params": {"vertices": 20.9, "width": 2.5}},
+            {"generator": "gbreg", "params": {"vertices": True}},
         ],
     )
     def test_bad_payloads_are_rejected(self, state, tenant, payload):

@@ -12,30 +12,23 @@ import pytest
 
 from repro.bench.metrics import cut_improvement_percent, cut_ratio
 from repro.bench.runner import best_of_starts
-from repro.core.pipeline import ckl, csa
+from repro.engine.job import AlgorithmSpec
 from repro.graphs.generators import binary_tree, gbreg, gnp_with_degree, ladder_graph
 from repro.graphs.properties import random_bisection_expected_cut
-from repro.partition.annealing import AnnealingSchedule, simulated_annealing
-from repro.partition.kl import kernighan_lin
 from repro.partition.random_init import random_bisection
 
-FAST_SA = AnnealingSchedule(size_factor=2, cooling_ratio=0.9, max_temperatures=80)
+kl = AlgorithmSpec.make("kl")
+ckl_algo = AlgorithmSpec.make("ckl")
 
 
-def kl(graph, rng):
-    return kernighan_lin(graph, rng=rng)
+@pytest.fixture
+def sa(fast_sa_specs):
+    return fast_sa_specs["sa"]
 
 
-def sa(graph, rng):
-    return simulated_annealing(graph, rng=rng, schedule=FAST_SA)
-
-
-def ckl_algo(graph, rng):
-    return ckl(graph, rng=rng)
-
-
-def csa_algo(graph, rng):
-    return csa(graph, rng=rng, schedule=FAST_SA)
+@pytest.fixture
+def csa_algo(fast_sa_specs):
+    return fast_sa_specs["csa"]
 
 
 class TestObservation1DegreeEffect:
@@ -61,7 +54,7 @@ class TestObservation2CompactionOnSparse:
         assert cut_improvement_percent(plain, compacted) >= 50.0
         assert compacted <= sample.planted_width + 6
 
-    def test_csa_improvement_on_gbreg_d3(self):
+    def test_csa_improvement_on_gbreg_d3(self, sa, csa_algo):
         sample = gbreg(200, b=6, d=3, rng=5)
         plain = best_of_starts(sample.graph, sa, rng=6).cut
         compacted = best_of_starts(sample.graph, csa_algo, rng=6).cut
@@ -87,12 +80,12 @@ class TestObservation3SpecialGraphs:
 class TestObservation4KLvsSA:
     """Plain KL is faster than SA; SA wins on ladders/trees."""
 
-    def test_kl_faster_than_sa(self, gbreg_sample):
+    def test_kl_faster_than_sa(self, gbreg_sample, sa):
         kl_outcome = best_of_starts(gbreg_sample.graph, kl, rng=9)
         sa_outcome = best_of_starts(gbreg_sample.graph, sa, rng=9)
         assert kl_outcome.seconds < sa_outcome.seconds
 
-    def test_sa_competitive_on_ladder(self):
+    def test_sa_competitive_on_ladder(self, sa):
         g = ladder_graph(30)
         sa_cut = best_of_starts(g, sa, rng=10, starts=2).cut
         kl_cut = best_of_starts(g, kl, rng=10, starts=2).cut
