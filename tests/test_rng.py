@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,38 @@ class TestDistribution:
         rng = LaggedFibonacciRandom(8)
         values = [rng.random() for _ in range(3000)]
         assert len(set(values)) > 2990
+
+
+class TestShuffleStream:
+    """``shuffle`` draws exactly what ``random.Random.shuffle`` draws.
+
+    The base method, called explicitly, is the oracle: it runs the
+    textbook Fisher-Yates loop over this generator's ``_randbelow``.
+    """
+
+    @pytest.mark.parametrize("length", (0, 1, 2, 3, 100, 7500))
+    def test_same_permutation_and_state_as_base_method(self, length):
+        for seed in range(30):
+            ours = LaggedFibonacciRandom(seed)
+            base = LaggedFibonacciRandom(seed)
+            items = list(range(length))
+            expected = list(range(length))
+            ours.shuffle(items)
+            random.Random.shuffle(base, expected)
+            assert items == expected
+            assert ours.getstate() == base.getstate()
+            assert ours.random() == base.random()
+
+    def test_repeated_shuffles_stay_in_step(self):
+        ours = LaggedFibonacciRandom(3)
+        base = LaggedFibonacciRandom(3)
+        items = list(range(57))
+        expected = list(range(57))
+        for _ in range(20):
+            ours.shuffle(items)
+            random.Random.shuffle(base, expected)
+        assert items == expected
+        assert ours.getstate() == base.getstate()
 
 
 class TestStatePersistence:
