@@ -497,7 +497,8 @@ class Engine:
                 # KeyboardInterrupt mid-batch must all leave /dev/shm clean.
                 self._release_segments(segments)
         for index, job, key in pending:
-            self.telemetry.emit("job_queued", job.job_id, mode="serial")
+            if not parallel:  # jobs handed back by the pool were queued there
+                self.telemetry.emit("job_queued", job.job_id, mode="serial")
             self.telemetry.emit("job_start", job.job_id)
             result = execute_job(job, graphs[job.graph_key])
             results[index] = result

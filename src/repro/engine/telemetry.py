@@ -137,6 +137,8 @@ class Telemetry:
             ),
             "compute_seconds": sum(e.payload.get("seconds", 0.0) for e in executed),
             "pool_unavailable": self.count("pool_unavailable"),
+            "pool_broken": self.count("pool_broken"),
+            "shm_attach_failed": self.count("shm_attach_failed"),
         }
 
     def render_summary(self) -> str:
@@ -151,6 +153,6 @@ class Telemetry:
         ]
         if s["retries"]:
             parts.append(f"{s['retries']} retries")
-        if s["pool_unavailable"]:
+        if s["pool_unavailable"] or s["pool_broken"] or s["shm_attach_failed"]:
             parts.append("degraded to serial")
         return "engine: " + " | ".join(parts)

@@ -72,6 +72,19 @@ class TestNormalLifecycle:
         assert all(r.counters.get("worker_csr_compiles") == 0 for r in results)
         assert _segment_names() == before
 
+    def test_ckl_workers_compile_no_coarse_graph(self, graph):
+        # G' arrives compiled from the contraction, so a CKL job in a
+        # worker compiles nothing either.
+        master = LaggedFibonacciRandom(0)
+        spec = AlgorithmSpec.make("ckl")
+        jobs = [Job("g", spec, derive_seed(master, index), job_id=f"ckl{index}")
+                for index in range(4)]
+        results = Engine(jobs=2).run(jobs, {"g": graph})
+        serial = Engine(jobs=1).run(jobs, {"g": graph})
+
+        _assert_same_results(results, serial)
+        assert all(r.counters.get("worker_csr_compiles") == 0 for r in results)
+
     def test_shm_disabled_ships_pickles(self, graph, monkeypatch):
         monkeypatch.setenv("REPRO_SHM", "0")
         telemetry = Telemetry()
@@ -124,6 +137,25 @@ class TestAttachFallback:
         assert all(r.ok for r in results)
         assert _segment_names() == before
 
+    def test_attach_fallback_counts_each_job_once(self, graph, monkeypatch):
+        original = SharedGraphSegment.create
+
+        def stale_create(g):
+            segment = original(g)
+            segment.unlink()
+            return segment
+
+        monkeypatch.setattr(
+            executor.SharedGraphSegment, "create", staticmethod(stale_create)
+        )
+        telemetry = Telemetry()
+        _run(Engine(jobs=2, telemetry=telemetry), graph)
+
+        assert telemetry.count("shm_attach_failed") >= 1
+        assert telemetry.summary()["jobs"] == 4
+        assert telemetry.count("job_queued") == 4
+        assert "degraded to serial" in telemetry.render_summary()
+
     def test_worker_run_reports_typed_attach_failure(self):
         _worker_init({"g": ShmGraphRef("psm_repro_gone")})
         try:
@@ -172,6 +204,30 @@ class TestRobustnessCleanup:
         assert all(r.status == "failed" for r in results)
         assert all("parent" in r.error for r in results)
         assert _segment_names() == before
+
+    def test_worker_crash_counts_each_job_once(self, graph, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        monkeypatch.setitem(registry._BUILDERS, "crashtest", _build_crash)
+        monkeypatch.setitem(
+            registry._INFO, "crashtest", registry.AlgorithmInfo(name="crashtest")
+        )
+        monkeypatch.setenv("REPRO_START_METHOD", "fork")
+        telemetry = Telemetry()
+        master = LaggedFibonacciRandom(0)
+        spec = AlgorithmSpec.make("crashtest")
+        jobs = [Job("g", spec, derive_seed(master, i), job_id=f"c{i}")
+                for i in range(3)]
+        Engine(jobs=2, telemetry=telemetry).run(jobs, {"g": graph})
+
+        assert telemetry.count("pool_broken") == 1
+        summary = telemetry.summary()
+        assert summary["jobs"] == 3
+        assert summary["failed"] == 3
+        assert telemetry.count("job_queued") == 3
+        line = telemetry.render_summary()
+        assert line.startswith("engine: 3 jobs |")
+        assert "degraded to serial" in line
 
     def test_keyboard_interrupt_still_unlinks(self, graph, monkeypatch):
         def interrupted(self, pool, pending, results):

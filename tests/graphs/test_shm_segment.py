@@ -91,6 +91,30 @@ class TestRoundTrip:
             owner.close()
             owner.unlink()
 
+    def test_weighted_graph_attaches_with_every_scalar(self, graph):
+        # Vertex weights and merged edge weights: the attacher derives the
+        # vertex-weight totals from the buffers instead of the metadata.
+        from repro.core.compaction import compact
+        from repro.core.matching import random_maximal_matching
+
+        coarse = compact(graph, random_maximal_matching(graph, 3)).coarse
+        original = csr_view(coarse)
+        assert not original.unit_edge_weights
+        assert not original.unit_vertex_weights
+        owner, attached = _attach_copy(coarse)
+        try:
+            csr = attached.graph()._derived["csr"]
+            for name in ("num_vertices", "num_edges", "total_edge_weight",
+                         "total_vertex_weight", "max_weighted_degree",
+                         "unit_edge_weights", "unit_vertex_weights", "index_of"):
+                assert getattr(csr, name) == getattr(original, name), name
+            assert csr.weighted_degrees() == original.weighted_degrees()
+            assert csr.weight_classes() == original.weight_classes()
+        finally:
+            attached.close()
+            owner.close()
+            owner.unlink()
+
     def test_owner_graph_is_the_original_object(self, graph):
         with SharedGraphSegment.create(graph) as owner:
             assert owner.graph() is graph
