@@ -176,6 +176,6 @@ class TestEscapeHatch:
 
 def test_doctest_example():
     g = Graph.from_edges([("a", "b"), ("b", "c")])
-    view = CSRGraph(g)
+    view = CSRGraph.compile(g)
     assert list(view.indptr) == [0, 1, 3, 4]
     assert [view.labels[i] for i in view.indices] == ["b", "a", "c", "b"]
