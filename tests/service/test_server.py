@@ -141,6 +141,21 @@ def test_bad_payload_is_a_one_line_4xx(service, client, monkeypatch, path, body)
     assert tenants == before[1]
 
 
+def test_job_timeout_is_rejected(client):
+    # Jobs run on worker threads, where no deadline can interrupt them, so
+    # a per-job timeout would be accepted and then silently ignored.
+    record = client.generate_graph("gbreg", vertices=20, width=2, degree=3)
+    with pytest.raises(ServiceClientError) as excinfo:
+        client._request(
+            "POST", "/v1/jobs",
+            {"graph": record["id"], "algorithm": "kl", "timeout": 0.01},
+        )
+    assert excinfo.value.status == 400
+    assert "timeout" in str(excinfo.value)
+    assert "\n" not in str(excinfo.value)
+    assert client.health()["jobs"] == 0
+
+
 def test_api_keys_enforced(tmp_path):
     with ServiceThread(
         workers=0, api_keys={"sekrit": {"name": "alice", "max_inflight": 1}}
