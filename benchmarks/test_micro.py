@@ -2,7 +2,7 @@
 
 Unlike the table benches (one long experiment per bench), these measure
 the hot primitives with pytest-benchmark's statistical repetition:
-generator throughput, one KL pass, one FM pass, SA move throughput,
+generator throughput, one KL pass, SA move throughput,
 matching + contraction, and the Stoer-Wagner lower bound.  They guard
 against performance regressions in the primitives the tables depend on.
 """
@@ -14,8 +14,6 @@ import pytest
 from repro.core.compaction import compact
 from repro.core.matching import random_maximal_matching
 from repro.graphs.generators import gbreg, gnp
-from repro.hypergraph.fm import hypergraph_fm
-from repro.hypergraph.generators import random_netlist
 from repro.partition.annealing import AnnealingSchedule, simulated_annealing
 from repro.partition.bisection import cut_weight
 from repro.partition.kl import kl_pass
@@ -29,11 +27,6 @@ N = 1000  # vertices for every micro target
 @pytest.fixture(scope="module")
 def sparse_graph():
     return gbreg(N, 16, 3, rng=1).graph
-
-
-@pytest.fixture(scope="module")
-def netlist():
-    return random_netlist(N, clusters=10, rng=2)
 
 
 def test_micro_gnp_generation(benchmark):
@@ -75,14 +68,6 @@ def test_micro_sa_short_run(benchmark, sparse_graph):
 
     result = benchmark(run)
     assert result.bisection.is_balanced()
-
-
-def test_micro_hypergraph_fm_pass(benchmark, netlist):
-    def run():
-        return hypergraph_fm(netlist, rng=9, max_passes=1)
-
-    result = benchmark(run)
-    assert result.passes == 1
 
 
 def test_micro_stoer_wagner(benchmark):

@@ -1,6 +1,6 @@
 """Experiment harness: protocol runner, metrics, table rendering, workloads."""
 
-from .ascii import histogram, horizontal_bars, sparkline
+from ..obs.ascii import histogram, horizontal_bars, render_generic_table, sparkline
 from .analysis import (
     PairedComparison,
     Summary,
@@ -17,7 +17,7 @@ from .metrics import (
     relative_speedup_percent,
 )
 from .runner import BestOfStarts, RowResult, best_of_starts, run_workload
-from .tables import aggregate_rows, render_generic_table, render_paper_table
+from .tables import aggregate_rows, render_paper_table
 from .workloads import (
     Scale,
     WorkloadCase,
@@ -28,8 +28,6 @@ from .workloads import (
     gnp_cases,
     grid_cases,
     ladder_cases,
-    netlist_algorithm_specs,
-    netlist_cases,
     standard_algorithm_specs,
 )
 
@@ -49,8 +47,6 @@ __all__ = [
     "WorkloadCase",
     "current_scale",
     "standard_algorithm_specs",
-    "netlist_algorithm_specs",
-    "netlist_cases",
     "gbreg_cases",
     "g2set_cases",
     "gnp_cases",

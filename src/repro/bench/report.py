@@ -30,8 +30,6 @@ from .workloads import (
     gnp_cases,
     grid_cases,
     ladder_cases,
-    netlist_algorithm_specs,
-    netlist_cases,
     standard_algorithm_specs,
 )
 
@@ -91,27 +89,6 @@ def generate_report(
             sections.append("")
             if title.startswith("Gbreg(2n, b, 3)"):
                 degree3_rows = aggregate_rows(rows)
-
-        # Extension workload: native netlist bisection.
-        netlist_rows = run_workload(
-            netlist_cases(scale),
-            netlist_algorithm_specs(scale),
-            rng=spawn(rng, 99),
-            starts=scale.starts,
-            engine=engine,
-        )
-    sections.append("## Netlists (extension: the paper's heuristics on hypergraphs)")
-    sections.append("")
-    sections.append(
-        _fence(
-            render_paper_table(
-                "Clustered netlists (net-cut objective)",
-                netlist_rows,
-                base_pairs=(("hfm", "chfm"),),
-            )
-        )
-    )
-    sections.append("")
 
     # Observation summary from the headline table.
     if degree3_rows:

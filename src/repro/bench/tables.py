@@ -5,9 +5,9 @@ averaged over seeds) with, for each base algorithm ``x`` in {SA, KL}:
 
     b | b_x (time) | b_cx (time) | (b_x - b_cx)/b_x x 100 | rel. speed up %
 
-:func:`render_paper_table` produces exactly that layout as monospace text;
-:func:`render_generic_table` is the plain column formatter other benches
-(ablation sweeps, observation summaries) build on.
+:func:`render_paper_table` produces exactly that layout as monospace text
+with :func:`repro.obs.ascii.render_generic_table`, the plain column
+formatter other benches (ablation sweeps, observation summaries) build on.
 """
 
 from __future__ import annotations
@@ -15,37 +15,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from statistics import mean
 
+from ..obs.ascii import render_generic_table
 from .metrics import cut_improvement_percent, relative_speedup_percent
 from .runner import RowResult
 
 __all__ = [
-    "render_generic_table",
     "render_paper_table",
     "aggregate_rows",
 ]
-
-
-def render_generic_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    title: str = "",
-) -> str:
-    """Format rows as an aligned monospace table."""
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        if len(row) != len(headers):
-            raise ValueError(f"row has {len(row)} cells, expected {len(headers)}")
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 def aggregate_rows(rows: Sequence[RowResult]) -> list[RowResult]:

@@ -40,14 +40,12 @@ __all__ = [
     "WorkloadCase",
     "current_scale",
     "standard_algorithm_specs",
-    "netlist_algorithm_specs",
     "gbreg_cases",
     "g2set_cases",
     "gnp_cases",
     "ladder_cases",
     "grid_cases",
     "btree_cases",
-    "netlist_cases",
 ]
 
 
@@ -231,41 +229,6 @@ def grid_cases(scale: Scale) -> list[WorkloadCase]:
             )
         )
     return cases
-
-
-def netlist_cases(scale: Scale) -> list[WorkloadCase]:
-    """Clustered synthetic netlists (the VLSI-domain extension workload).
-
-    Cases build :class:`~repro.hypergraph.Hypergraph` objects; pair them
-    with :func:`netlist_algorithm_specs` (graph algorithms do not apply).
-    """
-    from ..hypergraph.generators import random_netlist
-
-    cases = []
-    for two_n in scale.random_graph_sizes:
-        for seed in range(scale.seeds_per_point):
-            cases.append(
-                WorkloadCase(
-                    label=f"netlist({two_n})",
-                    expected_b=None,
-                    build=(lambda rng, cells=two_n: random_netlist(cells, rng=rng)),
-                )
-            )
-            del seed
-    return cases
-
-
-def netlist_algorithm_specs(scale: Scale) -> dict[str, AlgorithmSpec]:
-    """Netlist bisectors as engine specs.
-
-    ``hfm``/``chfm`` mirror KL/CKL (plain and compacted local search).
-    ``scale`` is accepted for symmetry with the graph workloads; the
-    netlist bisectors run with their defaults at every scale.
-    """
-    return {
-        "hfm": AlgorithmSpec.make("hfm"),
-        "chfm": AlgorithmSpec.make("chfm"),
-    }
 
 
 def btree_cases(scale: Scale) -> list[WorkloadCase]:

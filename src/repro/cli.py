@@ -271,39 +271,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_netlist(args: argparse.Namespace) -> int:
-    from .hypergraph import (
-        compacted_hypergraph_fm,
-        hypergraph_fm,
-        multilevel_hypergraph_fm,
-        random_netlist,
-        read_hmetis,
-        write_hmetis,
-    )
-
-    if args.action == "generate":
-        with _parameters("netlist generate"):
-            netlist = random_netlist(args.cells, clusters=args.clusters, rng=args.seed)
-        write_hmetis(netlist, args.file)
-        print(f"wrote {netlist!r} to {args.file}")
-        return 0
-
-    netlist = _read_input("netlist", args.file, read_hmetis)
-    runners = {
-        "fm": hypergraph_fm,
-        "cfm": compacted_hypergraph_fm,
-        "multilevel": multilevel_hypergraph_fm,
-    }
-    with Timer() as timer:
-        result = runners[args.algorithm](netlist, rng=args.seed)
-    bisection = result.bisection
-    print(
-        f"{args.algorithm}: net_cut={bisection.cut} imbalance={bisection.imbalance} "
-        f"time={timer.seconds:.3f}s |V|={netlist.num_vertices} |N|={netlist.num_nets}"
-    )
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from .bench import current_scale
     from .bench.report import generate_report
@@ -676,7 +643,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         telemetry=Telemetry(getattr(args, "telemetry", None)),
         api_keys=api_keys,
         quiet=not args.verbose,
-        default_timeout=args.timeout,
         default_retries=args.retries,
         max_inflight=args.max_inflight,
         max_graphs=args.max_graphs,
@@ -829,17 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("partition", help="partition file path")
     score.add_argument("--certify", action="store_true")
     score.set_defaults(func=_cmd_score)
-
-    netlist = sub.add_parser("netlist", help="generate or bisect hMETIS netlists")
-    netlist.add_argument("action", choices=["generate", "run"])
-    netlist.add_argument("file", help="hMETIS (.hgr) path")
-    netlist.add_argument("--cells", type=int, default=500)
-    netlist.add_argument("--clusters", type=int, default=8)
-    netlist.add_argument(
-        "--algorithm", choices=["fm", "cfm", "multilevel"], default="multilevel"
-    )
-    netlist.add_argument("--seed", type=int, default=0)
-    netlist.set_defaults(func=_cmd_netlist)
 
     report = sub.add_parser(
         "report", help="run every paper table at REPRO_SCALE into one markdown report"
@@ -1041,10 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-graphs", type=_positive_int, default=32,
         help="default per-tenant stored-graph quota (default: 32)",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=None,
-        help="default per-job timeout passed to submissions",
     )
     serve.add_argument(
         "--retries", type=int, default=0,

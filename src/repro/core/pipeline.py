@@ -17,10 +17,10 @@ convention whose result exposes ``.bisection`` can be compacted;
 
 Every compaction pipeline in the library runs the five steps through one
 level loop, :func:`_level_loop`: CKL, CSA and :func:`coarse_only_bisection`
-here, recursive coalescing (:mod:`repro.core.multilevel`) and the netlist
-pipelines (:mod:`repro.hypergraph.compaction`).  The single-level
-pipelines contract exactly once; the multilevel ones repeat steps 1-2
-until a stop rule fires and steps 4-5 once per level on the way back up.
+here, and recursive coalescing (:mod:`repro.core.multilevel`).  The
+single-level pipelines contract exactly once; multilevel repeats steps
+1-2 until a stop rule fires and steps 4-5 once per level on the way back
+up.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..graphs.graph import Graph
 from ..obs import span
@@ -38,10 +38,6 @@ from ..partition.kl import kernighan_lin
 from ..rng import resolve_rng
 from .compaction import Compaction, compact
 from .matching import Matching, random_maximal_matching
-
-if TYPE_CHECKING:
-    from ..hypergraph.compaction import HypergraphCompaction
-    from ..hypergraph.hypergraph import HypergraphBisection
 
 __all__ = [
     "compacted_bisection",
@@ -57,7 +53,7 @@ Bisector = Callable[..., Any]
 MatchingPolicy = Callable[..., Matching]
 #: ``repair(fine, projected, rng) -> start``: bring a projected bisection
 #: back within the fine level's balance tolerance before refinement.
-Repair = Callable[[Any, Any, random.Random], Any]
+Repair = Callable[[Graph, Bisection, random.Random], Bisection]
 
 # Stop coarsening when a level shrinks the graph by less than this factor —
 # the matching has degenerated (e.g. a star) and further levels waste work.
@@ -75,24 +71,23 @@ class _Cycle:
     finest refinement was skipped).
     """
 
-    compactions: list
+    compactions: list[Compaction]
     coarse_result: Any
     final_result: Any
-    projected: Any
+    projected: Bisection | None
     level_sizes: list[int]
-    bisections: list
+    bisections: list[Bisection]
 
 
 def _level_loop(
-    graph: Any,
+    graph: Graph,
     rng: random.Random | int | None,
     bisector: Bisector,
-    repair: Repair | None,
+    repair: Repair,
     levels: int | None = 1,
     coarsest_size: int | None = None,
     refine_finest: bool = True,
-    match: Callable[..., Any] = random_maximal_matching,
-    contract: Callable[..., Any] = compact,
+    match: MatchingPolicy = random_maximal_matching,
     **bisector_kwargs: Any,
 ) -> _Cycle:
     """Match and contract, bisect the coarsest graph, then project and refine upward.
@@ -108,7 +103,7 @@ def _level_loop(
     ``bisector_kwargs`` go to every bisector call.
     """
     if graph.num_vertices == 0:
-        raise ValueError(f"cannot bisect the empty {type(graph).__name__.lower()}")
+        raise ValueError("cannot bisect the empty graph")
     if coarsest_size is not None and coarsest_size < 2:
         raise ValueError("coarsest_size must be at least 2")
     rng = resolve_rng(rng)
@@ -120,7 +115,7 @@ def _level_loop(
             break
         with span("pipeline.match"):
             matching = match(current, rng)
-        compaction = contract(current, matching)
+        compaction = compact(current, matching)
         if (
             coarsest_size is not None
             and compaction.coarse.num_vertices >= _MIN_SHRINK * current.num_vertices
@@ -140,7 +135,7 @@ def _level_loop(
         fine = compaction.original
         with span("pipeline.project"):
             projected = compaction.project(bisection)
-            bisection = projected if repair is None else repair(fine, projected, rng)
+            bisection = repair(fine, projected, rng)
         if refine_finest or fine is not graph:
             with span("pipeline.final", vertices=fine.num_vertices):
                 final_result = bisector(fine, init=bisection, rng=rng, **bisector_kwargs)
@@ -167,7 +162,7 @@ def _rebalance(graph: Graph, projected: Bisection, rng: random.Random) -> Bisect
 
 @dataclass(frozen=True)
 class CompactedResult:
-    """Outcome of the five-step compaction pipeline, on a graph or a netlist.
+    """Outcome of the five-step compaction pipeline.
 
     ``coarse_result`` / ``final_result`` are whatever the underlying
     bisector returned on G' and on G; ``projected_cut`` is the cut of the
@@ -175,8 +170,8 @@ class CompactedResult:
     the coarse phase did before refinement.
     """
 
-    bisection: Bisection | HypergraphBisection
-    compaction: Compaction | HypergraphCompaction
+    bisection: Bisection
+    compaction: Compaction
     coarse_result: Any
     final_result: Any
     projected_cut: int
@@ -198,7 +193,7 @@ def _compacted_result(cycle: _Cycle) -> CompactedResult:
 
 @dataclass(frozen=True)
 class MultilevelResult:
-    """Outcome of recursive-coalescing bisection, on a graph or a netlist.
+    """Outcome of recursive-coalescing bisection.
 
     ``level_cuts[i]`` is the cut after refinement at level ``i`` (coarsest
     first, original graph last); ``level_sizes`` the matching vertex
@@ -206,7 +201,7 @@ class MultilevelResult:
     refinement.
     """
 
-    bisection: Bisection | HypergraphBisection
+    bisection: Bisection
     levels: int
     level_sizes: list[int] = field(default_factory=list)
     level_cuts: list[int] = field(default_factory=list)

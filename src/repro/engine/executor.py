@@ -36,7 +36,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import replace
 from typing import Any
 
-from ..graphs.graph import Graph, vertex_token
+from ..graphs.graph import vertex_token
 from ..graphs.shm import SharedGraphSegment, ShmAttachError, ShmGraphRef, shm_enabled
 from ..obs import counter, current_run, gauge, histogram, obs_enabled, span
 from ..obs.clock import monotonic_time
@@ -397,13 +397,11 @@ class Engine:
         results: list[JobResult | None] = [None] * len(jobs)
         with span("engine.batch", jobs=len(jobs), workers=self.jobs):
             pending: list[tuple[int, Job, str | None]] = []
-            fingerprints: dict[str, str | None] = {}
+            fingerprints: dict[str, str] = {}
             for index, job in enumerate(jobs):
                 key = None
                 if self.cache is not None:
-                    key = job_cache_key(
-                        job, graphs[job.graph_key], self.telemetry, fingerprints
-                    )
+                    key = job_cache_key(job, graphs[job.graph_key], fingerprints)
                 if key is not None:
                     results[index] = lookup_result(self.cache, key, job, self.telemetry)
                     if results[index] is not None:
@@ -520,7 +518,7 @@ class Engine:
         for key in sorted(needed, key=str):
             graph = graphs[key]
             segment = None
-            if shm_enabled() and isinstance(graph, Graph):
+            if shm_enabled():
                 try:
                     segment = SharedGraphSegment.create(graph)
                 except Exception as exc:  # noqa: BLE001 - unshareable: ship whole

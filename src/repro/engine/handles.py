@@ -184,7 +184,7 @@ class JobRunner:
         require_spec(job)
         key = None
         if self.cache is not None:
-            key = job_cache_key(job, graph, self.telemetry)
+            key = job_cache_key(job, graph)
         handle = JobHandle(job, lane, key)
         if key is not None:
             hit = lookup_result(self.cache, key, job, self.telemetry)

@@ -9,8 +9,7 @@ and import their heavy modules inside the function body, so importing the
 engine stays cheap.
 
 The built-in names mirror the CLI and the bench: ``kl``, ``sa``, ``ckl``,
-``csa``, ``fm``, ``greedy``, ``multilevel``, ``cycles`` for graphs and
-``hfm``, ``chfm`` for hypergraph netlists.  The ``sa``/``csa`` builders
+``csa``, ``fm``, ``greedy``, ``multilevel`` and ``cycles``.  The ``sa``/``csa`` builders
 take a ``size_factor`` param (the annealing temperature length
 multiplier); omitted params fall back to the algorithm's own defaults, so
 ``AlgorithmSpec.make("sa")`` is exactly
@@ -47,17 +46,13 @@ _INFO: dict[str, "AlgorithmInfo"] = {}
 class AlgorithmInfo:
     """Metadata the verification harness needs to enumerate algorithms.
 
-    ``domain`` says what the callable consumes: ``"graph"`` (a
-    :class:`~repro.graphs.graph.Graph`) or ``"hypergraph"`` (a
-    :class:`~repro.hypergraph.Hypergraph` netlist).  ``max_degree``
-    restricts applicability — e.g. the exact path/cycle solver only
+    ``max_degree`` restricts applicability — e.g. the exact path/cycle solver only
     accepts graphs of maximum degree 2.  ``stochastic`` is False for
     algorithms that ignore their ``rng`` entirely (their output is a
     function of the instance alone).
     """
 
     name: str
-    domain: str = "graph"
     max_degree: int | None = None
     stochastic: bool = True
 
@@ -73,26 +68,19 @@ def register_algorithm(
     builder: Callable[..., Algorithm],
     overwrite: bool = False,
     *,
-    domain: str = "graph",
     max_degree: int | None = None,
     stochastic: bool = True,
 ) -> None:
     """Register ``builder`` (kwargs -> algorithm callable) under ``name``."""
-    if domain not in ("graph", "hypergraph"):
-        raise ValueError(f"domain must be 'graph' or 'hypergraph', got {domain!r}")
     if not overwrite and name in _BUILDERS:
         raise ValueError(f"algorithm {name!r} is already registered")
     _BUILDERS[name] = builder
-    _INFO[name] = AlgorithmInfo(
-        name=name, domain=domain, max_degree=max_degree, stochastic=stochastic
-    )
+    _INFO[name] = AlgorithmInfo(name=name, max_degree=max_degree, stochastic=stochastic)
 
 
-def algorithm_names(domain: str | None = None) -> list[str]:
-    """Sorted names of all registered algorithms (optionally one ``domain``)."""
-    if domain is None:
-        return sorted(_BUILDERS)
-    return sorted(name for name, info in _INFO.items() if info.domain == domain)
+def algorithm_names() -> list[str]:
+    """Sorted names of all registered algorithms."""
+    return sorted(_BUILDERS)
 
 
 def algorithm_info(name: str) -> AlgorithmInfo:
@@ -185,35 +173,15 @@ def _build_cycles() -> Algorithm:
     return lambda graph, rng: _BisectionOnly(bisect_paths_and_cycles(graph))
 
 
-def _build_hfm() -> Algorithm:
-    from ..hypergraph.fm import hypergraph_fm
-
-    return lambda hg, rng: hypergraph_fm(hg, rng=rng)
-
-
-def _build_chfm() -> Algorithm:
-    from ..hypergraph.compaction import compacted_hypergraph_fm
-
-    return lambda hg, rng: compacted_hypergraph_fm(hg, rng=rng)
-
-
-for _name, _builder, _domain, _max_degree, _stochastic in (
-    ("kl", _build_kl, "graph", None, True),
-    ("ckl", _build_ckl, "graph", None, True),
-    ("sa", _build_sa, "graph", None, True),
-    ("csa", _build_csa, "graph", None, True),
-    ("fm", _build_fm, "graph", None, True),
-    ("greedy", _build_greedy, "graph", None, True),
-    ("multilevel", _build_multilevel, "graph", None, True),
-    ("cycles", _build_cycles, "graph", 2, False),
-    ("hfm", _build_hfm, "hypergraph", None, True),
-    ("chfm", _build_chfm, "hypergraph", None, True),
+for _name, _builder, _max_degree, _stochastic in (
+    ("kl", _build_kl, None, True),
+    ("ckl", _build_ckl, None, True),
+    ("sa", _build_sa, None, True),
+    ("csa", _build_csa, None, True),
+    ("fm", _build_fm, None, True),
+    ("greedy", _build_greedy, None, True),
+    ("multilevel", _build_multilevel, None, True),
+    ("cycles", _build_cycles, 2, False),
 ):
-    register_algorithm(
-        _name,
-        _builder,
-        domain=_domain,
-        max_degree=_max_degree,
-        stochastic=_stochastic,
-    )
-del _name, _builder, _domain, _max_degree, _stochastic
+    register_algorithm(_name, _builder, max_degree=_max_degree, stochastic=_stochastic)
+del _name, _builder, _max_degree, _stochastic

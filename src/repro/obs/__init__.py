@@ -76,10 +76,9 @@ from .trace import (
     span_totals,
 )
 
-# The dashboard and the live `top` monitor render with repro.bench helpers,
-# and repro.bench imports the (instrumented) algorithm modules, which import
-# this package — so both are loaded lazily (PEP 562) to keep
-# `import repro.obs` safe from anywhere in the stack.
+# The dashboard and the live `top` monitor are needed only by the `stats`
+# and `top` commands, so both are loaded lazily (PEP 562) to keep
+# `import repro.obs`, which every instrumented module pays, small.
 _DASHBOARD_EXPORTS = (
     "render_ledger",
     "render_ledger_diff",

@@ -4,7 +4,7 @@ Renders one ledger as a terminal dashboard — header, span time breakdown
 as horizontal bars, counter table, histogram plots — and renders a
 :func:`repro.obs.ledger.diff_ledgers` report as a counter-level
 explanation of a perf delta.  All drawing is done by the existing
-:mod:`repro.bench.ascii` helpers; there is nothing graphical to install.
+:mod:`repro.obs.ascii` helpers; there is nothing graphical to install.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from ..bench.ascii import horizontal_bars, sparkline
-from ..bench.tables import render_generic_table
+from .ascii import horizontal_bars, render_generic_table, sparkline
 
 __all__ = ["render_ledger", "render_ledger_diff"]
 

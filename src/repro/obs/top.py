@@ -27,7 +27,7 @@ import re
 from pathlib import Path
 from typing import Any
 
-from ..bench.ascii import horizontal_bars, sparkline
+from .ascii import horizontal_bars, sparkline
 from .clock import monotonic_time
 from .metrics import histogram_quantile
 

@@ -137,14 +137,20 @@ class Bisection:
     __slots__ = ("_graph", "_assignment", "_cut", "_weights")
 
     def __init__(self, graph: Graph, assignment: Mapping[Vertex, int]):
-        missing = [v for v in graph.vertices() if v not in assignment]
-        if missing:
-            raise ValueError(f"assignment missing {len(missing)} vertices, e.g. {missing[0]!r}")
-        bad = [v for v in graph.vertices() if assignment[v] not in (0, 1)]
-        if bad:
-            raise ValueError(f"assignment values must be 0 or 1 (vertex {bad[0]!r})")
+        # One walk over the vertices copies; only the error paths walk again.
+        try:
+            copy = {v: assignment[v] for v in graph.vertices()}
+        except KeyError:
+            missing = [v for v in graph.vertices() if v not in assignment]
+            raise ValueError(
+                f"assignment missing {len(missing)} vertices, e.g. {missing[0]!r}"
+            ) from None
+        sides = list(copy.values())
+        if sides.count(0) + sides.count(1) != len(sides):
+            bad = next(v for v, side in copy.items() if side not in (0, 1))
+            raise ValueError(f"assignment values must be 0 or 1 (vertex {bad!r})")
         self._graph = graph
-        self._assignment = {v: assignment[v] for v in graph.vertices()}
+        self._assignment = copy
         self._cut: int | None = None
         self._weights: tuple[int, int] | None = None
 

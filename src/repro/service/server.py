@@ -277,7 +277,6 @@ def make_server(
     telemetry: Any = None,
     api_keys: dict[str, dict[str, Any]] | None = None,
     quiet: bool = True,
-    default_timeout: float | None = None,
     default_retries: int = 0,
     max_inflight: int = 64,
     max_graphs: int = 32,
@@ -289,7 +288,6 @@ def make_server(
         api_keys=api_keys,
         default_max_inflight=max_inflight,
         default_max_graphs=max_graphs,
-        default_timeout=default_timeout,
         default_retries=default_retries,
     )
     return ServiceServer((host, port), state, quiet=quiet)

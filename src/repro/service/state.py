@@ -143,12 +143,10 @@ class ServiceState:
         api_keys: dict[str, dict[str, Any]] | None = None,
         default_max_inflight: int = 64,
         default_max_graphs: int = 32,
-        default_timeout: float | None = None,
         default_retries: int = 0,
     ) -> None:
         self.runner = runner
         self.started_at = wall_time()
-        self.default_timeout = default_timeout
         self.default_retries = default_retries
         self._lock = threading.Lock()
         self._graphs: dict[str, Graph] = {}
@@ -283,10 +281,6 @@ class ServiceState:
                 f"unknown algorithm {algorithm!r} "
                 f"(registered: {', '.join(algorithm_names())})"
             ) from None
-        if info.domain != "graph":
-            raise ValidationError(
-                f"algorithm {algorithm!r} partitions {info.domain}s, not graphs"
-            )
         if not info.supports(graph):
             raise ValidationError(
                 f"algorithm {algorithm!r} requires max degree "
@@ -300,11 +294,9 @@ class ServiceState:
             build_algorithm(spec)  # reject unknown params at submit, not in a worker
         except TypeError as exc:
             raise ValidationError(f"bad params for {algorithm!r}: {exc}") from exc
-        timeout = payload.get("timeout", self.default_timeout)
-        if timeout is not None and (
-            isinstance(timeout, bool) or not isinstance(timeout, (int, float))
-        ):
-            raise ValidationError("'timeout' must be a number of seconds or null")
+        if "timeout" in payload:
+            # Jobs run on worker threads, where no deadline can stop them.
+            raise ValidationError("per-job 'timeout' is not supported by the service")
         retries = payload.get("retries", self.default_retries)
         if retries is not None and (
             isinstance(retries, bool) or not isinstance(retries, int)
@@ -334,7 +326,6 @@ class ServiceState:
                 algorithm=spec,
                 seed=int(seed),
                 job_id=job_id,
-                timeout=timeout,
                 retries=retries,
                 tags=(("tenant", tenant.name),),
             )
@@ -466,5 +457,5 @@ class ServiceState:
             "pending": self.runner.pending(),
             "workers": self.runner.workers,
             "open_mode": self.open_mode,
-            "algorithms": algorithm_names("graph"),
+            "algorithms": algorithm_names(),
         }

@@ -10,8 +10,7 @@ the engine or the service.
 
 from __future__ import annotations
 
-from ..bench.ascii import sparkline
-from ..bench.tables import render_generic_table
+from ..obs.ascii import render_generic_table, sparkline
 from .runner import StudyOutcome
 
 __all__ = ["render_study"]

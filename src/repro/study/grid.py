@@ -42,7 +42,7 @@ STUDY_GBREG_DEGREES = (2, 3, 4, 5, 6)
 #: (Percus et al., *The Peculiar Phase Structure of Random Graph Bisection*).
 STUDY_GNP_DEGREES = (0.8, 1.1, 1.4, 1.7, 2.2, 3.0)
 
-#: Heuristics a study may sweep (graph-domain registry names).
+#: Heuristics a study may sweep (registry names).
 STUDY_ALGORITHMS = ("kl", "fm", "sa", "ckl", "csa", "greedy", "multilevel")
 
 
@@ -127,9 +127,7 @@ def algorithm_specs(
     """Registry specs for study heuristic names (validated, SA sized)."""
     specs = []
     for name in names:
-        info = algorithm_info(name)  # raises KeyError on unknown names
-        if info.domain != "graph":
-            raise ValueError(f"study algorithms must be graph-domain, got {name!r}")
+        algorithm_info(name)  # raises KeyError on unknown names
         if name in ("sa", "csa"):
             specs.append(AlgorithmSpec.make(name, size_factor=sa_size_factor))
         else:

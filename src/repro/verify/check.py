@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..bench.tables import render_generic_table
+from ..obs.ascii import render_generic_table
 from ..engine import AlgorithmSpec, algorithm_info, algorithm_names, build_algorithm
 from ..obs.clock import monotonic_time
 from ..rng import LaggedFibonacciRandom
@@ -27,7 +27,6 @@ from .invariants import check_result
 from .oracles import EXACT_MAX_VERTICES, check_against_optimum, exact_optimum
 from .properties import (
     DEFAULT_FAMILIES,
-    Instance,
     check_cache_equivalence,
     check_determinism,
     check_edge_permutation_invariance,
@@ -152,20 +151,9 @@ def _spec_for(name: str) -> AlgorithmSpec:
     return AlgorithmSpec.make(name, **_FAST_PARAMS.get(name, {}))
 
 
-def _instance_object(instance: Instance, domain: str, hypergraphs: dict):
-    """The object the algorithm consumes: the graph, or its 2-pin netlist."""
-    if domain == "graph":
-        return instance.graph
-    if instance.name not in hypergraphs:
-        from ..hypergraph import from_graph
-
-        hypergraphs[instance.name] = from_graph(instance.graph)
-    return hypergraphs[instance.name]
-
-
-def _run_one(algorithm, target, seed: int):
+def _run_one(algorithm, graph, seed: int):
     began = monotonic_time()
-    result = algorithm(target, LaggedFibonacciRandom(seed))
+    result = algorithm(graph, LaggedFibonacciRandom(seed))
     return result, monotonic_time() - began
 
 
@@ -189,7 +177,6 @@ def run_check(
     names = list(algorithms) if algorithms is not None else algorithm_names()
     instances = corpus(families=families, sizes=sizes, seeds=seeds)
     report = CheckReport()
-    hypergraphs: dict[str, Any] = {}
     optima: dict[str, int] = {}
 
     for name in names:
@@ -207,9 +194,8 @@ def run_check(
                     f"instance has {instance.max_degree}",
                 ))
                 continue
-            target = _instance_object(instance, info.domain, hypergraphs)
             try:
-                result, seconds = _run_one(algorithm, target, instance.seed)
+                result, seconds = _run_one(algorithm, instance.graph, instance.seed)
             except Exception as exc:  # noqa: BLE001 - a crash IS the finding
                 report.records.append(CheckRecord(
                     section="invariants",
@@ -220,7 +206,7 @@ def run_check(
                     violations=(f"crash: {type(exc).__name__}: {exc}",),
                 ))
                 continue
-            violations = check_result(target, result)
+            violations = check_result(instance.graph, result)
             report.records.append(CheckRecord(
                 section="invariants",
                 algorithm=name,
@@ -290,7 +276,6 @@ def _run_metamorphic(
     engine path without multiplying process-pool spawns.
     """
     probes = corpus(families=families, sizes=sizes[:1], seeds=seeds[:1])
-    hypergraphs: dict[str, Any] = {}
     for instance in probes:
         _metamorphic_record(
             report, "-", instance,
@@ -303,23 +288,17 @@ def _run_metamorphic(
         for instance in probes:
             if not info.supports(instance.graph):
                 continue
-            target = _instance_object(instance, info.domain, hypergraphs)
             _metamorphic_record(
                 report, name, instance,
-                check_determinism(algorithm, target, instance.seed),
+                check_determinism(algorithm, instance.graph, instance.seed),
                 label="determinism",
             )
-            if info.domain == "graph":
-                _metamorphic_record(
-                    report, name, instance,
-                    check_relabeling_invariance(
-                        algorithm, instance.graph, instance.seed
-                    ),
-                    label="relabeling",
-                )
-    engine_names = [n for n in ("kl", "ckl") if n in names] or [
-        n for n in names if algorithm_info(n).domain == "graph"
-    ][:1]
+            _metamorphic_record(
+                report, name, instance,
+                check_relabeling_invariance(algorithm, instance.graph, instance.seed),
+                label="relabeling",
+            )
+    engine_names = [n for n in ("kl", "ckl") if n in names] or list(names[:1])
     graph_probes = [p for p in probes if p.family in ("gnp", "gbreg3")] or probes[:1]
     for name in engine_names:
         spec = _spec_for(name)

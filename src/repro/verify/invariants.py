@@ -12,7 +12,7 @@ The invariants (see ``docs/verification.md``):
   even ``n`` on unit-weight graphs); weighted imbalance within the
   graph's minimum achievable tolerance;
 * **cut exactness** — the reported cut equals a from-scratch recount over
-  the edge (or net) list;
+  the edge list;
 * **vertex conservation** — the two sides partition the vertex set: no
   vertex lost, none duplicated, none invented;
 * **compaction round-trip** — supervertex membership partitions the
@@ -27,7 +27,7 @@ The invariants (see ``docs/verification.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..graphs.graph import Graph
 from ..partition.bisection import (
@@ -35,6 +35,9 @@ from ..partition.bisection import (
     cut_weight,
     minimum_achievable_imbalance,
 )
+
+if TYPE_CHECKING:
+    from ..core.compaction import Compaction
 
 __all__ = [
     "Violation",
@@ -60,21 +63,11 @@ class Violation:
         return f"{self.invariant}: {self.message}"
 
 
-def _recompute_cut(instance: Any, assignment: dict) -> int:
-    """From-scratch cut of ``assignment`` on a graph or hypergraph."""
-    if isinstance(instance, Graph):
-        return cut_weight(instance, assignment)
-    from ..hypergraph.hypergraph import net_cut_weight
-
-    return net_cut_weight(instance, assignment)
-
-
-def balance_tolerance_for(instance: Any) -> int:
+def balance_tolerance_for(instance: Graph) -> int:
     """Minimum achievable weighted imbalance of ``instance``.
 
     For unit vertex weights this is ``n % 2``; for contracted/weighted
-    instances it is the exact subset-sum optimum.  Works for graphs and
-    hypergraphs alike (both expose ``vertices``/``vertex_weight``).
+    instances it is the exact subset-sum optimum.
     """
     if instance.is_uniform_vertex_weight():
         return instance.num_vertices % 2
@@ -83,7 +76,7 @@ def balance_tolerance_for(instance: Any) -> int:
     )
 
 
-def check_balance(instance: Any, partition: Any, tolerance: int | None = None) -> list[Violation]:
+def check_balance(instance: Graph, partition: Any, tolerance: int | None = None) -> list[Violation]:
     """Exact balance: side sizes within 1 (unit weights) / weights within tolerance."""
     violations: list[Violation] = []
     if tolerance is None:
@@ -108,10 +101,10 @@ def check_balance(instance: Any, partition: Any, tolerance: int | None = None) -
     return violations
 
 
-def check_cut_exact(instance: Any, partition: Any, reported_cut: int | None = None) -> list[Violation]:
+def check_cut_exact(instance: Graph, partition: Any, reported_cut: int | None = None) -> list[Violation]:
     """The reported cut equals a from-scratch recount over all edges/nets."""
     violations: list[Violation] = []
-    actual = _recompute_cut(instance, partition.assignment())
+    actual = cut_weight(instance, partition.assignment())
     if partition.cut != actual:
         violations.append(Violation(
             "cut-exact",
@@ -125,7 +118,7 @@ def check_cut_exact(instance: Any, partition: Any, reported_cut: int | None = No
     return violations
 
 
-def check_vertex_conservation(instance: Any, partition: Any) -> list[Violation]:
+def check_vertex_conservation(instance: Graph, partition: Any) -> list[Violation]:
     """Sides partition the vertex set: nothing lost, duplicated, or invented."""
     violations: list[Violation] = []
     side0 = partition.side(0)
@@ -153,18 +146,14 @@ def check_vertex_conservation(instance: Any, partition: Any) -> list[Violation]:
     return violations
 
 
-def check_compaction_provenance(compaction: Any) -> list[Violation]:
+def check_compaction_provenance(compaction: Compaction) -> list[Violation]:
     """Compaction round-trip: membership partitions V, weights conserved.
 
-    Wraps :meth:`repro.core.compaction.Compaction.validate` (and the
-    hypergraph analogue when it exposes ``validate``) into the violation
-    protocol.
+    Wraps :meth:`repro.core.compaction.Compaction.validate` into the
+    violation protocol.
     """
-    validate = getattr(compaction, "validate", None)
-    if validate is None:
-        return []
     try:
-        validate()
+        compaction.validate()
     except AssertionError as exc:
         return [Violation("compaction", str(exc))]
     return []
@@ -291,7 +280,7 @@ def check_sa_bookkeeping(result: Any) -> list[Violation]:
     return violations
 
 
-def _check_compacted_result(instance: Any, result: Any) -> list[Violation]:
+def _check_compacted_result(instance: Graph, result: Any) -> list[Violation]:
     """Pipeline-specific invariants of a ``CompactedResult``-shaped object."""
     violations: list[Violation] = []
     compaction = getattr(result, "compaction", None)
@@ -308,10 +297,10 @@ def _check_compacted_result(instance: Any, result: Any) -> list[Violation]:
     return violations
 
 
-def check_result(instance: Any, result: Any, tolerance: int | None = None) -> list[Violation]:
+def check_result(instance: Graph, result: Any, tolerance: int | None = None) -> list[Violation]:
     """Run every applicable oracle against one algorithm result.
 
-    ``instance`` is the graph or hypergraph the algorithm ran on;
+    ``instance`` is the graph the algorithm ran on;
     ``result`` is whatever it returned (any object exposing ``.cut`` and
     usually ``.bisection``).  Nested compaction-pipeline results are
     checked recursively (the coarse-level result against the coarse

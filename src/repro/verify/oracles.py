@@ -37,7 +37,7 @@ EXACT_MAX_VERTICES = 14
 # (factor, slack): a result violates the oracle when
 # cut > factor * optimum + slack.  Measured over the corpus families
 # (gnp, gbreg3, tree, planted) at n <= 14 across seeds 0-11, then given
-# margin: the compacted variants (ckl/csa/chfm) land nearest the
+# margin: the compacted variants (ckl/csa) land nearest the
 # optimum (the coarse level smooths away most bad local optima), single
 # runs of KL/FM sit within a few edges, and plain greedy descent plus
 # the short-schedule annealers legitimately stop at worse local optima.
@@ -52,8 +52,6 @@ ORACLE_BOUNDS: dict[str, tuple[float, int]] = {
     "greedy": (2.0, 7),
     "sa": (2.0, 7),
     "csa": (2.0, 3),
-    "hfm": (2.0, 7),
-    "chfm": (2.0, 4),
 }
 _DEFAULT_BOUND = (3.0, 8)
 

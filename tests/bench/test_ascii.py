@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.ascii import histogram, horizontal_bars, sparkline
+from repro.obs.ascii import histogram, horizontal_bars, sparkline
 
 
 class TestSparkline:

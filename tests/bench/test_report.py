@@ -34,7 +34,6 @@ class TestGenerateReport:
             "Ladder graphs",
             "Grid graphs",
             "Binary trees",
-            "Netlists",
             "Headline summary",
         ):
             assert title in report, title

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.runner import BestOfStarts, RowResult
-from repro.bench.tables import aggregate_rows, render_generic_table, render_paper_table
+from repro.bench.tables import aggregate_rows, render_paper_table
+from repro.obs.ascii import render_generic_table
 
 
 def _cell(cut, seconds):

@@ -96,30 +96,6 @@ class TestCaseBuilders:
             assert graph.num_edges == graph.num_vertices - 1
 
 
-class TestNetlistWorkloads:
-    def test_netlist_cases_build_hypergraphs(self):
-        from repro.bench.workloads import netlist_cases
-        from repro.hypergraph import Hypergraph
-
-        rng = LaggedFibonacciRandom(7)
-        cases = netlist_cases(SMOKE)
-        assert len(cases) == SMOKE.seeds_per_point
-        hg = cases[0].build(rng)
-        assert isinstance(hg, Hypergraph)
-        assert hg.num_vertices == 60
-
-    def test_netlist_algorithms_runnable(self):
-        from repro.bench.workloads import netlist_algorithm_specs, netlist_cases
-
-        rng = LaggedFibonacciRandom(8)
-        hg = netlist_cases(SMOKE)[0].build(rng)
-        specs = netlist_algorithm_specs(SMOKE)
-        assert set(specs) == {"hfm", "chfm"}
-        for name, spec in specs.items():
-            result = build_algorithm(spec)(hg, LaggedFibonacciRandom(9))
-            assert result.cut >= 0, name
-
-
 class TestStandardAlgorithms:
     def test_kl_only(self):
         specs = standard_algorithm_specs(SMOKE, include_sa=False)

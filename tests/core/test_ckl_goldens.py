@@ -27,12 +27,10 @@ The ``contracted2`` graph is Gbreg(2000,16,3) contracted twice, so it
 carries vertex weights 1-4 (three or more KL weight classes) and merged
 edge weights.
 
-``pipeline_goldens.json`` pins the rest of the level loop's callers the
-same way: the netlist pipelines ``chfm`` (final pass gains) and ``mlhfm``
-(per-level cuts) on two ``random_netlist`` instances, and ``multilevel``
-at its default depth and refiner (per-level cuts) on a Gbreg(500) graph,
-where the ``coarsest_size`` stop fires, and on ``star_graph(40)``, where
-the 5% shrink stop fires.
+``pipeline_goldens.json`` pins ``multilevel`` at its default depth and
+refiner the same way (per-level cuts) on a Gbreg(500) graph, where the
+``coarsest_size`` stop fires, and on ``star_graph(40)``, where the 5%
+shrink stop fires.
 
 ``KL_SELECTION_COUNTERS`` pins plain KL's selection counters
 (``selections``, ``stale_pops``, ``candidates``, ``prune_hits``) on the
@@ -60,8 +58,6 @@ from repro.core.multilevel import multilevel_bisection
 from repro.core.pipeline import ckl, coarse_only_bisection, csa
 from repro.graphs.generators import gbreg, gnp_with_degree, star_graph
 from repro.graphs.graph import vertex_token
-from repro.hypergraph.compaction import compacted_hypergraph_fm, multilevel_hypergraph_fm
-from repro.hypergraph.generators import random_netlist
 from repro.partition.annealing import AnnealingSchedule, simulated_annealing
 from repro.partition import kl as kl_module
 from repro.partition.fm import fiduccia_mattheyses
@@ -97,12 +93,6 @@ def _contracted2():
 
 
 GRAPHS = {"gbreg": _gbreg, "gnp": _gnp, "contracted2": _contracted2}
-NETLISTS = {
-    "netlist400": lambda: random_netlist(400, rng=LaggedFibonacciRandom(4)),
-    "netlist400sparse": lambda: random_netlist(
-        400, clusters=4, global_fraction=0.05, rng=LaggedFibonacciRandom(5)
-    ),
-}
 STOP_GRAPHS = {
     "gbreg500": lambda: gbreg(500, 8, 3, LaggedFibonacciRandom(6)).graph,
     "star40": lambda: star_graph(40),
@@ -111,7 +101,7 @@ STOP_GRAPHS = {
 
 @lru_cache(maxsize=None)
 def _graph(name):
-    return {**GRAPHS, **NETLISTS, **STOP_GRAPHS}[name]()
+    return {**GRAPHS, **STOP_GRAPHS}[name]()
 
 
 def _run_ckl(graph, seed):
@@ -142,16 +132,6 @@ def _run_multilevel(graph, seed):
 
 def _run_multilevel_default(graph, seed):
     result = multilevel_bisection(graph, rng=seed)
-    return result.bisection, result.level_cuts
-
-
-def _run_chfm(netlist, seed):
-    result = compacted_hypergraph_fm(netlist, rng=seed)
-    return result.bisection, result.final_result.pass_gains
-
-
-def _run_mlhfm(netlist, seed):
-    result = multilevel_hypergraph_fm(netlist, rng=seed)
     return result.bisection, result.level_cuts
 
 
@@ -190,11 +170,7 @@ ALGORITHMS = {
     "sa": _run_sa,
     "sa_swap": _run_sa_swap,
 }
-PIPELINE_ALGORITHMS = {
-    "chfm": _run_chfm,
-    "mlhfm": _run_mlhfm,
-    "multilevel_default": _run_multilevel_default,
-}
+PIPELINE_ALGORITHMS = {"multilevel_default": _run_multilevel_default}
 # The plain heuristics pin the kernels themselves; the contracted graph
 # adds nothing the compaction family does not already cover there.
 PLAIN = {"kl", "fm", "sa"}
@@ -232,12 +208,8 @@ CELLS = [
 ]
 PIPELINE_CELLS = [
     (algorithm, graph_name, seed)
-    for algorithm, graph_names in (
-        ("chfm", NETLISTS),
-        ("mlhfm", NETLISTS),
-        ("multilevel_default", STOP_GRAPHS),
-    )
-    for graph_name in graph_names
+    for algorithm in PIPELINE_ALGORITHMS
+    for graph_name in STOP_GRAPHS
     for seed in SEEDS
 ]
 GOLDEN_FILES = {GOLDEN_PATH: CELLS, PIPELINE_GOLDEN_PATH: PIPELINE_CELLS}

@@ -9,8 +9,6 @@ from repro.core.multilevel import multilevel_bisection
 from repro.core.pipeline import ckl, coarse_only_bisection, compacted_bisection, csa
 from repro.graphs.generators import gbreg, ladder_graph, star_graph
 from repro.graphs.graph import Graph
-from repro.hypergraph.compaction import compacted_hypergraph_fm, multilevel_hypergraph_fm
-from repro.hypergraph.generators import random_netlist
 from repro.obs import capture_spans
 from repro.partition.annealing import AnnealingSchedule
 from repro.partition.fm import fiduccia_mattheyses
@@ -170,12 +168,3 @@ class TestPipelineSpans:
         # One matching on a star contracts one pair: the 5% stop discards it.
         names = self._spans(monkeypatch, lambda: multilevel_bisection(star_graph(40), rng=4))
         assert names == [MATCH, COARSE]
-
-    def test_netlist_pipelines(self, monkeypatch):
-        netlist = random_netlist(120, rng=5)
-        names = self._spans(monkeypatch, lambda: compacted_hypergraph_fm(netlist, rng=6))
-        assert names == [MATCH, COARSE, PROJECT, FINAL]
-        names = self._spans(
-            monkeypatch, lambda: multilevel_hypergraph_fm(netlist, rng=8, max_levels=2)
-        )
-        assert names == [MATCH, MATCH, COARSE, PROJECT, FINAL, PROJECT, FINAL]

@@ -244,18 +244,6 @@ class TestResultCaching:
         assert engine.telemetry.count("cache_store") == 0
         assert len(engine.cache) == 0
 
-    def test_uncacheable_graph_still_runs(self, tmp_path):
-        from repro.hypergraph.generators import random_netlist
-
-        netlist = random_netlist(40, rng=3)
-        engine = Engine(cache=ResultCache(tmp_path))
-        results = engine.run(
-            [Job("n", AlgorithmSpec.make("hfm"), 1)], {"n": netlist}
-        )
-        assert results[0].ok
-        assert engine.telemetry.count("uncacheable_graph") == 1
-        assert len(engine.cache) == 0
-
     def test_telemetry_jsonl_records_cache_traffic(self, graph, tmp_path):
         jobs = _start_jobs(AlgorithmSpec.make("kl"), 4, 2)
         Engine(cache=ResultCache(tmp_path / "c")).run(jobs, {"g": graph})

@@ -230,7 +230,7 @@ class TestJobs:
             {"algorithm": "kl"},  # no graph
             {"graph": "missing", "algorithm": "kl"},  # resolved to 404 first
             {"graph": "G", "algorithm": "nope"},
-            {"graph": "G", "algorithm": "hfm"},  # hypergraph domain
+            {"graph": "G", "algorithm": "hfm"},  # the retired netlist FM
             {"graph": "G", "algorithm": "cycles"},  # degree-3 graph unsupported
             {"graph": "G", "algorithm": "kl", "starts": 0},
             {"graph": "G", "algorithm": "kl", "seeds": []},

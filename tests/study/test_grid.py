@@ -81,8 +81,8 @@ def test_unknown_preset_and_algorithm_raise():
         preset_grid("nope")
     with pytest.raises(KeyError):
         algorithm_specs(("not-an-algorithm",))
-    with pytest.raises(ValueError):
-        algorithm_specs(("hfm",))  # hypergraph-domain name
+    with pytest.raises(KeyError):
+        algorithm_specs(("hfm",))  # the retired netlist FM
 
 
 def test_cell_labels_and_payload():

@@ -166,32 +166,6 @@ class TestReport:
         assert "Headline summary" in capsys.readouterr().out
 
 
-class TestNetlist:
-    def test_generate_and_run(self, tmp_path, capsys):
-        path = tmp_path / "n.hgr"
-        assert main(["netlist", "generate", str(path), "--cells", "80", "--seed", "2"]) == 0
-        assert "wrote" in capsys.readouterr().out
-        for algorithm in ("fm", "cfm", "multilevel"):
-            assert main(["netlist", "run", str(path), "--algorithm", algorithm]) == 0
-            out = capsys.readouterr().out
-            assert "net_cut=" in out
-            assert algorithm in out
-
-    def test_bad_algorithm_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["netlist", "run", "x.hgr", "--algorithm", "nonsense"])
-
-    def test_k_flag_rejected(self, tmp_path, capsys):
-        # Netlists are bisected only; k-way partitioning is for graphs.
-        path = tmp_path / "n.hgr"
-        main(["netlist", "generate", str(path), "--cells", "60", "--seed", "3"])
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["netlist", "run", str(path), "--k", "3"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
-
-
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -217,8 +191,6 @@ class TestInputErrors:
             ["run", "{good}", "--telemetry", "{tmp}/no/such/dir/t.jsonl"],
             ["score", "{good}", "{missing_part}"],
             ["score", "{good}", "{malformed_part}"],
-            ["netlist", "run", "{missing_hgr}"],
-            ["netlist", "run", "{malformed_hgr}"],
             ["generate", "gbreg", "--vertices", "7", "--width", "2", "--degree", "3",
              "--out", "{out}"],
             ["generate", "gbreg", "--vertices", "10", "--width", "100", "--degree", "3",
@@ -227,24 +199,20 @@ class TestInputErrors:
             ["generate", "btree", "--vertices", "0", "--out", "{out}"],
             ["kway", "{good}", "--k", "0"],
             ["kway", "{good}", "--k", "99"],
-            ["netlist", "generate", "{new_hgr}", "--cells", "0"],
-            ["netlist", "generate", "{new_hgr}", "--clusters", "0"],
             ["cache", "prune", "--max-bytes", "-5", "--cache-dir", "{tmp}/cache"],
             ["run", "{empty}"],
+            ["netlist", "run", "x.hgr"],
         ],
         ids=["run-missing", "info-missing", "run-malformed", "kway-malformed",
              "score-malformed", "info-directory", "run-telemetry-dir",
              "score-missing-partition", "score-malformed-partition",
-             "netlist-run-missing", "netlist-run-malformed",
              "generate-gbreg-odd", "generate-gbreg-width", "generate-gnp-p",
              "generate-btree-empty", "kway-k0", "kway-k-too-large",
-             "netlist-generate-cells", "netlist-generate-clusters",
-             "cache-prune-negative", "run-empty-graph"],
+             "cache-prune-negative", "run-empty-graph", "netlist-removed"],
     )
     def test_one_line_error_exit_2(self, tmp_path, capsys, argv):
         (tmp_path / "bad.edges").write_text("0 1\nnot an edge\n", encoding="utf-8")
         (tmp_path / "bad.part").write_text("# repro partition k=2\n0\n", encoding="utf-8")
-        (tmp_path / "bad.hgr").write_text("2 4\n1 x\n", encoding="utf-8")
         (tmp_path / "empty.edges").write_text("", encoding="utf-8")
         main(["generate", "ladder", "--vertices", "8", "--out", str(tmp_path / "g.edges")])
         capsys.readouterr()
@@ -255,14 +223,18 @@ class TestInputErrors:
             "tmp": tmp_path,
             "missing_part": tmp_path / "missing.part",
             "malformed_part": tmp_path / "bad.part",
-            "missing_hgr": tmp_path / "missing.hgr",
-            "malformed_hgr": tmp_path / "bad.hgr",
             "out": tmp_path / "o.edges",
-            "new_hgr": tmp_path / "x.hgr",
             "empty": tmp_path / "empty.edges",
         }
-        assert main([arg.format(**paths) for arg in argv]) == 2
+        try:
+            code, usage = main([arg.format(**paths) for arg in argv]), ""
+        except SystemExit as exc:  # argparse's refusal: its usage, then one line
+            code, usage = exc.code, build_parser().format_usage()
+        assert code == 2
         err = capsys.readouterr().err
+        assert err.startswith(usage)
+        err = err[len(usage):]
+        assert not usage or "invalid choice" in err
         assert "Traceback" not in err
         assert err.startswith("repro-bisect: error: ")
         assert err.count("\n") == 1
@@ -287,6 +259,22 @@ def test_import_loads_neither_numpy_nor_bench():
     probe = (
         "import sys, repro.cli; "
         "print(sorted(m for m in ('numpy', 'repro.bench') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_report_renderers_do_not_load_bench():
+    # The study tables, the check report and the ledger dashboard borrow
+    # only the text renderers, which live outside the bench package.
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    probe = (
+        "import sys, repro.study, repro.verify.check, repro.obs.dashboard; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.bench')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env,

@@ -6,16 +6,14 @@ import doctest
 
 import pytest
 
-import repro.bench.ascii
 import repro.graphs.graph
-import repro.hypergraph.hypergraph
+import repro.obs.ascii
 import repro.partition.bisection
 
 MODULES = [
     repro.graphs.graph,
     repro.partition.bisection,
-    repro.hypergraph.hypergraph,
-    repro.bench.ascii,
+    repro.obs.ascii,
 ]
 
 

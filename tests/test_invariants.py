@@ -22,7 +22,6 @@ from repro.core.pipeline import ckl
 from repro.graphs.generators import gbreg, gnp, random_tree
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import is_connected
-from repro.hypergraph import from_graph, hypergraph_fm
 from repro.partition import (
     Bisection,
     bisect_paths_and_cycles,
@@ -100,14 +99,6 @@ class TestOracleAgreement:
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=8, deadline=None)
-    def test_hypergraph_fm_respects_graph_exact(self, seed):
-        g = gnp(12, 0.3, seed)
-        optimum = exact_bisection_width(g)
-        result = hypergraph_fm(from_graph(g), rng=seed)
-        assert result.cut >= optimum
-
-    @given(st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=8, deadline=None)
     def test_kway_k2_equals_bisection_contract(self, seed):
         g = gnp(20, 0.2, seed)
         partition = recursive_kway(g, 2, rng=seed)
@@ -154,14 +145,6 @@ class TestFailureInjection:
         bad = KWayPartition(g, (frozenset([0, 1]), frozenset([1, 2])))
         with pytest.raises(AssertionError):
             bad.validate()
-
-    def test_hypergraph_validate_catches_dangling_pin(self):
-        from repro.hypergraph import Hypergraph
-
-        hg = Hypergraph.from_nets([[0, 1, 2]])
-        hg._pins[0] = (0, 1)  # drop pin 2 without updating incidence
-        with pytest.raises(AssertionError):
-            hg.validate()
 
     def test_compaction_rejects_stale_matching(self):
         g = gnp(20, 0.2, rng=4)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import AlgorithmSpec, algorithm_info, algorithm_names, build_algorithm
-from repro.hypergraph import from_graph
 from repro.rng import LaggedFibonacciRandom
 from repro.verify import DEFAULT_FAMILIES, check_result, make_instance
 
@@ -32,9 +31,8 @@ def test_no_invariant_violations(name, family, seed):
     instance = make_instance(family, 10, seed)
     if not info.supports(instance.graph):
         pytest.skip(f"{name} requires max degree <= {info.max_degree}")
-    target = instance.graph if info.domain == "graph" else from_graph(instance.graph)
-    result = _algorithm(name)(target, LaggedFibonacciRandom(seed))
-    violations = check_result(target, result)
+    result = _algorithm(name)(instance.graph, LaggedFibonacciRandom(seed))
+    violations = check_result(instance.graph, result)
     assert not violations, (
         f"{name} on {instance.name} seed={seed}: "
         + "; ".join(str(v) for v in violations)
@@ -43,9 +41,7 @@ def test_no_invariant_violations(name, family, seed):
 
 @pytest.mark.parametrize("name", algorithm_names())
 def test_registry_info_is_complete(name):
-    info = algorithm_info(name)
-    assert info.name == name
-    assert info.domain in ("graph", "hypergraph")
+    assert algorithm_info(name).name == name
 
 
 def test_matrix_meets_acceptance_floor():

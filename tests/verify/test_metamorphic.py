@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import AlgorithmSpec, algorithm_info, algorithm_names, build_algorithm
-from repro.hypergraph import from_graph
 from repro.verify import (
     DEFAULT_FAMILIES,
     check_cache_equivalence,
@@ -24,9 +23,6 @@ from repro.verify import (
 pytestmark = pytest.mark.property
 
 _FAST = {"sa", "csa"}
-GRAPH_ALGORITHMS = tuple(
-    name for name in algorithm_names() if algorithm_info(name).domain == "graph"
-)
 
 
 def _spec(name):
@@ -38,12 +34,6 @@ def _algorithm(name):
     return build_algorithm(_spec(name))
 
 
-def _target(name, graph):
-    if algorithm_info(name).domain == "graph":
-        return graph
-    return from_graph(graph)
-
-
 @pytest.mark.parametrize("seed", (0, 1, 2))
 @pytest.mark.parametrize("family", DEFAULT_FAMILIES)
 @pytest.mark.parametrize("name", algorithm_names())
@@ -51,15 +41,13 @@ def test_seed_determinism(name, family, seed):
     instance = make_instance(family, 12, seed)
     if not algorithm_info(name).supports(instance.graph):
         pytest.skip("unsupported degree")
-    violations = check_determinism(
-        _algorithm(name), _target(name, instance.graph), seed
-    )
+    violations = check_determinism(_algorithm(name), instance.graph, seed)
     assert not violations, "; ".join(str(v) for v in violations)
 
 
 @pytest.mark.parametrize("permutation_seed", (0, 1, 2))
 @pytest.mark.parametrize("family", DEFAULT_FAMILIES)
-@pytest.mark.parametrize("name", GRAPH_ALGORITHMS)
+@pytest.mark.parametrize("name", algorithm_names())
 def test_relabeling_invariance(name, family, permutation_seed):
     instance = make_instance(family, 12, 0)
     if not algorithm_info(name).supports(instance.graph):
