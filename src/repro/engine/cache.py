@@ -135,8 +135,11 @@ class ResultCache:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
+        # One dumps call: json.dump streams through the pure-Python
+        # encoder, json.dumps takes the C one; the bytes are the same.
+        text = json.dumps(payload, sort_keys=True)
         with open(tmp, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, sort_keys=True)
+            stream.write(text)
         os.replace(tmp, path)
 
     def entries(self) -> Iterator[Path]:

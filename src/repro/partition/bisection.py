@@ -15,6 +15,7 @@ Partition heuristics operate on a mutable ``assignment`` dict
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping
 
 from ..graphs.csr import cached_csr, csr_cut_weight, csr_side_weights
@@ -64,18 +65,36 @@ def side_weights(graph: Graph, assignment: Mapping[Vertex, int]) -> tuple[int, i
     return w0, w1
 
 
-def minimum_achievable_imbalance(weights: Iterable[int]) -> int:
-    """Smallest possible ``|w(A) - w(B)|`` over all 2-partitions of ``weights``.
+def _subset_sums(weights: Iterable[int]) -> tuple[int, int]:
+    """Bitset of every reachable subset sum of ``weights`` (bit ``s`` set
+    when some subset sums to ``s``), and the total weight.
 
-    Computed with a bitset subset-sum sweep (``reachable |= reachable << w``),
-    which is fast even for thousands of vertices.  For unit weights this is
-    ``total % 2``; for contracted graphs (weights in {1, 2}) it is 0, 1, or 2.
+    Equal weights shift together.  ``c`` copies of ``w`` shifted in chunks
+    of 1, 2, 4, ... copies and then the remainder reach exactly the sums
+    ``0, w, ..., c*w`` — the bitset one shift per copy would give — in
+    ``O(log c)`` big-integer shifts instead of ``c``.
     """
     reachable = 1
     total = 0
-    for w in weights:
-        reachable |= reachable << w
-        total += w
+    for w, count in Counter(weights).items():
+        total += w * count
+        chunk = 1
+        while count:
+            take = min(chunk, count)
+            reachable |= reachable << (w * take)
+            count -= take
+            chunk *= 2
+    return reachable, total
+
+
+def minimum_achievable_imbalance(weights: Iterable[int]) -> int:
+    """Smallest possible ``|w(A) - w(B)|`` over all 2-partitions of ``weights``.
+
+    Computed with a bitset subset-sum sweep (:func:`_subset_sums`), which is
+    fast even for thousands of vertices.  For unit weights this is
+    ``total % 2``; for contracted graphs (weights in {1, 2}) it is 0, 1, or 2.
+    """
+    reachable, total = _subset_sums(weights)
     best = total
     half = total // 2
     # Scan sums downward from floor(total/2); the first reachable sum s gives
@@ -96,11 +115,7 @@ def minimum_achievable_deviation(weights: Iterable[int], target_diff: int) -> in
     of ``2s - total``, so we scan reachable sums around
     ``(total + target_diff) / 2``.
     """
-    reachable = 1
-    total = 0
-    for w in weights:
-        reachable |= reachable << w
-        total += w
+    reachable, total = _subset_sums(weights)
     best = abs(target_diff) + total  # worse than any achievable value
     for s in range(total + 1):
         if (reachable >> s) & 1:

@@ -69,6 +69,19 @@ class TestResultCache:
         assert cache.get(key) == payload
         assert len(cache) == 1
 
+    def test_entry_bytes(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache_key(FP_A, AlgorithmSpec.make("kl"), 1)
+        cache.put(key, {
+            "status": "ok", "cut": 4, "side0": ["int:0", "str:é"], "seconds": 0.125,
+            "error": None, "counters": {"passes": 2, "pass_gains": [3, 0]},
+        })
+        assert cache.path_for(key).read_bytes() == (
+            b'{"counters": {"pass_gains": [3, 0], "passes": 2}, "cut": 4, '
+            b'"error": null, "seconds": 0.125, "side0": ["int:0", "str:\\u00e9"], '
+            b'"status": "ok"}'
+        )
+
     def test_sharded_layout(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key(FP_A, AlgorithmSpec.make("kl"), 1)

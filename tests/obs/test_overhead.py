@@ -3,9 +3,12 @@
 The design target is <=5% overhead with REPRO_OBS=1 (counters are plain
 local ints flushed once per pass; spans are per-pass, never per-move).
 Wall-clock assertions on shared CI boxes are noisy, so this smoke test
-takes the best of several repetitions and asserts a deliberately loose
-bound — it exists to catch accidental per-move instrumentation (which
-shows up as 2-10x, not 1.05x), not to measure the 5% target precisely.
+times a KL run long enough (~20 ms) that one scheduler hiccup is a small
+fraction of it, interleaves the bare and instrumented repetitions so a
+slow stretch of the machine hits both alike, takes the best of each and
+asserts a deliberately loose bound — it exists to catch accidental
+per-move instrumentation (which shows up as 2-10x, not 1.05x), not to
+measure the 5% target precisely.
 """
 
 from __future__ import annotations
@@ -20,20 +23,20 @@ REPEATS = 5
 LOOSE_BOUND = 1.25
 
 
-def _best_wall(monkeypatch, obs_value):
+def _wall(monkeypatch, obs_value):
     monkeypatch.setenv("REPRO_OBS", obs_value)
-    best = float("inf")
-    for _ in range(REPEATS):
-        graph = gbreg(120, 6, 3, LaggedFibonacciRandom(0)).graph
-        began = time.perf_counter()
-        kernighan_lin(graph, rng=0)
-        best = min(best, time.perf_counter() - began)
-    return best
+    graph = gbreg(1000, 8, 3, LaggedFibonacciRandom(0)).graph
+    began = time.perf_counter()
+    kernighan_lin(graph, rng=0)
+    return time.perf_counter() - began
 
 
 def test_kl_overhead_stays_small(monkeypatch):
-    off = _best_wall(monkeypatch, "0")
-    on = _best_wall(monkeypatch, "1")
+    walls = {"0": [], "1": []}
+    for _ in range(REPEATS):
+        for obs_value in ("0", "1"):
+            walls[obs_value].append(_wall(monkeypatch, obs_value))
+    off, on = min(walls["0"]), min(walls["1"])
     assert on <= off * LOOSE_BOUND, (
         f"instrumented KL run took {on:.4f}s vs {off:.4f}s bare "
         f"({on / off:.2f}x > {LOOSE_BOUND}x bound)"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,9 @@ from repro.graphs.graph import Graph
 from repro.partition.bisection import (
     Bisection,
     cut_weight,
+    _subset_sums,
     default_tolerance,
+    minimum_achievable_deviation,
     minimum_achievable_imbalance,
     rebalance,
     side_weights,
@@ -154,6 +158,25 @@ class TestMinimumAchievableImbalance:
             for subset in combinations(weights, r)
         )
         assert minimum_achievable_imbalance(weights) == best
+
+    def test_grouped_sweep_matches_one_shift_per_weight(self):
+        # Large runs of equal weights (contracted graphs are mostly 1s and
+        # 2s) shift in doubling chunks; the bitset must be the one a shift
+        # per weight builds.
+        rng = random.Random(7)
+        for _ in range(200):
+            weights = [rng.choice((1, 2, 2, 3, 7, 40)) for _ in range(rng.randrange(80))]
+            reachable, total = 1, 0
+            for w in weights:
+                reachable |= reachable << w
+                total += w
+            assert _subset_sums(weights) == (reachable, total)
+            target = rng.randrange(-total - 2, total + 3)
+            assert minimum_achievable_deviation(weights, target) == min(
+                abs(2 * s - total - target)
+                for s in range(total + 1)
+                if (reachable >> s) & 1
+            )
 
 
 class TestRebalance:
