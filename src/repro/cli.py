@@ -982,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=_positive_int, default=2,
-        help="engine worker threads shared by all tenants (default: 2)",
+        help="engine worker processes shared by all tenants (default: 2)",
     )
     serve.add_argument(
         "--api-keys", metavar="PATH",

@@ -2,9 +2,9 @@
 
 Zero dependencies — :class:`http.server.ThreadingHTTPServer` plus the
 :mod:`json` module.  One handler thread per connection feeds
-:class:`~repro.service.state.ServiceState`; actual compute happens on the
-:class:`~repro.engine.handles.JobRunner` worker pool, so a slow job never
-blocks the HTTP accept loop.
+:class:`~repro.service.state.ServiceState`; actual compute happens in the
+:class:`~repro.engine.handles.JobRunner`'s worker processes, so a slow job
+neither blocks the HTTP accept loop nor holds this process's GIL.
 
 Routes (all JSON; authentication via the ``X-API-Key`` header):
 

@@ -295,7 +295,8 @@ class ServiceState:
         except TypeError as exc:
             raise ValidationError(f"bad params for {algorithm!r}: {exc}") from exc
         if "timeout" in payload:
-            # Jobs run on worker threads, where no deadline can stop them.
+            # Without a pool, jobs run on dispatcher threads, where no
+            # deadline can arm; a deadline honoured only sometimes is refused.
             raise ValidationError("per-job 'timeout' is not supported by the service")
         retries = payload.get("retries", self.default_retries)
         if retries is not None and (

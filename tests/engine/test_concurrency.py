@@ -10,10 +10,12 @@ are deterministic and fast.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 from repro.engine import AlgorithmSpec, Job, JobRunner, ResultCache, Telemetry
 from repro.graphs.generators import gbreg
+from repro.obs import REGISTRY
 
 
 def _job(seed: int, job_id: str) -> Job:
@@ -96,6 +98,32 @@ def test_shared_jsonl_sink_has_no_torn_lines(tmp_path):
     finishes = [r for r in records if r["kind"] == "job_finish"]
     assert len(finishes) == 12
     assert all(r["status"] == "ok" for r in finishes)
+
+
+def test_worker_shipments_merge_without_lost_updates():
+    """Four dispatchers (more than the cores) merging worker shipments and
+    exporting graphs at once: every KL run is counted and each graph is
+    exported once."""
+    REGISTRY.reset()
+    graphs = {f"g{i}": gbreg(40, 4, 3, i).graph for i in range(3)}
+    telemetry = Telemetry()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with JobRunner(workers=4, telemetry=telemetry) as runner:
+            handles = [
+                runner.submit(Job(key, AlgorithmSpec.make("kl"), seed, job_id=f"{key}-{seed}"), g)
+                for seed in range(8)
+                for key, g in graphs.items()
+            ]
+            for handle in handles:
+                assert handle.wait(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(h.result.ok for h in handles)
+    assert telemetry.count("shm_export") == 3
+    assert REGISTRY.counter("kl_runs_total").value == 24
+    assert REGISTRY.counter("engine_jobs_total").value == 24
 
 
 def test_direct_telemetry_emit_is_thread_safe(tmp_path):
