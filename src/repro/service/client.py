@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -144,8 +145,18 @@ class ServiceClient:
             time.sleep(interval)
 
     def result(self, cache_key: str) -> dict[str, Any]:
-        """Fetch a stored result payload by content address."""
-        return self._request("GET", f"/v1/results/{cache_key}")
+        """Fetch a stored result payload by content address.
+
+        ``side0`` tokens come back interned, so payloads a caller keeps
+        for one graph share one string per vertex instead of a copy each.
+        """
+        payload = self._request("GET", f"/v1/results/{cache_key}")
+        side0 = payload.get("side0") if isinstance(payload, dict) else None
+        if isinstance(side0, list):
+            payload["side0"] = [
+                sys.intern(token) if type(token) is str else token for token in side0
+            ]
+        return payload
 
     def metrics_text(self) -> str:
         """The raw Prometheus exposition from ``/metrics``."""
