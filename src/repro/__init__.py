@@ -19,52 +19,34 @@ compaction/CKL/CSA/multilevel, and :mod:`repro.bench` for the paper's
 experiment protocol.
 """
 
-from .core import (
-    CompactedResult,
-    Compaction,
-    MultilevelResult,
-    ckl,
-    compact,
-    compacted_bisection,
-    csa,
-    heavy_edge_matching,
-    multilevel_bisection,
-    random_maximal_matching,
-)
-from .graphs import Graph
-from .graphs.generators import (
-    binary_tree,
-    complete_binary_tree,
-    cycle_graph,
-    g2set,
-    g2set_with_degree,
-    gbreg,
-    gnp,
-    gnp_with_degree,
-    grid_graph,
-    ladder_graph,
-    path_graph,
-    random_regular_graph,
-)
-from .partition import (
-    AnnealingSchedule,
-    BalanceCost,
-    Bisection,
-    bisect_paths_and_cycles,
-    bisection_lower_bound,
-    certify,
-    exact_bisection,
-    exact_bisection_width,
-    fiduccia_mattheyses,
-    greedy_improvement,
-    kernighan_lin,
-    KWayPartition,
-    random_bisection,
-    recursive_kway,
-    simulated_annealing,
-    stoer_wagner,
-)
-from .rng import LaggedFibonacciRandom
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]) -> tuple:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's re-exports.
+
+    ``exports`` maps a defining module (relative to ``package``) to the
+    names the package re-exports from it.  A name's module is imported on
+    first access and the value is cached in the package's globals, so
+    later lookups (and ``from package import name``) cost a dict hit and
+    a command imports only the modules it runs.
+    """
+    import importlib
+    import sys
+
+    namespace = sys.modules[package].__dict__
+    origin = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        if name not in origin:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(origin[name], package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(origin))
+
+    return __getattr__, __dir__
+
 
 __version__ = "1.0.0"
 
@@ -115,3 +97,37 @@ __all__ = [
     "multilevel_bisection",
     "MultilevelResult",
 ]
+
+_EXPORTS = {
+    ".core.compaction": ("Compaction", "compact"),
+    ".core.matching": ("heavy_edge_matching", "random_maximal_matching"),
+    ".core.multilevel": ("multilevel_bisection",),
+    ".core.pipeline": (
+        "CompactedResult", "MultilevelResult", "ckl", "compacted_bisection", "csa",
+    ),
+    ".graphs.graph": ("Graph",),
+    ".graphs.generators.bregular": ("gbreg",),
+    ".graphs.generators.erdos_renyi": ("gnp", "gnp_with_degree"),
+    ".graphs.generators.planted": ("g2set", "g2set_with_degree"),
+    ".graphs.generators.regular": ("random_regular_graph",),
+    ".graphs.generators.special": (
+        "binary_tree", "complete_binary_tree", "cycle_graph", "grid_graph",
+        "ladder_graph", "path_graph",
+    ),
+    ".partition.annealing.cost": ("BalanceCost",),
+    ".partition.annealing.sa": ("simulated_annealing",),
+    ".partition.annealing.schedule": ("AnnealingSchedule",),
+    ".partition.bisection": ("Bisection",),
+    ".partition.bounds": ("bisection_lower_bound", "certify"),
+    ".partition.dfs_cycle": ("bisect_paths_and_cycles",),
+    ".partition.exact": ("exact_bisection", "exact_bisection_width"),
+    ".partition.fm": ("fiduccia_mattheyses",),
+    ".partition.greedy": ("greedy_improvement",),
+    ".partition.kl": ("kernighan_lin",),
+    ".partition.kway": ("KWayPartition", "recursive_kway"),
+    ".partition.mincut": ("stoer_wagner",),
+    ".partition.random_init": ("random_bisection",),
+    ".rng": ("LaggedFibonacciRandom",),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -47,19 +47,16 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import (
-    AlgorithmSpec,
-    Engine,
-    Job,
-    ResultCache,
-    Telemetry,
-    Timer,
-    read_batch_file,
-    run_batch,
-)
-from .graphs.generators import GENERATOR_DEFAULTS, generate_graph
+# Import from defining modules, and let each command import what it runs
+# inside its own function: `run` then loads no generator, batch reader,
+# service or algorithm it does not call.
+from .engine.cache import ResultCache
+from .engine.executor import Engine
+from .engine.job import AlgorithmSpec, Job
+from .engine.telemetry import Telemetry, Timer
+from .graphs.generators import GENERATOR_DEFAULTS
 from .graphs.graph import graph_fingerprint
-from .graphs.io import read_edge_list, write_edge_list
+from .graphs.io import read_edge_list
 from .rng import resolve_rng, start_seeds
 
 __all__ = ["main"]
@@ -91,6 +88,18 @@ def _read_input(what: str, path: str, read):
         return read(path)
     except (OSError, ValueError) as exc:
         raise _InputError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _write_output(what: str, path: str, write) -> None:
+    """``write(path)``, with a path that cannot be written as an ``_InputError``."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise _InputError(f"cannot write {what} {path}: {exc}") from None
+
+
+def _write_text(what: str, path: str, text: str) -> None:
+    _write_output(what, path, lambda target: Path(target).write_text(text, encoding="utf-8"))
 
 
 @contextmanager
@@ -171,10 +180,13 @@ def _make_engine(
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .graphs.generators import generate_graph
+    from .graphs.io import write_edge_list
+
     params = {name: getattr(args, name) for name in GENERATOR_DEFAULTS[args.model]}
     with _parameters(args.model):
         graph = generate_graph(args.model, params)
-    write_edge_list(graph, args.out)
+    _write_output("graph", args.out, lambda path: write_edge_list(graph, path))
     print(f"wrote {graph!r} to {args.out}")
     return 0
 
@@ -220,7 +232,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.save_partition:
         from .partition.io import write_partition
 
-        write_partition(bisection, args.save_partition)
+        _write_output(
+            "partition", args.save_partition, lambda path: write_partition(bisection, path)
+        )
         print(f"saved partition to {args.save_partition}")
     if args.show_sides:
         print("side 0:", sorted(map(str, bisection.side(0))))
@@ -242,7 +256,9 @@ def _cmd_kway(args: argparse.Namespace) -> int:
     if args.save_partition:
         from .partition.io import write_partition
 
-        write_partition(partition, args.save_partition)
+        _write_output(
+            "partition", args.save_partition, lambda path: write_partition(partition, path)
+        )
         print(f"saved partition to {args.save_partition}")
     return 0
 
@@ -281,8 +297,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         scale, rng=args.seed, include_sa=not args.kl_only, engine=engine
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            stream.write(text + "\n")
+        _write_text("report", args.out, text + "\n")
         print(f"wrote report to {args.out}")
     else:
         print(text)
@@ -312,6 +327,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     from .bench import render_generic_table
+    from .engine.batch import read_batch_file, run_batch
 
     try:
         entries = read_batch_file(args.spec)
@@ -328,9 +344,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"batch failed: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            for row in rows:
-                stream.write(json.dumps(row, sort_keys=True) + "\n")
+        lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        _write_text("batch results", args.out, lines)
         print(f"wrote {len(rows)} result(s) to {args.out}")
     print(
         render_generic_table(
@@ -490,7 +505,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .engine import algorithm_names
+    from .engine.registry import algorithm_names
     from .verify import DEFAULT_FAMILIES, run_check
 
     known = set(algorithm_names())
@@ -528,9 +543,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
     print(report.render(verbose=args.verbose))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2)
-            handle.write("\n")
+        _write_text("check report", args.json, json.dumps(report.to_json(), indent=2) + "\n")
         print(f"wrote {args.json}")
     return 0 if report.ok else 1
 
@@ -609,8 +622,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             result.modules_scanned,
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        _write_text("lint report", args.out, text + "\n")
         print(f"wrote {args.out}")
     else:
         print(text)

@@ -28,16 +28,18 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..graphs.graph import Graph
 from ..obs import span
-from ..partition.annealing import AnnealingSchedule, simulated_annealing
 from ..partition.bisection import Bisection, default_tolerance, rebalance
 from ..partition.kl import kernighan_lin
 from ..rng import resolve_rng
 from .compaction import Compaction, compact
 from .matching import Matching, random_maximal_matching
+
+if TYPE_CHECKING:
+    from ..partition.annealing.schedule import AnnealingSchedule
 
 __all__ = [
     "compacted_bisection",
@@ -302,6 +304,8 @@ def csa(
 
     ``record_trace`` is forwarded to both SA stages (coarse and final).
     """
+    from ..partition.annealing.sa import simulated_annealing  # only CSA runs SA
+
     return compacted_bisection(
         graph,
         simulated_annealing,

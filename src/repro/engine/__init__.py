@@ -14,19 +14,22 @@ Entry points: :class:`Engine` (run jobs), :class:`AlgorithmSpec` /
 helpers in :mod:`repro.engine.batch`.
 """
 
-from .batch import BatchEntry, read_batch_file, run_batch
-from .cache import ResultCache, cache_key, default_cache_dir
-from .executor import Engine, JobTimeout, execute_job, retry_seed
-from .handles import JobHandle, JobRunner
-from .job import AlgorithmSpec, Job, JobResult
-from .registry import (
-    AlgorithmInfo,
-    algorithm_info,
-    algorithm_names,
-    build_algorithm,
-    register_algorithm,
-)
-from .telemetry import Telemetry, TelemetryEvent, Timer
+from .. import _lazy_exports
+
+_EXPORTS = {
+    ".batch": ("BatchEntry", "read_batch_file", "run_batch"),
+    ".cache": ("ResultCache", "cache_key", "default_cache_dir"),
+    ".executor": ("Engine", "JobTimeout", "execute_job", "retry_seed"),
+    ".handles": ("JobHandle", "JobRunner"),
+    ".job": ("AlgorithmSpec", "Job", "JobResult"),
+    ".registry": (
+        "AlgorithmInfo", "algorithm_info", "algorithm_names", "build_algorithm",
+        "register_algorithm",
+    ),
+    ".telemetry": ("Telemetry", "TelemetryEvent", "Timer"),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AlgorithmInfo",

@@ -44,7 +44,7 @@ from ..obs.shipper import collect_shipment, merge_shipment
 from ..rng import LaggedFibonacciRandom
 from .cache import ResultCache, job_cache_key, lookup_result, store_result
 from .job import AlgorithmSpec, Job, JobResult
-from .registry import build_algorithm
+from .registry import build_algorithm, import_algorithm
 from .telemetry import Telemetry
 
 __all__ = ["Engine", "JobTimeout", "absorb_shipment", "execute_job", "retry_seed"]
@@ -575,6 +575,10 @@ class Engine:
         if parallel:
             needed = {job.graph_key for _, job, _ in pending}
             table = self._share_graphs(needed, graphs, segments)
+            # Each batch forks a fresh pool: import the algorithms first so
+            # its workers inherit them instead of compiling them again.
+            for name in sorted({job.algorithm.name for _, job, _ in pending}):
+                import_algorithm(name)
             try:
                 pool = _make_pool(min(self.jobs, len(pending)), table)
             except Exception as exc:  # noqa: BLE001 - degrade, don't die

@@ -18,6 +18,7 @@ multiplier); omitted params fall back to the algorithm's own defaults, so
 
 from __future__ import annotations
 
+import importlib
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ __all__ = [
     "algorithm_info",
     "algorithm_names",
     "build_algorithm",
+    "import_algorithm",
     "register_algorithm",
 ]
 
@@ -40,6 +42,8 @@ Algorithm = Callable[[Any, random.Random], Any]
 
 _BUILDERS: dict[str, Callable[..., Algorithm]] = {}
 _INFO: dict[str, "AlgorithmInfo"] = {}
+#: The modules each built-in builder imports (see :func:`import_algorithm`).
+_MODULES: dict[str, tuple[str, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,18 @@ def build_algorithm(spec: AlgorithmSpec) -> Algorithm:
             f"registered: {', '.join(algorithm_names())}"
         )
     return _BUILDERS[spec.name](**spec.params_dict())
+
+
+def import_algorithm(name: str) -> None:
+    """Import the modules ``name``'s built-in builder imports.
+
+    An engine calls this before it forks a worker pool, so every worker
+    inherits the algorithm compiled instead of compiling it on its first
+    job.  Other names (user registrations, unknown names) import nothing
+    here; building them in the worker reports any error on the job.
+    """
+    for module in _MODULES.get(name, ()):
+        importlib.import_module(module, __package__)
 
 
 class _BisectionOnly:
@@ -173,15 +189,16 @@ def _build_cycles() -> Algorithm:
     return lambda graph, rng: _BisectionOnly(bisect_paths_and_cycles(graph))
 
 
-for _name, _builder, _max_degree, _stochastic in (
-    ("kl", _build_kl, None, True),
-    ("ckl", _build_ckl, None, True),
-    ("sa", _build_sa, None, True),
-    ("csa", _build_csa, None, True),
-    ("fm", _build_fm, None, True),
-    ("greedy", _build_greedy, None, True),
-    ("multilevel", _build_multilevel, None, True),
-    ("cycles", _build_cycles, 2, False),
+for _name, _builder, _max_degree, _stochastic, _modules in (
+    ("kl", _build_kl, None, True, ("..partition.kl",)),
+    ("ckl", _build_ckl, None, True, ("..core.pipeline",)),
+    ("sa", _build_sa, None, True, ("..partition.annealing.sa",)),
+    ("csa", _build_csa, None, True, ("..core.pipeline", "..partition.annealing.sa")),
+    ("fm", _build_fm, None, True, ("..partition.fm",)),
+    ("greedy", _build_greedy, None, True, ("..partition.greedy",)),
+    ("multilevel", _build_multilevel, None, True, ("..core.multilevel",)),
+    ("cycles", _build_cycles, 2, False, ("..partition.dfs_cycle",)),
 ):
     register_algorithm(_name, _builder, max_degree=_max_degree, stochastic=_stochastic)
-del _name, _builder, _max_degree, _stochastic
+    _MODULES[_name] = _modules
+del _name, _builder, _max_degree, _stochastic, _modules

@@ -16,34 +16,27 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any
 
+from ... import _lazy_exports
 from ..graph import Graph
 
-from .bregular import (
-    BisectionRegularGraph,
-    feasible_bisection_widths,
-    gbreg,
-    parity_fixed_width,
-)
-from .gnp import gnp, gnp_with_degree
-from .planted import PlantedGraph, g2set, g2set_with_degree
-from .regular import random_regular_graph, sample_with_degrees
-from .special import (
-    binary_tree,
-    caterpillar_graph,
-    circular_ladder_graph,
-    complete_binary_tree,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    disjoint_cycles,
-    grid_graph,
-    hypercube_graph,
-    ladder_graph,
-    path_graph,
-    star_graph,
-    torus_graph,
-)
-from .trees import prufer_decode, random_tree
+_EXPORTS = {
+    ".bregular": (
+        "BisectionRegularGraph", "feasible_bisection_widths", "gbreg",
+        "parity_fixed_width",
+    ),
+    ".erdos_renyi": ("gnp", "gnp_with_degree"),
+    ".planted": ("PlantedGraph", "g2set", "g2set_with_degree"),
+    ".regular": ("random_regular_graph", "sample_with_degrees"),
+    ".special": (
+        "binary_tree", "caterpillar_graph", "circular_ladder_graph",
+        "complete_binary_tree", "complete_bipartite_graph", "complete_graph",
+        "cycle_graph", "disjoint_cycles", "grid_graph", "hypercube_graph",
+        "ladder_graph", "path_graph", "star_graph", "torus_graph",
+    ),
+    ".trees": ("prufer_decode", "random_tree"),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "GENERATOR_DEFAULTS",
@@ -127,11 +120,19 @@ def generate_graph(model: str, params: Mapping[str, Any] | None = None) -> Graph
         raise ValueError(f"bad {model} parameters: {exc}") from exc
     vertices = args["vertices"]
     if model == "gbreg":
+        from .bregular import gbreg
+
         return gbreg(vertices, args["width"], args["degree"], args["seed"]).graph
     if model == "g2set":
+        from .planted import g2set
+
         return g2set(vertices, args["p"], args["p"], args["width"], args["seed"]).graph
     if model == "gnp":
+        from .erdos_renyi import gnp
+
         return gnp(vertices, args["p"], args["seed"])
+    from .special import binary_tree, grid_graph, ladder_graph
+
     if model == "ladder":
         return ladder_graph(vertices // 2)
     if model == "grid":

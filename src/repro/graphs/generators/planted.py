@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ...rng import resolve_rng
 from ..graph import Graph
-from .gnp import gnp
+from .erdos_renyi import gnp
 
 __all__ = ["g2set", "g2set_with_degree", "PlantedGraph"]
 

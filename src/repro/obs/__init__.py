@@ -20,86 +20,42 @@ run never changes it.*  Instrumentation reads algorithm state; it never
 draws from the RNG, never reorders iteration, never rounds a decision.
 """
 
-from .accumulator import (
-    StreamingStats,
-    TailFit,
-    best_of_k_extrapolation,
-    fit_lower_tail,
-)
-from .buildinfo import process_rss_bytes, refresh_process_gauges, set_build_info
-from .clock import monotonic_time, wall_time
-from .ledger import (
-    LEDGER_SCHEMA,
-    build_ledger,
-    diff_ledgers,
-    ledger_dir,
-    load_ledger,
-    load_schema,
-    validate_ledger,
-    write_ledger,
-)
-from .metrics import (
-    NOOP,
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter,
-    gauge,
-    histogram,
-    histogram_quantile,
-    obs_enabled,
-    parse_series,
-    prometheus_text,
-)
-from .profiler import SamplingProfiler, maybe_profile, profiling_enabled
-from .shipper import build_shipment, collect_shipment, merge_shipment
-from .timeline import (
-    export_chrome_trace,
-    read_event_records,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .trace import (
-    RunContext,
-    Span,
-    capture_spans,
-    current_run,
-    current_run_id,
-    envelope,
-    ingest_span_record,
-    new_run_id,
-    reset_span_totals,
-    run_context,
-    span,
-    span_totals,
-)
+from .. import _lazy_exports
 
-# The dashboard and the live `top` monitor are needed only by the `stats`
-# and `top` commands, so both are loaded lazily (PEP 562) to keep
-# `import repro.obs`, which every instrumented module pays, small.
-_DASHBOARD_EXPORTS = (
-    "render_ledger",
-    "render_ledger_diff",
-)
-_TOP_EXPORTS = (
-    "TopMonitor",
-    "run_top",
-)
+# Every instrumented module imports from here, so names load with their
+# defining module on first use: a span costs ``trace`` and ``metrics``,
+# not the ledger, the profiler or the dashboards.
+_EXPORTS = {
+    ".accumulator": (
+        "StreamingStats", "TailFit", "best_of_k_extrapolation", "fit_lower_tail",
+    ),
+    ".buildinfo": ("process_rss_bytes", "refresh_process_gauges", "set_build_info"),
+    ".clock": ("monotonic_time", "wall_time"),
+    ".dashboard": ("render_ledger", "render_ledger_diff"),
+    ".ledger": (
+        "LEDGER_SCHEMA", "build_ledger", "diff_ledgers", "ledger_dir",
+        "load_ledger", "load_schema", "validate_ledger", "write_ledger",
+    ),
+    ".metrics": (
+        "NOOP", "REGISTRY", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "counter", "gauge", "histogram", "histogram_quantile", "obs_enabled",
+        "parse_series", "prometheus_text",
+    ),
+    ".profiler": ("SamplingProfiler", "maybe_profile", "profiling_enabled"),
+    ".shipper": ("build_shipment", "collect_shipment", "merge_shipment"),
+    ".timeline": (
+        "export_chrome_trace", "read_event_records", "validate_chrome_trace",
+        "write_chrome_trace",
+    ),
+    ".top": ("TopMonitor", "run_top"),
+    ".trace": (
+        "RunContext", "Span", "capture_spans", "current_run", "current_run_id",
+        "envelope", "ingest_span_record", "new_run_id", "reset_span_totals",
+        "run_context", "span", "span_totals",
+    ),
+}
 
-
-def __getattr__(name: str):
-    if name in _DASHBOARD_EXPORTS:
-        from . import dashboard
-
-        return getattr(dashboard, name)
-    if name in _TOP_EXPORTS:
-        from . import top
-
-        return getattr(top, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Counter",

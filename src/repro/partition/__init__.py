@@ -1,31 +1,32 @@
 """Bisection algorithms: KL, SA, FM, and the baseline/oracle solvers."""
 
-from .annealing import AnnealingSchedule, BalanceCost, SAResult, simulated_annealing
-from .bisection import (
-    Bisection,
-    cut_weight,
-    default_tolerance,
-    minimum_achievable_deviation,
-    minimum_achievable_imbalance,
-    rebalance,
-    side_weights,
-)
-from .bounds import BisectionBounds, bisection_lower_bound, certify
-from .dfs_cycle import bisect_paths_and_cycles
-from .exact import exact_bisection, exact_bisection_width
-from .mincut import GlobalMinCut, stoer_wagner
-from .fm import FMResult, fiduccia_mattheyses
-from .greedy import GreedyResult, greedy_improvement
-from .io import (
-    partition_from_string,
-    partition_to_string,
-    read_bisection,
-    read_partition,
-    write_partition,
-)
-from .kl import KLResult, kernighan_lin, kl_pass
-from .kway import KWayPartition, recursive_kway
-from .random_init import random_assignment, random_bisection
+from .. import _lazy_exports
+
+_EXPORTS = {
+    ".annealing.cost": ("BalanceCost",),
+    ".annealing.sa": ("SAResult", "simulated_annealing"),
+    ".annealing.schedule": ("AnnealingSchedule",),
+    ".bisection": (
+        "Bisection", "cut_weight", "default_tolerance",
+        "minimum_achievable_deviation", "minimum_achievable_imbalance",
+        "rebalance", "side_weights",
+    ),
+    ".bounds": ("BisectionBounds", "bisection_lower_bound", "certify"),
+    ".dfs_cycle": ("bisect_paths_and_cycles",),
+    ".exact": ("exact_bisection", "exact_bisection_width"),
+    ".fm": ("FMResult", "fiduccia_mattheyses"),
+    ".greedy": ("GreedyResult", "greedy_improvement"),
+    ".io": (
+        "partition_from_string", "partition_to_string", "read_bisection",
+        "read_partition", "write_partition",
+    ),
+    ".kl": ("KLResult", "kernighan_lin", "kl_pass"),
+    ".kway": ("KWayPartition", "recursive_kway"),
+    ".mincut": ("GlobalMinCut", "stoer_wagner"),
+    ".random_init": ("random_assignment", "random_bisection"),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Bisection",

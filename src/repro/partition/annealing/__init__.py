@@ -1,8 +1,14 @@
 """Simulated annealing bisection: the algorithm, schedules, and cost models."""
 
-from .cost import BalanceCost
-from .sa import SAResult, simulated_annealing
-from .schedule import AnnealingSchedule, estimate_initial_temperature
+from ... import _lazy_exports
+
+_EXPORTS = {
+    ".cost": ("BalanceCost",),
+    ".sa": ("SAResult", "simulated_annealing"),
+    ".schedule": ("AnnealingSchedule", "estimate_initial_temperature"),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "simulated_annealing",

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import io as _io
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from ..graphs.graph import Graph
 from .bisection import Bisection
-from .kway import KWayPartition
+
+if TYPE_CHECKING:  # kway loads KL and FM, which reading or writing never runs
+    from .kway import KWayPartition
 
 __all__ = [
     "write_partition",
@@ -46,11 +48,13 @@ def write_partition(
     if isinstance(partition, Bisection):
         k = 2
         mapping = partition.assignment()
-    elif isinstance(partition, KWayPartition):
+    else:
+        from .kway import KWayPartition
+
+        if not isinstance(partition, KWayPartition):
+            raise TypeError(f"cannot serialize {type(partition).__name__}")
         k = partition.k
         mapping = partition.part_map()
-    else:
-        raise TypeError(f"cannot serialize {type(partition).__name__}")
     stream, owned = _open_for(target, "w")
     try:
         stream.write(f"# repro partition k={k}\n")
@@ -94,6 +98,8 @@ def read_partition(graph: Graph, source: str | Path | TextIO) -> KWayPartition:
         raise ValueError(f"partition names unknown vertex {extra[0]!r}")
     if any(not 0 <= p < k for p in mapping.values()):
         raise ValueError(f"part index out of range for k={k}")
+
+    from .kway import KWayPartition
 
     parts = [set() for _ in range(k)]
     for v in graph.vertices():

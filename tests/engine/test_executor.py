@@ -8,11 +8,16 @@ are derived serially in the parent and workers merely replay them.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.engine import registry
 from repro.engine.cache import ResultCache
 from repro.engine.executor import Engine, execute_job, retry_seed
@@ -179,6 +184,52 @@ class TestGracefulDegradation:
         serial = Engine(jobs=1).run(_start_jobs(AlgorithmSpec.make("kl"), 9, 3),
                                     {"g": graph})
         assert [r.cut for r in results] == [r.cut for r in serial]
+
+
+class TestPreForkImport:
+    """A batch imports its algorithms before its pool forks."""
+
+    def test_parent_imports_the_algorithm_before_the_fork(self):
+        probe = """
+import sys
+from repro.engine import executor
+from repro.engine.job import AlgorithmSpec, Job
+from repro.graphs.generators.special import ladder_graph
+
+before = "repro.partition.kl" in sys.modules
+seen = []
+make_pool = executor._make_pool
+
+
+def recording(workers, graphs):
+    seen.append("repro.partition.kl" in sys.modules)
+    return make_pool(workers, graphs)
+
+
+executor._make_pool = recording
+jobs = [Job("g", AlgorithmSpec.make("kl"), seed) for seed in (1, 2)]
+results = executor.Engine(jobs=2).run(jobs, {"g": ladder_graph(8)})
+print(before, seen, [r.ok for r in results])
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "[True]", "[True,", "True]"]
+
+    def test_unknown_algorithm_still_fails_in_the_worker(self, graph):
+        jobs = [
+            Job("g", AlgorithmSpec.make("no_such_algorithm"), seed, job_id=f"j{seed}")
+            for seed in (1, 2)
+        ]
+        engine = Engine(jobs=2)
+        results = engine.run(jobs, {"g": graph})
+        assert engine.telemetry.count("pool_created") == 1
+        assert [r.status for r in results] == ["failed", "failed"]
+        assert [r.error for r in results] == [execute_job(j, graph).error for j in jobs]
+        assert results[0].error.startswith("KeyError: \"unknown algorithm 'no_such_algorithm'")
 
 
 class TestEngineBasics:

@@ -202,16 +202,36 @@ class TestInputErrors:
             ["cache", "prune", "--max-bytes", "-5", "--cache-dir", "{tmp}/cache"],
             ["run", "{empty}"],
             ["netlist", "run", "x.hgr"],
+            ["run", "{good}", "--save-partition", "{tmp}/no/such/dir/p.part"],
+            ["run", "{good}", "--save-partition", "{tmp}"],
+            ["kway", "{good}", "--k", "2", "--save-partition", "{tmp}/no/such/dir/p.part"],
+            ["kway", "{good}", "--k", "2", "--save-partition", "{tmp}"],
+            ["generate", "ladder", "--vertices", "8", "--out", "{tmp}/no/such/dir/g.edges"],
+            ["generate", "ladder", "--vertices", "8", "--out", "{tmp}"],
+            ["batch", "{spec}", "--no-cache", "--out", "{tmp}/no/such/dir/r.jsonl"],
+            ["batch", "{spec}", "--no-cache", "--out", "{tmp}"],
+            ["report", "--kl-only", "--no-cache", "--out", "{tmp}/no/such/dir/r.txt"],
+            ["report", "--kl-only", "--no-cache", "--out", "{tmp}"],
+            ["check", "--quick", "--algorithm", "kl", "--json", "{tmp}/no/such/dir/c.json"],
+            ["lint", "--rule", "R001", "--out", "{tmp}/no/such/dir/l.txt"],
         ],
         ids=["run-missing", "info-missing", "run-malformed", "kway-malformed",
              "score-malformed", "info-directory", "run-telemetry-dir",
              "score-missing-partition", "score-malformed-partition",
              "generate-gbreg-odd", "generate-gbreg-width", "generate-gnp-p",
              "generate-btree-empty", "kway-k0", "kway-k-too-large",
-             "cache-prune-negative", "run-empty-graph", "netlist-removed"],
+             "cache-prune-negative", "run-empty-graph", "netlist-removed",
+             "run-save-missing-dir", "run-save-directory", "kway-save-missing-dir",
+             "kway-save-directory", "generate-out-missing-dir", "generate-out-directory",
+             "batch-out-missing-dir", "batch-out-directory", "report-out-missing-dir",
+             "report-out-directory", "check-json-missing-dir", "lint-out-missing-dir"],
     )
-    def test_one_line_error_exit_2(self, tmp_path, capsys, argv):
+    def test_one_line_error_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
         (tmp_path / "bad.edges").write_text("0 1\nnot an edge\n", encoding="utf-8")
+        (tmp_path / "spec.json").write_text(
+            '{"jobs": [{"graph": "g.edges", "algorithm": "kl"}]}', encoding="utf-8"
+        )
         (tmp_path / "bad.part").write_text("# repro partition k=2\n0\n", encoding="utf-8")
         (tmp_path / "empty.edges").write_text("", encoding="utf-8")
         main(["generate", "ladder", "--vertices", "8", "--out", str(tmp_path / "g.edges")])
@@ -225,6 +245,7 @@ class TestInputErrors:
             "malformed_part": tmp_path / "bad.part",
             "out": tmp_path / "o.edges",
             "empty": tmp_path / "empty.edges",
+            "spec": tmp_path / "spec.json",
         }
         try:
             code, usage = main([arg.format(**paths) for arg in argv]), ""
@@ -266,6 +287,38 @@ def test_import_loads_neither_numpy_nor_bench():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def _fresh_modules(statement: str) -> list[str]:
+    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    probe = (
+        f"import sys; {statement}; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_import_loads_only_what_run_needs():
+    # Package re-exports are lazy: `run --algorithm ckl` imports its
+    # algorithm when it runs it, not when the CLI starts.
+    loaded = _fresh_modules("import repro.cli")
+    assert "repro.cli" in loaded
+    unwanted = (
+        "repro.core", "repro.kernels", "repro.partition", "repro.service",
+        "repro.engine.handles", "repro.engine.batch", "repro.obs.profiler",
+        "repro.graphs.generators.",
+    )
+    assert [m for m in loaded if m.startswith(unwanted)] == []
+
+
+def test_import_repro_loads_only_the_package():
+    assert _fresh_modules("import repro") == ["repro"]
 
 
 def test_report_renderers_do_not_load_bench():
