@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -96,6 +97,19 @@ def _write_output(what: str, path: str, write) -> None:
         write(path)
     except OSError as exc:
         raise _InputError(f"cannot write {what} {path}: {exc}") from None
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work.
+
+    Creates nothing; :func:`_write_output` still reports what only shows
+    at write time (permissions, a full disk).
+    """
+    target = Path(path)
+    if target.is_dir():
+        raise _InputError(f"cannot write {path}: it is a directory")
+    if not target.parent.is_dir():
+        raise _InputError(f"cannot write {path}: no directory {target.parent}")
 
 
 def _write_text(what: str, path: str, text: str) -> None:
@@ -635,34 +649,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import make_server
 
     store = None if args.no_cache else ResultCache(getattr(args, "cache_dir", None))
-    api_keys = None
-    if args.api_keys:
-        try:
-            with open(args.api_keys, encoding="utf-8") as stream:
-                api_keys = json.load(stream)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read API key table {args.api_keys}: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(api_keys, dict):
-            print(f"{args.api_keys}: expected a JSON object of key -> tenant spec",
-                  file=sys.stderr)
-            return 2
     server = make_server(
         host=args.host,
         port=args.port,
         workers=args.workers,
         cache=store,
         telemetry=Telemetry(getattr(args, "telemetry", None)),
-        api_keys=api_keys,
         quiet=not args.verbose,
         default_retries=args.retries,
-        max_inflight=args.max_inflight,
-        max_graphs=args.max_graphs,
     )
     cache_note = "off" if store is None else str(store.root)
-    tenancy = "open (no API keys)" if api_keys is None else f"{len(api_keys)} tenant(s)"
     print(f"serving on {server.url}")
-    print(f"workers: {args.workers}  cache: {cache_note}  tenancy: {tenancy}")
+    print(f"workers: {args.workers}  cache: {cache_note}")
     print("endpoints: /v1/health /v1/graphs /v1/jobs /v1/results /metrics "
           "(Ctrl-C stops)")
     try:
@@ -725,7 +723,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 master_seed=args.seed,
                 base_url=args.remote,
                 clients=args.clients,
-                api_key=args.api_key,
                 job_timeout=args.job_timeout,
             )
         return run_study_local(grid, master_seed=args.seed, engine=_make_engine(args))
@@ -994,20 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=_positive_int, default=2,
-        help="engine worker processes shared by all tenants (default: 2)",
-    )
-    serve.add_argument(
-        "--api-keys", metavar="PATH",
-        help="JSON file mapping API key -> {name, max_inflight, max_graphs}; "
-        "omitted = open mode (one shared 'public' tenant)",
-    )
-    serve.add_argument(
-        "--max-inflight", type=_positive_int, default=64,
-        help="default per-tenant in-flight job quota (default: 64)",
-    )
-    serve.add_argument(
-        "--max-graphs", type=_positive_int, default=32,
-        help="default per-tenant stored-graph quota (default: 32)",
+        help="engine worker processes that run the jobs (default: 2)",
     )
     serve.add_argument(
         "--retries", type=int, default=0,
@@ -1087,7 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--clients", type=_positive_int, default=8,
         help="worker threads for --remote mode",
     )
-    study.add_argument("--api-key", help="service API key for --remote mode")
     study.add_argument(
         "--job-timeout", type=float, default=120.0,
         help="per-job wait timeout in seconds for --remote mode",
@@ -1112,8 +1095,6 @@ def main(argv: list[str] | None = None) -> int:
         # Downstream closed early (e.g. `repro-bisect ... | head`).  Point
         # stdout at devnull so the interpreter's exit-time flush doesn't
         # raise a second BrokenPipeError, and exit cleanly.
-        import os
-
         try:
             fd = sys.stdout.fileno()
         except (OSError, ValueError):  # stdout is not a real file (tests)
@@ -1133,19 +1114,28 @@ def _dispatch(argv: list[str] | None = None) -> int:
                 pass
         except OSError as exc:
             raise _InputError(f"cannot open telemetry file {telemetry}: {exc}") from None
+    for path in (getattr(args, name, None) for name in ("out", "save_partition", "json")):
+        if path:
+            _check_output_path(path)
     ledger_target = getattr(args, "ledger", None)
     if getattr(args, "study_owns_ledger", False):
         ledger_target = None  # study builds its own (kind "study") ledger
     profile_target = getattr(args, "profile", None)
+    wants_profile = profile_target is not None
+    if not wants_profile and "REPRO_PROFILE" in os.environ:
+        from .obs.profiler import profiling_enabled
 
-    from .obs.profiler import maybe_profile, profiling_enabled
-
-    wants_profile = profile_target is not None or profiling_enabled()
+        wants_profile = profiling_enabled()
     if ledger_target is None and not wants_profile:
         return args.func(args)
 
     run = None
-    with maybe_profile(force=wants_profile) as profiler:
+    profiling = nullcontext()
+    if wants_profile:
+        from .obs.profiler import maybe_profile
+
+        profiling = maybe_profile(force=True)
+    with profiling as profiler:
         if ledger_target is None:
             exit_code = args.func(args)
         else:

@@ -1,4 +1,4 @@
-"""Incremental job execution: handles, cancellation, and fair queueing.
+"""Incremental job execution: handles, cancellation, and a FIFO queue.
 
 :class:`~repro.engine.executor.Engine` runs a *batch* to completion and
 returns; a long-running front door (the HTTP service, an interactive
@@ -15,13 +15,9 @@ Design points:
 * **Handles.**  ``submit`` returns a :class:`JobHandle` immediately; the
   caller polls ``handle.state`` / ``handle.result`` or blocks on
   ``handle.wait()``.  States move ``queued -> running -> done`` with a
-  ``cancelled`` exit from ``queued`` only — pure-Python compute cannot be
-  interrupted mid-flight, so cancelling a running job just sets
-  ``cancel_requested`` (the hook a cooperative algorithm could check).
-* **Fair FIFO lanes.**  Each submission names a *lane* (the service maps
-  tenants to lanes).  Dispatch round-robins across non-empty lanes and is
-  FIFO within a lane, so one tenant queueing 1000 jobs cannot starve
-  another's single job.
+  ``cancelled`` exit from ``queued`` only — a job that has started runs
+  to the end.
+* **One FIFO queue.**  Dispatchers take jobs in submission order.
 * **Cache, without double execution.**  A submission whose cache key is
   already stored resolves instantly (``from_cache=True``, no worker
   round-trip).  Identical jobs racing on different workers serialize on a
@@ -84,11 +80,9 @@ class JobHandle:
 
     __slots__ = (
         "job",
-        "lane",
         "cache_key",
         "state",
         "result",
-        "cancel_requested",
         "submitted_at",
         "started_at",
         "finished_at",
@@ -99,14 +93,12 @@ class JobHandle:
         "_lock",
     )
 
-    def __init__(self, job: Job, lane: str, key: str | None) -> None:
+    def __init__(self, job: Job, key: str | None) -> None:
         self.job = job
-        self.lane = lane
         self.cache_key = key
         self._graph: Any = None
         self.state = QUEUED
         self.result: JobResult | None = None
-        self.cancel_requested = False
         self.submitted_at = wall_time()
         self.started_at: float | None = None
         self.finished_at: float | None = None
@@ -126,11 +118,9 @@ class JobHandle:
     def cancel(self) -> bool:
         """Cancel if still queued; True when the cancellation took effect.
 
-        A running job keeps running (``cancel_requested`` is set as a
-        cooperative hook); a finished job is left untouched.
+        A running or finished job is left untouched.
         """
         with self._lock:
-            self.cancel_requested = True
             if self.state != QUEUED:
                 return False
             self.state = CANCELLED
@@ -158,14 +148,11 @@ class JobHandle:
         self._done.set()
 
     def __repr__(self) -> str:
-        return (
-            f"JobHandle({self.job.job_id!r}, lane={self.lane!r}, "
-            f"state={self.state!r})"
-        )
+        return f"JobHandle({self.job.job_id!r}, state={self.state!r})"
 
 
 class JobRunner:
-    """Shared worker pool executing submitted jobs with fair FIFO lanes.
+    """Shared worker pool executing submitted jobs in FIFO order.
 
     ``workers`` is both the dispatcher-thread and the worker-process
     count.  ``workers=0`` creates neither; tests drive dispatch
@@ -188,8 +175,7 @@ class JobRunner:
         self.cache = cache
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.workers = workers
-        self._lanes: dict[str, deque[JobHandle]] = {}
-        self._lane_order: deque[str] = deque()
+        self._queue: deque[JobHandle] = deque()
         self._dispatch = threading.Condition()
         self._closed = False
         self._key_locks: dict[str, threading.Lock] = {}
@@ -212,7 +198,7 @@ class JobRunner:
 
     # -- public API ---------------------------------------------------------------
 
-    def submit(self, job: Job, graph: Any, lane: str = "") -> JobHandle:
+    def submit(self, job: Job, graph: Any) -> JobHandle:
         """Queue ``job`` against ``graph``; returns its handle immediately.
 
         A cache hit resolves the handle before it ever reaches a worker.
@@ -222,7 +208,7 @@ class JobRunner:
         key = None
         if self.cache is not None:
             key = job_cache_key(job, graph)
-        handle = JobHandle(job, lane, key)
+        handle = JobHandle(job, key)
         if key is not None:
             hit = lookup_result(self.cache, key, job, self.telemetry)
             if hit is not None:
@@ -234,12 +220,8 @@ class JobRunner:
         with self._dispatch:
             if self._closed:
                 raise RuntimeError("runner is closed")
-            queue = self._lanes.get(lane)
-            if queue is None:
-                queue = self._lanes[lane] = deque()
-                self._lane_order.append(lane)
-            queue.append(handle)
-            self.telemetry.emit("job_queued", job.job_id, mode="runner", lane=lane)
+            self._queue.append(handle)
+            self.telemetry.emit("job_queued", job.job_id, mode="runner")
             self._dispatch.notify()
         return handle
 
@@ -260,7 +242,7 @@ class JobRunner:
     def pending(self) -> int:
         """Jobs currently queued (excluding running ones)."""
         with self._dispatch:
-            return sum(len(q) for q in self._lanes.values())
+            return len(self._queue)
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting work; cancel queued jobs; release pool and segments.
@@ -272,9 +254,8 @@ class JobRunner:
             if self._closed:
                 return
             self._closed = True
-            leftovers = [h for q in self._lanes.values() for h in q]
-            for queue in self._lanes.values():
-                queue.clear()
+            leftovers = list(self._queue)
+            self._queue.clear()
             self._dispatch.notify_all()
         for handle in leftovers:
             handle.cancel()
@@ -381,14 +362,8 @@ class JobRunner:
         _note_pool_broken(self.telemetry, exc)
 
     def _pop_next(self) -> JobHandle | None:
-        """Next handle, round-robin across lanes (dispatch lock held)."""
-        for _ in range(len(self._lane_order)):
-            lane = self._lane_order[0]
-            self._lane_order.rotate(-1)
-            queue = self._lanes[lane]
-            if queue:
-                return queue.popleft()
-        return None
+        """The oldest queued handle, or ``None`` (dispatch lock held)."""
+        return self._queue.popleft() if self._queue else None
 
     def _worker_loop(self) -> None:
         while True:

@@ -5,7 +5,7 @@ CLI batch commands use — submit a job through ``repro-bisect run``,
 ``repro-bisect batch``, or ``POST /v1/jobs`` and you get the identical
 result bit for bit, served from the same content-addressed cache.
 
-* :mod:`repro.service.state` — tenants, quotas, graph store, job table;
+* :mod:`repro.service.state` — graph store, job table, server-wide caps;
 * :mod:`repro.service.server` — stdlib ``ThreadingHTTPServer`` front end;
 * :mod:`repro.service.client` — ``urllib`` JSON client.
 
@@ -16,17 +16,14 @@ Everything is stdlib-only and instrumented through :mod:`repro.obs`, so
 from .client import ServiceClient, ServiceClientError
 from .server import ServiceServer, ServiceThread, make_server
 from .state import (
-    AuthError,
     NotFoundError,
     QuotaError,
     ServiceError,
     ServiceState,
-    Tenant,
     ValidationError,
 )
 
 __all__ = [
-    "AuthError",
     "NotFoundError",
     "QuotaError",
     "ServiceClient",
@@ -35,7 +32,6 @@ __all__ = [
     "ServiceServer",
     "ServiceState",
     "ServiceThread",
-    "Tenant",
     "ValidationError",
     "make_server",
 ]

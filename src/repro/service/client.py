@@ -35,12 +35,10 @@ class ServiceClientError(Exception):
 
 
 class ServiceClient:
-    """JSON client for one service base URL (optionally one API key)."""
+    """JSON client for one service base URL."""
 
-    def __init__(self, base_url: str, api_key: str | None = None,
-                 timeout: float = 30.0) -> None:
+    def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
-        self.api_key = api_key
         self.timeout = timeout
 
     # -- transport ----------------------------------------------------------------
@@ -50,8 +48,6 @@ class ServiceClient:
         url = self.base_url + path
         data = None
         headers = {"Accept": "application/json"}
-        if self.api_key:
-            headers["X-API-Key"] = self.api_key
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"

@@ -6,14 +6,14 @@ Zero dependencies — :class:`http.server.ThreadingHTTPServer` plus the
 :class:`~repro.engine.handles.JobRunner`'s worker processes, so a slow job
 neither blocks the HTTP accept loop nor holds this process's GIL.
 
-Routes (all JSON; authentication via the ``X-API-Key`` header):
+Routes (all JSON):
 
 ===========================  =====================================================
 ``GET  /v1/health``           liveness + worker/queue counts
 ``GET  /v1/algorithms``       registered graph algorithms
 ``POST /v1/graphs``           upload (``{"edges": ...}``) or generate
                               (``{"generator": ..., "params": {...}}``) a graph
-``GET  /v1/graphs``           list stored graphs (tenant-scoped)
+``GET  /v1/graphs``           list stored graphs
 ``GET  /v1/graphs/<id>``      one graph record (id = canonical fingerprint)
 ``POST /v1/jobs``             submit jobs (algorithm x params x seeds)
 ``GET  /v1/jobs``             list jobs (``?state=`` filter)
@@ -62,7 +62,7 @@ def _route_label(method: str, path: str) -> str:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Request handler: routing, auth, JSON envelope, request metrics."""
+    """Request handler: routing, JSON envelope, request metrics."""
 
     server_version = "repro-bisect-service/1.0"
     protocol_version = "HTTP/1.1"
@@ -107,9 +107,6 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(payload, dict):
             raise _HttpError(400, "request body must be a JSON object")
         return payload
-
-    def _api_key(self) -> str | None:
-        return self.headers.get("X-API-Key")
 
     # -- dispatch -----------------------------------------------------------------
 
@@ -181,15 +178,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, {"algorithms": state.health()["algorithms"]})
             return 200
 
-        tenant = state.resolve_tenant(self._api_key())
-
         if parts and parts[0] == "graphs":
             if method == "POST" and len(parts) == 1:
-                record = state.create_graph(tenant, self._read_json())
+                record = state.create_graph(self._read_json())
                 self._send_json(201, record)
                 return 201
             if method == "GET" and len(parts) == 1:
-                self._send_json(200, {"graphs": state.list_graphs(tenant)})
+                self._send_json(200, {"graphs": state.list_graphs()})
                 return 200
             if method == "GET" and len(parts) == 2:
                 self._send_json(200, state.graph_record(parts[1]))
@@ -198,7 +193,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         if parts and parts[0] == "jobs":
             if method == "POST" and len(parts) == 1:
-                records = state.submit_jobs(tenant, self._read_json())
+                records = state.submit_jobs(self._read_json())
                 self._send_json(202, {"jobs": records})
                 return 202
             if method == "GET" and len(parts) == 1:
@@ -208,13 +203,13 @@ class _Handler(BaseHTTPRequestHandler):
 
                     query = parse_qs(self.path.split("?", 1)[1])
                     state_filter = (query.get("state") or [None])[0]
-                self._send_json(200, {"jobs": state.list_jobs(tenant, state_filter)})
+                self._send_json(200, {"jobs": state.list_jobs(state_filter)})
                 return 200
             if method == "GET" and len(parts) == 2:
-                self._send_json(200, state.job_status(tenant, parts[1]))
+                self._send_json(200, state.job_status(parts[1]))
                 return 200
             if method == "DELETE" and len(parts) == 2:
-                self._send_json(200, state.cancel_job(tenant, parts[1]))
+                self._send_json(200, state.cancel_job(parts[1]))
                 return 200
             raise _HttpError(405, f"{method} not supported on {path!r}")
 
@@ -223,10 +218,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, state.result_by_key(parts[1]))
                 return 200
             raise _HttpError(405, f"{method} not supported on {path!r}")
-
-        if method == "GET" and parts == ["tenants"]:
-            self._send_json(200, {"tenants": state.tenants()})
-            return 200
 
         raise _HttpError(404, f"unknown path {path!r}")
 
@@ -275,21 +266,12 @@ def make_server(
     workers: int = 2,
     cache: Any = None,
     telemetry: Any = None,
-    api_keys: dict[str, dict[str, Any]] | None = None,
     quiet: bool = True,
     default_retries: int = 0,
-    max_inflight: int = 64,
-    max_graphs: int = 32,
 ) -> ServiceServer:
     """Build a ready-to-serve :class:`ServiceServer` (port 0 = ephemeral)."""
     runner = JobRunner(workers=workers, cache=cache, telemetry=telemetry)
-    state = ServiceState(
-        runner,
-        api_keys=api_keys,
-        default_max_inflight=max_inflight,
-        default_max_graphs=max_graphs,
-        default_retries=default_retries,
-    )
+    state = ServiceState(runner, default_retries=default_retries)
     return ServiceServer((host, port), state, quiet=quiet)
 
 

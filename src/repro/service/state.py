@@ -1,20 +1,15 @@
-"""Shared service state: tenants, graph store, and the job table.
+"""Shared service state: graph store, job table and server-wide caps.
 
 :class:`ServiceState` is everything behind the HTTP handlers — it owns a
-:class:`~repro.engine.handles.JobRunner` (the shared worker pool), an
-in-memory content-addressed graph store, the per-tenant job table, and
-quota accounting.  The HTTP layer (:mod:`repro.service.server`) is a thin
-JSON shim over this class, which keeps the logic unit-testable without a
-socket.
+:class:`~repro.engine.handles.JobRunner` (the worker pool and its FIFO
+queue), an in-memory content-addressed graph store and the job table.
+The HTTP layer (:mod:`repro.service.server`) is a thin JSON shim over
+this class, which keeps the logic unit-testable without a socket.
 
-**Tenancy.**  Every request resolves to a :class:`Tenant` via its API key
-(``X-API-Key`` header).  A server started without a key table runs in
-*open mode*: every request maps to one ``public`` tenant with the default
-quotas.  Quotas bound in-flight jobs (queued + running) and stored
-graphs; submissions beyond the limit are rejected with
-:class:`QuotaError` (HTTP 429), unknown keys with :class:`AuthError`
-(HTTP 401).  Fairness across tenants is delegated to the runner's
-round-robin lanes — one lane per tenant.
+**Caps.**  Every client shares one server, so two caps bound what an
+outside client can make it hold: :data:`MAX_INFLIGHT_JOBS` unfinished
+(queued + running) jobs and :data:`MAX_GRAPHS` stored graphs.  A request
+beyond either is rejected with :class:`QuotaError` (HTTP 429).
 
 **Graphs.**  Uploaded or generated graphs are stored in memory keyed by
 their canonical fingerprint (:func:`~repro.graphs.graph.graph_fingerprint`),
@@ -25,7 +20,6 @@ reference graphs by content address.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import Any
 
 from ..engine.cache import ResultCache
@@ -40,18 +34,20 @@ from ..obs.clock import wall_time
 from ..rng import LaggedFibonacciRandom, start_seeds
 
 __all__ = [
-    "AuthError",
     "NotFoundError",
     "QuotaError",
     "ServiceError",
     "ServiceState",
-    "Tenant",
     "ValidationError",
     "graph_from_generator_spec",
 ]
 
 #: Hard ceiling on jobs a single submission may expand to (starts/seeds).
 MAX_JOBS_PER_SUBMIT = 1024
+#: Unfinished (queued + running) jobs the server holds at once.
+MAX_INFLIGHT_JOBS = 64
+#: Graphs the server stores; a stored graph is kept until the server stops.
+MAX_GRAPHS = 32
 
 
 class ServiceError(Exception):
@@ -66,12 +62,6 @@ class ValidationError(ServiceError):
     http_status = 400
 
 
-class AuthError(ServiceError):
-    """Missing or unknown API key (HTTP 401)."""
-
-    http_status = 401
-
-
 class NotFoundError(ServiceError):
     """Unknown graph / job / result address (HTTP 404)."""
 
@@ -79,30 +69,9 @@ class NotFoundError(ServiceError):
 
 
 class QuotaError(ServiceError):
-    """Tenant exceeded a quota (HTTP 429)."""
+    """A request would take the server past a cap (HTTP 429)."""
 
     http_status = 429
-
-
-@dataclass
-class Tenant:
-    """One API-key principal: name, quotas, usage counters."""
-
-    name: str
-    api_key: str = ""
-    max_inflight: int = 64
-    max_graphs: int = 32
-    jobs_submitted: int = 0
-    graphs: set = field(default_factory=set)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "max_inflight": self.max_inflight,
-            "max_graphs": self.max_graphs,
-            "jobs_submitted": self.jobs_submitted,
-            "graphs": len(self.graphs),
-        }
 
 
 def graph_from_generator_spec(model: str, params: dict[str, Any]) -> Graph:
@@ -135,16 +104,9 @@ def _graph_record(graph: Graph, graph_id: str, source: str) -> dict[str, Any]:
 
 
 class ServiceState:
-    """The service's world: graphs, jobs, tenants, and the shared runner."""
+    """The service's world: graphs, jobs, and the runner."""
 
-    def __init__(
-        self,
-        runner: JobRunner,
-        api_keys: dict[str, dict[str, Any]] | None = None,
-        default_max_inflight: int = 64,
-        default_max_graphs: int = 32,
-        default_retries: int = 0,
-    ) -> None:
+    def __init__(self, runner: JobRunner, default_retries: int = 0) -> None:
         self.runner = runner
         self.started_at = wall_time()
         self.default_retries = default_retries
@@ -153,46 +115,14 @@ class ServiceState:
         self._graph_meta: dict[str, dict[str, Any]] = {}
         self._jobs: dict[str, dict[str, Any]] = {}
         self._job_counter = 0
-        self.open_mode = not api_keys
-        self._tenants: dict[str, Tenant] = {}
-        if api_keys:
-            for key, spec in api_keys.items():
-                self._tenants[key] = Tenant(
-                    name=str(spec.get("name", key)),
-                    api_key=key,
-                    max_inflight=int(spec.get("max_inflight", default_max_inflight)),
-                    max_graphs=int(spec.get("max_graphs", default_max_graphs)),
-                )
-        else:
-            self._tenants[""] = Tenant(
-                name="public",
-                max_inflight=default_max_inflight,
-                max_graphs=default_max_graphs,
-            )
-
-    # -- tenants ------------------------------------------------------------------
-
-    def resolve_tenant(self, api_key: str | None) -> Tenant:
-        """The tenant for ``api_key``; raises :class:`AuthError` when unknown."""
-        if self.open_mode:
-            return self._tenants[""]
-        tenant = self._tenants.get(api_key or "")
-        if tenant is None:
-            raise AuthError("missing or unknown API key (send X-API-Key)")
-        return tenant
-
-    def tenants(self) -> list[dict[str, Any]]:
-        with self._lock:
-            return [t.to_dict() for t in self._tenants.values()]
 
     # -- graphs -------------------------------------------------------------------
 
-    def create_graph(self, tenant: Tenant, payload: dict[str, Any]) -> dict[str, Any]:
+    def create_graph(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Store a graph from an upload or generator spec; returns its record.
 
         Content-addressed: re-adding an existing graph returns the
-        existing record (and does not count against the tenant's graph
-        quota twice).
+        existing record (and never counts against :data:`MAX_GRAPHS`).
         """
         if not isinstance(payload, dict):
             raise ValidationError("request body must be a JSON object")
@@ -220,18 +150,14 @@ class ServiceState:
         graph_id = graph_fingerprint(graph)
         with self._lock:
             if graph_id not in self._graphs:
-                if len(tenant.graphs) >= tenant.max_graphs:
-                    raise QuotaError(
-                        f"tenant {tenant.name!r} is at its graph quota "
-                        f"({tenant.max_graphs})"
-                    )
+                if len(self._graphs) >= MAX_GRAPHS:
+                    raise QuotaError(f"the server stores its limit of {MAX_GRAPHS} graphs")
                 self._graphs[graph_id] = graph
                 self._graph_meta[graph_id] = _graph_record(graph, graph_id, source)
                 counter("service_graphs_total").inc()
-            tenant.graphs.add(graph_id)
             record = dict(self._graph_meta[graph_id])
         self.runner.telemetry.emit(
-            "graph_stored", graph_id=graph_id, tenant=tenant.name, source=source,
+            "graph_stored", graph_id=graph_id, source=source,
             vertices=record["vertices"], edges=record["edges"],
         )
         return record
@@ -250,15 +176,13 @@ class ServiceState:
             raise NotFoundError(f"unknown graph {graph_id!r}")
         return dict(record)
 
-    def list_graphs(self, tenant: Tenant) -> list[dict[str, Any]]:
+    def list_graphs(self) -> list[dict[str, Any]]:
         with self._lock:
-            visible = tenant.graphs if not self.open_mode else set(self._graph_meta)
-            return [dict(self._graph_meta[g]) for g in sorted(visible)
-                    if g in self._graph_meta]
+            return [dict(self._graph_meta[g]) for g in sorted(self._graph_meta)]
 
     # -- jobs ---------------------------------------------------------------------
 
-    def submit_jobs(self, tenant: Tenant, payload: dict[str, Any]) -> list[dict[str, Any]]:
+    def submit_jobs(self, payload: dict[str, Any]) -> list[dict[str, Any]]:
         """Expand one submission into engine jobs; returns their records.
 
         A submission names a stored graph, an algorithm, optional params,
@@ -305,21 +229,16 @@ class ServiceState:
             raise ValidationError("'retries' must be an integer or null")
         seeds = self._expand_seeds(payload)
         with self._lock:
-            inflight = sum(
-                1 for record in self._jobs.values()
-                if record["tenant"] == tenant.name
-                and not record["handle"].done
-            )
-            if inflight + len(seeds) > tenant.max_inflight:
+            inflight = sum(1 for record in self._jobs.values() if not record["handle"].done)
+            if inflight + len(seeds) > MAX_INFLIGHT_JOBS:
                 raise QuotaError(
-                    f"tenant {tenant.name!r} would have {inflight + len(seeds)} "
-                    f"jobs in flight (quota: {tenant.max_inflight})"
+                    f"the server would have {inflight + len(seeds)} jobs in flight "
+                    f"(limit: {MAX_INFLIGHT_JOBS})"
                 )
             job_ids = []
             for _ in seeds:
                 self._job_counter += 1
                 job_ids.append(f"j{self._job_counter:06d}")
-            tenant.jobs_submitted += len(seeds)
         records = []
         for job_id, seed in zip(job_ids, seeds):
             job = Job(
@@ -328,12 +247,10 @@ class ServiceState:
                 seed=int(seed),
                 job_id=job_id,
                 retries=retries,
-                tags=(("tenant", tenant.name),),
             )
-            handle = self.runner.submit(job, graph, lane=tenant.name)
+            handle = self.runner.submit(job, graph)
             record = {
                 "id": job_id,
-                "tenant": tenant.name,
                 "graph": str(graph_id),
                 "algorithm": spec.describe(),
                 "seed": int(seed),
@@ -342,7 +259,7 @@ class ServiceState:
             with self._lock:
                 self._jobs[job_id] = record
             counter("service_jobs_submitted_total").inc()
-            records.append(self.job_status(tenant, job_id))
+            records.append(self.job_status(job_id))
         return records
 
     @staticmethod
@@ -375,16 +292,16 @@ class ServiceState:
             return [seed]
         return start_seeds(LaggedFibonacciRandom(seed), starts)
 
-    def _record_for(self, tenant: Tenant, job_id: str) -> dict[str, Any]:
+    def _record_for(self, job_id: str) -> dict[str, Any]:
         with self._lock:
             record = self._jobs.get(job_id)
-        if record is None or (not self.open_mode and record["tenant"] != tenant.name):
+        if record is None:
             raise NotFoundError(f"unknown job {job_id!r}")
         return record
 
-    def job_status(self, tenant: Tenant, job_id: str) -> dict[str, Any]:
+    def job_status(self, job_id: str) -> dict[str, Any]:
         """The poll view of one job: state, timings, result when done."""
-        record = self._record_for(tenant, job_id)
+        record = self._record_for(job_id)
         handle: JobHandle = record["handle"]
         status: dict[str, Any] = {
             "id": record["id"],
@@ -412,27 +329,20 @@ class ServiceState:
             }
         return status
 
-    def list_jobs(self, tenant: Tenant, state: str | None = None) -> list[dict[str, Any]]:
+    def list_jobs(self, state: str | None = None) -> list[dict[str, Any]]:
         with self._lock:
-            ids = [
-                job_id
-                for job_id, record in self._jobs.items()
-                if self.open_mode or record["tenant"] == tenant.name
-            ]
-        statuses = [self.job_status(tenant, job_id) for job_id in sorted(ids)]
+            ids = sorted(self._jobs)
+        statuses = [self.job_status(job_id) for job_id in ids]
         if state is not None:
             statuses = [s for s in statuses if s["state"] == state]
         return statuses
 
-    def cancel_job(self, tenant: Tenant, job_id: str) -> dict[str, Any]:
-        record = self._record_for(tenant, job_id)
-        handle: JobHandle = record["handle"]
+    def cancel_job(self, job_id: str) -> dict[str, Any]:
+        handle: JobHandle = self._record_for(job_id)["handle"]
         cancelled = handle.cancel()
         if cancelled:
             counter("service_jobs_cancelled_total").inc()
-            self.runner.telemetry.emit(
-                "job_cancelled", job_id, tenant=record["tenant"]
-            )
+            self.runner.telemetry.emit("job_cancelled", job_id)
         return {"id": job_id, "cancelled": cancelled, "state": handle.state}
 
     # -- results ------------------------------------------------------------------
@@ -457,6 +367,5 @@ class ServiceState:
             "jobs": len(self._jobs),
             "pending": self.runner.pending(),
             "workers": self.runner.workers,
-            "open_mode": self.open_mode,
             "algorithms": algorithm_names(),
         }

@@ -205,7 +205,6 @@ def run_study_remote(
     master_seed: int = 0,
     base_url: str = "http://127.0.0.1:8080",
     clients: int = 8,
-    api_key: str | None = None,
     job_timeout: float = 120.0,
 ) -> StudyOutcome:
     """Run the study against a live service — the standing load test.
@@ -217,7 +216,7 @@ def run_study_remote(
     """
     from ..service.client import ServiceClient
 
-    setup = ServiceClient(base_url, api_key=api_key)
+    setup = ServiceClient(base_url)
     graph_ids: dict[str, str] = {}
     for cell in grid.cells:
         if cell.graph_key not in graph_ids:
@@ -238,7 +237,7 @@ def run_study_remote(
         threading.Thread(
             target=_drain_remote,
             args=(
-                ServiceClient(base_url, api_key=api_key, timeout=job_timeout),
+                ServiceClient(base_url, timeout=job_timeout),
                 work,
                 graph_ids,
                 grid,

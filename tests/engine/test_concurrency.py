@@ -34,7 +34,7 @@ def test_identical_jobs_across_threads_execute_once(tmp_path):
 
     def submitter(prefix: str) -> None:
         for index in range(8):
-            handle = runner.submit(_job(7, f"{prefix}{index}"), graph, lane=prefix)
+            handle = runner.submit(_job(7, f"{prefix}{index}"), graph)
             with submit_lock:
                 handles.append(handle)
 
@@ -71,14 +71,11 @@ def test_shared_jsonl_sink_has_no_torn_lines(tmp_path):
     handles = []
 
     def submitter(prefix: str, base: int) -> None:
-        # Distinct seeds per lane: every submission executes (a submit-time
-        # cache hit would resolve immediately and skip job_start/job_finish).
+        # Distinct seeds per submitter: every submission executes (a
+        # submit-time cache hit would resolve immediately and skip
+        # job_start/job_finish).
         for index in range(6):
-            handles.append(
-                runner.submit(
-                    _job(base + index, f"{prefix}{index}"), graph, lane=prefix
-                )
-            )
+            handles.append(runner.submit(_job(base + index, f"{prefix}{index}"), graph))
 
     threads = [
         threading.Thread(target=submitter, args=(name, base))

@@ -1,4 +1,4 @@
-"""ServiceState: graph store, tenancy/quotas, job table (no HTTP)."""
+"""ServiceState: graph store, server-wide caps, job table (no HTTP)."""
 
 from __future__ import annotations
 
@@ -9,36 +9,30 @@ from repro.graphs.io import graph_to_string
 from repro.graphs.generators import gbreg
 from repro.rng import LaggedFibonacciRandom, derive_seed
 from repro.service import (
-    AuthError,
     NotFoundError,
     QuotaError,
     ServiceState,
     ValidationError,
 )
+from repro.service.state import MAX_GRAPHS, MAX_INFLIGHT_JOBS
 
 
 @pytest.fixture
 def state(tmp_path):
-    """Open-mode state on a synchronous (workers=0) runner."""
+    """State on a synchronous (workers=0) runner."""
     return ServiceState(JobRunner(workers=0, cache=ResultCache(tmp_path / "cache")))
 
 
-@pytest.fixture
-def tenant(state):
-    return state.resolve_tenant(None)
-
-
 class TestGraphStore:
-    def test_upload_edge_list(self, state, tenant):
+    def test_upload_edge_list(self, state):
         graph = gbreg(20, 2, 3, 0).graph
-        record = state.create_graph(tenant, {"edges": graph_to_string(graph)})
+        record = state.create_graph({"edges": graph_to_string(graph)})
         assert record["vertices"] == 20
         assert record["source"] == "upload"
         assert state.get_graph(record["id"]) == graph
 
-    def test_generator_spec(self, state, tenant):
+    def test_generator_spec(self, state):
         record = state.create_graph(
-            tenant,
             {"generator": "gbreg",
              "params": {"vertices": 20, "width": 2, "degree": 3, "seed": 0}},
         )
@@ -70,12 +64,12 @@ class TestGraphStore:
             graph_from_generator_spec(model, params)
         )
 
-    def test_reupload_is_idempotent(self, state, tenant):
+    def test_reupload_is_idempotent(self, state):
         graph = gbreg(20, 2, 3, 0).graph
-        first = state.create_graph(tenant, {"edges": graph_to_string(graph)})
-        second = state.create_graph(tenant, {"edges": graph_to_string(graph)})
+        first = state.create_graph({"edges": graph_to_string(graph)})
+        second = state.create_graph({"edges": graph_to_string(graph)})
         assert first["id"] == second["id"]
-        assert len(state.list_graphs(tenant)) == 1
+        assert len(state.list_graphs()) == 1
 
     @pytest.mark.parametrize(
         "payload",
@@ -89,11 +83,11 @@ class TestGraphStore:
             {"generator": "gbreg", "params": {"vertices": True}},
         ],
     )
-    def test_bad_payloads_are_rejected(self, state, tenant, payload):
+    def test_bad_payloads_are_rejected(self, state, payload):
         with pytest.raises(ValidationError):
-            state.create_graph(tenant, payload)
+            state.create_graph(payload)
 
-    def test_unknown_graph_404(self, state, tenant):
+    def test_unknown_graph_404(self, state):
         with pytest.raises(NotFoundError):
             state.get_graph("feedbeef")
         with pytest.raises(NotFoundError):
@@ -101,81 +95,52 @@ class TestGraphStore:
 
 
 class TestTenancy:
-    def test_open_mode_maps_everyone_to_public(self, state):
-        assert state.resolve_tenant(None).name == "public"
-        assert state.resolve_tenant("anything").name == "public"
+    """One open tenant: every client shares the server-wide caps."""
 
-    def test_keyed_mode_requires_a_known_key(self, tmp_path):
-        state = ServiceState(
-            JobRunner(workers=0),
-            api_keys={"k1": {"name": "alice"}, "k2": {"name": "bob"}},
-        )
-        assert state.resolve_tenant("k1").name == "alice"
-        with pytest.raises(AuthError):
-            state.resolve_tenant(None)
-        with pytest.raises(AuthError):
-            state.resolve_tenant("wrong")
+    def test_graph_quota(self, state):
+        def ladder(vertices):
+            return {"generator": "ladder", "params": {"vertices": vertices}}
 
-    def test_graph_quota(self, tmp_path):
-        state = ServiceState(
-            JobRunner(workers=0), api_keys={"k": {"name": "a", "max_graphs": 1}}
-        )
-        tenant = state.resolve_tenant("k")
-        state.create_graph(
-            tenant, {"generator": "gbreg", "params": {"vertices": 12, "width": 2}}
-        )
+        first = state.create_graph(ladder(4))
+        for index in range(1, MAX_GRAPHS):
+            state.create_graph(ladder(4 + 2 * index))
         with pytest.raises(QuotaError):
-            state.create_graph(
-                tenant, {"generator": "gbreg", "params": {"vertices": 20, "width": 2}}
-            )
+            state.create_graph(ladder(4 + 2 * MAX_GRAPHS))
+        # A stored graph is not a new one: re-uploading it never hits the cap.
+        assert state.create_graph(ladder(4))["id"] == first["id"]
+        assert state.health()["graphs"] == MAX_GRAPHS
 
-    def test_inflight_quota(self, state, tenant, tmp_path):
-        keyed = ServiceState(
-            JobRunner(workers=0), api_keys={"k": {"name": "a", "max_inflight": 2}}
-        )
-        t = keyed.resolve_tenant("k")
-        record = keyed.create_graph(
-            t, {"generator": "gbreg", "params": {"vertices": 12, "width": 2}}
-        )
-        keyed.submit_jobs(t, {"graph": record["id"], "algorithm": "kl", "seed": 0})
-        keyed.submit_jobs(t, {"graph": record["id"], "algorithm": "kl", "seed": 1})
-        with pytest.raises(QuotaError):
-            keyed.submit_jobs(t, {"graph": record["id"], "algorithm": "kl", "seed": 2})
-
-    def test_jobs_are_tenant_scoped(self):
-        state = ServiceState(
-            JobRunner(workers=0),
-            api_keys={"k1": {"name": "alice"}, "k2": {"name": "bob"}},
-        )
-        alice, bob = state.resolve_tenant("k1"), state.resolve_tenant("k2")
+    def test_inflight_quota(self, state):
         record = state.create_graph(
-            alice, {"generator": "gbreg", "params": {"vertices": 12, "width": 2}}
+            {"generator": "gbreg", "params": {"vertices": 12, "width": 2}}
         )
-        (job,) = state.submit_jobs(
-            alice, {"graph": record["id"], "algorithm": "kl", "seed": 0}
-        )
-        assert state.job_status(alice, job["id"])["id"] == job["id"]
-        with pytest.raises(NotFoundError):
-            state.job_status(bob, job["id"])
-        assert state.list_jobs(bob) == []
+        seeds = list(range(MAX_INFLIGHT_JOBS + 1))
+        submission = {"graph": record["id"], "algorithm": "kl"}
+        with pytest.raises(QuotaError):
+            state.submit_jobs({**submission, "seeds": seeds})
+        assert (state.health()["jobs"], state.runner.pending()) == (0, 0)
+        state.submit_jobs({**submission, "seeds": seeds[:-1]})
+        with pytest.raises(QuotaError):
+            state.submit_jobs({**submission, "seed": seeds[-1]})
+        state.runner.step()  # a finished job no longer counts
+        state.submit_jobs({**submission, "seed": seeds[-1]})
 
 
 class TestJobs:
-    def _graph(self, state, tenant):
+    def _graph(self, state):
         return state.create_graph(
-            tenant,
             {"generator": "gbreg",
              "params": {"vertices": 20, "width": 2, "degree": 3, "seed": 0}},
         )
 
-    def test_submit_poll_and_result(self, state, tenant):
-        record = self._graph(state, tenant)
+    def test_submit_poll_and_result(self, state):
+        record = self._graph(state)
         (job,) = state.submit_jobs(
-            tenant, {"graph": record["id"], "algorithm": "kl", "seed": 3}
+            {"graph": record["id"], "algorithm": "kl", "seed": 3}
         )
         assert job["state"] == "queued"
         state.runner.step()
-        status = state.job_status(tenant, job["id"])
+        status = state.job_status(job["id"])
         assert status["state"] == "done"
         assert status["result"]["status"] == "ok"
         assert status["result"]["cut"] is not None
@@ -183,46 +148,45 @@ class TestJobs:
         payload = state.result_by_key(status["cache_key"])
         assert payload["cut"] == status["result"]["cut"]
 
-    def test_starts_expand_to_derived_seeds(self, state, tenant):
-        record = self._graph(state, tenant)
+    def test_starts_expand_to_derived_seeds(self, state):
+        record = self._graph(state)
         jobs = state.submit_jobs(
-            tenant,
             {"graph": record["id"], "algorithm": "kl", "seed": 1, "starts": 3},
         )
         master = LaggedFibonacciRandom(1)
         assert [j["seed"] for j in jobs] == [derive_seed(master, i) for i in range(3)]
 
-    def test_single_start_uses_the_plain_seed(self, state, tenant):
-        record = self._graph(state, tenant)
+    def test_single_start_uses_the_plain_seed(self, state):
+        record = self._graph(state)
         jobs = state.submit_jobs(
-            tenant, {"graph": record["id"], "algorithm": "kl", "seed": 1}
+            {"graph": record["id"], "algorithm": "kl", "seed": 1}
         )
         assert [j["seed"] for j in jobs] == [1]
 
-    def test_explicit_seed_list(self, state, tenant):
-        record = self._graph(state, tenant)
+    def test_explicit_seed_list(self, state):
+        record = self._graph(state)
         jobs = state.submit_jobs(
-            tenant, {"graph": record["id"], "algorithm": "kl", "seeds": [5, 6]}
+            {"graph": record["id"], "algorithm": "kl", "seeds": [5, 6]}
         )
         assert [j["seed"] for j in jobs] == [5, 6]
 
-    def test_cancel_queued_job(self, state, tenant):
-        record = self._graph(state, tenant)
+    def test_cancel_queued_job(self, state):
+        record = self._graph(state)
         (job,) = state.submit_jobs(
-            tenant, {"graph": record["id"], "algorithm": "kl", "seed": 0}
+            {"graph": record["id"], "algorithm": "kl", "seed": 0}
         )
-        outcome = state.cancel_job(tenant, job["id"])
+        outcome = state.cancel_job(job["id"])
         assert outcome["cancelled"] is True
-        assert state.job_status(tenant, job["id"])["state"] == "cancelled"
+        assert state.job_status(job["id"])["state"] == "cancelled"
 
-    def test_list_jobs_state_filter(self, state, tenant):
-        record = self._graph(state, tenant)
+    def test_list_jobs_state_filter(self, state):
+        record = self._graph(state)
         state.submit_jobs(
-            tenant, {"graph": record["id"], "algorithm": "kl", "seeds": [0, 1]}
+            {"graph": record["id"], "algorithm": "kl", "seeds": [0, 1]}
         )
         state.runner.step()
-        assert len(state.list_jobs(tenant, state="done")) == 1
-        assert len(state.list_jobs(tenant, state="queued")) == 1
+        assert len(state.list_jobs(state="done")) == 1
+        assert len(state.list_jobs(state="queued")) == 1
 
     @pytest.mark.parametrize(
         "payload",
@@ -238,15 +202,15 @@ class TestJobs:
             {"graph": "G", "algorithm": "kl", "params": {"bogus": 1}},
         ],
     )
-    def test_bad_submissions_are_rejected(self, state, tenant, payload):
-        record = self._graph(state, tenant)
+    def test_bad_submissions_are_rejected(self, state, payload):
+        record = self._graph(state)
         if payload.get("graph") == "G":
             payload = {**payload, "graph": record["id"]}
         with pytest.raises((ValidationError, NotFoundError)):
-            state.submit_jobs(tenant, payload)
+            state.submit_jobs(payload)
 
-    def test_health_reports_counts(self, state, tenant):
+    def test_health_reports_counts(self, state):
         health = state.health()
         assert health["status"] == "ok"
-        assert health["open_mode"] is True
+        assert (health["graphs"], health["jobs"]) == (0, 0)
         assert "kl" in health["algorithms"]

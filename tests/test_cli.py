@@ -260,6 +260,46 @@ class TestInputErrors:
         assert err.startswith("repro-bisect: error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{good}", "--save-partition", "{tmp}/no/such/dir/p.part"],
+            ["run", "{good}", "--save-partition", "{tmp}"],
+            ["kway", "{good}", "--k", "2", "--save-partition", "{tmp}/no/such/dir/p.part"],
+            ["kway", "{good}", "--k", "2", "--save-partition", "{tmp}"],
+            ["batch", "{spec}", "--no-cache", "--out", "{tmp}/no/such/dir/r.jsonl"],
+            ["batch", "{spec}", "--no-cache", "--out", "{tmp}"],
+            ["report", "--kl-only", "--no-cache", "--out", "{tmp}/no/such/dir/r.txt"],
+            ["report", "--kl-only", "--no-cache", "--out", "{tmp}"],
+            ["check", "--quick", "--algorithm", "kl", "--json", "{tmp}/no/such/dir/c.json"],
+            ["check", "--quick", "--algorithm", "kl", "--json", "{tmp}"],
+        ],
+        ids=["run-missing-dir", "run-directory", "kway-missing-dir", "kway-directory",
+             "batch-missing-dir", "batch-directory", "report-missing-dir",
+             "report-directory", "check-missing-dir", "check-directory"],
+    )
+    def test_unwritable_output_is_refused_before_the_work(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        import repro.cli as cli
+
+        def computed(args):
+            raise AssertionError(f"{args.command} ran before its output path was checked")
+
+        monkeypatch.setattr(cli, f"_cmd_{argv[0]}", computed)
+        (tmp_path / "g.edges").write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+        (tmp_path / "spec.json").write_text(
+            '{"jobs": [{"graph": "g.edges", "algorithm": "kl"}]}', encoding="utf-8"
+        )
+        before = sorted(tmp_path.rglob("*"))
+        paths = {"good": tmp_path / "g.edges", "spec": tmp_path / "spec.json", "tmp": tmp_path}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro-bisect: error: cannot write ")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before  # nothing created
+
     @pytest.mark.parametrize("starts", ["0", "-5"])
     def test_starts_below_one_rejected(self, tmp_path, capsys, starts):
         path = tmp_path / "g.edges"
@@ -292,6 +332,7 @@ def test_import_loads_neither_numpy_nor_bench():
 def _fresh_modules(statement: str) -> list[str]:
     """The ``repro`` modules a fresh interpreter holds after ``statement``."""
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    env.pop("REPRO_PROFILE", None)
     probe = (
         f"import sys; {statement}; "
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))"
@@ -301,7 +342,7 @@ def _fresh_modules(statement: str) -> list[str]:
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.split()
+    return result.stdout.splitlines()[-1].split()  # after whatever the statement printed
 
 
 def test_import_loads_only_what_run_needs():
@@ -315,6 +356,15 @@ def test_import_loads_only_what_run_needs():
         "repro.graphs.generators.",
     )
     assert [m for m in loaded if m.startswith(unwanted)] == []
+
+
+def test_run_without_profiling_loads_no_profiler(tmp_path):
+    # The profiler is imported when --profile or REPRO_PROFILE asks for it.
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    loaded = _fresh_modules(f"from repro.cli import main; main(['run', {str(graph)!r}])")
+    assert "repro.partition.kl" in loaded  # the run did happen
+    assert "repro.obs.profiler" not in loaded
 
 
 def test_import_repro_loads_only_the_package():

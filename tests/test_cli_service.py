@@ -1,10 +1,8 @@
-"""CLI coverage for the service-era commands: cache, serve, interrupts."""
+"""CLI coverage for the service-era commands: cache and interrupts."""
 
 from __future__ import annotations
 
 import io
-
-import pytest
 
 import repro.cli as cli
 from repro.cli import main
@@ -66,16 +64,3 @@ class TestInterruptHandling:
         monkeypatch.setattr("sys.stdout", io.StringIO())
         assert main(["cache", "stats"]) == 0
 
-
-class TestServeParser:
-    def test_serve_rejects_bad_api_key_file(self, tmp_path, capsys):
-        bad = tmp_path / "keys.json"
-        bad.write_text("[1, 2, 3]", encoding="utf-8")
-        assert main(["serve", "--api-keys", str(bad), "--port", "0"]) == 2
-        assert "JSON object" in capsys.readouterr().err
-
-    def test_serve_rejects_missing_api_key_file(self, tmp_path, capsys):
-        assert main(
-            ["serve", "--api-keys", str(tmp_path / "nope.json"), "--port", "0"]
-        ) == 2
-        assert "cannot read" in capsys.readouterr().err
