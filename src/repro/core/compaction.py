@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import compress
 from operator import add, lt
 
-from ..graphs.csr import CSRGraph, csr_view
+from ..graphs.csr import CSRGraph, cached_csr, csr_view
 from ..graphs.graph import Graph
 from ..obs import counter, gauge, span
 from ..partition.bisection import Bisection
@@ -139,12 +139,13 @@ class Compaction:
         """
         if coarse_bisection.graph is not self.coarse and coarse_bisection.graph != self.coarse:
             raise ValueError("bisection does not belong to this compaction's coarse graph")
-        # G' labels are its ids, so the side map indexes by supervertex id.
-        coarse_sides = coarse_bisection.assignment()
-        return Bisection(
-            self.original,
-            dict(zip(self.fine_labels, map(coarse_sides.__getitem__, self.super_of))),
-        )
+        coarse_sides = coarse_bisection.sides_over(csr_view(self.coarse))
+        sides = list(map(coarse_sides.__getitem__, self.super_of))
+        fine = cached_csr(self.original)
+        if fine is not None and fine.labels is self.fine_labels:
+            return Bisection.from_id_sides(self.original, sides)
+        # The original changed since it was contracted: go by label.
+        return Bisection(self.original, dict(zip(self.fine_labels, sides)))
 
 
 def compact(graph: Graph, matching: Matching) -> Compaction:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Mapping
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import mul, ne, sub
+from operator import add, mul, ne, not_, sub
 
 from .graph import Graph, Vertex
 
@@ -41,6 +41,7 @@ __all__ = [
     "cached_csr",
     "csr_cut_weight",
     "csr_flip",
+    "csr_gains_cut",
     "csr_move_gains",
     "csr_side_weights",
     "csr_view",
@@ -86,7 +87,7 @@ class CSRGraph:
 
     __slots__ = (
         "labels",
-        "index_of",
+        "_index_of",
         "rank",
         "by_rank",
         "indptr",
@@ -125,13 +126,12 @@ class CSRGraph:
 
         The buffers are ``array('q')`` or ``memoryview`` (a shared-memory
         attach passes its mapped windows).  ``index_of`` and ``ranks``
-        default to what ``labels`` imply; ``mirrors`` pre-fills the
-        list-mirror cache and must equal what the lazy builders would make.
+        default to what ``labels`` imply (``index_of`` is then built on
+        first use); ``mirrors`` pre-fills the list-mirror cache and must
+        equal what the lazy builders would make.
         """
         self.labels = labels
-        self.index_of = (
-            {v: i for i, v in enumerate(labels)} if index_of is None else index_of
-        )
+        self._index_of = index_of
         self.rank, self.by_rank = label_ranks(labels) if ranks is None else ranks
         self.indptr = indptr
         self.indices = indices
@@ -148,6 +148,13 @@ class CSRGraph:
             vertex_weight, default=1
         )
         self._lists: dict[str, object] = {} if mirrors is None else mirrors
+
+    @property
+    def index_of(self) -> dict[Vertex, int]:
+        """``label -> id``, in id order."""
+        if self._index_of is None:
+            self._index_of = {v: i for i, v in enumerate(self.labels)}
+        return self._index_of
 
     @classmethod
     def compile(cls, graph: Graph) -> "CSRGraph":
@@ -188,13 +195,13 @@ class CSRGraph:
         are labels, so ranks are the identity; the mirrors that fall out
         of laying the rows out (``neighbors``, ``weights``,
         ``weighted_degrees``, ``vertex_weights``, ``head_tail``) come
-        pre-filled, and the adjacency mirror is left to its lazy builder
-        for the kernels that read it.  Contraction hands G' over this way
-        instead of compiling it.
+        pre-filled, and so does the adjacency mirror, as copies of the
+        rows (the graph keeps the rows themselves).  Contraction hands G'
+        over this way instead of compiling it.
         """
         ids = range(len(rows))
         neighbors = list(map(list, rows))
-        row_weights = [list(row.values()) for row in rows]
+        row_weights = list(map(list, map(dict.values, rows)))
         weights = list(chain.from_iterable(row_weights))
         weighted_degrees = list(map(sum, row_weights))
         return cls._from_slot_lists(
@@ -207,11 +214,11 @@ class CSRGraph:
             total_edge_weight=total_edge_weight,
             max_weighted_degree=max(weighted_degrees, default=0),
             unit_edge_weights=weights.count(1) == len(weights),
-            index_of=dict(zip(ids, ids)),
             ranks=(list(ids), list(ids)),
             mirrors={
                 "neighbors": neighbors,
                 "weights": row_weights,
+                "adjacency": list(map(dict.copy, rows)),
                 "weighted_degrees": weighted_degrees,
                 "vertex_weights": vertex_weight,
             },
@@ -369,31 +376,35 @@ def cached_csr(graph: Graph) -> CSRGraph | None:
 def csr_move_gains(csr: CSRGraph, sides: list[int]) -> list[int]:
     """Per-vertex move gains (cut reduction of flipping each vertex alone).
 
-    The shared gain-initialization of the KL and FM kernels; inner sums run
-    at C level (``sum(map(...))``).  With weighted edges (contracted
-    graphs) one prefix sum over the per-slot ``weight * side`` products
-    replaces the per-row sums: row ``i``'s side-1 weight is
-    ``csum[indptr[i + 1]] - csum[indptr[i]]``.
+    The shared gain-initialization of the KL, FM and SA kernels, at C
+    level: one prefix sum over the per-slot ``weight * side`` products
+    (just the sides on unit-weight graphs) gives row ``i``'s side-1 weight
+    as ``csum[indptr[i + 1]] - csum[indptr[i]]``.
     """
-    sides_get = sides.__getitem__
-    if not csr.unit_edge_weights:
-        _, tails, weights = csr.head_tail_lists()
-        csum = list(accumulate(map(mul, weights, map(sides_get, tails)), initial=0))
-        bounds = list(map(csum.__getitem__, csr.indptr))
-        return [
-            wdeg - 2 * s1 if side else 2 * s1 - wdeg
-            for s1, wdeg, side in zip(
-                map(sub, islice(bounds, 1, None), bounds), csr.weighted_degrees(), sides
-            )
-        ]
-    n = csr.num_vertices
-    nbrs = csr.neighbor_lists()
-    gains = [0] * n
-    for i in range(n):
-        row = nbrs[i]
-        s1 = sum(map(sides_get, row))
-        gains[i] = 2 * s1 - len(row) if sides[i] == 0 else len(row) - 2 * s1
-    return gains
+    _, tails, weights = csr.head_tail_lists()
+    slot_sides = map(sides.__getitem__, tails)
+    csum = list(
+        accumulate(
+            slot_sides if csr.unit_edge_weights else map(mul, weights, slot_sides),
+            initial=0,
+        )
+    )
+    bounds = list(map(csum.__getitem__, csr.indptr))
+    return [
+        wdeg - 2 * s1 if side else 2 * s1 - wdeg
+        for s1, wdeg, side in zip(
+            map(sub, islice(bounds, 1, None), bounds), csr.weighted_degrees(), sides
+        )
+    ]
+
+
+def csr_gains_cut(csr: CSRGraph, sides: list[int], gains: list[int]) -> int:
+    """Cut weight of ``sides`` read off its move gains, in O(|V|).
+
+    A side-0 vertex's edges to side 1 weigh ``(weighted degree + gain) / 2``;
+    ``gains`` must be :func:`csr_move_gains` of ``sides``.
+    """
+    return sum(compress(map(add, csr.weighted_degrees(), gains), map(not_, sides))) // 2
 
 
 def csr_flip(

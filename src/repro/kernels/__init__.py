@@ -7,8 +7,8 @@ buffers of the cached :class:`~repro.graphs.csr.CSRGraph`, in pure
 stdlib Python: plain-list mirrors in the hot loops, ``array('q')``
 canonical storage.  There is one implementation per kernel:
 :mod:`repro.kernels.kl` (KL pair selection), :mod:`repro.kernels.fm`
-(the FM sweep), :mod:`repro.kernels.sa` (the Metropolis walks) and
-:mod:`repro.kernels.lfg` (SA's block random stream).  The batch stages
+(the FM sweep) and :mod:`repro.kernels.sa` (the Metropolis walks, which
+draw from the block random stream of :mod:`repro.rng`).  The batch stages
 they share — gain initialization, incremental flips and cut / side-weight
 recounts — live next to the CSR view in :mod:`repro.graphs.csr`.
 

@@ -6,7 +6,7 @@ without changing a decision:
 
 * **Buffered RNG stream.**  When the generator is our lagged Fibonacci,
   raw 64-bit values are produced in blocks by packed 64-bit-lane int adds
-  (:func:`repro.kernels.lfg.fill_block`) instead of through the ring
+  (:func:`repro.rng.fill_block`) instead of through the ring
   buffer per draw; the generator state is restored exactly afterwards.
   Index draws use the same shift/reject scheme as ``_randbelow``; the
   uniform draw compares the raw 53-bit mantissa against
@@ -45,12 +45,17 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from ..graphs.csr import CSRGraph, csr_move_gains
-from ..rng import LaggedFibonacciRandom
-from .lfg import fill_block, history, restore_state
+from ..rng import (
+    BLOCK,
+    LaggedFibonacciRandom,
+    fill_block,
+    history,
+    restore_state,
+    tail_window,
+)
 
 __all__ = ["SAWalk", "flip_walk", "swap_walk"]
 
-_BLOCK = 4096
 _TWO53 = 9007199254740992.0
 _MAX_TABLE_DEGREE = 1 << 10  # heavier edges keep the float-keyed memo
 
@@ -134,23 +139,19 @@ def _flip_walk_buffered(
     shift = 64 - kbits
 
     idx0 = rng._index
-    hist = history(rng)
-    buf: list[int] = []
-    blen = 0
+    hist = history(rng)  # the 55 values before ``buf``
+    buf, after = fill_block(hist, BLOCK)
+    blen = len(buf)
     p = 0
     consumed = 0  # values consumed before the current block
-    prev_tail: list[int] = []  # last 55 values of the previous block
 
     def refill() -> None:
-        nonlocal buf, blen, p, hist, consumed, prev_tail
+        nonlocal buf, blen, p, hist, after, consumed
         consumed += p
-        if blen:
-            prev_tail = buf[-55:]
-        buf, hist = fill_block(hist, _BLOCK)
+        hist = after
+        buf, after = fill_block(hist, BLOCK)
         blen = len(buf)
         p = 0
-
-    refill()
 
     cdelta = [-g for g in csr_move_gains(csr, sides)]
     B = csr.max_weighted_degree
@@ -282,14 +283,7 @@ def _flip_walk_buffered(
             stale = 0
         temperature = schedule.next_temperature(temperature)
 
-    total = consumed + p
-    if p >= 55:
-        window = buf[p - 55 : p]
-    elif consumed == 0:
-        window = buf[:p]
-    else:
-        window = prev_tail[p:] + buf[:p]
-    restore_state(rng, idx0, total, window)
+    restore_state(rng, idx0, consumed + p, tail_window(hist, buf, p))
 
     return SAWalk(
         sides=sides,

@@ -18,7 +18,7 @@ import random
 from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping
 
-from ..graphs.csr import cached_csr, csr_cut_weight, csr_side_weights
+from ..graphs.csr import CSRGraph, cached_csr, csr_cut_weight, csr_side_weights, csr_view
 from ..graphs.graph import Graph
 
 __all__ = [
@@ -130,11 +130,16 @@ def default_tolerance(graph: Graph) -> int:
     graphs all have an even vertex count, so this is 0 there).  For
     weighted (contracted) graphs: the exact minimum achievable imbalance.
     """
-    if graph.is_uniform_vertex_weight():
+    csr = cached_csr(graph)
+    if csr is None:
+        uniform = graph.is_uniform_vertex_weight()
+        weights = map(graph.vertex_weight, graph.vertices())
+    else:  # read off the compiled view, as cut_weight does
+        uniform = csr.unit_vertex_weights
+        weights = csr.vertex_weight_list()
+    if uniform:
         return graph.num_vertices % 2
-    return minimum_achievable_imbalance(
-        graph.vertex_weight(v) for v in graph.vertices()
-    )
+    return minimum_achievable_imbalance(weights)
 
 
 class Bisection:
@@ -149,7 +154,10 @@ class Bisection:
     0
     """
 
-    __slots__ = ("_graph", "_assignment", "_cut", "_weights")
+    # ``_sides`` is ``(csr, id-indexed side list)`` when the bisection was
+    # built from one (:meth:`from_id_sides`), else ``None``; the vertex ->
+    # side map ``_assignment`` is then laid out from it on first use.
+    __slots__ = ("_graph", "_assignment", "_cut", "_weights", "_sides")
 
     def __init__(self, graph: Graph, assignment: Mapping[Vertex, int]):
         # One walk over the vertices copies; only the error paths walk again.
@@ -160,16 +168,39 @@ class Bisection:
             raise ValueError(
                 f"assignment missing {len(missing)} vertices, e.g. {missing[0]!r}"
             ) from None
-        sides = list(copy.values())
-        if sides.count(0) + sides.count(1) != len(sides):
-            bad = next(v for v, side in copy.items() if side not in (0, 1))
-            raise ValueError(f"assignment values must be 0 or 1 (vertex {bad!r})")
+        _check_sides(list(copy.values()), copy)
         self._graph = graph
         self._assignment = copy
         self._cut: int | None = None
         self._weights: tuple[int, int] | None = None
+        self._sides: tuple[CSRGraph, list[int]] | None = None
 
     # -- constructors -------------------------------------------------------------
+
+    @classmethod
+    def from_id_sides(cls, graph: Graph, sides: list[int]) -> "Bisection":
+        """Build from ``sides[i]``, the side of CSR id ``i`` of ``graph``.
+
+        ``sides`` is indexed by the ids of ``csr_view(graph)`` and is kept,
+        not copied: the caller hands it over.  It is checked as a mapping
+        is — one side per vertex, each 0 or 1.  The bisection counts its
+        cut and weights from the list, :meth:`sides_over` copies it, and
+        the label map is built only when asked for, so the partition
+        drivers skip the label lookups both ways.
+        """
+        csr = csr_view(graph)
+        if len(sides) != csr.num_vertices:
+            raise ValueError(
+                f"side list has {len(sides)} entries for {csr.num_vertices} vertices"
+            )
+        _check_sides(sides, csr.labels)
+        self = cls.__new__(cls)
+        self._graph = graph
+        self._assignment = None
+        self._cut = None
+        self._weights = None
+        self._sides = (csr, sides)
+        return self
 
     @classmethod
     def from_sides(cls, graph: Graph, side_zero: Iterable[Vertex]) -> "Bisection":
@@ -186,38 +217,67 @@ class Bisection:
     def graph(self) -> Graph:
         return self._graph
 
+    @property
+    def _map(self) -> dict[Vertex, int]:
+        if self._assignment is None:
+            csr, sides = self._sides
+            self._assignment = csr.assignment_dict(sides)
+        return self._assignment
+
     def side_of(self, v: Vertex) -> int:
-        return self._assignment[v]
+        return self._map[v]
 
     def side(self, which: int) -> frozenset:
         """The set of vertices on side ``which`` (0 or 1)."""
         if which not in (0, 1):
             raise ValueError("side must be 0 or 1")
-        return frozenset(v for v, s in self._assignment.items() if s == which)
+        return frozenset(v for v, s in self._map.items() if s == which)
 
     def assignment(self) -> dict[Vertex, int]:
         """A mutable copy of the vertex -> side map."""
-        return dict(self._assignment)
+        return dict(self._map)
+
+    def sides_over(self, csr: CSRGraph) -> list[int]:
+        """A new list of the side of each id of ``csr``, a view of this graph."""
+        held = self._sides
+        if held is not None and held[0] is csr:
+            return held[1].copy()
+        return csr.sides_list(self._map)
+
+    def _current_sides(self) -> tuple[CSRGraph, list[int]] | None:
+        """The held side list, while its CSR view is still the graph's."""
+        held = self._sides
+        if held is not None and cached_csr(self._graph) is held[0]:
+            return held
+        return None
 
     @property
     def cut(self) -> int:
         """Total weight of cut edges (cached)."""
         if self._cut is None:
-            self._cut = cut_weight(self._graph, self._assignment)
+            held = self._current_sides()
+            self._cut = (
+                csr_cut_weight(*held) if held else cut_weight(self._graph, self._map)
+            )
         return self._cut
 
     @property
     def weights(self) -> tuple[int, int]:
         """Vertex-weight totals ``(w(side 0), w(side 1))`` (cached)."""
         if self._weights is None:
-            self._weights = side_weights(self._graph, self._assignment)
+            held = self._current_sides()
+            self._weights = (
+                csr_side_weights(*held)
+                if held
+                else side_weights(self._graph, self._map)
+            )
         return self._weights
 
     @property
     def sizes(self) -> tuple[int, int]:
         """Vertex counts per side."""
-        n1 = sum(self._assignment.values())
-        return len(self._assignment) - n1, n1
+        n1 = sum(self._map.values())
+        return len(self._map) - n1, n1
 
     @property
     def imbalance(self) -> int:
@@ -243,14 +303,22 @@ class Bisection:
             return NotImplemented
         if self._graph is not other._graph and self._graph != other._graph:
             return False
-        same = all(self._assignment[v] == other._assignment[v] for v in self._assignment)
+        mine, theirs = self._map, other._map
+        same = all(mine[v] == theirs[v] for v in mine)
         if same:
             return True
-        return all(self._assignment[v] != other._assignment[v] for v in self._assignment)
+        return all(mine[v] != theirs[v] for v in mine)
 
     def __repr__(self) -> str:
         n0, n1 = self.sizes
         return f"Bisection(cut={self.cut}, sides=({n0}, {n1}), imbalance={self.imbalance})"
+
+
+def _check_sides(sides: list[int], labels: Iterable[Vertex]) -> None:
+    """Raise ``ValueError`` unless every side is 0 or 1; ``labels`` name them in order."""
+    if sides.count(0) + sides.count(1) != len(sides):
+        bad = next(v for v, side in zip(labels, sides) if side not in (0, 1))
+        raise ValueError(f"assignment values must be 0 or 1 (vertex {bad!r})")
 
 
 def rebalance(

@@ -33,13 +33,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..graphs.csr import csr_cut_weight, csr_move_gains, csr_side_weights, csr_view
+from ..graphs.csr import csr_gains_cut, csr_move_gains, csr_side_weights, csr_view
 from ..graphs.graph import Graph
 from ..kernels.fm import fm_pass_csr
 from ..obs import counter, span
 from ..rng import resolve_rng
 from .bisection import Bisection, default_tolerance, minimum_achievable_deviation
-from .random_init import random_assignment
+from .random_init import random_sides
 
 __all__ = ["fiduccia_mattheyses", "FMResult"]
 
@@ -112,21 +112,20 @@ def fiduccia_mattheyses(
             (graph.vertex_weight(v) for v in graph.vertices()), target_diff
         )
 
+    csr = csr_view(graph)
     if init is not None:
         if init.graph is not graph and init.graph != graph:
             raise ValueError("init bisection belongs to a different graph")
-        assignment = init.assignment()
+        sides = init.sides_over(csr)
     else:
-        assignment = random_assignment(graph, rng)
+        sides = random_sides(graph, rng)
 
     strict_tol = strict_default if balance_tolerance is None else balance_tolerance
     max_weight = max(graph.vertex_weight(v) for v in graph.vertices())
     loose_tol = max(strict_tol, 2 * max_weight)
 
-    csr = csr_view(graph)
-    sides = csr.sides_list(assignment)
     gains = csr_move_gains(csr, sides)
-    initial_cut = csr_cut_weight(csr, sides)
+    initial_cut = csr_gains_cut(csr, sides, gains)
     cut = initial_cut
     passes = 0
     total_moves = 0
@@ -157,7 +156,7 @@ def fiduccia_mattheyses(
     counter("fm_stale_pops_total").inc(stats.get("stale_pops", 0))
     counter("fm_stash_restores_total").inc(stats.get("stash_restores", 0))
 
-    result = Bisection(graph, csr.assignment_dict(sides))
+    result = Bisection.from_id_sides(graph, sides)
     assert result.cut == cut, "incremental cut diverged from recomputation"
     return FMResult(
         bisection=result,

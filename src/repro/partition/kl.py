@@ -42,21 +42,31 @@ A run keeps one id-indexed side list and one gain list from start to
 finish.  Step 1 of every pass after the first reads the carried gains:
 the previous pass's committed swaps were applied to them move by move
 (:func:`~repro.graphs.csr.csr_flip`), which leaves exactly the gains a
-recount would give.  The label dict is built once, at the end.
+recount would give.  A projected start hands over its side list and its
+cut, counted once for the pipeline's report, and the result takes the
+final list; no label dict is built unless a caller asks for one.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
 
-from ..graphs.csr import CSRGraph, csr_cut_weight, csr_flip, csr_move_gains, csr_view
+from ..graphs.csr import (
+    CSRGraph,
+    csr_cut_weight,
+    csr_flip,
+    csr_gains_cut,
+    csr_move_gains,
+    csr_view,
+)
 from ..graphs.graph import Graph
 from ..kernels.kl import kl_sequence
 from ..obs import counter, span
-from ..rng import resolve_rng
 from .bisection import Bisection
-from .random_init import random_assignment
+from .random_init import random_sides
 
 __all__ = ["kernighan_lin", "kl_pass", "KLResult"]
 
@@ -101,14 +111,12 @@ def _kl_pass_csr(
     """
     sequence = kl_sequence(csr, sides, gains, cut, stats)
 
-    best_total = 0
-    best_k = 0
-    running = 0
-    for k, (_, _, gain) in enumerate(sequence, start=1):
-        running += gain
-        if running > best_total:
-            best_total = running
-            best_k = k
+    # Apply the shortest prefix with the largest total gain, if positive.
+    running = list(accumulate(map(itemgetter(2), sequence)))
+    best_total = max(running, default=0)
+    if best_total <= 0:
+        return 0, 0
+    best_k = running.index(best_total) + 1
     csr_flip(csr, sides, gains, [v for a, b, _ in sequence[:best_k] for v in (a, b)])
     return best_total, best_k
 
@@ -150,17 +158,16 @@ def kernighan_lin(
     """
     if graph.num_vertices == 0:
         raise ValueError("cannot bisect the empty graph")
+    csr = csr_view(graph)
     if init is not None:
         if init.graph is not graph and init.graph != graph:
             raise ValueError("init bisection belongs to a different graph")
-        assignment = init.assignment()
+        sides = init.sides_over(csr)
     else:
-        assignment = random_assignment(graph, resolve_rng(rng))
-
-    csr = csr_view(graph)
-    sides = csr.sides_list(assignment)
+        sides = random_sides(graph, rng)
     gains = csr_move_gains(csr, sides)
-    initial_cut = csr_cut_weight(csr, sides)
+    # The pipeline reports a projected start's cut, so count it there once.
+    initial_cut = csr_gains_cut(csr, sides, gains) if init is None else init.cut
     cut = initial_cut
     pass_gains: list[int] = []
     swaps = 0
@@ -185,7 +192,7 @@ def kernighan_lin(
     counter("kl_candidates_total").inc(stats.get("candidates", 0))
     counter("kl_prune_hits_total").inc(stats.get("prune_hits", 0))
 
-    result = Bisection(graph, csr.assignment_dict(sides))
+    result = Bisection.from_id_sides(graph, sides)
     assert result.cut == cut, "incremental cut diverged from recomputation"
     return KLResult(
         bisection=result,

@@ -114,6 +114,9 @@ class ServiceState:
         self._graphs: dict[str, Graph] = {}
         self._graph_meta: dict[str, dict[str, Any]] = {}
         self._jobs: dict[str, dict[str, Any]] = {}
+        # Handles not yet seen finished: the in-flight check walks these,
+        # not every job record the server has stored.
+        self._unfinished: list[JobHandle] = []
         self._job_counter = 0
 
     # -- graphs -------------------------------------------------------------------
@@ -229,7 +232,8 @@ class ServiceState:
             raise ValidationError("'retries' must be an integer or null")
         seeds = self._expand_seeds(payload)
         with self._lock:
-            inflight = sum(1 for record in self._jobs.values() if not record["handle"].done)
+            self._unfinished = [handle for handle in self._unfinished if not handle.done]
+            inflight = len(self._unfinished)
             if inflight + len(seeds) > MAX_INFLIGHT_JOBS:
                 raise QuotaError(
                     f"the server would have {inflight + len(seeds)} jobs in flight "
@@ -256,11 +260,15 @@ class ServiceState:
                 "seed": int(seed),
                 "handle": handle,
             }
-            with self._lock:
-                self._jobs[job_id] = record
+            self._register(record)
             counter("service_jobs_submitted_total").inc()
             records.append(self.job_status(job_id))
         return records
+
+    def _register(self, record: dict[str, Any]) -> None:
+        with self._lock:
+            self._jobs[record["id"]] = record
+            self._unfinished.append(record["handle"])  # dropped once seen finished
 
     @staticmethod
     def _expand_seeds(payload: dict[str, Any]) -> list[int]:

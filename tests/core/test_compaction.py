@@ -18,7 +18,7 @@ from repro.graphs.generators import (
     path_graph,
 )
 from repro.graphs.graph import Graph
-from repro.partition.bisection import Bisection
+from repro.partition.bisection import Bisection, cut_weight
 from repro.partition.random_init import random_bisection
 from repro.rng import LaggedFibonacciRandom
 
@@ -285,6 +285,36 @@ class TestIdProjectionAndCoarseCSR:
         compaction.validate()
         assert compaction.fine_labels == list(compaction.original.vertices())
         assert [compaction.parent[v] for v in compaction.fine_labels] == compaction.super_of
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_adjacency_mirror_is_laid_out_at_contraction(family, seed):
+    seeded = cached_csr(_compaction(family, seed).coarse)
+    mirror = seeded._lists["adjacency"]  # filled at contraction, not on first read
+    nbrs, wts = seeded.neighbor_lists(), seeded.weight_lists()
+    assert len(mirror) == seeded.num_vertices
+    for i, row in enumerate(mirror):
+        assert list(row.items()) == list(dict(zip(nbrs[i], wts[i])).items())
+
+
+def test_project_goes_by_label_after_the_original_changes():
+    graph = gbreg(60, 4, 3, LaggedFibonacciRandom(2)).graph
+    compaction = compact(graph, random_maximal_matching(graph, LaggedFibonacciRandom(2)))
+    coarse = compaction.coarse
+    coarse_sides = {s: s % 2 for s in coarse.vertices()}
+    before = compaction.project(Bisection(coarse, coarse_sides)).assignment()
+    # Re-adding a vertex moves it to the end of the vertex order, so a
+    # fresh view numbers the vertices differently from ``fine_labels``.
+    u = compaction.fine_labels[0]
+    edges = list(graph.neighbor_items(u))
+    graph.remove_vertex(u)
+    for v, w in edges:
+        graph.add_edge(u, v, w)
+    assert csr_view(graph).labels != compaction.fine_labels
+    after = compaction.project(Bisection(coarse, coarse_sides))
+    assert after.assignment() == before
+    assert after.cut == cut_weight(graph, before)
 
 
 def test_ckl_compiles_only_the_input_graph(monkeypatch):

@@ -12,11 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.csr import csr_cut_weight, csr_move_gains, csr_side_weights, csr_view
+from repro.graphs.csr import (
+    csr_cut_weight,
+    csr_gains_cut,
+    csr_move_gains,
+    csr_side_weights,
+    csr_view,
+)
 from repro.graphs.generators import gbreg
 from repro.graphs.graph import Graph
-from repro.kernels.lfg import fill_block, history, restore_state
-from repro.rng import LaggedFibonacciRandom
+from repro.rng import LaggedFibonacciRandom, fill_block, history, restore_state
 
 
 def _warmed_rng(seed: int, burn: int = 7) -> LaggedFibonacciRandom:
@@ -147,3 +152,66 @@ class TestGainKernels:
         assert csr_move_gains(csr, [0, 1]) == [5, 5]
         assert csr_move_gains(csr, [0, 0]) == [-5, -5]
         assert csr_cut_weight(csr, [0, 1]) == 5
+
+
+def _row_gains(csr, sides: list[int]) -> list[int]:
+    """Move gains summed row by row over the neighbour lists."""
+    gains = []
+    for i, row in enumerate(csr.neighbor_lists()):
+        to_one = sum(w for u, w in zip(row, csr.weight_lists()[i]) if sides[u])
+        to_zero = sum(w for u, w in zip(row, csr.weight_lists()[i]) if not sides[u])
+        gains.append(to_one - to_zero if sides[i] == 0 else to_zero - to_one)
+    return gains
+
+
+def _single_edge() -> Graph:
+    graph = Graph()
+    graph.add_edge("u", "v")
+    return graph
+
+
+def _only_isolated() -> Graph:
+    graph = Graph()
+    for v in range(5):
+        graph.add_vertex(v)
+    return graph
+
+
+class TestUnitWeightGains:
+    """The prefix-sum gain path on unit-weight graphs, against a per-row sum."""
+
+    CASES = {
+        "empty": Graph,
+        "single_edge": _single_edge,
+        "only_isolated": _only_isolated,
+        "isolated_0": lambda: _with_isolated(0),
+        "isolated_7": lambda: _with_isolated(7),
+        "isolated_first": lambda: Graph.from_edges([(3, 4), (4, 5)], vertices=[9, 3, 4, 5]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gains_and_gain_cut_match_the_rows(self, case, seed):
+        graph = self.CASES[case]()
+        csr = csr_view(graph)
+        assert csr.unit_edge_weights
+        rng = LaggedFibonacciRandom(seed)
+        sides = [rng.randrange(2) for _ in range(csr.num_vertices)]
+        gains = csr_move_gains(csr, sides)
+        assert gains == _row_gains(csr, sides)
+        assert csr_gains_cut(csr, sides, gains) == csr_cut_weight(csr, sides)
+
+    def test_single_edge_values(self):
+        csr = csr_view(_single_edge())
+        assert csr_move_gains(csr, [0, 1]) == [1, 1]
+        assert csr_move_gains(csr, [1, 1]) == [-1, -1]
+        assert csr_gains_cut(csr, [1, 0], [1, 1]) == 1
+
+    @pytest.mark.parametrize("case", sorted(TestGainKernels.CASES))
+    def test_gain_cut_on_the_weighted_cases(self, case):
+        graph = TestGainKernels.CASES[case]()
+        csr = csr_view(graph)
+        for split in range(3):
+            sides = [(i + split) % 2 if split < 2 else 0 for i in range(csr.num_vertices)]
+            gains = csr_move_gains(csr, sides)
+            assert csr_gains_cut(csr, sides, gains) == _recount(graph, sides)[1]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.csr import csr_view
 from repro.graphs.generators import cycle_graph, gnp, ladder_graph
 from repro.graphs.graph import Graph
 from repro.partition.bisection import (
@@ -238,3 +239,50 @@ class TestSideWeights:
         assignment = {v: v % 2 for v in g.vertices()}
         w0, w1 = side_weights(g, assignment)
         assert w0 + w1 == g.total_vertex_weight
+
+
+class TestFromIdSides:
+    """A bisection built from an id-indexed side list equals the dict-built one."""
+
+    def test_same_bisection_as_the_label_map(self, weighted_graph):
+        csr = csr_view(weighted_graph)
+        sides = [i % 2 for i in range(csr.num_vertices)]
+        by_ids = Bisection.from_id_sides(weighted_graph, sides)
+        by_labels = Bisection(weighted_graph, dict(zip(csr.labels, sides)))
+        assert by_ids.assignment() == by_labels.assignment()
+        assert list(by_ids.assignment()) == list(weighted_graph.vertices())
+        assert (by_ids.cut, by_ids.weights, by_ids.sizes) == (
+            by_labels.cut,
+            by_labels.weights,
+            by_labels.sizes,
+        )
+
+    def test_wrong_length_rejected(self, triangle):
+        with pytest.raises(ValueError, match="3 vertices"):
+            Bisection.from_id_sides(triangle, [0, 1])
+
+    def test_bad_side_value_rejected(self, triangle):
+        labels = csr_view(triangle).labels
+        with pytest.raises(ValueError, match=rf"0 or 1 \(vertex {labels[2]!r}\)"):
+            Bisection.from_id_sides(triangle, [0, 1, 2])
+
+    def test_sides_over_is_a_fresh_list(self, small_ladder):
+        csr = csr_view(small_ladder)
+        sides = [i % 2 for i in range(csr.num_vertices)]
+        b = Bisection.from_id_sides(small_ladder, sides)
+        copy = b.sides_over(csr)
+        assert copy == sides and copy is not sides
+        copy[0] = 1 - copy[0]
+        assert b.sides_over(csr) == sides
+
+    def test_sides_over_another_view_goes_by_label(self, small_ladder):
+        b = Bisection.from_sides(small_ladder, range(6))
+        twin = small_ladder.copy()
+        csr = csr_view(twin)
+        assert b.sides_over(csr) == [b.side_of(v) for v in csr.labels]
+
+    def test_counts_follow_the_graph_after_a_mutation(self, small_ladder):
+        rails_apart = [0 if v < 6 else 1 for v in csr_view(small_ladder).labels]
+        b = Bisection.from_id_sides(small_ladder, rails_apart)
+        small_ladder.add_edge(0, 11, 3)
+        assert b.cut == cut_weight(small_ladder, b.assignment()) == 6 + 3

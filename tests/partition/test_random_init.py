@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from repro.core.compaction import compact
 from repro.core.matching import random_maximal_matching
+from repro.graphs.csr import csr_view
 from repro.graphs.generators import cycle_graph, gnp, path_graph
 from repro.graphs.graph import Graph
-from repro.partition.random_init import random_assignment, random_bisection
+from repro.partition.bisection import Bisection, default_tolerance, rebalance
+from repro.partition.random_init import random_assignment, random_bisection, random_sides
 from repro.rng import LaggedFibonacciRandom
 
 
@@ -88,3 +90,60 @@ class TestInterface:
     def test_bad_rng_type_rejected(self):
         with pytest.raises(TypeError):
             random_bisection(path_graph(4), rng="seed")
+
+
+def _label_reference(graph, rng, tolerance=None) -> dict:
+    """The split drawn over the vertex list itself: shuffle the labels,
+    halve them (unit weights) or deal them heaviest-first (weighted)."""
+    vertices = list(graph.vertices())
+    rng.shuffle(vertices)
+    if graph.is_uniform_vertex_weight():
+        cut = len(vertices) - len(vertices) // 2
+        return {v: 0 if k < cut else 1 for k, v in enumerate(vertices)}
+    vertices.sort(key=graph.vertex_weight, reverse=True)
+    assignment, w0, w1 = {}, 0, 0
+    for v in vertices:
+        if w0 <= w1:
+            assignment[v], w0 = 0, w0 + graph.vertex_weight(v)
+        else:
+            assignment[v], w1 = 1, w1 + graph.vertex_weight(v)
+    if abs(w0 - w1) > (default_tolerance(graph) if tolerance is None else tolerance):
+        try:
+            rebalance(graph, assignment, tolerance, rng)
+        except ValueError:
+            pass
+    return assignment
+
+
+class TestIdSides:
+    """Drawing over CSR ids picks the split a draw over labels would."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_same_split_and_stream_as_the_label_reference(self, seed, weighted):
+        g = gnp(41, 0.1, seed)
+        if weighted:
+            g = compact(g, random_maximal_matching(g, seed)).coarse
+        ours, reference = LaggedFibonacciRandom(seed), LaggedFibonacciRandom(seed)
+        sides = random_sides(g, ours)
+        expected = _label_reference(g, reference)
+        assert dict(zip(csr_view(g).labels, sides)) == expected
+        assert ours.getstate() == reference.getstate()
+
+    def test_rebalance_path_matches_the_reference(self):
+        # Heaviest-first deals weights 3, 3, 2, 2, 2 as 7 against 5, and no
+        # single move reaches 6/6: rebalance runs and gives up.
+        g = Graph()
+        for v, w in enumerate((2, 3, 2, 3, 2)):
+            g.add_vertex(v, w)
+        for v in range(4):
+            g.add_edge(v, v + 1)
+        for seed in range(6):
+            ours, reference = LaggedFibonacciRandom(seed), LaggedFibonacciRandom(seed)
+            sides = random_sides(g, ours)
+            assert dict(zip(csr_view(g).labels, sides)) == _label_reference(g, reference)
+            assert Bisection.from_id_sides(g, sides).imbalance == 2
+            assert ours.getstate() == reference.getstate()
+
+    def test_empty_graph(self):
+        assert random_sides(Graph(), 1) == []

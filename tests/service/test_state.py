@@ -125,6 +125,24 @@ class TestTenancy:
         state.runner.step()  # a finished job no longer counts
         state.submit_jobs({**submission, "seed": seeds[-1]})
 
+    def test_inflight_cap_with_many_finished_records(self, state):
+        record = state.create_graph(
+            {"generator": "gbreg", "params": {"vertices": 12, "width": 2}}
+        )
+        submission = {"graph": record["id"], "algorithm": "kl"}
+        cached = list(range(MAX_INFLIGHT_JOBS))
+        state.submit_jobs({**submission, "seeds": cached})
+        while state.runner.step():
+            pass
+        while state.health()["jobs"] < 10_000:  # cache hits finish at submission
+            state.submit_jobs({**submission, "seeds": cached})
+        fresh = list(range(1000, 1000 + MAX_INFLIGHT_JOBS + 1))
+        state.submit_jobs({**submission, "seeds": fresh[:-1]})
+        with pytest.raises(QuotaError, match=f"limit: {MAX_INFLIGHT_JOBS}"):
+            state.submit_jobs({**submission, "seed": fresh[-1]})
+        state.runner.step()
+        state.submit_jobs({**submission, "seed": fresh[-1]})
+
 
 class TestJobs:
     def _graph(self, state):

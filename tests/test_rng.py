@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng import LaggedFibonacciRandom, resolve_rng, spawn
+from repro.rng import BLOCK, LaggedFibonacciRandom, resolve_rng, spawn
 
 
 class TestDeterminism:
@@ -109,6 +109,32 @@ class TestShuffleStream:
             ours.shuffle(items)
             random.Random.shuffle(base, expected)
         assert items == expected
+        assert ours.getstate() == base.getstate()
+
+    @pytest.mark.parametrize("offset", (-1, 0, 1, BLOCK + 1))
+    def test_lengths_around_the_block_size(self, offset):
+        # The shuffle draws from blocks of at most BLOCK values, about 1.4
+        # per element: these lengths span two, three or four blocks.
+        length = BLOCK + offset
+        for seed in range(6):
+            ours = LaggedFibonacciRandom(seed)
+            base = LaggedFibonacciRandom(seed)
+            items = list(range(length))
+            expected = list(range(length))
+            ours.shuffle(items)
+            random.Random.shuffle(base, expected)
+            assert items == expected
+            assert ours.getstate() == base.getstate()
+            for draw in (lambda r: r.random(), lambda r: r.randrange(1000)):
+                assert [draw(ours) for _ in range(100)] == [draw(base) for _ in range(100)]
+
+    def test_a_failing_swap_leaves_the_base_methods_state(self):
+        ours = LaggedFibonacciRandom(8)
+        base = LaggedFibonacciRandom(8)
+        with pytest.raises(TypeError):
+            ours.shuffle((1, 2, 3))
+        with pytest.raises(TypeError):
+            random.Random.shuffle(base, (1, 2, 3))
         assert ours.getstate() == base.getstate()
 
 
