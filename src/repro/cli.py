@@ -179,7 +179,6 @@ def _make_engine(
     args: argparse.Namespace,
     cache: bool = True,
     timeout: float | None = None,
-    retries: int = 0,
 ) -> Engine:
     store = None
     if cache and not getattr(args, "no_cache", False):
@@ -189,7 +188,6 @@ def _make_engine(
         cache=store,
         telemetry=Telemetry(getattr(args, "telemetry", None)),
         timeout=timeout,
-        retries=retries,
     )
 
 
@@ -351,7 +349,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not entries:
         print("batch spec has no jobs", file=sys.stderr)
         return 1
-    engine = _make_engine(args, timeout=args.timeout, retries=args.retries)
+    engine = _make_engine(args, timeout=args.timeout)
     try:
         rows = run_batch(entries, engine)
     except OSError as exc:  # a spec entry names an unreadable graph file
@@ -656,18 +654,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache=store,
         telemetry=Telemetry(getattr(args, "telemetry", None)),
         quiet=not args.verbose,
-        default_retries=args.retries,
     )
     cache_note = "off" if store is None else str(store.root)
     print(f"serving on {server.url}")
     print(f"workers: {args.workers}  cache: {cache_note}")
     print("endpoints: /v1/health /v1/graphs /v1/jobs /v1/results /metrics "
           "(Ctrl-C stops)")
+    import signal
+
+    def _terminate(signum, frame):
+        raise SystemExit(128 + signum)
+
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         server.serve_forever()
     finally:
-        # Runs on Ctrl-C too: stop accepting, drain the worker pool, then
-        # let the KeyboardInterrupt propagate to main() for exit code 130.
+        # Runs on Ctrl-C and SIGTERM too: stop accepting, drain the worker
+        # pool and unlink its segments, then let the KeyboardInterrupt
+        # (exit 130) or SystemExit (exit 143) propagate.
+        signal.signal(signal.SIGTERM, previous)
         server.close()
     return 0
 
@@ -832,10 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None,
         help="default per-job wall-clock timeout in seconds",
     )
-    batch.add_argument(
-        "--retries", type=int, default=0,
-        help="default retries per job (each retry gets a fresh derived seed)",
-    )
     _add_engine_options(batch)
     batch.set_defaults(func=_cmd_batch)
 
@@ -992,10 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=_positive_int, default=2,
         help="engine worker processes that run the jobs (default: 2)",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=0,
-        help="default per-job retries (each retry derives a fresh seed)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log each HTTP request to stderr"

@@ -6,7 +6,7 @@ algorithm spec + derived seed) and fans jobs out over a
 ``multiprocessing`` worker pool, with results guaranteed bitwise
 identical to serial execution.  On top sit a content-addressed on-disk
 result cache (so repeated table regenerations are near-free), per-job
-timeout/retry robustness, and structured JSONL telemetry.
+timeout robustness, and structured JSONL telemetry.
 
 Entry points: :class:`Engine` (run jobs), :class:`AlgorithmSpec` /
 :func:`build_algorithm` (the algorithm registry), :class:`ResultCache`,
@@ -19,7 +19,7 @@ from .. import _lazy_exports
 _EXPORTS = {
     ".batch": ("BatchEntry", "read_batch_file", "run_batch"),
     ".cache": ("ResultCache", "cache_key", "default_cache_dir"),
-    ".executor": ("Engine", "JobTimeout", "execute_job", "retry_seed"),
+    ".executor": ("Engine", "JobTimeout", "execute_job"),
     ".handles": ("JobHandle", "JobRunner"),
     ".job": ("AlgorithmSpec", "Job", "JobResult"),
     ".registry": (
@@ -53,6 +53,5 @@ __all__ = [
     "execute_job",
     "read_batch_file",
     "register_algorithm",
-    "retry_seed",
     "run_batch",
 ]

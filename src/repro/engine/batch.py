@@ -9,7 +9,7 @@ over saved graphs::
         {"graph": "g1.edges", "algorithm": "kl"},
         {"graph": "g1.edges", "algorithm": "sa",
          "params": {"size_factor": 4}, "seed": 7, "starts": 4,
-         "timeout": 60, "retries": 1, "label": "sa-long"}
+         "timeout": 60, "label": "sa-long"}
       ]
     }
 
@@ -45,7 +45,6 @@ class BatchEntry:
     seed: int = 0
     starts: int = 1
     timeout: float | None = None
-    retries: int | None = None
     label: str = ""
 
     def describe(self) -> str:
@@ -67,6 +66,8 @@ def read_batch_file(path: str | Path) -> list[BatchEntry]:
             raise ValueError(f"batch job #{position} has no 'graph' path")
         if "algorithm" not in merged:
             raise ValueError(f"batch job #{position} has no 'algorithm' name")
+        if "retries" in merged:
+            raise ValueError(f"batch job #{position}: 'retries' is not supported")
         graph_path = merged["graph"]
         if not Path(graph_path).is_absolute():
             graph_path = str(base / graph_path)
@@ -79,7 +80,6 @@ def read_batch_file(path: str | Path) -> list[BatchEntry]:
                 seed=int(merged.get("seed", 0)),
                 starts=int(merged.get("starts", 1)),
                 timeout=merged.get("timeout"),
-                retries=merged.get("retries"),
                 label=merged.get("label", ""),
             )
         )
@@ -108,7 +108,6 @@ def run_batch(entries: Sequence[BatchEntry], engine: Engine) -> list[dict[str, A
                     seed=seed,
                     job_id=f"batch{position}:start{index}",
                     timeout=entry.timeout,
-                    retries=entry.retries,
                     tags=(("entry", position), ("start", index)),
                 )
             )

@@ -4,7 +4,7 @@ A :class:`Job` is everything needed to run one partitioning attempt — a
 graph reference (key into the batch's graph table), a registry
 :class:`AlgorithmSpec` (name plus scalar params, resolved to a callable
 by :mod:`repro.engine.registry` where the job runs), and an integer seed
-— plus robustness knobs (timeout, retries).  Jobs are frozen, hashable
+— plus an optional deadline.  Jobs are frozen, hashable
 and picklable, so they can cross process boundaries and serve as cache
 identities.
 
@@ -68,11 +68,10 @@ class Job:
 
     ``graph_key`` names the graph in the table passed to
     :meth:`repro.engine.executor.Engine.run` (graphs are shipped to
-    workers once per pool, not once per job).  ``timeout`` (seconds) and
-    ``retries`` default to ``None`` meaning "inherit the engine's
-    defaults"; a retried attempt gets a fresh seed derived from
-    ``seed`` and the attempt number, so retries are deterministic
-    functions of the job spec.  ``tags`` are opaque key/value pairs the
+    workers once per pool, not once per job).  ``timeout`` (seconds)
+    defaults to ``None``, meaning "inherit the engine's deadline".  A
+    job runs once, on ``seed``: its result is a function of graph, spec
+    and seed.  ``tags`` are opaque key/value pairs the
     submitter can use to route results (the bench tags jobs with their
     table cell and start index).
     """
@@ -82,7 +81,6 @@ class Job:
     seed: int
     job_id: str = ""
     timeout: float | None = None
-    retries: int | None = None
     tags: tuple[tuple[str, Any], ...] = ()
 
     def tag(self, key: str, default: Any = None) -> Any:
@@ -98,10 +96,10 @@ class JobResult:
 
     ``side0`` holds the sorted :func:`~repro.graphs.graph.vertex_token`
     strings of the vertices on side 0 (empty when the algorithm's result
-    exposes no bisection, or on failure).  ``seconds`` is the wall time
-    of the successful attempt plus any failed attempts before it — the
-    paper's "total time" convention.  ``seeds_tried`` records the seed of
-    every attempt, so tests can verify the retry derivation.
+    exposes no bisection, or on failure).  ``seconds`` is the job's wall
+    time in the algorithm.  ``attempts`` is 1 for a job that ran and 0
+    for one that never reached its algorithm (an unknown name or bad
+    params).
 
     ``obs`` is the in-flight observability shipment (worker-side metric
     deltas and span records — see :mod:`repro.obs.shipper`) attached by
@@ -121,7 +119,6 @@ class JobResult:
     side0: tuple[str, ...]
     seconds: float
     attempts: int = 1
-    seeds_tried: tuple[int, ...] = ()
     from_cache: bool = False
     error: str | None = None
     counters: dict[str, Any] = field(default_factory=dict)

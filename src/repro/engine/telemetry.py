@@ -132,9 +132,6 @@ class Telemetry:
             "cache_hits": self.count("cache_hit"),
             "executed": len(executed),
             "failed": sum(1 for e in finishes if e.payload.get("status") != "ok"),
-            "retries": sum(
-                max(0, e.payload.get("attempts", 1) - 1) for e in finishes
-            ),
             "compute_seconds": sum(e.payload.get("seconds", 0.0) for e in executed),
             "pool_unavailable": self.count("pool_unavailable"),
             "pool_broken": self.count("pool_broken"),
@@ -151,8 +148,6 @@ class Telemetry:
             f"{s['failed']} failed",
             f"{s['compute_seconds']:.2f}s compute",
         ]
-        if s["retries"]:
-            parts.append(f"{s['retries']} retries")
         if s["pool_unavailable"] or s["pool_broken"] or s["shm_attach_failed"]:
             parts.append("degraded to serial")
         return "engine: " + " | ".join(parts)

@@ -39,7 +39,6 @@ to fall back to the plain pickle path.
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 from dataclasses import dataclass
@@ -52,21 +51,10 @@ __all__ = [
     "SharedGraphSegment",
     "ShmAttachError",
     "ShmGraphRef",
-    "shm_enabled",
 ]
 
 _MAGIC = b"RPROCSR1"
 _HEADER = struct.Struct("<8sQ")  # magic, metadata byte length
-
-
-def shm_enabled() -> bool:
-    """True unless the ``REPRO_SHM`` escape hatch disables shm sharding.
-
-    Any non-empty value other than ``0`` keeps sharding on; ``0`` forces
-    the engine back to the pickled-graph worker path.  Checked at batch
-    time, not import time, so tests can flip it per run.
-    """
-    return os.environ.get("REPRO_SHM", "1") != "0"
 
 
 class ShmAttachError(RuntimeError):

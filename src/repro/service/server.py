@@ -267,11 +267,10 @@ def make_server(
     cache: Any = None,
     telemetry: Any = None,
     quiet: bool = True,
-    default_retries: int = 0,
 ) -> ServiceServer:
     """Build a ready-to-serve :class:`ServiceServer` (port 0 = ephemeral)."""
     runner = JobRunner(workers=workers, cache=cache, telemetry=telemetry)
-    state = ServiceState(runner, default_retries=default_retries)
+    state = ServiceState(runner)
     return ServiceServer((host, port), state, quiet=quiet)
 
 

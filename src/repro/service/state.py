@@ -106,10 +106,9 @@ def _graph_record(graph: Graph, graph_id: str, source: str) -> dict[str, Any]:
 class ServiceState:
     """The service's world: graphs, jobs, and the runner."""
 
-    def __init__(self, runner: JobRunner, default_retries: int = 0) -> None:
+    def __init__(self, runner: JobRunner) -> None:
         self.runner = runner
         self.started_at = wall_time()
-        self.default_retries = default_retries
         self._lock = threading.Lock()
         self._graphs: dict[str, Graph] = {}
         self._graph_meta: dict[str, dict[str, Any]] = {}
@@ -225,11 +224,10 @@ class ServiceState:
             # Without a pool, jobs run on dispatcher threads, where no
             # deadline can arm; a deadline honoured only sometimes is refused.
             raise ValidationError("per-job 'timeout' is not supported by the service")
-        retries = payload.get("retries", self.default_retries)
-        if retries is not None and (
-            isinstance(retries, bool) or not isinstance(retries, int)
-        ):
-            raise ValidationError("'retries' must be an integer or null")
+        if "retries" in payload:
+            # A job's result is a function of graph, spec and seed; a
+            # retry on a derived seed would be stored under the original.
+            raise ValidationError("per-job 'retries' is not supported by the service")
         seeds = self._expand_seeds(payload)
         with self._lock:
             self._unfinished = [handle for handle in self._unfinished if not handle.done]
@@ -250,7 +248,6 @@ class ServiceState:
                 algorithm=spec,
                 seed=int(seed),
                 job_id=job_id,
-                retries=retries,
             )
             handle = self.runner.submit(job, graph)
             record = {

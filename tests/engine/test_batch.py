@@ -40,7 +40,7 @@ class TestReadBatchFile:
                     {"graph": gpath.name},
                     {"graph": gpath.name, "algorithm": "sa",
                      "params": {"size_factor": 2}, "seed": 7, "starts": 1,
-                     "timeout": 30, "retries": 1, "label": "sa-run"},
+                     "timeout": 30, "label": "sa-run"},
                 ],
             },
         )
@@ -51,9 +51,7 @@ class TestReadBatchFile:
         assert first.spec == AlgorithmSpec.make("ckl")
         assert (first.seed, first.starts) == (5, 2)
         assert second.spec == AlgorithmSpec.make("sa", size_factor=2)
-        assert (second.seed, second.starts, second.timeout, second.retries) == (
-            7, 1, 30, 1,
-        )
+        assert (second.seed, second.starts, second.timeout) == (7, 1, 30)
         assert second.describe() == "sa-run"
 
     def test_missing_fields_rejected(self, tmp_path):
@@ -63,6 +61,10 @@ class TestReadBatchFile:
             read_batch_file(_write_spec(tmp_path, {"jobs": [{"graph": "g.edges"}]}))
         with pytest.raises(ValueError, match="'jobs'"):
             read_batch_file(_write_spec(tmp_path, {"defaults": {}}))
+        with pytest.raises(ValueError, match="'retries' is not supported"):
+            read_batch_file(_write_spec(
+                tmp_path, {"jobs": [{"graph": "g.edges", "algorithm": "kl", "retries": 1}]}
+            ))
 
 
 class TestRunBatch:

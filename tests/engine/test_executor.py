@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.engine import registry
 from repro.engine.cache import ResultCache
-from repro.engine.executor import Engine, execute_job, retry_seed
+from repro.engine.executor import Engine, execute_job
 from repro.engine.job import AlgorithmSpec, Job
 from repro.engine.telemetry import Telemetry
 from repro.graphs.generators import gbreg
@@ -61,7 +61,7 @@ class TestExecuteJob:
         assert len(result.side0) == graph.num_vertices // 2
         assert result.counters["passes"] >= 1
         assert isinstance(result.counters["pass_gains"], list)
-        assert result.seeds_tried == (5,)
+        assert (result.seed, result.attempts) == (5, 1)
 
     def test_compaction_counters_are_nested(self, graph):
         job = Job("g", AlgorithmSpec.make("ckl"), seed=5)
@@ -74,38 +74,31 @@ class TestExecuteJob:
         def explode(g, rng):
             raise RuntimeError("kaboom")
 
-        result = execute_job(Job("g", register(explode), seed=1, retries=2), graph)
+        result = execute_job(Job("g", register(explode), seed=1), graph)
         assert result.status == "failed"
-        assert result.attempts == 3
+        assert result.attempts == 1
         assert "kaboom" in result.error
-        assert result.seeds_tried == (1, retry_seed(1, 1), retry_seed(1, 2))
 
-    def test_retry_recovers_with_derived_seed(self, graph, register):
+    def test_failed_seed_is_not_cached_and_fails_again(self, graph, register, tmp_path):
+        # A job's result is a function of graph, spec and seed: a seed its
+        # algorithm fails on stores nothing, and a second run against the
+        # same cache runs it again and fails again.
         calls = []
 
-        def flaky(g, rng):
-            calls.append(rng.getrandbits(64))
-            if len(calls) == 1:
-                raise RuntimeError("transient")
-            return SimpleNamespace(cut=7)
+        def seed_fails(g, rng):
+            calls.append(1)
+            raise RuntimeError("this seed fails")
 
-        result = execute_job(Job("g", register(flaky), seed=9, retries=1), graph)
-        assert result.ok
-        assert result.attempts == 2
-        assert result.seeds_tried == (9, retry_seed(9, 1))
-        # The retry really ran from the derived seed's stream.
-        assert calls[1] == LaggedFibonacciRandom(retry_seed(9, 1)).getrandbits(64)
-
-
-class TestRetrySeed:
-    def test_deterministic_and_distinct(self):
-        assert retry_seed(42, 1) == retry_seed(42, 1)
-        seeds = {retry_seed(42, attempt) for attempt in range(1, 10)}
-        assert len(seeds) == 9
-        assert 42 not in seeds
-
-    def test_fits_in_64_bits(self):
-        assert 0 <= retry_seed(2**64 - 1, 7) < 2**64
+        job = Job("g", register(seed_fails), seed=1, job_id="j")
+        for run in (1, 2):
+            engine = Engine(cache=ResultCache(tmp_path))
+            (result,) = engine.run([job], {"g": graph})
+            assert result.status == "failed"
+            assert not result.from_cache
+            assert "this seed fails" in result.error
+            assert engine.telemetry.count("cache_store") == 0
+            assert len(engine.cache) == 0
+            assert len(calls) == run
 
 
 class TestTimeout:
@@ -116,12 +109,12 @@ class TestTimeout:
             time.sleep(5.0)
 
         began = time.perf_counter()
-        job = Job("g", register(sleepy), seed=1, timeout=0.05, retries=1)
+        job = Job("g", register(sleepy), seed=1, timeout=0.05)
         result = execute_job(job, graph)
         assert time.perf_counter() - began < 2.0
         assert result.status == "failed"
         assert result.error.startswith("timeout")
-        assert result.attempts == 2
+        assert result.attempts == 1
 
     def test_timeout_does_not_sink_the_batch(self, graph, register):
         def sleepy(g, rng):
@@ -173,7 +166,7 @@ class TestGracefulDegradation:
     def test_pool_unavailable_falls_back_to_serial(self, graph, monkeypatch):
         import repro.engine.executor as executor
 
-        def broken_pool(workers, graphs):
+        def broken_pool(workers):
             raise OSError("no semaphores here")
 
         monkeypatch.setattr(executor, "_make_pool", broken_pool)
@@ -201,9 +194,9 @@ seen = []
 make_pool = executor._make_pool
 
 
-def recording(workers, graphs):
+def recording(workers):
     seen.append("repro.partition.kl" in sys.modules)
-    return make_pool(workers, graphs)
+    return make_pool(workers)
 
 
 executor._make_pool = recording
@@ -331,7 +324,6 @@ class TestWorkerShmAttachFailureCleanup:
             executor.SharedGraphSegment, "attach",
             classmethod(lambda cls, name: FakeSegment()),
         )
-        monkeypatch.setattr(executor, "_WORKER_GRAPHS", {"g": ShmGraphRef("psm_x")})
         # A pre-existing entry keeps the atexit hook from being
         # registered inside the test process.
         sentinel = SimpleNamespace(close=lambda: None)
@@ -339,6 +331,6 @@ class TestWorkerShmAttachFailureCleanup:
             executor, "_WORKER_ATTACHED", {"seed": (sentinel, None)}
         )
         with pytest.raises(RuntimeError, match="corrupt header"):
-            executor._resolve_worker_graph("g")
+            executor._resolve_worker_graph(ShmGraphRef("psm_x"))
         assert closed == [True]
         assert "psm_x" not in executor._WORKER_ATTACHED

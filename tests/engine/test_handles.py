@@ -16,7 +16,6 @@ from repro.engine import (
     Telemetry,
 )
 import repro.engine.executor as executor
-import repro.engine.handles as handles
 from repro.engine.executor import execute_job
 from repro.graphs.generators import gbreg
 from repro.graphs.shm import SharedGraphSegment, ShmAttachError
@@ -212,7 +211,7 @@ class TestWorkerProcesses:
             # The key now ships whole: no second failed attach.
             later = runner.submit(_job(6, "k"), graph)
             assert later.wait(timeout=60.0)
-            assert runner._segments == {}
+            assert runner.pool._segments == {}
         assert telemetry.count("shm_attach_failed") == 1
         assert telemetry.count("shm_unlink") == 1
         assert telemetry.count("pool_broken") == 0
@@ -224,7 +223,7 @@ class TestWorkerProcesses:
         def broken_pool(*args, **kwargs):
             raise OSError("no semaphores here")
 
-        monkeypatch.setattr(handles, "_make_pool", broken_pool)
+        monkeypatch.setattr(executor, "_make_pool", broken_pool)
         telemetry = Telemetry()
         with JobRunner(workers=2, telemetry=telemetry) as runner:
             handle = runner.submit(_job(4), graph)
@@ -236,8 +235,11 @@ class TestWorkerProcesses:
     def test_dead_worker_degrades_to_in_thread(self, graph):
         telemetry = Telemetry()
         with JobRunner(workers=2, telemetry=telemetry) as runner:
-            for process in list(runner._pool._processes.values()):
-                os.kill(process.pid, signal.SIGKILL)
+            for process in list(runner.pool._pool._processes.values()):
+                try:
+                    os.kill(process.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # the pool already ended it when its sibling died
                 process.join(timeout=10.0)
             first, second = (runner.submit(_job(s, f"j{s}"), graph) for s in (6, 7))
             assert first.wait(timeout=60.0) and second.wait(timeout=60.0)
@@ -249,7 +251,7 @@ class TestWorkerProcesses:
     def test_failed_submit_still_finishes_the_handle(self, graph, error):
         telemetry = Telemetry()
         with JobRunner(workers=2, telemetry=telemetry) as runner:
-            pool = runner._pool
+            pool = runner.pool._pool
 
             def failing_submit(*args, **kwargs):
                 raise error
@@ -258,7 +260,7 @@ class TestWorkerProcesses:
             handle = runner.submit(_job(8), graph)
             assert handle.wait(timeout=60.0)
             # Only a broken pool is dropped; other errors cost one job.
-            assert (runner._pool is None) == isinstance(error, OSError)
+            assert (runner.pool._pool is None) == isinstance(error, OSError)
             del pool.submit
         assert telemetry.count("pool_broken") == int(isinstance(error, OSError))
         assert handle.result.ok

@@ -45,7 +45,7 @@ class TestTelemetry:
     def test_summary_counts(self):
         telemetry = Telemetry()
         telemetry.emit("job_queued", "a")
-        telemetry.emit("job_finish", "a", status="ok", seconds=1.0, attempts=2)
+        telemetry.emit("job_finish", "a", status="ok", seconds=1.0, attempts=1)
         telemetry.emit("cache_hit", "b")
         telemetry.emit("job_finish", "b", status="ok", from_cache=True)
         telemetry.emit("job_queued", "c")
@@ -55,7 +55,7 @@ class TestTelemetry:
         assert summary["cache_hits"] == 1
         assert summary["executed"] == 2
         assert summary["failed"] == 1
-        assert summary["retries"] == 1
+        assert "retries" not in summary
         assert summary["compute_seconds"] == 1.5
 
     def test_render_summary_mentions_degradation(self):

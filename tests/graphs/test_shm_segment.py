@@ -20,7 +20,7 @@ import pytest
 from repro.graphs.csr import csr_view
 from repro.graphs.generators import gbreg
 from repro.graphs.graph import Graph, graph_fingerprint
-from repro.graphs.shm import SharedGraphSegment, ShmAttachError, shm_enabled
+from repro.graphs.shm import SharedGraphSegment, ShmAttachError
 from repro.rng import LaggedFibonacciRandom
 
 
@@ -207,12 +207,3 @@ class TestLifecycle:
         owner.unlink()
         assert owner.name not in _segment_names()
 
-
-class TestEnableSwitch:
-    def test_shm_enabled_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert shm_enabled()
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert not shm_enabled()
-        monkeypatch.setenv("REPRO_SHM", "1")
-        assert shm_enabled()
