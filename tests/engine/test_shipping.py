@@ -71,7 +71,7 @@ def _available(method: str) -> bool:
 
 
 class TestFleetMergeEqualsSerial:
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
     def test_bare_counters_bit_for_bit(self, method, monkeypatch):
         if not _available(method):
             pytest.skip(f"{method} start method unavailable")
@@ -85,7 +85,7 @@ class TestFleetMergeEqualsSerial:
         assert expected  # the kernels really did count something
         assert _bare_kernel_counters(parallel) == expected
 
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
     def test_worker_attribution_present(self, method, monkeypatch):
         if not _available(method):
             pytest.skip(f"{method} start method unavailable")
