@@ -33,7 +33,7 @@ from typing import Iterator
 
 __all__ = [
     "CFG", "Block", "build_cfg", "can_raise", "expr_can_raise", "expr_token",
-    "function_cfgs",
+    "function_cfgs", "head_parts",
 ]
 
 #: Block kinds.  ``stmt`` blocks carry a real AST statement; ``test``
@@ -110,6 +110,21 @@ def expr_token(node: ast.expr) -> str | None:
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
+
+
+def head_parts(stmt: ast.AST) -> tuple[ast.AST, ...]:
+    """The parts of a ``stmt`` block's node that run in that block.
+
+    A ``for`` head binds its target from its iterable and a ``match`` head
+    evaluates its subject; their bodies are blocks of their own, entered
+    with their own lock and resource state.  Any other statement runs
+    whole.
+    """
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        return (stmt.target, stmt.iter)
+    if isinstance(stmt, ast.Match):
+        return (stmt.subject,)
+    return (stmt,)
 
 
 # Statements that cannot raise on their own (their sub-expressions might;

@@ -35,6 +35,7 @@ from .cfg import (
     WITH_EXIT,
     Block,
     expr_token,
+    head_parts,
 )
 
 __all__ = [
@@ -156,7 +157,7 @@ class LockSetAnalysis(ForwardAnalysis):
             if token is not None:
                 return state - {token}
         elif block.kind == STMT:
-            for call in _calls(block.node):
+            for call in _calls(*head_parts(block.node)):
                 if isinstance(call.func, ast.Attribute):
                     token = expr_token(call.func.value)
                     if call.func.attr == "acquire" and self._tracks(token):
@@ -166,10 +167,11 @@ class LockSetAnalysis(ForwardAnalysis):
         return state
 
 
-def _calls(node: ast.AST) -> Iterator[ast.Call]:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            yield sub
+def _calls(*nodes: ast.AST) -> Iterator[ast.Call]:
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                yield sub
 
 
 # -- resource lifetimes ------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Callable, Iterator
 
-from .cfg import CFG, STMT, build_cfg, expr_token, function_cfgs
+from .cfg import CFG, STMT, build_cfg, expr_token, function_cfgs, head_parts
 from .dataflow import (
     LockSetAnalysis,
     ResourceAnalysis,
@@ -45,10 +45,11 @@ from .rules import Finding, Rule, Severity, scoped_nodes
 __all__ = ["FLOW_RULES"]
 
 
-def _calls(node: ast.AST) -> Iterator[ast.Call]:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            yield sub
+def _calls(*nodes: ast.AST) -> Iterator[ast.Call]:
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                yield sub
 
 
 def _resolver(module: ModuleInfo) -> Callable[[ast.expr], str | None]:
@@ -74,7 +75,9 @@ def _self_attr_writes(stmt: ast.AST) -> Iterator[tuple[str, ast.AST]]:
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return  # nested bodies do not execute here
     targets: list[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        targets = [stmt.target]
+    elif isinstance(stmt, ast.Assign):
         targets = stmt.targets
     elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
         targets = [stmt.target]
@@ -90,7 +93,7 @@ def _self_attr_writes(stmt: ast.AST) -> Iterator[tuple[str, ast.AST]]:
             and base.value.id == "self"
         ):
             yield base.attr, stmt
-    for call in _calls(stmt):
+    for call in _calls(*head_parts(stmt)):
         if (
             isinstance(call.func, ast.Attribute)
             and call.func.attr in _MUTATOR_METHODS
@@ -231,7 +234,7 @@ class R011LockDiscipline(Rule):
                     in_state = states[name].get(block.id)
                     if in_state is None:
                         continue
-                    for call in _calls(block.node):
+                    for call in _calls(*head_parts(block.node)):
                         if (
                             isinstance(call.func, ast.Attribute)
                             and isinstance(call.func.value, ast.Name)

@@ -24,7 +24,9 @@ Determinism contract (what fixes every kernel decision):
   ``str``, say) the rank is insertion order instead; either way it
   depends on nothing but the label sequence.
 
-The kernels (see :mod:`repro.kernels`) all read this view.
+The kernels (see :mod:`repro.kernels`) all read this view and no other
+adjacency: even the weight of a candidate pair comes from the neighbour
+rows they already walk, which never list a neighbour twice.
 """
 
 from __future__ import annotations
@@ -71,9 +73,12 @@ class CSRGraph:
     """Frozen CSR snapshot of a graph (see module docstring).
 
     The canonical storage is four ``array('q')`` buffers; the kernels ask
-    for plain-list mirrors (:meth:`neighbor_lists`, :meth:`adjacency_maps`,
+    for plain-list mirrors (:meth:`neighbor_lists`, :meth:`weight_lists`,
     ...) which are materialized lazily and cached, because list indexing
     avoids the int re-boxing cost of ``array`` subscripts in hot loops.
+    No row lists a neighbour twice, so the weight of a pair ``(a, b)`` is
+    ``weight_lists()[a][neighbor_lists()[a].index(b)]`` when ``b`` is in
+    ``a``'s row and 0 otherwise.
 
     >>> g = Graph.from_edges([("a", "b"), ("b", "c")])
     >>> view = csr_view(g)
@@ -195,9 +200,8 @@ class CSRGraph:
         are labels, so ranks are the identity; the mirrors that fall out
         of laying the rows out (``neighbors``, ``weights``,
         ``weighted_degrees``, ``vertex_weights``, ``head_tail``) come
-        pre-filled, and so does the adjacency mirror, as copies of the
-        rows (the graph keeps the rows themselves).  Contraction hands G'
-        over this way instead of compiling it.
+        pre-filled.  Contraction hands G' over this way instead of
+        compiling it.
         """
         ids = range(len(rows))
         neighbors = list(map(list, rows))
@@ -218,7 +222,6 @@ class CSRGraph:
             mirrors={
                 "neighbors": neighbors,
                 "weights": row_weights,
-                "adjacency": list(map(dict.copy, rows)),
                 "weighted_degrees": weighted_degrees,
                 "vertex_weights": vertex_weight,
             },
@@ -262,35 +265,18 @@ class CSRGraph:
             self._lists[name] = cached
         return cached
 
+    def _rows(self, flat: list[int]) -> list[list[int]]:
+        """``flat`` (one entry per directed slot) sliced into per-vertex rows."""
+        ptr = self.indptr
+        return [flat[ptr[i] : ptr[i + 1]] for i in range(self.num_vertices)]
+
     def neighbor_lists(self) -> list[list[int]]:
-        """Per-vertex neighbor-id lists (``indices`` sliced by ``indptr``)."""
-
-        def build() -> list[list[int]]:
-            flat = list(self.indices)
-            ptr = self.indptr
-            return [flat[ptr[i] : ptr[i + 1]] for i in range(self.num_vertices)]
-
-        return self._list("neighbors", build)
+        """Per-vertex neighbor-id lists, sliced from :meth:`head_tail_lists`."""
+        return self._list("neighbors", lambda: self._rows(self.head_tail_lists()[1]))
 
     def weight_lists(self) -> list[list[int]]:
         """Per-vertex edge-weight lists, parallel to :meth:`neighbor_lists`."""
-
-        def build() -> list[list[int]]:
-            flat = list(self.edge_weight)
-            ptr = self.indptr
-            return [flat[ptr[i] : ptr[i + 1]] for i in range(self.num_vertices)]
-
-        return self._list("weights", build)
-
-    def adjacency_maps(self) -> list[dict[int, int]]:
-        """Per-vertex ``neighbor id -> edge weight`` dicts (O(1) pair lookups)."""
-
-        def build() -> list[dict[int, int]]:
-            nbrs = self.neighbor_lists()
-            wts = self.weight_lists()
-            return [dict(zip(nbrs[i], wts[i])) for i in range(self.num_vertices)]
-
-        return self._list("adjacency", build)
+        return self._list("weights", lambda: self._rows(self.head_tail_lists()[2]))
 
     def weighted_degrees(self) -> list[int]:
         """Per-vertex sums of incident edge weights."""

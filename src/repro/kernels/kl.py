@@ -13,7 +13,10 @@ strict improvement), and stale heap entries are inert until discarded.
 That freedom lets the kernel check the ``g_ab <= g_a + g_b`` bound
 *before* pulling another candidate, so on sparse graphs — where the two
 top candidates are usually not adjacent and therefore already optimal —
-a selection costs exactly two pops and one adjacency probe.
+a selection costs exactly two pops and one adjacency probe: a scan of the
+first pop's neighbour row for the second, since no row lists a neighbour
+twice.  Only an adjacent pair on a weighted graph also reads ``w(a, b)``
+from the parallel weight row.
 
 Only pairs of equal vertex weight may be exchanged, so every weight class
 has its own heaps and pending queues; a graph of unit or uniform vertex
@@ -76,7 +79,6 @@ def kl_sequence(
     nbrs = csr.neighbor_lists()
     unit = csr.unit_edge_weights
     wts = None if unit else csr.weight_lists()
-    adj_maps = csr.adjacency_maps()
     B = csr.max_weighted_degree
     if csr.unit_vertex_weights:
         class_of, class_weights = [0] * n, [1]
@@ -148,8 +150,8 @@ def kl_sequence(
                 pend0.appendleft(ak)
                 continue
 
-            w_ab = adj_maps[va].get(vb, 0)
-            if not w_ab:
+            row = nbrs[va]
+            if vb not in row:
                 # Non-adjacent tops: g_ab == g_a + g_b is already the upper
                 # bound for every other pair of the class, so its pick is
                 # settled by the two pops alone — no candidate lists, no
@@ -160,6 +162,7 @@ def kl_sequence(
             else:
                 gain_a = B - ak // n
                 top_b_gain = B - bk // n
+                w_ab = 1 if unit else wts[va][row.index(vb)]
                 best_gain = gain_a + top_b_gain - 2 * w_ab
                 best_ak, best_bk = ak, bk
                 a_keys = [ak]
@@ -182,7 +185,8 @@ def kl_sequence(
                     gain_a = B - ak // n
                     if gain_a + top_b_gain <= best_gain:
                         break
-                    adj_a = adj_maps[by_rank[ak % n]]
+                    va = by_rank[ak % n]
+                    row = nbrs[va]
                     j = 0
                     while True:
                         if j == len(b_keys):
@@ -197,7 +201,10 @@ def kl_sequence(
                         upper = gain_a + B - bk // n
                         if upper <= best_gain:
                             break
-                        pair_gain = upper - 2 * adj_a.get(by_rank[bk % n], 0)
+                        pair_gain = upper
+                        vb = by_rank[bk % n]
+                        if vb in row:
+                            pair_gain -= 2 if unit else 2 * wts[va][row.index(vb)]
                         if pair_gain > best_gain:
                             best_gain, best_ak, best_bk = pair_gain, ak, bk
                         j += 1
@@ -232,7 +239,9 @@ def kl_sequence(
         if running > best:
             best = running
         # The edge a-b is seen from both ends below.
-        locked_cut -= adj_maps[a].get(b, 0)
+        row = nbrs[a]
+        if b in row:
+            locked_cut -= 1 if unit else wts[a][row.index(b)]
 
         # A gain change of +-2w moves the key by -+2w * n; locked keys are -1.
         for moved in (a, b):

@@ -418,13 +418,13 @@ def swap_walk(
     Each move exchanges ``a`` (side 0) with ``b`` (side 1), drawn by
     ``rng.randrange`` over per-side id lists built in id order; an
     accepted swap trades the two list slots in place.  The swap cut delta
-    is both flip deltas plus ``2 w(a, b)`` (the shared edge stays cut).
+    is both flip deltas plus ``2 w(a, b)`` (the shared edge stays cut),
+    read off ``a``'s neighbour row.
     """
     n = csr.num_vertices
     nbrs = csr.neighbor_lists()
     wts = None if csr.unit_edge_weights else csr.weight_lists()
     wdeg = csr.weighted_degrees()
-    adj = csr.adjacency_maps()
     vweights = csr.vertex_weight_list()
     sides_get = sides.__getitem__
 
@@ -470,11 +470,10 @@ def swap_walk(
             a = left[i]
             b = right[j]
             # Flip deltas: (same-side weight) - (other-side weight).
-            cut_delta = (
-                wdeg[a] - 2 * side1_weight(a)
-                + 2 * side1_weight(b) - wdeg[b]
-                + 2 * adj[a].get(b, 0)
-            )
+            cut_delta = wdeg[a] - 2 * side1_weight(a) + 2 * side1_weight(b) - wdeg[b]
+            row = nbrs[a]
+            if b in row:
+                cut_delta += 2 if wts is None else 2 * wts[a][row.index(b)]
             new_diff = diff - 2 * vweights[a] + 2 * vweights[b]
             delta = cut_delta + alpha * (new_diff * new_diff - diff * diff)
             if delta > 0:

@@ -75,8 +75,9 @@ def histogram(values: Sequence[float], bins: int = 10, width: int = 40) -> str:
     span = (hi - lo) / bins
     counts = [0] * bins
     for v in values:
-        index = min(bins - 1, int((v - lo) / span))
-        counts[index] += 1
+        # ``span`` rounds to 0.0 when the range is a few subnormals wide.
+        offset = (v - lo) / span if span else (v - lo) / (hi - lo) * bins
+        counts[min(bins - 1, int(offset))] += 1
     labels = [f"[{lo + i * span:.3g}, {lo + (i + 1) * span:.3g})" for i in range(bins)]
     return horizontal_bars(labels, counts, width)
 

@@ -16,3 +16,7 @@ class Registry:
 
     def reset(self):
         self._count = 0  # finding: written under self._lock in add
+
+    def add_many(self, pairs):
+        for key, value in pairs:
+            self._items.update({key: value})  # finding: written under self._lock in add

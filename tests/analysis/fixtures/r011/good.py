@@ -18,6 +18,14 @@ class Registry:
         with self._lock:
             self._count = 0
 
+    def add_many(self, pairs):
+        # The lock taken inside the loop body guards the writes and the
+        # helper call under it.
+        for key, value in pairs:
+            with self._lock:
+                self._items.update({key: value})
+                self._bump()
+
     def _bump(self):
         # Only ever called with self._lock held; the seeded analysis
         # starts this method from its callers' lock set.

@@ -113,6 +113,25 @@ class TestLockSets:
         # the exception leaves the function.
         assert states[cfg.raise_exit] == frozenset()
 
+    def test_loop_head_runs_only_its_target_and_iterable(self):
+        # The body's acquire is a block of its own.  Applied at the head
+        # too, it would hold the lock after a loop that may run no times.
+        cfg = cfg_of(
+            """
+            def f(self, items):
+                for item in items:
+                    self._lock.acquire()
+                    self._items.append(item)
+                self._lock.release()
+            """
+        )
+        states = run_forward(cfg, LockSetAnalysis(known=frozenset({"self._lock"})))
+        (append,) = (
+            b for b in cfg.statements() if ast.unparse(b.node) == "self._items.append(item)"
+        )
+        assert states[append.id] == {"self._lock"}
+        assert states[stmt_block(cfg, "self._lock.release()").id] == frozenset()
+
 
 class TestReachability:
     def test_if_grows_assume_blocks(self):

@@ -20,8 +20,8 @@ class TestR011LockDiscipline:
         findings = lint_fixture("r011", rule="R011")
         bad, good = split(findings)
         assert good == []
-        assert [f.context for f in bad] == ["Registry.reset"]
-        assert "self._lock" in bad[0].message
+        assert [f.context for f in bad] == ["Registry.reset", "Registry.add_many"]
+        assert all("self._lock" in f.message for f in bad)
 
     def test_construction_and_seeded_helpers_exempt(self, lint_fixture):
         # good.py writes self._count in __init__ (construction), under

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.ascii import histogram, horizontal_bars, sparkline
@@ -71,6 +71,7 @@ class TestHistogram:
         st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=60),
         st.integers(min_value=1, max_value=12),
     )
+    @example([0.0, 5e-324], 2)  # a range too narrow for its bucket width
     @settings(max_examples=30, deadline=None)
     def test_counts_sum_to_n(self, values, bins):
         text = histogram(values, bins=bins)

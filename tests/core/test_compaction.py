@@ -18,6 +18,7 @@ from repro.graphs.generators import (
     path_graph,
 )
 from repro.graphs.graph import Graph
+from repro.graphs.shm import SharedGraphSegment
 from repro.partition.bisection import Bisection, cut_weight
 from repro.partition.random_init import random_bisection
 from repro.rng import LaggedFibonacciRandom
@@ -220,9 +221,6 @@ def _assert_same_csr(seen: CSRGraph, expected: CSRGraph) -> None:
         assert getattr(seen, name) == getattr(expected, name), name
     assert seen.neighbor_lists() == expected.neighbor_lists()
     assert seen.weight_lists() == expected.weight_lists()
-    assert [list(row.items()) for row in seen.adjacency_maps()] == [
-        list(row.items()) for row in expected.adjacency_maps()
-    ]
     assert seen.weighted_degrees() == expected.weighted_degrees()
     assert seen.vertex_weight_list() == expected.vertex_weight_list()
     assert seen.head_tail_lists() == expected.head_tail_lists()
@@ -267,19 +265,6 @@ class TestIdProjectionAndCoarseCSR:
         assert seeded is not None
         assert seeded.labels == list(compaction.coarse.vertices())
 
-    def test_adjacency_mirror_shares_no_dict_with_the_graph(self, family, seed):
-        compaction = _compaction(family, seed)
-        coarse = compaction.coarse
-        seeded = cached_csr(coarse)
-        mirror = seeded.adjacency_maps()
-        rows = [coarse.adjacency(s) for s in coarse.vertices()]
-        assert not {id(row) for row in mirror} & {id(row) for row in rows}
-        expected = [list(row.items()) for row in mirror]
-        u, v = next((u, v) for u, v, _ in coarse.edges())
-        coarse.add_edge(u, v, 5, merge=True)
-        coarse.remove_vertex(u)
-        assert [list(row.items()) for row in seeded.adjacency_maps()] == expected
-
     def test_super_of_matches_parent(self, family, seed):
         compaction = _compaction(family, seed)
         compaction.validate()
@@ -287,15 +272,35 @@ class TestIdProjectionAndCoarseCSR:
         assert [compaction.parent[v] for v in compaction.fine_labels] == compaction.super_of
 
 
+def _assert_rows_list_each_neighbour_once(csr: CSRGraph) -> None:
+    """The kernels read ``w(a, b)`` off ``a``'s row, at the first ``b`` in it."""
+    nbrs, wts = csr.neighbor_lists(), csr.weight_lists()
+    assert list(map(len, nbrs)) == list(map(len, wts))
+    for row in nbrs:
+        assert len(set(row)) == len(row)
+    assert sum(map(sum, wts)) == 2 * csr.total_edge_weight
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", (0, 1, 2))
-def test_adjacency_mirror_is_laid_out_at_contraction(family, seed):
-    seeded = cached_csr(_compaction(family, seed).coarse)
-    mirror = seeded._lists["adjacency"]  # filled at contraction, not on first read
-    nbrs, wts = seeded.neighbor_lists(), seeded.weight_lists()
-    assert len(mirror) == seeded.num_vertices
-    for i, row in enumerate(mirror):
-        assert list(row.items()) == list(dict(zip(nbrs[i], wts[i])).items())
+def test_no_row_lists_a_neighbour_twice(family, seed):
+    once = _compaction(family, seed)
+    twice = compact(
+        once.coarse, random_maximal_matching(once.coarse, LaggedFibonacciRandom(seed))
+    )
+    _assert_rows_list_each_neighbour_once(csr_view(once.original))
+    _assert_rows_list_each_neighbour_once(cached_csr(once.coarse))
+    _assert_rows_list_each_neighbour_once(cached_csr(twice.coarse))
+    # Contracting merges parallel edges into one slot of summed weight.
+    assert max(cached_csr(twice.coarse).edge_weight) > 1
+    owner = SharedGraphSegment.create(twice.coarse)
+    attached = SharedGraphSegment.attach(owner.name)
+    try:
+        _assert_rows_list_each_neighbour_once(attached.graph()._derived["csr"])
+    finally:
+        attached.close()
+        owner.close()
+        owner.unlink()
 
 
 def test_project_goes_by_label_after_the_original_changes():

@@ -159,7 +159,7 @@ def test_kl_commits_an_adjacent_pair(monkeypatch):
     oracle.check_run(result)
     assert result.pass_gains == [2]
     a, b = oracle.moved[0]
-    assert b in oracle.csr.adjacency_maps()[a]
+    assert b in oracle.csr.neighbor_lists()[a]
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

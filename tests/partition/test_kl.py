@@ -308,7 +308,8 @@ def _reference_sequence(csr, sides):
     ``±2w`` as if the pair had been exchanged.
     """
     n = csr.num_vertices
-    adj = csr.adjacency_maps()
+    nbrs, wts = csr.neighbor_lists(), csr.weight_lists()
+    adj = [dict(zip(nbrs[v], wts[v])) for v in range(n)]
     rank = csr.rank
     class_of, class_weights = csr.weight_classes()
     gains = [
@@ -358,6 +359,18 @@ def _sequence_case(kind, num_vertices, seed):
     return g, random_assignment(g, resolve_rng(rng))
 
 
+def _assert_matches_reference(kind, num_vertices, seed):
+    g, assignment = _sequence_case(kind, num_vertices, seed)
+    csr = csr_view(g)
+    sides = csr.sides_list(assignment)
+    kernel = _kernel_sequence(csr, sides)
+    reference = _reference_sequence(csr, sides)
+    assert kernel == reference[: len(kernel)]
+    best_k, best_total = _best_prefix(reference)
+    assert best_k <= len(kernel)
+    assert _best_prefix(kernel) == (best_k, best_total)
+
+
 class TestKLSequenceReference:
     """The kernel's pair sequence is a prefix of the exhaustive reference pass.
 
@@ -376,15 +389,16 @@ class TestKLSequenceReference:
     )
     @settings(max_examples=40, deadline=None)
     def test_sequence_matches_reference(self, kind, num_vertices, seed):
-        g, assignment = _sequence_case(kind, num_vertices, seed)
-        csr = csr_view(g)
-        sides = csr.sides_list(assignment)
-        kernel = _kernel_sequence(csr, sides)
-        reference = _reference_sequence(csr, sides)
-        assert kernel == reference[: len(kernel)]
-        best_k, best_total = _best_prefix(reference)
-        assert best_k <= len(kernel)
-        assert _best_prefix(kernel) == (best_k, best_total)
+        _assert_matches_reference(kind, num_vertices, seed)
+
+    @pytest.mark.parametrize(
+        "kind, num_vertices, seed", [("weighted_edges", 10, 113), ("contracted1", 7, 75)]
+    )
+    def test_stop_counts_a_swapped_pairs_edge_once(self, kind, num_vertices, seed):
+        # A swapped pair's own edge stays cut and reaches the locked cut
+        # from both movers' rows.  Counted at more than its weight, these
+        # passes stop before their best prefix.
+        _assert_matches_reference(kind, num_vertices, seed)
 
     def test_pass_stops_once_locked_cut_reaches_best(self):
         # Cut 2 (a-x, a-y).  After (a, z, +1) the best cut is 1; after

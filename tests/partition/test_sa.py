@@ -176,6 +176,25 @@ class TestSwapNeighborhood:
         result = simulated_annealing(g, rng=21, schedule=FAST, neighborhood="swap")
         assert result.cut == cut_weight(g, result.bisection.assignment())
 
+    def test_walk_tracks_the_weighted_cut(self, gbreg_sample):
+        # Edge weights 1-4 and adjacent swaps: the walk's running cut
+        # must equal a recount of the sides it ends on.
+        from repro.graphs.csr import csr_cut_weight, csr_side_weights, csr_view
+        from repro.kernels.sa import swap_walk
+
+        graph = Graph.from_edges(
+            (u, v, 1 + (u + v) % 4) for u, v, _ in gbreg_sample.graph.edges()
+        )
+        csr = csr_view(graph)
+        sides = [i % 2 for i in range(csr.num_vertices)]
+        w0, w1 = csr_side_weights(csr, sides)
+        walk = swap_walk(
+            csr, sides, csr_cut_weight(csr, sides), w0 - w1, 3.0,
+            LaggedFibonacciRandom(25), FAST, 0.05, 0, False,
+        )
+        assert walk.accepted > 0
+        assert walk.cut == csr_cut_weight(csr, walk.sides)
+
     def test_deterministic(self, two_cliques):
         a = simulated_annealing(two_cliques, rng=22, schedule=FAST, neighborhood="swap")
         b = simulated_annealing(two_cliques, rng=22, schedule=FAST, neighborhood="swap")
