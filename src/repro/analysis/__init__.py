@@ -6,9 +6,10 @@ dynamically by the test suites.  This package enforces them *statically*:
 a pure-:mod:`ast` pass over ``src/repro`` with a project model
 (:mod:`~repro.analysis.project`), a rule engine with per-rule scopes and
 allow-zones (:mod:`~repro.analysis.config`,
-:mod:`~repro.analysis.rules`), and a ruleset R001-R016 encoding the
-contracts the violating code would otherwise only break at run time:
-syntactic determinism/invariant rules in :mod:`~repro.analysis.ruleset`,
+:mod:`~repro.analysis.rules`), and a ruleset (R001-R005, R007,
+R010-R013, R015) encoding the contracts the violating code would
+otherwise only break at run time: syntactic determinism/invariant rules
+in :mod:`~repro.analysis.ruleset`,
 flow-sensitive concurrency and resource-lifetime rules in
 :mod:`~repro.analysis.flowrules` on top of the per-function CFG builder
 (:mod:`~repro.analysis.cfg`) and the forward dataflow engine

@@ -1,6 +1,6 @@
 """Per-function control-flow graphs with exceptional edges.
 
-The flow-sensitive rules (R011-R016) need answers that a lexical AST
+The flow-sensitive rules (R011-R013, R015) need answers that a lexical AST
 walk cannot give: *does this acquisition reach a release on every path,
 including the path where a statement in between raises?*  This module
 builds a small, precise-enough CFG for one function:

@@ -3,12 +3,12 @@
 Every rule sees every module by default.  Two per-rule path maps narrow
 that:
 
-* **scopes** restrict a rule to part of the tree (R006's float-equality
-  check only makes sense in gain arithmetic, so it scans ``partition/``
-  and nothing else);
+* **scopes** restrict a rule to part of the tree (R015's blocking-call
+  check only makes sense where pool workers run, so it scans ``engine/``
+  and ``kernels/`` and nothing else);
 * **allow zones** carve sanctioned exceptions out of a rule's scope
-  (R002 bans wall-clock reads everywhere *except* ``obs/`` — the clock
-  choke point — and bench code).
+  (R002 bans wall-clock reads everywhere *except* ``obs/``, the clock
+  choke point).
 
 Both maps use paths relative to the scanned package root, ``/``-separated
 on every platform.  An entry ending in ``/`` matches the whole subtree;
@@ -31,15 +31,9 @@ __all__ = ["AnalysisConfig", "DEFAULT_ALLOW_ZONES", "DEFAULT_SCOPES", "default_c
 
 #: Sanctioned exceptions per rule (paths relative to the package root).
 DEFAULT_ALLOW_ZONES: Mapping[str, tuple[str, ...]] = {
-    # All randomness flows through the seeded generator implementations.
-    "R001": ("rng.py",),
     # The observability layer owns the clock (obs/clock.py is the choke
-    # point); bench code measures wall time by definition.
-    "R002": ("obs/", "bench/"),
-    # The obs metric registry is process-local by design: workers ship
-    # deltas back to the coordinator (obs/shipper.py), so module-level
-    # registry state never needs to survive a fork/spawn boundary.
-    "R012": ("obs/",),
+    # point).
+    "R002": ("obs/",),
 }
 
 #: Rules that only apply to part of the tree (empty/absent = whole tree).
@@ -56,10 +50,9 @@ DEFAULT_SCOPES: Mapping[str, tuple[str, ...]] = {
     # Seeded decision paths: partitioners, graph generators, and the
     # ensemble study sweeps (whose seed protocol is a reproducibility
     # contract — a stray unseeded draw would silently fork local and
-    # remote aggregates).
-    "R005": ("partition/", "graphs/generators/", "study/"),
-    # Gain arithmetic lives in the partitioners.
-    "R006": ("partition/",),
+    # remote aggregates), plus the graph class, whose subgraph vertex
+    # order feeds recursive k-way splits.
+    "R005": ("partition/", "graphs/generators/", "study/", "graphs/graph.py"),
     # The robustness boundaries: the execution engine and the HTTP
     # service in front of it (a swallowed exception in a request handler
     # turns into a silent hang for the client).
@@ -67,8 +60,6 @@ DEFAULT_SCOPES: Mapping[str, tuple[str, ...]] = {
     # Lock discipline matters where objects are shared across threads:
     # the HTTP service, the engine coordinator, and the obs registries.
     "R011": ("service/", "engine/", "obs/"),
-    # Seeded decision paths plus the layers that route seeds to them.
-    "R014": ("partition/", "graphs/generators/", "study/", "engine/"),
     # Worker hot paths live in the engine and the compute kernels.
     "R015": ("engine/", "kernels/"),
 }

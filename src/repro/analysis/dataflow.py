@@ -1,6 +1,6 @@
 """Forward dataflow over the per-function CFG.
 
-A tiny worklist engine plus the three analyses the flow rules share:
+A tiny worklist engine plus the two analyses the flow rules use:
 
 * :class:`LockSetAnalysis` — *must*-held lock tokens at each block
   (join = intersection), fed by ``with lock:`` desugarings and explicit
@@ -10,9 +10,6 @@ A tiny worklist engine plus the three analyses the flow rules share:
   (join = union), with release and ownership-escape kills.  R013 asks
   it "can this acquisition reach function exit — normal or raising —
   still held?".
-* :class:`TaintAnalysis` — reaching taint kinds per name (join = union
-  of per-name sets).  R014 asks it "does a seed-derived value meet a
-  wall-clock/id()/hash-derived one?".
 
 States are immutable mappings; transfer functions are per-block (one
 statement per block, so there is no intra-block bookkeeping).  On
@@ -42,7 +39,6 @@ __all__ = [
     "LockSetAnalysis",
     "ResourceAnalysis",
     "ResourceSpec",
-    "TaintAnalysis",
     "run_forward",
 ]
 
@@ -167,11 +163,15 @@ class LockSetAnalysis(ForwardAnalysis):
         return state
 
 
-def _calls(*nodes: ast.AST) -> Iterator[ast.Call]:
+def _walk(*nodes: ast.AST) -> Iterator[ast.AST]:
     for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                yield sub
+        yield from ast.walk(node)
+
+
+def _calls(*nodes: ast.AST) -> Iterator[ast.Call]:
+    for sub in _walk(*nodes):
+        if isinstance(sub, ast.Call):
+            yield sub
 
 
 # -- resource lifetimes ------------------------------------------------------------
@@ -295,8 +295,10 @@ class ResourceAnalysis(ForwardAnalysis):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     state = state - self._sites_named(state, target.id)
-        # Releases: x.close() / x.unlink() / spec-specific.
-        for call in _calls(node):
+        # Releases: x.close() / x.unlink() / spec-specific.  A loop
+        # head runs only its target and iterable; the body's releases
+        # happen in the body's own blocks, on the iterations that run.
+        for call in _calls(*head_parts(node)):
             if isinstance(call.func, ast.Attribute) and isinstance(
                 call.func.value, ast.Name
             ):
@@ -369,7 +371,9 @@ def _escaping_names(stmt: ast.AST) -> Iterator[str]:
             yield from _transfer_names(stmt.value)
         else:
             yield from _display_names(stmt.value)
-    for sub in ast.walk(stmt if not isinstance(stmt, ast.Assign) else stmt.value):
+    # A loop head hands over nothing its body passes on.
+    roots = (stmt.value,) if isinstance(stmt, ast.Assign) else head_parts(stmt)
+    for sub in _walk(*roots):
         if isinstance(sub, (ast.Yield, ast.YieldFrom)) and sub.value is not None:
             yield from _transfer_names(sub.value)
         elif isinstance(sub, ast.Call):
@@ -408,86 +412,3 @@ def _display_names(expr: ast.expr) -> Iterator[str]:
                 yield value.id
             elif value is not None:
                 yield from _display_names(value)
-
-
-# -- taint -------------------------------------------------------------------------
-
-
-class TaintAnalysis(ForwardAnalysis):
-    """Per-name taint kinds: which of ``sources``' labels reach each name.
-
-    ``sources`` maps a label (e.g. ``"seed"``, ``"impure"``) to a
-    predicate over call origins; parameters listed in ``param_taints``
-    start tainted.  The state is a tuple of sorted ``(name, label)``
-    pairs (hashable, cheap to join).
-    """
-
-    def __init__(
-        self,
-        sources: dict[str, Callable[[str | None, ast.Call], bool]],
-        resolve: Callable[[ast.expr], str | None],
-        param_taints: dict[str, frozenset[str]] | None = None,
-    ) -> None:
-        self.sources = sources
-        self.resolve = resolve
-        self.param_taints = param_taints or {}
-
-    def initial(self) -> frozenset[tuple[str, str]]:
-        pairs = set()
-        for name, labels in self.param_taints.items():
-            for label in labels:
-                pairs.add((name, label))
-        return frozenset(pairs)
-
-    def join(self, a: frozenset, b: frozenset) -> frozenset:
-        return a | b
-
-    def expr_taints(
-        self, expr: ast.expr, state: frozenset[tuple[str, str]]
-    ) -> frozenset[str]:
-        """Every taint label reaching any part of ``expr`` under ``state``."""
-        labels: set[str] = set()
-        by_name: dict[str, set[str]] = {}
-        for name, label in state:
-            by_name.setdefault(name, set()).add(label)
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Name):
-                labels |= by_name.get(sub.id, set())
-            elif isinstance(sub, ast.Call):
-                origin = self.resolve(sub.func)
-                for label, pred in self.sources.items():
-                    if pred(origin, sub):
-                        labels.add(label)
-        return frozenset(labels)
-
-    def transfer(self, block: Block, state: frozenset) -> frozenset:
-        node = block.node
-        if block.kind != STMT or node is None:
-            return state
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AugAssign):
-            targets, value = [node.target], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            targets, value = [node.target], node.iter
-        if value is None:
-            return state
-        labels = self.expr_taints(value, state)
-        if isinstance(node, ast.AugAssign):
-            # x += e keeps x's existing taints and adds e's.
-            for t in targets:
-                if isinstance(t, ast.Name):
-                    labels = labels | {
-                        lb for (n, lb) in state if n == t.id
-                    }
-        for target in targets:
-            for name_node in ast.walk(target):
-                if isinstance(name_node, ast.Name):
-                    state = frozenset(
-                        (n, lb) for (n, lb) in state if n != name_node.id
-                    ) | frozenset((name_node.id, lb) for lb in labels)
-        return state

@@ -32,7 +32,6 @@ from .rules import scoped_nodes
 __all__ = [
     "ConcurrencySites",
     "concurrency_sites",
-    "module_level_calls",
     "mutable_globals",
     "global_mutations",
 ]
@@ -205,25 +204,3 @@ def _mutation_target(
     elif isinstance(target, (ast.Tuple, ast.List)):
         for elt in target.elts:
             yield from _mutation_target(elt, global_names, declared_global, local)
-
-
-def module_level_calls(module: ModuleInfo, func_name: str) -> bool:
-    """True when every call of ``func_name`` in this module is import-time.
-
-    Registration helpers (``register_algorithm(...)`` loops, decorator
-    application) mutate module state only while the module body executes —
-    which happens identically in forked and spawned workers — so their
-    writes are fork/spawn-consistent by construction.
-    """
-    any_call = False
-    for node, context, _ in scoped_nodes(module.tree):
-        if isinstance(node, ast.Call):
-            ref = node.func
-            name = ref.id if isinstance(ref, ast.Name) else (
-                ref.attr if isinstance(ref, ast.Attribute) else None
-            )
-            if name == func_name:
-                any_call = True
-                if context != "":
-                    return False
-    return any_call

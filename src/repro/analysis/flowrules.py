@@ -1,9 +1,9 @@
-"""Flow-sensitive rules R011-R016, built on the CFG/dataflow layer.
+"""Flow-sensitive rules R011-R013 and R015, built on the CFG/dataflow layer.
 
-These rules answer path questions the syntactic ruleset (R001-R010)
-cannot: *is this attribute write always under the lock that guards its
-siblings?  Does this shm segment reach a close() on the exceptional path
-too?*  Each rule composes :mod:`repro.analysis.cfg` and
+These rules answer path questions the syntactic ruleset (R001-R005,
+R007, R010) cannot: *is this attribute write always under the lock that
+guards its siblings?  Does this shm segment reach a close() on the
+exceptional path too?*  Each rule composes :mod:`repro.analysis.cfg` and
 :mod:`repro.analysis.dataflow` with the project model:
 
 * **R011** lock discipline — an attribute written under ``self._lock``
@@ -14,14 +14,9 @@ too?*  Each rule composes :mod:`repro.analysis.cfg` and
   (re-imports fresh) workers.
 * **R013** resource lifetime — every shm/file/socket acquisition must
   reach a release on all CFG paths, including exceptional edges.
-* **R014** seed taint — values derived from the seed protocol must not
-  merge with wall-clock/``id()``/hash-tainted values on their way to an
-  algorithm entry point.
 * **R015** blocking calls in worker hot paths — ``time.sleep``,
   unbounded ``.join()``, and timeout-less socket connects inside
   functions that run on pool workers.
-* **R016** unjoined thread/process handles — a started non-daemon
-  handle must reach ``join()`` (or escape to an owner who will).
 """
 
 from __future__ import annotations
@@ -29,12 +24,11 @@ from __future__ import annotations
 import ast
 from typing import Callable, Iterator
 
-from .cfg import CFG, STMT, build_cfg, expr_token, function_cfgs, head_parts
+from .cfg import CFG, build_cfg, expr_token, function_cfgs, head_parts
 from .dataflow import (
     LockSetAnalysis,
     ResourceAnalysis,
     ResourceSpec,
-    TaintAnalysis,
     is_lock_factory,
     run_forward,
 )
@@ -484,118 +478,6 @@ class R013ResourceLifetime(Rule):
             )
 
 
-# -- R014: seed/RNG taint ----------------------------------------------------------
-
-_SEED_ORIGIN_SUFFIXES = (".derive_seed", ".start_seeds", ".spawn_seed", ".seed_for")
-_IMPURE_ORIGINS = frozenset(
-    {
-        "time.time", "time.time_ns", "time.perf_counter", "time.perf_counter_ns",
-        "time.monotonic", "time.monotonic_ns", "os.urandom", "os.getpid",
-        "uuid.uuid1", "uuid.uuid4", "secrets.token_bytes", "secrets.token_hex",
-        "secrets.randbits",
-    }
-)
-_IMPURE_BUILTINS = frozenset({"id", "hash"})
-_SEED_PARAM_NAMES = frozenset({"seed", "rng", "base_seed", "master_seed"})
-
-
-def _seed_source(origin: str | None, call: ast.Call) -> bool:
-    if origin is None:
-        return False
-    return origin == "derive_seed" or origin.endswith(_SEED_ORIGIN_SUFFIXES)
-
-
-def _impure_source(origin: str | None, call: ast.Call) -> bool:
-    if origin in _IMPURE_ORIGINS:
-        return True
-    return (
-        origin is None
-        and isinstance(call.func, ast.Name)
-        and call.func.id in _IMPURE_BUILTINS
-    )
-
-
-class R014SeedTaint(Rule):
-    id = "R014"
-    name = "seed-taint"
-    severity = Severity.ERROR
-    description = (
-        "A value derived from the seed protocol (derive_seed/rng) must not "
-        "merge with wall-clock-, id()-, or hash-tainted values before "
-        "reaching an algorithm entry point; the run stops being replayable."
-    )
-
-    def check(self, module: ModuleInfo, project: ProjectModel) -> Iterator[Finding]:
-        resolve = _resolver(module)
-        sources = {"seed": _seed_source, "impure": _impure_source}
-        for context, func, cfg in function_cfgs(module.tree):
-            params = {
-                a.arg: frozenset({"seed"})
-                for a in (*func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs)
-                if a.arg in _SEED_PARAM_NAMES or a.arg.endswith("_seed")
-            }
-            analysis = TaintAnalysis(sources, resolve, params)
-            states = run_forward(cfg, analysis)
-            for block in cfg.statements():
-                state = states.get(block.id)
-                if state is None:
-                    continue
-                yield from self._check_stmt(module, context, block.node, analysis, state)
-
-    def _check_stmt(
-        self, module, context, stmt, analysis: TaintAnalysis, state
-    ) -> Iterator[Finding]:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return
-        # A seed-typed keyword fed an impure expression is the direct hit.
-        for call in _calls(stmt):
-            for kw in call.keywords:
-                if kw.arg in _SEED_PARAM_NAMES:
-                    labels = analysis.expr_taints(kw.value, state)
-                    if "impure" in labels:
-                        yield self.finding(
-                            module, call,
-                            f"impure (wall-clock/id/hash-derived) value flows "
-                            f"into `{kw.arg}=`; seeds must come from the "
-                            "derive_seed protocol only",
-                            context,
-                        )
-        # The merge itself: an expression combining both taints, where no
-        # single operand already carried both (that one was flagged at its
-        # own merge site).
-        value: ast.expr | None = None
-        if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            value = stmt.value
-        elif isinstance(stmt, ast.Return):
-            value = stmt.value
-        if value is None:
-            return
-        labels = analysis.expr_taints(value, state)
-        if isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
-            labels = labels | frozenset(
-                lb for (n, lb) in state if n == stmt.target.id
-            )
-        if {"seed", "impure"} <= labels:
-            by_name: dict[str, set[str]] = {}
-            for n, lb in state:
-                by_name.setdefault(n, set()).add(lb)
-            already_merged = any(
-                {"seed", "impure"} <= by_name.get(sub.id, set())
-                for sub in ast.walk(value)
-                if isinstance(sub, ast.Name)
-            )
-            if not already_merged:
-                yield self.finding(
-                    module, stmt,
-                    "seed-derived value merges with an impure "
-                    "(wall-clock/id/hash-derived) value; the result is not "
-                    "replayable from the run's seed",
-                    context,
-                )
-
-
 # -- R015: blocking calls in worker hot paths --------------------------------------
 
 
@@ -683,93 +565,9 @@ class R015NoBlockingInWorkers(Rule):
         return selected
 
 
-# -- R016: unjoined thread/process handles -----------------------------------------
-
-_HANDLE_SUFFIXES = (".Thread", ".Process", ".Timer")
-
-
-def _handle_matches(call: ast.Call, resolve) -> bool:
-    origin = resolve(call.func)
-    if origin is None or not origin.endswith(_HANDLE_SUFFIXES):
-        return False
-    for kw in call.keywords:
-        if (
-            kw.arg == "daemon"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is True
-        ):
-            return False  # daemon threads are reaped at interpreter exit
-    return True
-
-
-_HANDLE_SPEC = ResourceSpec("handle", _handle_matches, frozenset({"join"}))
-
-
-class R016JoinYourThreads(Rule):
-    id = "R016"
-    name = "join-your-threads"
-    severity = Severity.WARNING
-    description = (
-        "A started non-daemon Thread/Process handle must reach join() or "
-        "escape to an owner; dropping it leaks the worker past the "
-        "function and hides its exceptions."
-    )
-
-    def check(self, module: ModuleInfo, project: ProjectModel) -> Iterator[Finding]:
-        resolve = _resolver(module)
-        for context, func, cfg in function_cfgs(module.tree):
-            analysis = ResourceAnalysis(cfg, [_HANDLE_SPEC], resolve)
-            if not analysis.acquisitions:
-                continue
-            started = self._started_names(func)
-            daemonized = self._daemonized_names(func)
-            states = run_forward(cfg, analysis)
-            at_exit = states.get(cfg.exit) or frozenset()
-            for site in sorted(at_exit):
-                acq = analysis.acquisitions[site]
-                if acq.name not in started or acq.name in daemonized:
-                    continue
-                yield self.finding(
-                    module, acq.node,
-                    f"`{acq.name}` is started but can reach function exit "
-                    "without join(); join it (with a timeout) or hand the "
-                    "handle to an owner that will",
-                    context,
-                )
-
-    @staticmethod
-    def _started_names(func: ast.AST) -> set[str]:
-        return {
-            call.func.value.id
-            for call in _calls(func)
-            if isinstance(call.func, ast.Attribute)
-            and call.func.attr == "start"
-            and isinstance(call.func.value, ast.Name)
-        }
-
-    @staticmethod
-    def _daemonized_names(func: ast.AST) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and target.attr == "daemon"
-                    and isinstance(target.value, ast.Name)
-                    and isinstance(node.value, ast.Constant)
-                    and node.value.value is True
-                ):
-                    names.add(target.value.id)
-        return names
-
-
 FLOW_RULES: tuple[type[Rule], ...] = (
     R011LockDiscipline,
     R012ForkSpawnSafeModuleState,
     R013ResourceLifetime,
-    R014SeedTaint,
     R015NoBlockingInWorkers,
-    R016JoinYourThreads,
 )

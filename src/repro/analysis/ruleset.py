@@ -1,4 +1,4 @@
-"""The repo's invariant ruleset, R001-R010.
+"""The repo's syntactic ruleset: R001-R005, R007 and R010.
 
 Each rule encodes one contract the dynamic test suites already enforce
 at run time; the linter proves the violating code was never written.
@@ -329,38 +329,6 @@ class R005NoUnorderedSetIteration(Rule):
         return isinstance(node, ast.Name) and node.id in local_sets
 
 
-class R006NoFloatEqualityInGains(Rule):
-    id = "R006"
-    name = "no-float-equality-in-gains"
-    severity = Severity.WARNING
-    description = (
-        "== / != against float values in gain/score arithmetic is "
-        "representation-dependent; compare with a tolerance or restructure."
-    )
-
-    def check(self, module: ModuleInfo, project: ProjectModel) -> Iterator[Finding]:
-        for node, context, _ in scoped_nodes(module.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-                continue
-            operands = [node.left, *node.comparators]
-            if any(_contains_float_constant(expr) for expr in operands):
-                yield self.finding(
-                    module, node,
-                    "float equality comparison; use an explicit tolerance "
-                    "or integer arithmetic",
-                    context,
-                )
-
-
-def _contains_float_constant(node: ast.expr) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, float):
-            return True
-    return False
-
-
 class R007NoSwallowedExceptions(Rule):
     id = "R007"
     name = "no-swallowed-exceptions"
@@ -395,96 +363,8 @@ def _is_noop_stmt(stmt: ast.stmt) -> bool:
     return isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
 
 
-class R008PayloadRoundTrip(Rule):
-    id = "R008"
-    name = "payload-round-trip"
-    severity = Severity.ERROR
-    description = (
-        "A result serializer and its deserializer must agree on payload "
-        "keys, or cached/ledgered results fail to round-trip."
-    )
-
-    _BASES = ("payload", "dict", "json", "record")
-
-    def check(self, module: ModuleInfo, project: ProjectModel) -> Iterator[Finding]:
-        pairs: dict[tuple[str, str], dict[str, ast.AST]] = {}
-        for node, context, _ in scoped_nodes(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            stripped = node.name.lstrip("_")
-            for direction in ("to", "from"):
-                prefix = direction + "_"
-                if stripped.startswith(prefix) and stripped[len(prefix):] in self._BASES:
-                    pairs.setdefault((context, stripped[len(prefix):]), {})[direction] = node
-        for (context, base), pair in sorted(pairs.items()):
-            if "to" not in pair or "from" not in pair:
-                continue
-            written = _written_keys(pair["to"])
-            read = _read_keys(pair["from"])
-            if written is None or read is None:
-                continue  # dynamic keys: out of this rule's reach
-            for key in sorted(written - read):
-                yield self.finding(
-                    module, pair["from"],
-                    f"payload key {key!r} is written by to_{base} but never "
-                    f"read by from_{base}",
-                    context,
-                )
-            for key in sorted(read - written):
-                yield self.finding(
-                    module, pair["to"],
-                    f"payload key {key!r} is read by from_{base} but never "
-                    f"written by to_{base}",
-                    context,
-                )
-
-
-def _written_keys(func: ast.AST) -> set[str] | None:
-    """String keys the serializer emits (dict literals + subscript stores)."""
-    keys: set[str] = set()
-    saw_dynamic = False
-    for node in ast.walk(func):
-        if isinstance(node, ast.Dict):
-            for key in node.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    keys.add(key.value)
-                elif key is not None:
-                    saw_dynamic = True
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    sl = target.slice
-                    if isinstance(sl, ast.Constant) and isinstance(sl.value, str):
-                        keys.add(sl.value)
-                    else:
-                        saw_dynamic = True
-    if saw_dynamic and not keys:
-        return None
-    return keys
-
-
-def _read_keys(func: ast.AST) -> set[str] | None:
-    """String keys the deserializer consumes (subscript loads + .get)."""
-    keys: set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
-            sl = node.slice
-            if isinstance(sl, ast.Constant) and isinstance(sl.value, str):
-                keys.add(sl.value)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "get"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            keys.add(node.args[0].value)
-    return keys or None
-
-
-# R009 (shm-unlink-discipline) is retired: the CFG-based lifetime rule
-# R013 covers shared-memory segments along with files and sockets.
+# R006, R008, R009, R014 and R016 are retired ids and are never reused
+# (see the catalog in docs/static-analysis.md).
 
 
 # R010: the observability naming contract.  Metric names are Prometheus
@@ -596,9 +476,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     R003MutatorsInvalidateDerived,
     R004NoObsInHotLoops,
     R005NoUnorderedSetIteration,
-    R006NoFloatEqualityInGains,
     R007NoSwallowedExceptions,
-    R008PayloadRoundTrip,
     R010MetricNamingContract,
     *FLOW_RULES,
 )

@@ -951,7 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="statically check the source tree against the determinism, "
-        "invariant, and concurrency/lifetime ruleset (R001-R016)",
+        "invariant, and concurrency/lifetime rules (R001-R005, R007, "
+        "R010-R013, R015)",
     )
     lint.add_argument(
         "--format", choices=["text", "json", "sarif"], default="text",

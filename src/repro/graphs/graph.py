@@ -281,15 +281,20 @@ class Graph:
     # -- derived graphs -----------------------------------------------------------
 
     def subgraph(self, keep: Iterable[Vertex]) -> "Graph":
-        """Induced subgraph on ``keep`` (vertex weights preserved)."""
-        keep_set = set(keep)
+        """Induced subgraph on ``keep`` (vertex weights preserved).
+
+        Vertices are added in ``keep``'s order, so the result's vertex
+        order, and every seeded run on it, does not depend on the hash
+        seed of the vertex labels.
+        """
+        kept = dict.fromkeys(keep)
         g = Graph()
-        for v in keep_set:
+        for v in kept:
             if v not in self._adj:
                 raise KeyError(f"vertex {v!r} not in graph")
             g.add_vertex(v, self._vertex_weight[v])
         for u, v, w in self.edges():
-            if u in keep_set and v in keep_set:
+            if u in kept and v in kept:
                 g.add_edge(u, v, w)
         return g
 

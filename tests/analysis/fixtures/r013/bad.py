@@ -14,3 +14,9 @@ def probe(host):
     sock = socket.create_connection((host, 9000))  # finding: never closed
     sock.sendall(b"ping")
     return sock.recv(4)
+
+
+def loop_release(paths):
+    fh = open(paths[0])  # finding: the loop may run no iteration
+    for _ in paths:
+        fh.close()

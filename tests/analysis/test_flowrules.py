@@ -1,4 +1,4 @@
-"""Fixture-pair tests for the flow-sensitive rules R011-R016.
+"""Fixture-pair tests for the flow-sensitive rules R011-R013 and R015.
 
 Each rule gets a ``bad.py`` (every finding pinned by context) and a
 ``good.py`` (the sanctioned patterns, zero findings).  The repo-clean
@@ -50,12 +50,14 @@ class TestR013ResourceLifetime:
         findings = lint_fixture("r013", rule="R013")
         bad, good = split(findings)
         assert good == []
-        assert {f.context for f in bad} == {"read_config", "probe"}
+        assert {f.context for f in bad} == {"read_config", "probe", "loop_release"}
         by_ctx = {f.context: f.message for f in bad}
         # read_config releases on the normal path but leaks when read()
-        # raises; probe never releases at all.
+        # raises; probe never releases at all; loop_release releases only
+        # inside a loop body, which may run no iteration.
         assert "raises" in by_ctx["read_config"]
         assert "function exit unreleased" in by_ctx["probe"]
+        assert "function exit unreleased" in by_ctx["loop_release"]
 
     def test_handoff_transfers_the_obligation(self, lint_fixture):
         # Returning the handle or storing it into a caller-owned registry
@@ -72,24 +74,6 @@ class TestR013ResourceLifetime:
             ("shm_bad.py", "export"), ("shm_bad.py", "scratch"),
         ]
         assert all(f.rule == "R013" and "unlink" in f.message for f in shm)
-
-
-class TestR014SeedTaint:
-    def test_both_directions(self, lint_fixture):
-        findings = lint_fixture("r014", rule="R014")
-        bad, good = split(findings)
-        assert good == []
-        assert {f.context for f in bad} == {"jittered", "reseed", "stamped_start"}
-        by_ctx = {f.context: f.message for f in bad}
-        assert "merges" in by_ctx["jittered"]
-        assert "merges" in by_ctx["stamped_start"]
-        assert "`seed=`" in by_ctx["reseed"]
-
-    def test_impure_alone_is_not_a_taint_violation(self, lint_fixture):
-        # stamp_label() uses time.time() with no seed in sight: R002's
-        # business, not R014's.
-        findings = lint_fixture("r014", rule="R014")
-        assert not any(f.context == "stamp_label" for f in findings)
 
 
 class TestR015BlockingInWorkers:
@@ -114,26 +98,11 @@ class TestR015BlockingInWorkers:
         assert all(f.severity == "warning" for f in findings)
 
 
-class TestR016JoinYourThreads:
-    def test_both_directions(self, lint_fixture):
-        findings = lint_fixture("r016", rule="R016")
-        bad, good = split(findings)
-        assert good == []
-        assert [f.context for f in bad] == [
-            "fire_and_forget", "start_then_maybe_lose",
-        ]
-        assert all("join" in f.message for f in bad)
-
-    def test_daemon_handoff_and_unstarted_exempt(self, lint_fixture):
-        findings = lint_fixture("r016", rule="R016")
-        assert not any(f.path == "good.py" for f in findings)
-
-
 class TestRepoIsCleanUnderFlowRules:
     def test_no_unbaselined_findings_with_flow_rules_active(self, real_tree_result):
         result = real_tree_result
         active = {r.id for r in result.rules}
-        assert {"R011", "R012", "R013", "R014", "R015", "R016"} <= active
+        assert {"R011", "R012", "R013", "R015"} <= active
         assert result.findings == []
         assert result.stale == []
         assert result.baseline_problems == []

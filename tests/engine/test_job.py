@@ -69,3 +69,31 @@ class TestJobResult:
         result = JobResult("j", "g", "kl", 0, "ok", 1, ("int:99",), 0.0)
         with pytest.raises(ValueError, match="not in graph"):
             result.bisection(Graph.from_edges([(0, 1)]))
+
+    # Every key the cache payload holds, as the JobResult field it replays.
+    PAYLOAD_FIELDS = ("status", "cut", "side0", "seconds", "attempts", "counters")
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            JobResult(
+                "j", "g", "ckl", 5, "ok", 7, ("int:0", "int:2"), 0.25,
+                counters={"kl_passes": 3},
+            ),
+            JobResult(
+                "j", "g", "ckl", 5, "failed", None, (), 0.5, attempts=0,
+                error="boom",
+            ),
+        ],
+        ids=["ok", "failed"],
+    )
+    def test_payload_round_trip(self, result):
+        # Each field is set away from from_payload's default, so a key that
+        # either side drops shows up as a changed field.
+        job = Job("g", AlgorithmSpec.make("ckl"), 5, job_id="j")
+        payload = result.to_payload()
+        assert set(payload) == set(self.PAYLOAD_FIELDS)
+        replayed = JobResult.from_payload(job, payload)
+        for name in self.PAYLOAD_FIELDS:
+            assert getattr(replayed, name) == getattr(result, name), name
+        assert replayed.from_cache

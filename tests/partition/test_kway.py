@@ -2,14 +2,50 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.graphs.generators import gbreg, gnp, grid_graph, ladder_graph
 from repro.graphs.graph import Graph
 from repro.partition.fm import fiduccia_mattheyses
 from repro.partition.kway import KWayPartition, recursive_kway
+
+# Splits a string-labelled Gnp graph into four parts and prints them,
+# each part's labels sorted.  String hashes follow PYTHONHASHSEED, so a
+# set iterated anywhere on the seeded path shows up as different parts.
+_KWAY_PROBE = """
+from repro.graphs.generators import gnp
+from repro.graphs.graph import Graph
+from repro.partition.kway import recursive_kway
+base = gnp(200, 0.04, rng=3)
+g = Graph()
+for v in base.vertices():
+    g.add_vertex(f"v{v}")
+for u, v, w in base.edges():
+    g.add_edge(f"v{u}", f"v{v}", w)
+print([sorted(part) for part in recursive_kway(g, 4, rng=3).parts])
+"""
+
+
+def _kway_parts_under_hash_seed(hash_seed: str) -> str:
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=str(Path(repro.__file__).parents[1]),
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _KWAY_PROBE], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 class TestRecursiveKway:
@@ -68,6 +104,9 @@ class TestRecursiveKway:
         a = recursive_kway(g, 4, rng=13)
         b = recursive_kway(g, 4, rng=13)
         assert a.parts == b.parts
+
+    def test_parts_do_not_depend_on_the_hash_seed(self):
+        assert _kway_parts_under_hash_seed("1") == _kway_parts_under_hash_seed("2")
 
     def test_custom_bisector(self, small_grid):
         p = recursive_kway(small_grid, 4, rng=14, bisector=fiduccia_mattheyses)
