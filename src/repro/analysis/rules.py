@@ -140,10 +140,10 @@ _SET_CALLS = {"set", "frozenset"}
 def set_valued_names(func: ast.AST) -> set[str]:
     """Local names bound (anywhere in ``func``) to an obvious set value.
 
-    Tracks ``x = {...}``, ``x = set(...)``/``frozenset(...)``, set
-    comprehensions, and ``x = d.keys()``.  Purely lexical — a name
-    rebound to a list later is still reported, which is the conservative
-    direction for a determinism lint.
+    Tracks ``x = {...}``, ``x = set(...)``/``frozenset(...)`` and set
+    comprehensions; a dict's ``keys()`` view keeps insertion order, so it
+    is not one.  Purely lexical — a name rebound to a list later is still
+    reported, which is the conservative direction for a determinism lint.
     """
     names: set[str] = set()
     for node in ast.walk(func):
@@ -161,7 +161,5 @@ def _is_set_expr(node: ast.expr) -> bool:
         return True
     if isinstance(node, ast.Call):
         if isinstance(node.func, ast.Name) and node.func.id in _SET_CALLS:
-            return True
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "keys":
             return True
     return False

@@ -19,11 +19,15 @@ Design invariants:
   it has not finished runs in the thread that collects it, and telemetry
   records the downgrade.
 
-A job carries its graph's worker-table entry: a :class:`Graph` is
-exported once per pool as a compiled CSR segment (see
-:mod:`repro.graphs.shm`) and jobs carry only its name, so there is one
-compile per graph, zero-copy array access in every worker, and a
-pickled graph only when the export or a worker's attach fails.
+A job carries its graph's worker-table entry, and every graph is
+compiled to CSR once, in the parent.  A batch's graphs exist before its
+pool starts, so its workers are born with them: the pool initializer
+hands them the key -> graph table (inherited under fork, pickled once
+per worker start under spawn and forkserver) and jobs carry only the
+key.  A graph a pool gets after it started (the service's uploads) is
+exported once as a compiled CSR segment (see :mod:`repro.graphs.shm`)
+that workers map at zero copy cost; it is pickled with each job only
+when the export or a worker's attach fails.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ import os
 import signal
 import threading
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Any
 
+from ..graphs.csr import csr_view
 from ..graphs.graph import vertex_token
 from ..graphs.shm import SharedGraphSegment, ShmAttachError, ShmGraphRef
 from ..obs import counter, current_run, gauge, histogram, obs_enabled, span
@@ -192,6 +197,7 @@ def execute_job(job: Job, graph: Any) -> JobResult:
 # -- worker-process plumbing -------------------------------------------------------
 
 _WORKER_ATTACHED: dict[str, Any] = {}
+_WORKER_GRAPHS: Mapping[str, Any] = {}
 
 #: Error prefix marking "the worker could not attach the shm segment";
 #: the pool re-runs such jobs on the pickled graph instead of failing them.
@@ -201,15 +207,24 @@ _SHM_ATTACH_PREFIX = "shm-attach: "
 _OWNER_POLL_SECONDS = 0.5
 
 
-def _worker_init(owner: int) -> None:
-    """Pool worker start-up: exit as soon as the pool's ``owner`` is gone.
+@dataclass(frozen=True)
+class _PoolGraph:
+    """A by-key handle to a graph the pool's workers started with."""
+
+    key: str
+
+
+def _worker_init(owner: int, graphs: Mapping[str, Any]) -> None:
+    """Pool worker start-up: keep the pool's ``graphs``, and exit as soon
+    as the pool's ``owner`` is gone.
 
     An idle worker blocks on the pool's call queue, whose write end its
     siblings hold too, so a SIGKILLed owner would leave it waiting for
     good, adopted by init.
     """
-    global _WORKER_ATTACHED
+    global _WORKER_ATTACHED, _WORKER_GRAPHS
     _WORKER_ATTACHED = {}
+    _WORKER_GRAPHS = graphs
     threading.Thread(
         target=_exit_with_owner, args=(owner, os.getppid()), name="owner-watch", daemon=True
     ).start()
@@ -250,11 +265,14 @@ def _close_worker_segments() -> None:
 def _resolve_worker_graph(entry: Any) -> Any:
     """The worker-side graph for a job's graph-table ``entry``.
 
-    A shm ref is attached once per worker.  The segment object is cached
+    A by-key handle names a graph the worker started with.  A shm ref is
+    attached once per worker.  The segment object is cached
     alongside the rebuilt graph — it must outlive every zero-copy view
     into it — and detached via ``atexit`` so worker shutdown is quiet and
     deterministic.  Any other entry is the graph itself.
     """
+    if isinstance(entry, _PoolGraph):
+        return _WORKER_GRAPHS[entry.key]
     if not isinstance(entry, ShmGraphRef):
         return entry
     cached = _WORKER_ATTACHED.get(entry.name)
@@ -277,7 +295,7 @@ def _resolve_worker_graph(entry: Any) -> Any:
 
 
 def _worker_run(job: Job, entry: Any) -> JobResult:
-    shared = isinstance(entry, ShmGraphRef)
+    shared = isinstance(entry, (ShmGraphRef, _PoolGraph))
     compiles = getattr(counter("csr_compiles_total"), "value", 0)
     # Everything this job does in the worker — shm attach included — is
     # collected as a registry delta plus span records and shipped back on
@@ -324,8 +342,9 @@ def _pool_start_method() -> str:
     return "fork" if "fork" in methods else multiprocessing.get_start_method()
 
 
-def _make_pool(workers: int):
-    """Create the process pool (separated out so tests can break it)."""
+def _make_pool(workers: int, graphs: Mapping[str, Any]):
+    """Create the process pool, its workers born with ``graphs``
+    (separated out so tests can break it)."""
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context(_pool_start_method())
@@ -333,7 +352,7 @@ def _make_pool(workers: int):
         max_workers=workers,
         mp_context=context,
         initializer=_worker_init,
-        initargs=(os.getpid(),),
+        initargs=(os.getpid(), graphs),
     )
 
 
@@ -382,8 +401,12 @@ class WorkerPool:
     spawn and forkserver the pool starts them as submissions need them.
     ``close`` drains the pool; leaving a ``with`` block on an exception
     kills the workers instead.  ``workers=0`` starts none: every job
-    then runs in the thread that collects it.  Each graph key is
-    exported to shared memory once, by its first job.
+    then runs in the thread that collects it.
+
+    ``graphs`` is the key -> graph table the workers start with: each is
+    compiled to CSR here, before any worker starts, and a job on one of
+    them carries only its key.  Any other graph key is exported to
+    shared memory once, by its first job.
 
     One rule covers every way the pool can fail a job: it can't start
     (``pool_unavailable``), it broke (``pool_broken``, and it is dropped),
@@ -399,11 +422,18 @@ class WorkerPool:
     JSONL file, so one batch file feeds ``repro-bisect trace export``.
     """
 
-    def __init__(self, workers: int, telemetry: Telemetry, span_sink: bool = False) -> None:
+    def __init__(
+        self,
+        workers: int,
+        telemetry: Telemetry,
+        span_sink: bool = False,
+        graphs: Mapping[str, Any] | None = None,
+    ) -> None:
         self.telemetry = telemetry
         self._span_sink = telemetry if span_sink else None
         # Guards the pool, the exports, the segments and the shipment slots.
         self._lock = threading.Lock()
+        self._graphs = dict(graphs or {})
         self._exports: dict[str, tuple[Any, Any]] = {}  # key -> (graph, entry)
         self._segments: dict[str, SharedGraphSegment] = {}
         self._slots: dict[int, int] = {}  # worker pid -> slot, first-seen order
@@ -445,9 +475,11 @@ class WorkerPool:
         """The process pool, forked now; ``None`` when it cannot start."""
         pool = None
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        gc.freeze()
         try:
-            pool = _make_pool(workers)
+            for graph in self._graphs.values():
+                csr_view(graph)  # compiled once, here, for every worker
+            gc.freeze()
+            pool = _make_pool(workers, self._graphs)
             # With fork, the first submission forks every worker at once.
             pool.submit(os.getpid).result()
         except Exception as exc:  # noqa: BLE001 - degrade, don't die
@@ -491,10 +523,13 @@ class WorkerPool:
     def _entry(self, key: str, graph: Any) -> Any:
         """The job's graph-table entry, exporting ``key`` once (lock held).
 
-        The entry is a shm ref, or the graph itself (shipped whole with
+        The entry is a by-key handle for a graph the workers started
+        with, else a shm ref, or the graph itself (shipped whole with
         every job) when the export failed or ``key`` was first used for
         another graph.
         """
+        if self._graphs.get(key) is graph:
+            return _PoolGraph(key)
         exported = self._exports.get(key)
         if exported is None:
             exported = self._exports[key] = (graph, self._export(key, graph))
@@ -730,9 +765,10 @@ class Engine:
             for name in sorted({job.algorithm.name for _, job, _ in pending}):
                 import_algorithm(name)
         mode = "parallel" if workers else "serial"
-        # The pool's close runs on every exit — a broken pool or a
-        # KeyboardInterrupt mid-batch too — so /dev/shm is left clean.
-        with WorkerPool(workers, self.telemetry, span_sink=True) as pool:
+        # The workers are born with the graphs the cache misses use, so a
+        # batch exports nothing to shared memory.
+        used = {job.graph_key: graphs[job.graph_key] for _, job, _ in pending}
+        with WorkerPool(workers, self.telemetry, span_sink=True, graphs=used) as pool:
             submitted = []
             for index, job, key in pending:
                 self.telemetry.emit("job_queued", job.job_id, mode=mode)

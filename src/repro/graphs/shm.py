@@ -1,12 +1,14 @@
 """Zero-copy shared-memory export of compiled CSR graphs.
 
-A multi-worker batch over one large graph used to ship that graph to
-every worker as a pickle (or rely on fork copy-on-write) and then let
-*each worker* recompile its own CSR view.  This module packs the
-already-compiled :class:`~repro.graphs.csr.CSRGraph` buffers into a
-single :class:`multiprocessing.shared_memory.SharedMemory` segment so
-the compile happens exactly once, in the parent, and workers map the
-arrays read-only at zero copy cost.
+A worker pool that gets a graph after its workers started (the
+service's uploads; a batch's workers are born with its graphs, see
+:mod:`repro.engine.executor`) would otherwise ship that graph to every
+worker as a pickle and let *each worker* recompile its own CSR view.
+This module packs the already-compiled
+:class:`~repro.graphs.csr.CSRGraph` buffers into a single
+:class:`multiprocessing.shared_memory.SharedMemory` segment so the
+compile happens exactly once, in the parent, and workers map the arrays
+read-only at zero copy cost.
 
 Segment layout (all little-endian)::
 

@@ -16,3 +16,9 @@ def dedupe(a, b, extras):
 def filter_members(items, keep):
     keep_set = set(keep)  # clean: membership tests only, never iterated
     return [x for x in items if x in keep_set]
+
+
+def first_key(mapping):
+    names = mapping.keys()
+    for n in names:  # clean: a dict keys view iterates in insertion order
+        return n

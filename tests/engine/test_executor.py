@@ -166,7 +166,7 @@ class TestGracefulDegradation:
     def test_pool_unavailable_falls_back_to_serial(self, graph, monkeypatch):
         import repro.engine.executor as executor
 
-        def broken_pool(workers):
+        def broken_pool(workers, graphs):
             raise OSError("no semaphores here")
 
         monkeypatch.setattr(executor, "_make_pool", broken_pool)
@@ -177,6 +177,15 @@ class TestGracefulDegradation:
         serial = Engine(jobs=1).run(_start_jobs(AlgorithmSpec.make("kl"), 9, 3),
                                     {"g": graph})
         assert [r.cut for r in results] == [r.cut for r in serial]
+
+
+    def test_graph_that_cannot_compile_fails_its_jobs_not_the_batch(self):
+        # A pool compiles its graphs before it starts; a failing compile
+        # degrades to the serial path, where each job fails on its own.
+        engine = Engine(jobs=2)
+        results = engine.run(_start_jobs(AlgorithmSpec.make("kl"), 9, 2), {"g": object()})
+        assert engine.telemetry.count("pool_unavailable") == 1
+        assert [r.status for r in results] == ["failed", "failed"]
 
 
 class TestPreForkImport:
@@ -194,9 +203,9 @@ seen = []
 make_pool = executor._make_pool
 
 
-def recording(workers):
+def recording(workers, graphs):
     seen.append("repro.partition.kl" in sys.modules)
-    return make_pool(workers)
+    return make_pool(workers, graphs)
 
 
 executor._make_pool = recording

@@ -1,11 +1,13 @@
-"""Engine shared-memory sharding: lifecycle, fallbacks, start methods.
+"""Worker pool graph sharing: lifecycle, fallbacks, start methods.
 
-The contract under test: a multi-worker batch exports each graph's CSR
-to shared memory exactly once, workers attach at zero compile cost, and
-*every* exit path — normal completion, a worker crash, a
-KeyboardInterrupt mid-batch, a stale segment name — leaves ``/dev/shm``
-exactly as it found it and still returns results bitwise identical to a
-serial run.
+Two contracts are under test.  A pool started without graphs (the
+service's :class:`~repro.engine.handles.JobRunner`) exports each graph's
+CSR to shared memory exactly once, workers attach at zero compile cost,
+and *every* exit path — normal completion, a worker crash, a
+KeyboardInterrupt, a stale segment name — leaves ``/dev/shm`` exactly as
+it found it and still returns results bitwise identical to a serial
+run.  A batch's pool is born with its graphs instead: it exports
+nothing, starts no resource tracker and compiles nothing in a worker.
 """
 
 from __future__ import annotations
@@ -13,13 +15,18 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.engine.executor as executor
-from repro.engine.executor import Engine, PoolJob, _worker_run
+from repro.engine.executor import Engine, PoolJob, WorkerPool, _worker_run
+from repro.engine.handles import JobRunner
 from repro.engine import registry
 from repro.engine.job import AlgorithmSpec, Job
 from repro.engine.telemetry import Telemetry
@@ -53,6 +60,25 @@ def _run(engine: Engine, graph, starts: int = 4):
     return engine.run(_kl_batch(starts), {"g": graph})
 
 
+def _serve(graph, telemetry: Telemetry | None = None, jobs: list[Job] | None = None):
+    """``jobs`` (four KL starts by default) through the service's door: a
+    two-worker :class:`JobRunner`, whose pool starts without graphs and so
+    exports each one to shared memory."""
+    with JobRunner(workers=2, telemetry=telemetry) as runner:
+        handles = [runner.submit(job, graph) for job in jobs or _kl_batch()]
+        for handle in handles:
+            assert handle.wait(timeout=120.0)
+    return [handle.result for handle in handles]
+
+
+def _pool_run(graph, telemetry: Telemetry):
+    """Four KL starts on a two-worker pool started without graphs,
+    collected in this thread (so an interrupt there reaches the caller)."""
+    with WorkerPool(2, telemetry) as pool:
+        queued = [pool.submit(job, graph) for job in _kl_batch()]
+        return [pooled.result() for pooled in queued]
+
+
 def _assert_same_results(parallel, serial):
     assert [r.cut for r in parallel] == [r.cut for r in serial]
     assert [r.side0 for r in parallel] == [r.side0 for r in serial]
@@ -72,7 +98,7 @@ class TestNormalLifecycle:
     def test_export_once_attach_everywhere_unlink_on_exit(self, graph):
         before = _segment_names()
         telemetry = Telemetry()
-        results = _run(Engine(jobs=2, telemetry=telemetry), graph)
+        results = _serve(graph, telemetry)
         serial = _run(Engine(jobs=1), graph)
 
         _assert_same_results(results, serial)
@@ -91,7 +117,7 @@ class TestNormalLifecycle:
         spec = AlgorithmSpec.make("ckl")
         jobs = [Job("g", spec, derive_seed(master, index), job_id=f"ckl{index}")
                 for index in range(4)]
-        results = Engine(jobs=2).run(jobs, {"g": graph})
+        results = _serve(graph, jobs=jobs)
         serial = Engine(jobs=1).run(jobs, {"g": graph})
 
         _assert_same_results(results, serial)
@@ -105,7 +131,7 @@ class TestNormalLifecycle:
         )
         before = _segment_names()
         telemetry = Telemetry()
-        results = _run(Engine(jobs=2, telemetry=telemetry), graph)
+        results = _serve(graph, telemetry)
         serial = _run(Engine(jobs=1), graph)
 
         _assert_same_results(results, serial)
@@ -121,7 +147,7 @@ class TestAttachFallback:
         )
         before = _segment_names()
         telemetry = Telemetry()
-        results = _run(Engine(jobs=2, telemetry=telemetry), graph)
+        results = _serve(graph, telemetry)
         serial = _run(Engine(jobs=1), graph)
 
         _assert_same_results(results, serial)
@@ -134,7 +160,7 @@ class TestAttachFallback:
             executor.SharedGraphSegment, "create", _stale_create(SharedGraphSegment.create)
         )
         telemetry = Telemetry()
-        _run(Engine(jobs=2, telemetry=telemetry), graph)
+        _serve(graph, telemetry)
 
         assert telemetry.count("shm_attach_failed") >= 1
         assert telemetry.summary()["jobs"] == 4
@@ -176,11 +202,11 @@ class TestRobustnessCleanup:
         spec = AlgorithmSpec.make("crashtest")
         jobs = [Job("g", spec, derive_seed(master, i), job_id=f"c{i}")
                 for i in range(3)]
-        results = Engine(jobs=2, telemetry=telemetry).run(jobs, {"g": graph})
+        results = _serve(graph, telemetry, jobs)
 
         assert telemetry.count("pool_broken") == 1
         assert telemetry.count("shm_unlink") == 1
-        # The serial sweep finished the batch in the parent, where the
+        # The dispatcher threads finished the jobs in the parent, where the
         # algorithm fails as an ordinary exception.
         assert all(r.status == "failed" for r in results)
         assert all("parent" in r.error for r in results)
@@ -211,7 +237,7 @@ class TestRobustnessCleanup:
         assert "degraded to serial" in line
 
     def test_keyboard_interrupt_still_unlinks(self, graph, monkeypatch):
-        # Ctrl-C lands while the batch waits for its first result, after
+        # Ctrl-C lands while the owner waits for its first result, after
         # every job (and so the graph's segment) went to the pool.
         def interrupted(self):
             raise KeyboardInterrupt
@@ -220,7 +246,7 @@ class TestRobustnessCleanup:
         before = _segment_names()
         telemetry = Telemetry()
         with pytest.raises(KeyboardInterrupt):
-            _run(Engine(jobs=2, telemetry=telemetry), graph)
+            _pool_run(graph, telemetry)
         assert telemetry.count("shm_export") == 1
         assert telemetry.count("shm_unlink") == 1
         assert _segment_names() == before
@@ -276,7 +302,7 @@ class TestStartMethods:
         monkeypatch.setenv("REPRO_START_METHOD", "quantum")
         before = _segment_names()
         telemetry = Telemetry()
-        results = _run(Engine(jobs=2, telemetry=telemetry), graph)
+        results = _serve(graph, telemetry)
         monkeypatch.delenv("REPRO_START_METHOD")
         serial = _run(Engine(jobs=1), graph)
 
@@ -361,7 +387,7 @@ class TestHygieneUnderSpawn:
         )
         before = _segment_names()
         telemetry = Telemetry()
-        results = _run(Engine(jobs=2, telemetry=telemetry), graph)
+        results = _serve(graph, telemetry)
 
         _assert_same_results(results, _run(Engine(jobs=1), graph))
         assert telemetry.count("pool_broken") == 1
@@ -395,7 +421,7 @@ class TestHygieneUnderSpawn:
         before = _segment_names()
         telemetry = Telemetry()
         with pytest.raises(KeyboardInterrupt):
-            _run(Engine(jobs=2, telemetry=telemetry), graph)
+            _pool_run(graph, telemetry)
         assert telemetry.count("shm_export") == 1
         assert telemetry.count("shm_unlink") == 1
         assert _segment_names() == before
@@ -406,7 +432,7 @@ class TestHygieneUnderSpawn:
         )
         before = _segment_names()
         telemetry = Telemetry()
-        results = _run(Engine(jobs=2, telemetry=telemetry), graph)
+        results = _serve(graph, telemetry)
 
         _assert_same_results(results, _run(Engine(jobs=1), graph))
         assert telemetry.count("shm_attach_failed") >= 1
@@ -421,9 +447,62 @@ class TestHygieneUnderSpawn:
         )
         before = _segment_names()
         telemetry = Telemetry()
-        results = _run(Engine(jobs=2, telemetry=telemetry), graph)
+        results = _serve(graph, telemetry)
 
         _assert_same_results(results, _run(Engine(jobs=1), graph))
         assert telemetry.count("shm_export_failed") == 1
         assert telemetry.count("pool_created") == 1
         assert _segment_names() == before
+
+
+class TestBatchWorkersBornWithGraphs:
+    """A batch's workers start with its graphs: nothing goes to /dev/shm."""
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize("algorithm", ["kl", "ckl"])
+    def test_batch_exports_nothing(self, graph, method, algorithm, monkeypatch):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} start method unavailable")
+        monkeypatch.setenv("REPRO_START_METHOD", method)
+        master = LaggedFibonacciRandom(0)
+        spec = AlgorithmSpec.make(algorithm)
+        jobs = [Job("g", spec, derive_seed(master, index), job_id=f"start{index}")
+                for index in range(4)]
+        before = _segment_names()
+        telemetry = Telemetry()
+        results = Engine(jobs=2, telemetry=telemetry).run(jobs, {"g": graph})
+        monkeypatch.delenv("REPRO_START_METHOD")
+        serial = Engine(jobs=1).run(jobs, {"g": graph})
+
+        _assert_same_results(results, serial)
+        (created,) = telemetry.of_kind("pool_created")
+        assert created.payload["method"] == method
+        assert telemetry.count("shm_export") == 0
+        assert _segment_names() == before
+        assert all(r.counters.get("worker_csr_compiles") == 0 for r in results)
+
+    def test_fork_batch_starts_no_resource_tracker(self):
+        # The first shared-memory segment a process creates starts
+        # multiprocessing's resource tracker, a second interpreter.
+        probe = """
+from multiprocessing import resource_tracker
+from repro.engine.executor import Engine
+from repro.engine.job import AlgorithmSpec, Job
+from repro.graphs.generators.special import ladder_graph
+
+jobs = [Job("g", AlgorithmSpec.make("kl"), seed) for seed in (1, 2)]
+engine = Engine(jobs=2)
+results = engine.run(jobs, {"g": ladder_graph(8)})
+print(engine.telemetry.count("pool_created"), [r.ok for r in results],
+      resource_tracker._resource_tracker._pid)
+"""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]),
+                   REPRO_START_METHOD="fork")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["1", "[True,", "True]", "None"]

@@ -52,6 +52,20 @@ class TestRunStarts:
         parallel = capsys.readouterr().out
         assert serial.splitlines()[1] == parallel.splitlines()[1]  # the cuts line
 
+    def test_parallel_ckl_partition_matches_serial(self, graph_file, tmp_path, capsys):
+        # The benchmark's CLI command: two CKL starts, the best one saved.
+        cuts, partitions = [], []
+        for jobs in ("1", "2"):
+            partition = tmp_path / f"jobs{jobs}.part"
+            assert main(["run", graph_file, "--algorithm", "ckl", "--seed", "9",
+                         "--starts", "2", "--jobs", jobs,
+                         "--save-partition", str(partition)]) == 0
+            cuts.append(capsys.readouterr().out.splitlines()[1])
+            partitions.append(partition.read_bytes())
+        assert cuts[0].startswith("starts: 2  cuts: [")
+        assert cuts[0] == cuts[1]
+        assert partitions[0] == partitions[1]
+
 
 class TestTableEngine:
     def test_parallel_table_matches_serial_and_hits_cache(
