@@ -344,23 +344,29 @@ def rebalance(
     """
     if tolerance is None:
         tolerance = default_tolerance(graph)
-    w0, w1 = side_weights(graph, assignment)
-    moved: set = set()
+    # Over the CSR ids: id order is vertex order and each row is the
+    # vertex's adjacency in order, so the scan picks what a walk over
+    # labels would.
+    csr = csr_view(graph)
+    sides = csr.sides_list(assignment)
+    weight = csr.vertex_weight_list()
+    nbrs, wts = csr.neighbor_lists(), csr.weight_lists()
+    w0, w1 = csr_side_weights(csr, sides)
+    moved = bytearray(csr.num_vertices)
     while abs(w0 - w1) > tolerance:
         heavy = 0 if w0 > w1 else 1
         excess = abs(w0 - w1)
         best_v = None
         best_key = None
-        for v in graph.vertices():
-            if assignment[v] != heavy or v in moved:
+        for v in range(csr.num_vertices):
+            if sides[v] != heavy or moved[v]:
                 continue
-            wv = graph.vertex_weight(v)
-            new_imbalance = abs(excess - 2 * wv)
+            new_imbalance = abs(excess - 2 * weight[v])
             if new_imbalance > excess:
                 continue
             gain = 0
-            for u, w in graph.neighbor_items(v):
-                gain += w if assignment[u] != heavy else -w
+            for u, w in zip(nbrs[v], wts[v]):
+                gain += w if sides[u] != heavy else -w
             # Prefer moves that shrink the imbalance most; break ties by gain.
             key = (-new_imbalance, gain)
             if best_key is None or key > best_key:
@@ -371,9 +377,10 @@ def rebalance(
                 f"cannot rebalance to tolerance {tolerance}: no movable vertex "
                 f"(imbalance {abs(w0 - w1)})"
             )
-        wv = graph.vertex_weight(best_v)
-        assignment[best_v] = 1 - heavy
-        moved.add(best_v)
+        wv = weight[best_v]
+        sides[best_v] = 1 - heavy
+        assignment[csr.labels[best_v]] = 1 - heavy
+        moved[best_v] = 1
         if heavy == 0:
             w0 -= wv
             w1 += wv

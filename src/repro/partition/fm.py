@@ -97,7 +97,9 @@ def fiduccia_mattheyses(
         raise ValueError(f"balance_tolerance must be nonnegative, got {balance_tolerance}")
     rng = resolve_rng(rng)
 
-    total = graph.total_vertex_weight
+    csr = csr_view(graph)
+    vertex_weights = csr.vertex_weight_list()
+    total = csr.total_vertex_weight
     if target_weights is None:
         target_diff = 0
         strict_default = default_tolerance(graph)
@@ -108,11 +110,8 @@ def fiduccia_mattheyses(
                 f"target_weights must be nonnegative and sum to {total}, got {target_weights}"
             )
         target_diff = t0 - t1
-        strict_default = minimum_achievable_deviation(
-            (graph.vertex_weight(v) for v in graph.vertices()), target_diff
-        )
+        strict_default = minimum_achievable_deviation(vertex_weights, target_diff)
 
-    csr = csr_view(graph)
     if init is not None:
         if init.graph is not graph and init.graph != graph:
             raise ValueError("init bisection belongs to a different graph")
@@ -121,7 +120,7 @@ def fiduccia_mattheyses(
         sides = random_sides(graph, rng)
 
     strict_tol = strict_default if balance_tolerance is None else balance_tolerance
-    max_weight = max(graph.vertex_weight(v) for v in graph.vertices())
+    max_weight = max(vertex_weights)
     loose_tol = max(strict_tol, 2 * max_weight)
 
     gains = csr_move_gains(csr, sides)
