@@ -44,7 +44,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,14 +143,8 @@ def _positive_int(text: str) -> int:
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ledger", metavar="PATH",
-        help="write a run ledger (counters, spans, env) after the command; "
-        "'auto' content-addresses it next to the result cache",
-    )
-    parser.add_argument(
-        "--profile", metavar="PATH",
-        help="sample this process during the command and write a "
-        "collapsed-stack profile (flamegraph.pl / speedscope format); "
-        "REPRO_PROFILE=1 opts in without the flag",
+        help="write a run ledger (counters, span self times, env) after the "
+        "command; 'auto' content-addresses it next to the result cache",
     )
 
 
@@ -504,18 +498,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    from .obs.top import run_top
-
-    return run_top(
-        events=args.events,
-        url=args.url,
-        interval=args.interval,
-        once=args.once,
-        frames=args.frames,
-    )
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from .engine.registry import algorithm_names
     from .verify import DEFAULT_FAMILIES, run_check
@@ -856,7 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--diff", nargs=2, metavar=("OLD", "NEW"),
-        help="counter-level explanation of what changed between two runs",
+        help="name the span whose self time moved most between two runs, "
+        "then the counters that moved",
     )
     stats.add_argument(
         "--validate", action="store_true",
@@ -883,31 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output trace path (default: trace.json)",
     )
     trace.set_defaults(func=_cmd_trace)
-
-    top = sub.add_parser(
-        "top",
-        help="live TTY dashboard over a telemetry file or a served /metrics",
-    )
-    top.add_argument(
-        "events", nargs="?", default=None,
-        help="telemetry JSONL file a concurrent run is appending to",
-    )
-    top.add_argument(
-        "--url", help="poll this repro-bisect serve base URL instead of a file"
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0,
-        help="refresh period in seconds (default: 1.0)",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="print a single frame and exit (no screen control; CI mode)",
-    )
-    top.add_argument(
-        "--frames", type=_positive_int, default=None,
-        help="stop after this many refreshes (default: until Ctrl-C)",
-    )
-    top.set_defaults(func=_cmd_top)
 
     check = sub.add_parser(
         "check",
@@ -1118,56 +1076,21 @@ def _dispatch(argv: list[str] | None = None) -> int:
     ledger_target = getattr(args, "ledger", None)
     if getattr(args, "study_owns_ledger", False):
         ledger_target = None  # study builds its own (kind "study") ledger
-    profile_target = getattr(args, "profile", None)
-    wants_profile = profile_target is not None
-    if not wants_profile and "REPRO_PROFILE" in os.environ:
-        from .obs.profiler import profiling_enabled
-
-        wants_profile = profiling_enabled()
-    if ledger_target is None and not wants_profile:
+    if ledger_target is None:
         return args.func(args)
 
-    run = None
-    profiling = nullcontext()
-    if wants_profile:
-        from .obs.profiler import maybe_profile
+    from .obs import build_ledger, run_context, write_ledger
 
-        profiling = maybe_profile(force=True)
-    with profiling as profiler:
-        if ledger_target is None:
-            exit_code = args.func(args)
-        else:
-            from .obs import run_context
-
-            # The trace JSONL shares the engine telemetry file, so one tail
-            # shows both streams correlated by run_id.
-            with run_context(
-                jsonl_path=getattr(args, "telemetry", None),
-                workload={"command": args.command},
-            ) as run:
-                exit_code = args.func(args)
-
-    if profiler is not None and profile_target is not None:
-        path = profiler.write_collapsed(profile_target)
-        print(f"wrote profile {path} ({profiler.samples} samples @ {profiler.hz:g}Hz)")
-    if ledger_target is not None:
-        from .obs import build_ledger, write_ledger
-
-        ledger = build_ledger(
-            run, argv=list(argv) if argv is not None else sys.argv[1:]
-        )
-        if profiler is not None:
-            ledger["profile"] = profiler.summary()
-        path = write_ledger(ledger, None if ledger_target == "auto" else ledger_target)
-        print(f"wrote ledger {path}")
-    elif profiler is not None and profile_target is None:
-        # REPRO_PROFILE=1 with nowhere to put the profile: don't drop it
-        # silently, show the hottest leaves.
-        leaves = sorted(
-            profiler.leaf_totals().items(), key=lambda item: (-item[1], item[0])
-        )
-        for label, count in leaves[:10]:
-            print(f"profile: {count:6d}  {label}", file=sys.stderr)
+    # The trace JSONL shares the engine telemetry file, so one tail shows
+    # both streams correlated by run_id.
+    with run_context(
+        jsonl_path=getattr(args, "telemetry", None),
+        workload={"command": args.command},
+    ) as run:
+        exit_code = args.func(args)
+    ledger = build_ledger(run, argv=list(argv) if argv is not None else sys.argv[1:])
+    path = write_ledger(ledger, None if ledger_target == "auto" else ledger_target)
+    print(f"wrote ledger {path}")
     return exit_code
 
 

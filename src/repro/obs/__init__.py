@@ -24,7 +24,7 @@ from .. import _lazy_exports
 
 # Every instrumented module imports from here, so names load with their
 # defining module on first use: a span costs ``trace`` and ``metrics``,
-# not the ledger, the profiler or the dashboards.
+# not the ledger or the dashboards.
 _EXPORTS = {
     ".accumulator": (
         "StreamingStats", "TailFit", "best_of_k_extrapolation", "fit_lower_tail",
@@ -41,13 +41,11 @@ _EXPORTS = {
         "counter", "gauge", "histogram", "histogram_quantile", "obs_enabled",
         "parse_series", "prometheus_text",
     ),
-    ".profiler": ("SamplingProfiler", "maybe_profile", "profiling_enabled"),
     ".shipper": ("build_shipment", "collect_shipment", "merge_shipment"),
     ".timeline": (
         "export_chrome_trace", "read_event_records", "validate_chrome_trace",
         "write_chrome_trace",
     ),
-    ".top": ("TopMonitor", "run_top"),
     ".trace": (
         "RunContext", "Span", "capture_spans", "current_run", "current_run_id",
         "envelope", "ingest_span_record", "new_run_id", "reset_span_totals",
@@ -66,11 +64,9 @@ __all__ = [
     "NOOP",
     "REGISTRY",
     "RunContext",
-    "SamplingProfiler",
     "Span",
     "StreamingStats",
     "TailFit",
-    "TopMonitor",
     "best_of_k_extrapolation",
     "build_ledger",
     "build_shipment",
@@ -90,7 +86,6 @@ __all__ = [
     "ledger_dir",
     "load_ledger",
     "load_schema",
-    "maybe_profile",
     "merge_shipment",
     "monotonic_time",
     "new_run_id",
@@ -98,14 +93,12 @@ __all__ = [
     "parse_series",
     "prometheus_text",
     "process_rss_bytes",
-    "profiling_enabled",
     "read_event_records",
     "refresh_process_gauges",
     "render_ledger",
     "render_ledger_diff",
     "reset_span_totals",
     "run_context",
-    "run_top",
     "set_build_info",
     "span",
     "span_totals",

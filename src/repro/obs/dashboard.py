@@ -1,10 +1,11 @@
 """ASCII dashboards for run ledgers (the ``repro-bisect stats`` command).
 
-Renders one ledger as a terminal dashboard — header, span time breakdown
-as horizontal bars, counter table, histogram plots — and renders a
-:func:`repro.obs.ledger.diff_ledgers` report as a counter-level
-explanation of a perf delta.  All drawing is done by the existing
-:mod:`repro.obs.ascii` helpers; there is nothing graphical to install.
+Renders one ledger as a terminal dashboard — header, the self-time tree
+of its spans, counter table, histogram plots — and renders a
+:func:`repro.obs.ledger.diff_ledgers` report as an explanation of a perf
+delta: the span whose self time moved most, then the counters.  All
+drawing is done by the existing :mod:`repro.obs.ascii` helpers; there
+is nothing graphical to install.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from .ascii import horizontal_bars, render_generic_table, sparkline
+from .ascii import render_generic_table, sparkline
 
 __all__ = ["render_ledger", "render_ledger_diff"]
 
@@ -75,6 +76,35 @@ def _degradation_rows(counters: dict[str, Any]) -> list[list[Any]]:
     ]
 
 
+def _self_tree(title: str, entries: dict[str, dict[str, Any]]) -> list[str]:
+    """Indented rows of a self-time split: self, total (self plus
+    descendants) and count per span path, each level's heaviest first."""
+    totals = {
+        path: sum(
+            entry["seconds"]
+            for other, entry in entries.items()
+            if other == path or other.startswith(path + "/")
+        )
+        for path in entries
+    }
+    children: dict[str, list[str]] = {}
+    for path in entries:
+        children.setdefault(path.rpartition("/")[0], []).append(path)
+    lines = [title, f"{'self(s)':>9} {'total(s)':>9} {'count':>6}  span"]
+
+    def walk(parent: str, depth: int) -> None:
+        for path in sorted(children.get(parent, ()), key=lambda p: (-totals[p], p)):
+            entry = entries[path]
+            lines.append(
+                f"{entry['seconds']:9.4f} {totals[path]:9.4f} {entry['count']:6d}  "
+                f"{'  ' * depth}{path.rpartition('/')[2]}"
+            )
+            walk(path, depth + 1)
+
+    walk("", 0)
+    return lines
+
+
 def render_ledger(ledger: dict[str, Any]) -> str:
     """One-ledger dashboard: header, spans, counters, gauges, histograms."""
     sections: list[str] = ["\n".join(_header(ledger))]
@@ -89,17 +119,29 @@ def render_ledger(ledger: dict[str, Any]) -> str:
             )
         )
 
+    split = ledger.get("self_seconds")
+    if split:
+        owner = _self_tree(
+            f"self time, owner process (self + unattributed = wall "
+            f"{ledger.get('wall_seconds', 0.0):.4f}s)",
+            split["owner"],
+        )
+        owner.append(f"{split['unattributed']:9.4f} {'':9} {'':6}  (unattributed)")
+        sections.append("\n".join(owner))
+        if split.get("workers"):
+            sections.append(
+                "\n".join(
+                    _self_tree(
+                        "self time, pool workers (overlaps the owner's "
+                        "engine.batch; not in the sum above)",
+                        split["workers"],
+                    )
+                )
+            )
+
     spans = ledger.get("spans", {})
     if spans:
         names = sorted(spans, key=lambda n: -spans[n]["seconds"])
-        sections.append(
-            "spans (total seconds)\n"
-            + horizontal_bars(
-                names,
-                [round(spans[n]["seconds"], 6) for n in names],
-                width=30,
-            )
-        )
         sections.append(
             render_generic_table(
                 ["span", "count", "seconds", "max(s)", "errors"],
@@ -113,7 +155,7 @@ def render_ledger(ledger: dict[str, Any]) -> str:
                     ]
                     for name in names
                 ],
-                title="span totals",
+                title="span totals (inclusive seconds)",
             )
         )
 
@@ -148,20 +190,6 @@ def render_ledger(ledger: dict[str, Any]) -> str:
             f"mean={mean:,.4g}\n  buckets {sparkline(counts)}"
         )
 
-    profile = ledger.get("profile")
-    if profile and profile.get("stacks"):
-        top = profile["stacks"][:8]
-        lines = [
-            f"profile: {profile.get('samples', 0)} samples @ "
-            f"{profile.get('hz', 0):g}Hz over {profile.get('wall_seconds', 0.0):.2f}s"
-        ]
-        for entry in top:
-            leaf = entry["stack"].rsplit(";", 1)[-1]
-            lines.append(f"  {entry['count']:>6}  {leaf}")
-        if profile.get("truncated"):
-            lines.append(f"  ... {profile['truncated']} cooler stacks truncated")
-        sections.append("\n".join(lines))
-
     return "\n\n".join(sections)
 
 
@@ -175,8 +203,26 @@ def _diff_status(ratio: float | None, delta: float) -> str:
     return "-" if delta < 0 else "+"
 
 
+def _delta_table(title: str, rows: list[dict[str, Any]]) -> str:
+    return render_generic_table(
+        ["span", "old(s)", "new(s)", "delta(s)", "ratio"],
+        [
+            [
+                row["name"],
+                f"{row['old']:.4f}",
+                f"{row['new']:.4f}",
+                f"{row['delta']:+.4f}",
+                "-" if row["ratio"] is None else f"{row['ratio']:.2f}x",
+            ]
+            for row in rows
+        ],
+        title=title,
+    )
+
+
 def render_ledger_diff(report: dict[str, Any]) -> str:
-    """Human-readable counter-level explanation of a ledger diff."""
+    """Human-readable explanation of a ledger diff: the span whose self
+    time moved most, self-time deltas largest first, then counters."""
     lines: list[str] = []
     old_id, new_id = report.get("run_ids", [None, None])
     lines.append(f"ledger diff: {old_id} -> {new_id}")
@@ -186,6 +232,12 @@ def render_ledger_diff(report: dict[str, Any]) -> str:
         f"wall: {wall.get('old', 0.0):.3f}s -> {wall.get('new', 0.0):.3f}s"
         + (f"  ({ratio:.2f}x)" if ratio else "")
     )
+    self_rows = report.get("self_seconds", {})
+    owner_rows = [row for row in self_rows.get("owner", []) if row["delta"] != 0]
+    worker_rows = [row for row in self_rows.get("workers", []) if row["delta"] != 0]
+    if owner_rows:
+        top = owner_rows[0]
+        lines.append(f"largest self-time change: {top['name']} ({top['delta']:+.4f}s)")
     if not report.get("same_workload", True):
         lines.append("WARNING: the two runs describe different workloads; "
                      "counter deltas may not be comparable")
@@ -195,6 +247,25 @@ def render_ledger_diff(report: dict[str, Any]) -> str:
             f"{key}: {old!r} -> {new!r}" for key, (old, new) in sorted(env_changes.items())
         )
         lines.append(f"env changes: {changes}")
+
+    for group, rows in (("owner process", owner_rows), ("pool workers", worker_rows)):
+        if rows:
+            lines.append(_delta_table(f"self time deltas, {group} (largest first)", rows))
+    if not owner_rows:
+        # Ledgers written before the self-time split: inclusive deltas only.
+        span_rows = [
+            {
+                "name": row["name"],
+                "old": row["old_seconds"],
+                "new": row["new_seconds"],
+                "delta": row["delta_seconds"],
+                "ratio": row["ratio"],
+            }
+            for row in report.get("spans", [])
+            if row["delta_seconds"] != 0
+        ]
+        if span_rows:
+            lines.append(_delta_table("span time deltas", span_rows))
 
     counter_rows = [row for row in report.get("counters", []) if row["delta"] != 0]
     if counter_rows:
@@ -217,23 +288,4 @@ def render_ledger_diff(report: dict[str, Any]) -> str:
         )
     else:
         lines.append("no counter moved between the two runs")
-
-    span_rows = [row for row in report.get("spans", []) if row["delta_seconds"] != 0]
-    if span_rows:
-        lines.append(
-            render_generic_table(
-                ["span", "old(s)", "new(s)", "delta(s)", "ratio"],
-                [
-                    [
-                        row["name"],
-                        f"{row['old_seconds']:.4f}",
-                        f"{row['new_seconds']:.4f}",
-                        f"{row['delta_seconds']:+.4f}",
-                        "-" if row["ratio"] is None else f"{row['ratio']:.2f}x",
-                    ]
-                    for row in span_rows
-                ],
-                title="span time deltas",
-            )
-        )
     return "\n\n".join(lines)

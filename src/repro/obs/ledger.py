@@ -4,11 +4,12 @@ A ledger freezes everything observable about one run — wall time, the
 environment toggles that shape behaviour (``REPRO_OBS`` and
 ``REPRO_SCALE``; older ledgers also carry the kernel backend they ran as
 ``env.kernel``, or a boolean ``env.csr``), the workload descriptor,
-counter/gauge/histogram values, and per-span-name time totals — into a
-single JSON document that ``repro-bisect stats`` can render or diff
-later.  Ledgers are what make "why did this run get slower?" answerable
-after the fact: diff two ledgers of the same workload and read the
-counter deltas (heap pops, acceptance ratios, cache hits).
+counter/gauge/histogram values, per-span-name time totals and the
+self-time split (``self_seconds``) — into a single JSON document
+that ``repro-bisect stats`` can render or diff later.  Ledgers are what
+make "why did this run get slower?" answerable after the fact: diff two
+ledgers of the same workload and read which span's self time moved and
+the counter deltas (heap pops, acceptance ratios, cache hits).
 
 Counters and histograms in a ledger are the *delta over the run* (the
 :func:`repro.obs.trace.run_context` snapshots the registry on entry);
@@ -88,6 +89,60 @@ def _histogram_delta(before: dict[str, Any], after: dict[str, Any]) -> dict[str,
     return out
 
 
+def _self_by_path(records: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
+    """Self seconds of one process group's span records, keyed by name path.
+
+    A record's self time is its seconds minus those of the records whose
+    ``parent`` is its ``span_id``.  The key joins the span names from
+    the group's root down with ``/`` (``engine.batch/pipeline.coarse/
+    kl.run``), so the keys form the span tree and one name under two
+    parents keeps two rows.
+    """
+    by_id = {record["span_id"]: record for record in records}
+    child_seconds: dict[str, float] = {}
+    for record in records:
+        parent = record.get("parent")
+        if parent in by_id:
+            child_seconds[parent] = child_seconds.get(parent, 0.0) + record["seconds"]
+
+    def path(record: dict[str, Any]) -> str:
+        names = [record["name"]]
+        while record.get("parent") in by_id:
+            record = by_id[record["parent"]]
+            names.append(record["name"])
+        return "/".join(reversed(names))
+
+    out: dict[str, dict[str, Any]] = {}
+    for record in records:
+        entry = out.setdefault(path(record), {"count": 0, "seconds": 0.0})
+        entry["count"] += 1
+        children = child_seconds.get(record["span_id"], 0.0)
+        entry["seconds"] += record["seconds"] - children
+    for entry in out.values():
+        entry["seconds"] = round(entry["seconds"], 6)
+    return out
+
+
+def _self_seconds(run: RunContext) -> dict[str, Any]:
+    """Where a run's wall time went: self seconds per span path.
+
+    ``owner`` holds the spans of the process that owns the run, and
+    ``unattributed`` is ``wall_seconds`` minus their summed self time, so
+    the two add up to the wall time.  Spans shipped from pool workers
+    (records carrying a ``worker`` key) get self times under
+    ``workers``, kept out of that sum: they ran while the owner's
+    ``engine.batch`` span was open.
+    """
+    owner = [record for record in run.spans if "worker" not in record]
+    workers = [record for record in run.spans if "worker" in record]
+    split: dict[str, Any] = {"owner": _self_by_path(owner)}
+    if workers:
+        split["workers"] = _self_by_path(workers)
+    attributed = sum(entry["seconds"] for entry in split["owner"].values())
+    split["unattributed"] = round(round(run.wall_seconds, 6) - attributed, 6)
+    return split
+
+
 def build_ledger(
     run: RunContext,
     registry: MetricsRegistry | None = None,
@@ -118,6 +173,7 @@ def build_ledger(
         "gauges": {k: round(v, 6) for k, v in after["gauges"].items()},
         "histograms": _histogram_delta(before["histograms"], after["histograms"]),
         "spans": run.collector.snapshot(),
+        "self_seconds": _self_seconds(run),
     }
 
 
@@ -164,37 +220,48 @@ def load_ledger(path: str | Path) -> dict[str, Any]:
     return ledger
 
 
+def _rows(old: dict[str, Any], new: dict[str, Any]) -> list[dict[str, Any]]:
+    out = []
+    for name in sorted(set(old) | set(new)):
+        ov = old.get(name, 0)
+        nv = new.get(name, 0)
+        out.append(
+            {
+                "name": name,
+                "old": ov,
+                "new": nv,
+                "delta": round(nv - ov, 6),
+                "ratio": round(nv / ov, 4) if ov else None,
+            }
+        )
+    return out
+
+
+def _flat_self(ledger: dict[str, Any], group: str) -> dict[str, float]:
+    """``{path: self seconds}`` of one group, the owner's with its remainder."""
+    split = ledger.get("self_seconds", {})
+    flat = {path: entry["seconds"] for path, entry in split.get(group, {}).items()}
+    if group == "owner" and "unattributed" in split:
+        flat["unattributed"] = split["unattributed"]
+    return flat
+
+
 def diff_ledgers(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
     """Counter-level comparison of two ledgers (``a`` = old, ``b`` = new).
 
     Returns per-counter / per-gauge / per-span rows with old/new values,
-    deltas, and ratios, plus workload/env comparability flags.  Refuses
-    (raises ``ValueError``) to compare an instrumented run against an
-    uninstrumented one — their counters are not commensurable.
+    deltas, and ratios, plus workload/env comparability flags.  Self-time
+    rows (owner paths plus ``unattributed``, and worker paths apart) come
+    largest absolute delta first, so the first owner row names the layer
+    that moved most; ledgers written before the self-time split have
+    none.  Refuses (raises ``ValueError``) to compare an instrumented run
+    against an uninstrumented one — their counters are not commensurable.
     """
     if a.get("env", {}).get("obs") != b.get("env", {}).get("obs"):
         raise ValueError(
             "refusing to diff ledgers: one run was instrumented (REPRO_OBS=1) "
             "and the other was not"
         )
-
-    def rows(section: str) -> list[dict[str, Any]]:
-        old = a.get(section, {})
-        new = b.get(section, {})
-        out = []
-        for name in sorted(set(old) | set(new)):
-            ov = old.get(name, 0)
-            nv = new.get(name, 0)
-            out.append(
-                {
-                    "name": name,
-                    "old": ov,
-                    "new": nv,
-                    "delta": round(nv - ov, 6),
-                    "ratio": round(nv / ov, 4) if ov else None,
-                }
-            )
-        return out
 
     span_rows = []
     old_spans = a.get("spans", {})
@@ -231,9 +298,16 @@ def diff_ledgers(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
             "delta": round(wall_b - wall_a, 6),
             "ratio": round(wall_b / wall_a, 4) if wall_a else None,
         },
-        "counters": rows("counters"),
-        "gauges": rows("gauges"),
+        "counters": _rows(a.get("counters", {}), b.get("counters", {})),
+        "gauges": _rows(a.get("gauges", {}), b.get("gauges", {})),
         "spans": span_rows,
+        "self_seconds": {
+            group: sorted(
+                _rows(_flat_self(a, group), _flat_self(b, group)),
+                key=lambda row: -abs(row["delta"]),
+            )
+            for group in ("owner", "workers")
+        },
     }
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.engine import AlgorithmSpec, Engine, Job
+from repro.graphs.generators import gbreg
 from repro.obs import (
     build_ledger,
     counter,
@@ -142,3 +145,98 @@ class TestLedgerFlag:
                      "--ledger", str(target)]) == 0
         assert target.is_file()
         assert main(["stats", str(target), "--validate"]) == 0
+
+
+class TestSelfTime:
+    @pytest.fixture
+    def graph_file(self, tmp_path):
+        out = tmp_path / "g.edges"
+        assert main(
+            ["generate", "gbreg", "--vertices", "200", "--width", "4",
+             "--degree", "3", "--seed", "0", "--out", str(out)]
+        ) == 0
+        return str(out)
+
+    def _ckl_ledger(self, graph_file, tmp_path, *flags):
+        target = tmp_path / "ckl.json"
+        assert main(["run", graph_file, "--algorithm", "ckl", "--seed", "1",
+                     *flags, "--ledger", str(target)]) == 0
+        return target, json.loads(target.read_text())
+
+    def test_owner_self_times_and_remainder_add_up_to_wall(self, graph_file, tmp_path):
+        _, ledger = self._ckl_ledger(graph_file, tmp_path, "--jobs", "1")
+        split = ledger["self_seconds"]
+        assert "workers" not in split
+        owner = split["owner"]
+        assert {"engine.batch", "engine.batch/pipeline.coarse/kl.run",
+                "engine.batch/pipeline.final/kl.run/kl.pass"} <= set(owner)
+        assert owner["engine.batch"]["count"] == 1
+        attributed = sum(entry["seconds"] for entry in owner.values())
+        assert split["unattributed"] >= 0
+        assert abs(attributed + split["unattributed"] - ledger["wall_seconds"]) <= 1e-5
+        # Self times of a span's subtree add up to its inclusive total.
+        assert sum(
+            entry["seconds"] for path, entry in owner.items()
+            if path.startswith("engine.batch/pipeline.coarse")
+        ) == pytest.approx(ledger["spans"]["pipeline.coarse"]["seconds"], abs=1e-5)
+
+    def test_worker_self_times_are_listed_apart(self, graph_file, tmp_path, capsys):
+        target, ledger = self._ckl_ledger(
+            graph_file, tmp_path, "--starts", "2", "--jobs", "2"
+        )
+        split = ledger["self_seconds"]
+        assert set(split["owner"]) == {"engine.batch"}
+        assert split["workers"]["pipeline.coarse/kl.run"]["count"] == 2
+        owner = split["owner"]["engine.batch"]["seconds"]
+        assert abs(owner + split["unattributed"] - ledger["wall_seconds"]) <= 1e-5
+        capsys.readouterr()
+        assert main(["stats", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert "self time, owner process" in out
+        assert "self time, pool workers" in out
+
+    def test_ledger_with_legacy_profile_key_validates_and_renders(
+        self, graph_file, tmp_path, capsys
+    ):
+        target, ledger = self._ckl_ledger(graph_file, tmp_path)
+        ledger["profile"] = {
+            "hz": 97.0, "samples": 3, "wall_seconds": 0.03, "truncated": 0,
+            "stacks": [{"stack": "repro.cli:main;repro.partition.kl:kl_sequence",
+                        "count": 3}],
+        }
+        target.write_text(json.dumps(ledger))
+        capsys.readouterr()
+        assert main(["stats", str(target), "--validate"]) == 0
+        assert main(["stats", str(target)]) == 0
+        assert "self time, owner process" in capsys.readouterr().out
+
+    def test_ledger_without_self_time_validates(self, graph_file, tmp_path, capsys):
+        target, ledger = self._ckl_ledger(graph_file, tmp_path)
+        del ledger["self_seconds"]
+        target.write_text(json.dumps(ledger))
+        assert main(["stats", str(target), "--validate"]) == 0
+        assert main(["stats", str(target)]) == 0
+        assert main(["stats", "--diff", str(target), str(target)]) == 0
+
+    def test_diff_names_the_slowed_span_first(self, tmp_path, capsys):
+        graph = gbreg(200, 4, 3, rng=0).graph
+        with run_context(workload={"command": "run"}) as run:
+            Engine().run([Job("g", AlgorithmSpec("ckl"), seed=1)], graphs={"g": graph})
+        old = write_ledger(build_ledger(run, argv=["run"]), tmp_path / "old.json")
+        # Slow pipeline.project, one of the smallest spans, by 20 ms: its
+        # ancestors and the wall carry the same 20 ms, as they would.
+        slower = copy.copy(run)
+        slower.spans = copy.deepcopy(run.spans)
+        by_id = {record["span_id"]: record for record in slower.spans}
+        (record,) = [r for r in slower.spans if r["name"] == "pipeline.project"]
+        while record is not None:
+            record["seconds"] += 0.02
+            record = by_id.get(record.get("parent"))
+        slower.wall_seconds += 0.02
+        new = write_ledger(build_ledger(slower, argv=["run"]), tmp_path / "new.json")
+        assert main(["stats", "--diff", old, new]) == 0
+        out = capsys.readouterr().out
+        assert "largest self-time change: engine.batch/pipeline.project (+0.0200s)" in out
+        table = out.split("self time deltas, owner process (largest first)\n", 1)[1]
+        first_row = table.splitlines()[2]
+        assert first_row.split()[0] == "engine.batch/pipeline.project"

@@ -261,6 +261,28 @@ class TestInputErrors:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["top", "events.jsonl", "--once"], "invalid choice: 'top'"),
+            (["run", "g.edges", "--profile", "p.txt"],
+             "unrecognized arguments: --profile p.txt"),
+        ],
+        ids=["top", "run-profile"],
+    )
+    def test_removed_viewer_options_are_argparse_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        usage = build_parser().format_usage()
+        assert err.startswith(usage)
+        err = err[len(usage):]
+        assert err.startswith("repro-bisect: error: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["run", "{good}", "--save-partition", "{tmp}/no/such/dir/p.part"],
@@ -332,7 +354,6 @@ def test_import_loads_neither_numpy_nor_bench():
 def _fresh_modules(statement: str) -> list[str]:
     """The ``repro`` modules a fresh interpreter holds after ``statement``."""
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-    env.pop("REPRO_PROFILE", None)
     probe = (
         f"import sys; {statement}; "
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))"
@@ -352,19 +373,9 @@ def test_import_loads_only_what_run_needs():
     assert "repro.cli" in loaded
     unwanted = (
         "repro.core", "repro.kernels", "repro.partition", "repro.service",
-        "repro.engine.handles", "repro.engine.batch", "repro.obs.profiler",
-        "repro.graphs.generators.",
+        "repro.engine.handles", "repro.engine.batch", "repro.graphs.generators.",
     )
     assert [m for m in loaded if m.startswith(unwanted)] == []
-
-
-def test_run_without_profiling_loads_no_profiler(tmp_path):
-    # The profiler is imported when --profile or REPRO_PROFILE asks for it.
-    graph = tmp_path / "g.edges"
-    graph.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
-    loaded = _fresh_modules(f"from repro.cli import main; main(['run', {str(graph)!r}])")
-    assert "repro.partition.kl" in loaded  # the run did happen
-    assert "repro.obs.profiler" not in loaded
 
 
 def test_import_repro_loads_only_the_package():
