@@ -29,7 +29,6 @@ through the other.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections.abc import Iterator
@@ -64,6 +63,8 @@ def default_cache_dir() -> Path:
 
 def cache_key(fingerprint: str, spec: AlgorithmSpec, seed: int) -> str:
     """Content address for one (graph, algorithm, params, seed) cell."""
+    import hashlib  # only a cached run needs a key
+
     identity = json.dumps(
         [_SCHEMA_VERSION, fingerprint, spec.name, list(spec.params), seed],
         sort_keys=True,

@@ -36,22 +36,26 @@ import gc
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..graphs.csr import csr_view
 from ..graphs.graph import vertex_token
-from ..graphs.shm import SharedGraphSegment, ShmAttachError, ShmGraphRef
 from ..obs import counter, current_run, gauge, histogram, obs_enabled, span
 from ..obs.clock import monotonic_time
 from ..obs.shipper import collect_shipment, merge_shipment
+from ..obs.trace import detach_run
 from ..rng import LaggedFibonacciRandom
 from .cache import ResultCache, job_cache_key, lookup_result, store_result
 from .job import AlgorithmSpec, Job, JobResult
 from .registry import build_algorithm, import_algorithm
 from .telemetry import Telemetry
+
+if TYPE_CHECKING:
+    from ..graphs.shm import SharedGraphSegment
 
 __all__ = ["Engine", "JobTimeout", "PoolJob", "WorkerPool", "execute_job", "require_spec"]
 
@@ -225,6 +229,9 @@ def _worker_init(owner: int, graphs: Mapping[str, Any]) -> None:
     global _WORKER_ATTACHED, _WORKER_GRAPHS
     _WORKER_ATTACHED = {}
     _WORKER_GRAPHS = graphs
+    # A forked worker inherits the owner's run context; its spans reach
+    # that run, and its JSONL sink, only as the owner merges them.
+    detach_run()
     threading.Thread(
         target=_exit_with_owner, args=(owner, os.getppid()), name="owner-watch", daemon=True
     ).start()
@@ -262,6 +269,17 @@ def _close_worker_segments() -> None:
     _WORKER_ATTACHED.clear()
 
 
+def _is_shm_ref(entry: Any) -> bool:
+    """Whether ``entry`` is a :class:`~repro.graphs.shm.ShmGraphRef`.
+
+    Asked without importing the module: a ref exists only in a process
+    that loaded it (the service's pool imports it before it forks, and
+    unpickling a ref imports it under spawn).
+    """
+    shm = sys.modules.get("repro.graphs.shm")
+    return shm is not None and isinstance(entry, shm.ShmGraphRef)
+
+
 def _resolve_worker_graph(entry: Any) -> Any:
     """The worker-side graph for a job's graph-table ``entry``.
 
@@ -273,10 +291,12 @@ def _resolve_worker_graph(entry: Any) -> Any:
     """
     if isinstance(entry, _PoolGraph):
         return _WORKER_GRAPHS[entry.key]
-    if not isinstance(entry, ShmGraphRef):
+    if not _is_shm_ref(entry):
         return entry
     cached = _WORKER_ATTACHED.get(entry.name)
     if cached is None:
+        from ..graphs.shm import SharedGraphSegment
+
         if not _WORKER_ATTACHED:
             import atexit
 
@@ -295,7 +315,8 @@ def _resolve_worker_graph(entry: Any) -> Any:
 
 
 def _worker_run(job: Job, entry: Any) -> JobResult:
-    shared = isinstance(entry, (ShmGraphRef, _PoolGraph))
+    attached = _is_shm_ref(entry)
+    shared = attached or isinstance(entry, _PoolGraph)
     compiles = getattr(counter("csr_compiles_total"), "value", 0)
     # Everything this job does in the worker — shm attach included — is
     # collected as a registry delta plus span records and shipped back on
@@ -304,12 +325,17 @@ def _worker_run(job: Job, entry: Any) -> JobResult:
     # forked worker's inherited counter baselines cancel out.
     shipment: dict[str, Any] = {}
     with collect_shipment(shipment):
-        try:
+        if attached:
+            from ..graphs.shm import ShmAttachError
+
+            try:
+                graph = _resolve_worker_graph(entry)
+            except ShmAttachError as exc:
+                # No shipment on attach failure: the job reruns and would
+                # otherwise be double-counted.
+                return _failed(job, f"{_SHM_ATTACH_PREFIX}{exc}")
+        else:
             graph = _resolve_worker_graph(entry)
-        except ShmAttachError as exc:
-            # No shipment on attach failure: the job reruns and would
-            # otherwise be double-counted.
-            return _failed(job, f"{_SHM_ATTACH_PREFIX}{exc}")
         result = execute_job(job, graph)
     if shared:
         # Proof obligation for the compile-once contract: how many CSR
@@ -478,6 +504,10 @@ class WorkerPool:
         try:
             for graph in self._graphs.values():
                 csr_view(graph)  # compiled once, here, for every worker
+            if not self._graphs:
+                # Every graph of a pool born without any (the service's)
+                # arrives by export: the workers inherit the module.
+                from ..graphs import shm  # noqa: F401
             gc.freeze()
             pool = _make_pool(workers, self._graphs)
             # With fork, the first submission forks every worker at once.
@@ -536,6 +566,8 @@ class WorkerPool:
         return exported[1] if exported[0] is graph else graph
 
     def _export(self, key: str, graph: Any) -> Any:
+        from ..graphs.shm import SharedGraphSegment, ShmGraphRef
+
         try:
             segment = SharedGraphSegment.create(graph)
         except Exception as exc:  # noqa: BLE001 - unshareable: ship whole
@@ -784,10 +816,11 @@ def _landing_order(
 ) -> Iterator[tuple[int, str | None, PoolJob]]:
     """``(index, key, pooled)`` entries in the order the pool finishes them,
     then the ones the pool did not take, in submission order."""
-    from concurrent.futures import as_completed
-
     by_future = {entry[2].future: entry for entry in submitted if entry[2].future is not None}
     in_thread = [entry for entry in submitted if entry[2].future is None]
-    for future in as_completed(by_future):
-        yield by_future[future]
+    if by_future:  # a serial batch never loads concurrent.futures
+        from concurrent.futures import as_completed
+
+        for future in as_completed(by_future):
+            yield by_future[future]
     yield from in_thread

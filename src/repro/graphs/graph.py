@@ -21,7 +21,6 @@ matched edge.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Hashable, Iterable, Iterator
 from typing import TYPE_CHECKING
 
@@ -62,6 +61,8 @@ def graph_fingerprint(graph: "Graph") -> str:
     cached = graph._derived.get("fingerprint")
     if cached is not None:
         return cached
+    import hashlib  # only a fingerprint needs it
+
     digest = hashlib.sha256()
     vertex_lines = sorted(
         f"v {vertex_token(v)} {graph.vertex_weight(v)}" for v in graph.vertices()

@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any
 
 from .metrics import REGISTRY, MetricsRegistry, obs_enabled
+from .shipper import _counter_delta, _histogram_delta
 from .trace import RunContext
 
 __all__ = [
@@ -59,34 +60,6 @@ def ledger_dir() -> Path:
     from ..engine.cache import default_cache_dir  # lazy: avoid import cycles
 
     return default_cache_dir() / "ledgers"
-
-
-def _counter_delta(before: dict[str, Any], after: dict[str, Any]) -> dict[str, Any]:
-    out = {}
-    for name, value in after.items():
-        delta = value - before.get(name, 0)
-        if delta:
-            out[name] = delta
-    return out
-
-
-def _histogram_delta(before: dict[str, Any], after: dict[str, Any]) -> dict[str, Any]:
-    out = {}
-    for name, snap in after.items():
-        prior = before.get(name)
-        if prior is None or prior["buckets"] != snap["buckets"]:
-            delta = dict(snap)
-        else:
-            delta = {
-                "buckets": snap["buckets"],
-                "counts": [a - b for a, b in zip(snap["counts"], prior["counts"])],
-                "sum": snap["sum"] - prior["sum"],
-                "count": snap["count"] - prior["count"],
-            }
-        if delta["count"]:
-            delta["sum"] = round(delta["sum"], 6)
-            out[name] = delta
-    return out
 
 
 def _self_by_path(records: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:

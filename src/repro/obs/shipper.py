@@ -34,7 +34,6 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any
 
-from .ledger import _counter_delta, _histogram_delta
 from .metrics import REGISTRY, Histogram, MetricsRegistry, obs_enabled, parse_series
 from .trace import capture_spans, ingest_span_record
 
@@ -53,6 +52,35 @@ SHIPMENT_VERSION = 1
 MAX_SPANS = 256
 #: Per-job metric-series cap across all three sections combined.
 MAX_SERIES = 1024
+
+
+def _counter_delta(before: dict[str, Any], after: dict[str, Any]) -> dict[str, Any]:
+    out = {}
+    for name, value in after.items():
+        delta = value - before.get(name, 0)
+        if delta:
+            out[name] = delta
+    return out
+
+
+def _histogram_delta(before: dict[str, Any], after: dict[str, Any]) -> dict[str, Any]:
+    out = {}
+    for name, snap in after.items():
+        prior = before.get(name)
+        if prior is None or prior["buckets"] != snap["buckets"]:
+            delta = dict(snap)
+        else:
+            delta = {
+                "buckets": snap["buckets"],
+                "counts": [a - b for a, b in zip(snap["counts"], prior["counts"])],
+                "sum": snap["sum"] - prior["sum"],
+                "count": snap["count"] - prior["count"],
+            }
+        if delta["count"]:
+            delta["sum"] = round(delta["sum"], 6)
+            out[name] = delta
+    return out
+
 
 def build_shipment(
     before: dict[str, Any],

@@ -244,6 +244,15 @@ def current_run_id() -> str | None:
     return run.run_id if run is not None else None
 
 
+def detach_run() -> None:
+    """Leave this thread's run context without finishing it.
+
+    A forked pool worker calls this at start-up: its main thread is a
+    copy of the owner's forking thread, run context included.
+    """
+    _STATE.run = None
+
+
 def span_totals() -> dict[str, dict[str, float]]:
     """Aggregated span totals: the active run's if any, else process-wide."""
     run = _STATE.run

@@ -15,7 +15,6 @@ from __future__ import annotations
 import http.client
 import json
 import sys
-import time
 import urllib.error
 import urllib.request
 from typing import Any
@@ -23,6 +22,9 @@ from typing import Any
 from ..obs.clock import monotonic_time
 
 __all__ = ["ServiceClient", "ServiceClientError"]
+
+#: The server's cap on one held poll (``server.MAX_WAIT_SECONDS``).
+_MAX_HOLD_SECONDS = 30.0
 
 
 class ServiceClientError(Exception):
@@ -113,8 +115,11 @@ class ServiceClient:
             payload["starts"] = starts
         return self._request("POST", "/v1/jobs", payload)["jobs"]
 
-    def job(self, job_id: str) -> dict[str, Any]:
-        return self._request("GET", f"/v1/jobs/{job_id}")
+    def job(self, job_id: str, wait: float = 0.0) -> dict[str, Any]:
+        """One job's status; ``wait`` > 0 lets the server hold the answer
+        until the job is done or cancelled, at most that many seconds."""
+        query = f"?wait={wait:.3f}" if wait > 0 else ""
+        return self._request("GET", f"/v1/jobs/{job_id}{query}")
 
     def jobs(self, state: str | None = None) -> list[dict[str, Any]]:
         path = "/v1/jobs" + (f"?state={state}" if state else "")
@@ -123,22 +128,24 @@ class ServiceClient:
     def cancel(self, job_id: str) -> dict[str, Any]:
         return self._request("DELETE", f"/v1/jobs/{job_id}")
 
-    def wait(self, job_id: str, timeout: float = 60.0,
-             interval: float = 0.02) -> dict[str, Any]:
-        """Poll one job until it leaves the queue/runner; returns its status.
+    def wait(self, job_id: str, timeout: float = 60.0) -> dict[str, Any]:
+        """Hold polls on one job until it is done or cancelled; returns its status.
 
+        Each poll asks the server to hold it for the time left, capped by
+        the server's limit and kept under this client's socket timeout.
         Raises :class:`TimeoutError` when ``timeout`` elapses first.
         """
         deadline = monotonic_time() + timeout
+        hold_cap = min(_MAX_HOLD_SECONDS, self.timeout - min(1.0, self.timeout / 2))
         while True:
-            status = self.job(job_id)
+            left = deadline - monotonic_time()
+            status = self.job(job_id, wait=min(left, hold_cap))
             if status["state"] in ("done", "cancelled"):
                 return status
             if monotonic_time() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {status['state']} after {timeout}s"
                 )
-            time.sleep(interval)
 
     def result(self, cache_key: str) -> dict[str, Any]:
         """Fetch a stored result payload by content address.

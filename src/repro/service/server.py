@@ -17,7 +17,9 @@ Routes (all JSON):
 ``GET  /v1/graphs/<id>``      one graph record (id = canonical fingerprint)
 ``POST /v1/jobs``             submit jobs (algorithm x params x seeds)
 ``GET  /v1/jobs``             list jobs (``?state=`` filter)
-``GET  /v1/jobs/<id>``        poll one job (result inlined when done)
+``GET  /v1/jobs/<id>``        poll one job (result inlined when done);
+                              ``?wait=<s>`` holds the answer until the job
+                              is done or cancelled, at most ``s`` seconds
 ``DELETE /v1/jobs/<id>``      cancel a queued job
 ``GET  /v1/results/<key>``    fetch a stored result by content address
 ``GET  /metrics``             Prometheus text exposition of the obs registry
@@ -34,6 +36,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
+from urllib.parse import parse_qs
 
 from ..engine.handles import JobRunner
 from ..obs import REGISTRY, counter, histogram, obs_enabled, span
@@ -45,6 +48,8 @@ __all__ = ["ServiceServer", "ServiceThread", "make_server"]
 
 #: Maximum accepted request body (64 MiB edge lists are plenty).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Longest a ``GET /v1/jobs/<id>?wait=`` poll may hold its answer.
+MAX_WAIT_SECONDS = 30.0
 
 
 def _route_label(method: str, path: str) -> str:
@@ -59,6 +64,22 @@ def _route_label(method: str, path: str) -> str:
             return f"{method} /v1/{parts[1]}"
         return f"{method} /v1/{parts[1]}/{{id}}"
     return f"{method} {path}"
+
+
+def _wait_seconds(query: dict[str, list[str]]) -> float:
+    """The ``?wait=`` hold of a job poll: 0 when absent."""
+    values = query.get("wait")
+    if not values:
+        return 0.0
+    try:
+        wait = float(values[-1])
+    except ValueError:
+        wait = -1.0
+    if not 0.0 <= wait <= MAX_WAIT_SECONDS:  # NaN fails this too
+        raise _HttpError(
+            400, f"'wait' must be a number of seconds from 0 to {MAX_WAIT_SECONDS:g}"
+        )
+    return wait
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -160,6 +181,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _route(self, method: str, path: str) -> int:
         state = self.state
         parts = [p for p in path.split("/") if p]
+        query = parse_qs(self.path.partition("?")[2])
 
         if method == "GET" and path == "/metrics":
             refresh_process_gauges()
@@ -197,16 +219,11 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(202, {"jobs": records})
                 return 202
             if method == "GET" and len(parts) == 1:
-                state_filter = None
-                if "?" in self.path:
-                    from urllib.parse import parse_qs
-
-                    query = parse_qs(self.path.split("?", 1)[1])
-                    state_filter = (query.get("state") or [None])[0]
+                state_filter = (query.get("state") or [None])[0]
                 self._send_json(200, {"jobs": state.list_jobs(state_filter)})
                 return 200
             if method == "GET" and len(parts) == 2:
-                self._send_json(200, state.job_status(parts[1]))
+                self._send_json(200, state.job_status(parts[1], _wait_seconds(query)))
                 return 200
             if method == "DELETE" and len(parts) == 2:
                 self._send_json(200, state.cancel_job(parts[1]))

@@ -304,10 +304,16 @@ class ServiceState:
             raise NotFoundError(f"unknown job {job_id!r}")
         return record
 
-    def job_status(self, job_id: str) -> dict[str, Any]:
-        """The poll view of one job: state, timings, result when done."""
+    def job_status(self, job_id: str, wait: float = 0.0) -> dict[str, Any]:
+        """The poll view of one job: state, timings, result when done.
+
+        ``wait`` seconds, when positive, hold the answer until the job is
+        done or cancelled; the hold takes no lock of this state.
+        """
         record = self._record_for(job_id)
         handle: JobHandle = record["handle"]
+        if wait > 0:
+            handle.wait(wait)
         status: dict[str, Any] = {
             "id": record["id"],
             "graph": record["graph"],

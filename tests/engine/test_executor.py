@@ -316,7 +316,7 @@ class TestWorkerShmAttachFailureCleanup:
 
     def test_rebuild_failure_detaches_and_caches_nothing(self, monkeypatch):
         import repro.engine.executor as executor
-        from repro.graphs.shm import ShmGraphRef
+        from repro.graphs.shm import SharedGraphSegment, ShmGraphRef
 
         closed = []
 
@@ -330,7 +330,7 @@ class TestWorkerShmAttachFailureCleanup:
                 closed.append(True)
 
         monkeypatch.setattr(
-            executor.SharedGraphSegment, "attach",
+            SharedGraphSegment, "attach",
             classmethod(lambda cls, name: FakeSegment()),
         )
         # A pre-existing entry keeps the atexit hook from being

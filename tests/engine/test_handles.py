@@ -203,7 +203,7 @@ class TestWorkerProcesses:
             segment.unlink()  # yank the name before any worker attaches
             return segment
 
-        monkeypatch.setattr(executor.SharedGraphSegment, "create", staticmethod(stale_create))
+        monkeypatch.setattr(SharedGraphSegment, "create", staticmethod(stale_create))
         telemetry = Telemetry()
         with JobRunner(workers=2, telemetry=telemetry) as runner:
             handle = runner.submit(_job(5), graph)

@@ -125,7 +125,7 @@ class TestNormalLifecycle:
 
     def test_unshareable_graph_falls_back_to_pickle(self, graph, monkeypatch):
         monkeypatch.setattr(
-            executor.SharedGraphSegment,
+            SharedGraphSegment,
             "create",
             staticmethod(lambda g: (_ for _ in ()).throw(OSError("shm full"))),
         )
@@ -143,7 +143,7 @@ class TestNormalLifecycle:
 class TestAttachFallback:
     def test_stale_segment_degrades_to_serial_pickle_path(self, graph, monkeypatch):
         monkeypatch.setattr(
-            executor.SharedGraphSegment, "create", _stale_create(SharedGraphSegment.create)
+            SharedGraphSegment, "create", _stale_create(SharedGraphSegment.create)
         )
         before = _segment_names()
         telemetry = Telemetry()
@@ -157,7 +157,7 @@ class TestAttachFallback:
 
     def test_attach_fallback_counts_each_job_once(self, graph, monkeypatch):
         monkeypatch.setattr(
-            executor.SharedGraphSegment, "create", _stale_create(SharedGraphSegment.create)
+            SharedGraphSegment, "create", _stale_create(SharedGraphSegment.create)
         )
         telemetry = Telemetry()
         _serve(graph, telemetry)
@@ -428,7 +428,7 @@ class TestHygieneUnderSpawn:
 
     def test_stale_segment_still_unlinks(self, graph, spawn, monkeypatch):
         monkeypatch.setattr(
-            executor.SharedGraphSegment, "create", _stale_create(SharedGraphSegment.create)
+            SharedGraphSegment, "create", _stale_create(SharedGraphSegment.create)
         )
         before = _segment_names()
         telemetry = Telemetry()
@@ -441,7 +441,7 @@ class TestHygieneUnderSpawn:
 
     def test_unshareable_graph_ships_whole(self, graph, spawn, monkeypatch):
         monkeypatch.setattr(
-            executor.SharedGraphSegment,
+            SharedGraphSegment,
             "create",
             staticmethod(lambda g: (_ for _ in ()).throw(OSError("shm full"))),
         )

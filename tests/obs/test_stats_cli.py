@@ -195,6 +195,21 @@ class TestSelfTime:
         assert "self time, owner process" in out
         assert "self time, pool workers" in out
 
+    def test_worker_spans_reach_the_telemetry_file_once(self, graph_file, tmp_path):
+        events = tmp_path / "events.jsonl"
+        _, ledger = self._ckl_ledger(
+            graph_file, tmp_path, "--starts", "2", "--jobs", "2", "--telemetry", str(events)
+        )
+        spans = [
+            record for record in map(json.loads, events.read_text().splitlines())
+            if record["kind"] == "span"
+        ]
+        ids = [record["span_id"] for record in spans]
+        assert len(ids) == len(set(ids))
+        # Every worker span is the owner's copy, labelled with its slot.
+        assert [r["name"] for r in spans if "worker" not in r] == ["engine.batch"]
+        assert ledger["self_seconds"]["workers"]["pipeline.coarse/kl.run"]["count"] == 2
+
     def test_ledger_with_legacy_profile_key_validates_and_renders(
         self, graph_file, tmp_path, capsys
     ):

@@ -351,12 +351,12 @@ def test_import_loads_neither_numpy_nor_bench():
     assert result.stdout.strip() == "[]"
 
 
-def _fresh_modules(statement: str) -> list[str]:
-    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
+def _fresh_modules(statement: str, roots: tuple[str, ...] = ("repro",)) -> list[str]:
+    """The modules under ``roots`` a fresh interpreter holds after ``statement``."""
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
     probe = (
         f"import sys; {statement}; "
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))"
+        f"print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
@@ -369,13 +369,29 @@ def _fresh_modules(statement: str) -> list[str]:
 def test_import_loads_only_what_run_needs():
     # Package re-exports are lazy: `run --algorithm ckl` imports its
     # algorithm when it runs it, not when the CLI starts.
-    loaded = _fresh_modules("import repro.cli")
+    loaded = _fresh_modules("import repro.cli", roots=("repro", "hashlib", "multiprocessing"))
     assert "repro.cli" in loaded
     unwanted = (
         "repro.core", "repro.kernels", "repro.partition", "repro.service",
         "repro.engine.handles", "repro.engine.batch", "repro.graphs.generators.",
+        # Shared memory serves the service's pool, the ledger `--ledger`,
+        # and hashing a cache key or a fingerprint.
+        "repro.graphs.shm", "multiprocessing.shared_memory", "repro.obs.ledger", "hashlib",
     )
     assert [m for m in loaded if m.startswith(unwanted)] == []
+
+
+def test_serial_run_loads_no_thread_pool_or_logging(tmp_path):
+    # concurrent.futures (and the logging it imports) waits on pool jobs;
+    # a `--jobs 1` batch has none.
+    graph = tmp_path / "g.edges"
+    assert main(["generate", "gbreg", "--vertices", "60", "--width", "4",
+                 "--degree", "3", "--seed", "1", "--out", str(graph)]) == 0
+    statement = (
+        "from repro.cli import main; "
+        f"main(['run', {str(graph)!r}, '--algorithm', 'ckl', '--jobs', '1'])"
+    )
+    assert _fresh_modules(statement, roots=("concurrent", "logging")) == []
 
 
 def test_import_repro_loads_only_the_package():
