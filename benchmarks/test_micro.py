@@ -2,8 +2,8 @@
 
 Unlike the table benches (one long experiment per bench), these measure
 the hot primitives with pytest-benchmark's statistical repetition:
-generator throughput, one KL pass, SA move throughput,
-matching + contraction, and the Stoer-Wagner lower bound.  They guard
+generator throughput, one KL pass, SA move throughput, and
+matching + contraction.  They guard
 against performance regressions in the primitives the tables depend on.
 """
 
@@ -17,7 +17,6 @@ from repro.graphs.generators import gbreg, gnp
 from repro.partition.annealing import AnnealingSchedule, simulated_annealing
 from repro.partition.bisection import cut_weight
 from repro.partition.kl import kl_pass
-from repro.partition.mincut import stoer_wagner
 from repro.partition.random_init import random_assignment
 from repro.rng import LaggedFibonacciRandom
 
@@ -68,9 +67,3 @@ def test_micro_sa_short_run(benchmark, sparse_graph):
 
     result = benchmark(run)
     assert result.bisection.is_balanced()
-
-
-def test_micro_stoer_wagner(benchmark):
-    g = gnp(200, 0.05, rng=10)
-    result = benchmark(stoer_wagner, g)
-    assert result.weight >= 0

@@ -80,11 +80,6 @@ __all__ = [
     "exact_bisection",
     "exact_bisection_width",
     "bisect_paths_and_cycles",
-    "recursive_kway",
-    "KWayPartition",
-    "stoer_wagner",
-    "bisection_lower_bound",
-    "certify",
     # compaction (the paper's contribution)
     "random_maximal_matching",
     "heavy_edge_matching",
@@ -118,14 +113,11 @@ _EXPORTS = {
     ".partition.annealing.sa": ("simulated_annealing",),
     ".partition.annealing.schedule": ("AnnealingSchedule",),
     ".partition.bisection": ("Bisection",),
-    ".partition.bounds": ("bisection_lower_bound", "certify"),
     ".partition.dfs_cycle": ("bisect_paths_and_cycles",),
     ".partition.exact": ("exact_bisection", "exact_bisection_width"),
     ".partition.fm": ("fiduccia_mattheyses",),
     ".partition.greedy": ("greedy_improvement",),
     ".partition.kl": ("kernighan_lin",),
-    ".partition.kway": ("KWayPartition", "recursive_kway"),
-    ".partition.mincut": ("stoer_wagner",),
     ".partition.random_init": ("random_bisection",),
     ".rng": ("LaggedFibonacciRandom",),
 }

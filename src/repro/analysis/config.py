@@ -51,7 +51,7 @@ DEFAULT_SCOPES: Mapping[str, tuple[str, ...]] = {
     # ensemble study sweeps (whose seed protocol is a reproducibility
     # contract — a stray unseeded draw would silently fork local and
     # remote aggregates), plus the graph class, whose subgraph vertex
-    # order feeds recursive k-way splits.
+    # order feeds recursive splits.
     "R005": ("partition/", "graphs/generators/", "study/", "graphs/graph.py"),
     # The robustness boundaries: the execution engine and the HTTP
     # service in front of it (a swallowed exception in a request handler

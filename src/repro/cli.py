@@ -19,9 +19,6 @@ Examples::
     # Run a declarative batch spec through the engine
     repro-bisect batch jobs.json --jobs 4 --out results.jsonl
 
-    # Canonical fingerprint + stats of a saved graph
-    repro-bisect info graph.edges
-
     # Record a run ledger, then explain a perf delta counter by counter
     repro-bisect table gbreg-d3 --ledger auto
     repro-bisect stats --diff <old.json> <new.json>
@@ -54,9 +51,8 @@ from pathlib import Path
 from .engine.cache import ResultCache
 from .engine.executor import Engine
 from .engine.job import AlgorithmSpec, Job
-from .engine.telemetry import Telemetry, Timer
+from .engine.telemetry import Telemetry
 from .graphs.generators import GENERATOR_DEFAULTS
-from .graphs.graph import graph_fingerprint
 from .graphs.io import read_edge_list
 from .rng import resolve_rng, start_seeds
 
@@ -81,14 +77,6 @@ _TABLES = {
 
 class _InputError(Exception):
     """Unusable user input: reported as one ``error:`` line, exit code 2."""
-
-
-def _read_input(what: str, path: str, read):
-    """``read(path)``, with a missing or malformed file as an ``_InputError``."""
-    try:
-        return read(path)
-    except (OSError, ValueError) as exc:
-        raise _InputError(f"cannot read {what} {path}: {exc}") from None
 
 
 def _write_output(what: str, path: str, write) -> None:
@@ -130,7 +118,11 @@ def _parameters(what: str):
 
 
 def _read_graph(path: str):
-    return _read_input("graph", path, read_edge_list)
+    """The edge list at ``path``, a missing or malformed file as an ``_InputError``."""
+    try:
+        return read_edge_list(path)
+    except (OSError, ValueError) as exc:
+        raise _InputError(f"cannot read graph {path}: {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -227,14 +219,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if args.starts > 1:
         print(f"starts: {len(results)}  cuts: {[r.cut for r in results]}")
-    if args.certify:
-        from .partition.bounds import certify
-
-        report = certify(graph, bisection.cut)
-        print(
-            f"lower bound: {report['lower']:.2f}  gap ratio: {report['gap_ratio']:.2f}"
-            + ("  (provably optimal)" if report["optimal"] else "")
-        )
     if args.save_partition:
         from .partition.io import write_partition
 
@@ -245,51 +229,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.show_sides:
         print("side 0:", sorted(map(str, bisection.side(0))))
         print("side 1:", sorted(map(str, bisection.side(1))))
-    return 0
-
-
-def _cmd_kway(args: argparse.Namespace) -> int:
-    from .partition.kway import recursive_kway
-
-    graph = _read_graph(args.graph)
-    with Timer() as timer, _parameters("kway"):
-        partition = recursive_kway(graph, args.k, rng=args.seed)
-    weights = partition.part_weights()
-    print(
-        f"k={args.k}: cut={partition.cut} part_weights={weights} "
-        f"imbalance_ratio={partition.max_imbalance_ratio():.3f} time={timer.seconds:.3f}s"
-    )
-    if args.save_partition:
-        from .partition.io import write_partition
-
-        _write_output(
-            "partition", args.save_partition, lambda path: write_partition(partition, path)
-        )
-        print(f"saved partition to {args.save_partition}")
-    return 0
-
-
-def _cmd_score(args: argparse.Namespace) -> int:
-    """Score a saved partition file against its graph."""
-    from .partition.io import read_partition
-
-    graph = _read_graph(args.graph)
-    partition = _read_input(
-        "partition", args.partition, lambda path: read_partition(graph, path)
-    )
-    weights = partition.part_weights()
-    print(
-        f"k={partition.k}: cut={partition.cut} part_weights={weights} "
-        f"imbalance_ratio={partition.max_imbalance_ratio():.3f}"
-    )
-    if partition.k == 2 and args.certify:
-        from .partition.bounds import certify
-
-        report = certify(graph, partition.cut)
-        print(
-            f"lower bound: {report['lower']:.2f}  gap ratio: {report['gap_ratio']:.2f}"
-            + ("  (provably optimal)" if report["optimal"] else "")
-        )
     return 0
 
 
@@ -372,21 +311,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     print(engine.telemetry.render_summary())
     return 0 if all(row["status"] == "ok" for row in rows) else 1
-
-
-def _cmd_info(args: argparse.Namespace) -> int:
-    from .graphs.traversal import connected_components
-
-    graph = _read_graph(args.graph)
-    print(f"path: {args.graph}")
-    print(f"fingerprint: {graph_fingerprint(graph)}")
-    print(f"vertices: {graph.num_vertices}")
-    print(f"edges: {graph.num_edges}")
-    print(f"total edge weight: {graph.total_edge_weight}")
-    print(f"total vertex weight: {graph.total_vertex_weight}")
-    print(f"average degree: {graph.average_degree():.3f}")
-    print(f"connected components: {len(connected_components(graph))}")
-    return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -771,26 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="independent random starts (best cut wins; paper protocol is 2)",
     )
     run.add_argument("--show-sides", action="store_true")
-    run.add_argument(
-        "--certify", action="store_true",
-        help="also compute bisection-width lower bounds (Stoer-Wagner, spectral)",
-    )
     run.add_argument("--save-partition", help="write the resulting partition to this path")
     _add_engine_options(run, cache=False)
     run.set_defaults(func=_cmd_run)
-
-    kway = sub.add_parser("kway", help="k-way partition a saved graph")
-    kway.add_argument("graph", help="edge-list path")
-    kway.add_argument("--k", type=int, required=True, help="number of parts")
-    kway.add_argument("--seed", type=int, default=0)
-    kway.add_argument("--save-partition", help="write the resulting partition to this path")
-    kway.set_defaults(func=_cmd_kway)
-
-    score = sub.add_parser("score", help="score a saved partition against its graph")
-    score.add_argument("graph", help="edge-list path")
-    score.add_argument("partition", help="partition file path")
-    score.add_argument("--certify", action="store_true")
-    score.set_defaults(func=_cmd_score)
 
     report = sub.add_parser(
         "report", help="run every paper table at REPRO_SCALE into one markdown report"
@@ -821,12 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_options(batch)
     batch.set_defaults(func=_cmd_batch)
-
-    info = sub.add_parser(
-        "info", help="canonical fingerprint and stats of a saved graph"
-    )
-    info.add_argument("graph", help="edge-list path")
-    info.set_defaults(func=_cmd_info)
 
     stats = sub.add_parser(
         "stats",

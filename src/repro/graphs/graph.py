@@ -50,8 +50,8 @@ def graph_fingerprint(graph: "Graph") -> str:
     ``e <token> <token> <weight>`` edge lines (endpoints ordered within
     each edge).  Two graphs get the same fingerprint iff they have the
     same labelled vertex set, vertex weights, edge set, and edge weights —
-    regardless of insertion order.  Used as the engine's cache key and
-    shown by ``repro-bisect info``.
+    regardless of insertion order.  Used in the engine's cache key and
+    as the service's graph id.
 
     >>> a = Graph.from_edges([(0, 1), (1, 2)])
     >>> b = Graph.from_edges([(1, 2), (0, 1)])

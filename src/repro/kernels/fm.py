@@ -32,13 +32,11 @@ def fm_pass_csr(
     carried_gains: list[int],
     strict_tol: int,
     loose_tol: int,
-    target_diff: int = 0,
     stats: dict | None = None,
 ) -> tuple[int, int]:
     """One FM pass over CSR ids; returns ``(applied_gain, moves_kept)``.
 
-    "Balance" throughout is the deviation ``|w0 - w1 - target_diff|``;
-    ``target_diff = 0`` is the ordinary bisection case.  ``applied_gain``
+    "Balance" throughout is the imbalance ``|w0 - w1|``.  ``applied_gain``
     is relative to the cut at pass entry and may be negative when the pass
     was used to repair balance.  ``carried_gains`` must be the move gains
     of ``carried_sides``; both are advanced past the kept moves in place.
@@ -77,7 +75,7 @@ def fm_pass_csr(
     sequence: list[int] = []  # moved vertex ids in order
     running_gain = 0
 
-    start_dev = abs(diff - target_diff)
+    start_dev = abs(diff)
     start_balanced = start_dev <= strict_tol
     best_balanced_gain = 0 if start_balanced else None
     best_balanced_k = 0
@@ -97,10 +95,10 @@ def fm_pass_csr(
         nonlocal stale, stashed
         bks = buckets[side]
         off = maxoff[side]
-        dev_cur = abs(diff - target_diff)
+        dev_cur = abs(diff)
         if uniform_vw:
             new_diff = diff - 2 if side == 0 else diff + 2
-            new_dev = abs(new_diff - target_diff)
+            new_dev = abs(new_diff)
             if not (new_dev <= loose_tol or new_dev < dev_cur):
                 return None
             while off >= 0:
@@ -127,7 +125,7 @@ def fm_pass_csr(
                     continue
                 wv = vweights[v]
                 new_diff = diff - 2 * wv if side == 0 else diff + 2 * wv
-                new_dev = abs(new_diff - target_diff)
+                new_dev = abs(new_diff)
                 if new_dev <= loose_tol or new_dev < dev_cur:
                     found = (off, r, v)
                     break
@@ -197,7 +195,7 @@ def fm_pass_csr(
         gains[v] = -gain_v
 
         k = len(sequence)
-        dev = abs(diff - target_diff)
+        dev = abs(diff)
         if dev <= strict_tol:
             if best_balanced_gain is None or running_gain > best_balanced_gain:
                 best_balanced_gain = running_gain

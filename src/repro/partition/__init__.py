@@ -8,21 +8,14 @@ _EXPORTS = {
     ".annealing.schedule": ("AnnealingSchedule",),
     ".bisection": (
         "Bisection", "cut_weight", "default_tolerance",
-        "minimum_achievable_deviation", "minimum_achievable_imbalance",
-        "rebalance", "side_weights",
+        "minimum_achievable_imbalance", "rebalance", "side_weights",
     ),
-    ".bounds": ("BisectionBounds", "bisection_lower_bound", "certify"),
     ".dfs_cycle": ("bisect_paths_and_cycles",),
     ".exact": ("exact_bisection", "exact_bisection_width"),
     ".fm": ("FMResult", "fiduccia_mattheyses"),
     ".greedy": ("GreedyResult", "greedy_improvement"),
-    ".io": (
-        "partition_from_string", "partition_to_string", "read_bisection",
-        "read_partition", "write_partition",
-    ),
+    ".io": ("write_partition",),
     ".kl": ("KLResult", "kernighan_lin", "kl_pass"),
-    ".kway": ("KWayPartition", "recursive_kway"),
-    ".mincut": ("GlobalMinCut", "stoer_wagner"),
     ".random_init": ("random_assignment", "random_bisection"),
 }
 
@@ -34,7 +27,6 @@ __all__ = [
     "side_weights",
     "default_tolerance",
     "minimum_achievable_imbalance",
-    "minimum_achievable_deviation",
     "rebalance",
     "random_bisection",
     "random_assignment",
@@ -47,21 +39,10 @@ __all__ = [
     "BalanceCost",
     "fiduccia_mattheyses",
     "FMResult",
-    "recursive_kway",
-    "KWayPartition",
     "greedy_improvement",
     "GreedyResult",
     "exact_bisection",
     "exact_bisection_width",
     "bisect_paths_and_cycles",
-    "stoer_wagner",
-    "GlobalMinCut",
-    "bisection_lower_bound",
-    "BisectionBounds",
-    "certify",
     "write_partition",
-    "read_partition",
-    "read_bisection",
-    "partition_to_string",
-    "partition_from_string",
 ]

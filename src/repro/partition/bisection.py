@@ -26,7 +26,6 @@ __all__ = [
     "cut_weight",
     "side_weights",
     "minimum_achievable_imbalance",
-    "minimum_achievable_deviation",
     "default_tolerance",
     "rebalance",
 ]
@@ -103,23 +102,6 @@ def minimum_achievable_imbalance(weights: Iterable[int]) -> int:
         if (reachable >> s) & 1:
             best = total - 2 * s
             break
-    return best
-
-
-def minimum_achievable_deviation(weights: Iterable[int], target_diff: int) -> int:
-    """Smallest possible ``|w(A) - w(B) - target_diff|`` over all 2-partitions.
-
-    Generalizes :func:`minimum_achievable_imbalance` (the ``target_diff=0``
-    case) to the unequal splits used by k-way recursive bisection.  Uses
-    the same bitset subset-sum sweep: a side-0 sum of ``s`` gives a diff
-    of ``2s - total``, so we scan reachable sums around
-    ``(total + target_diff) / 2``.
-    """
-    reachable, total = _subset_sums(weights)
-    best = abs(target_diff) + total  # worse than any achievable value
-    for s in range(total + 1):
-        if (reachable >> s) & 1:
-            best = min(best, abs(2 * s - total - target_diff))
     return best
 
 

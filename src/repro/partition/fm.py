@@ -18,11 +18,6 @@ coarse-level solution is projected onto a finer graph with a smaller
 achievable imbalance), the prefix minimizing imbalance is taken instead,
 so FM doubles as a balance repairer.
 
-Beyond 50/50 splits, FM accepts ``target_weights``: the pass then treats
-"balance" as *deviation from the target split*, which is what k-way
-recursive bisection (:mod:`repro.partition.kway`) needs to carve a graph
-into unequal shares (e.g. 3:2 when splitting five parts).
-
 Like KL, a run carries one id-indexed side list and one gain list across
 its passes (:mod:`repro.kernels.fm`) and builds the label dict once, at
 the end.
@@ -38,7 +33,7 @@ from ..graphs.graph import Graph
 from ..kernels.fm import fm_pass_csr
 from ..obs import counter, span
 from ..rng import resolve_rng
-from .bisection import Bisection, default_tolerance, minimum_achievable_deviation
+from .bisection import Bisection, default_tolerance
 from .random_init import random_sides
 
 __all__ = ["fiduccia_mattheyses", "FMResult"]
@@ -77,19 +72,12 @@ def fiduccia_mattheyses(
     rng: random.Random | int | None = None,
     max_passes: int | None = None,
     balance_tolerance: int | None = None,
-    target_weights: tuple[int, int] | None = None,
 ) -> FMResult:
     """Bisect (or refine) ``graph`` with Fiduccia-Mattheyses passes.
 
     ``balance_tolerance`` is the *strict* tolerance of the returned
     bisection; the internal wander window additionally admits one
     heaviest-vertex move past it.
-
-    ``target_weights = (t0, t1)`` asks for an *unequal* split: side 0
-    should carry total vertex weight ``t0`` and side 1 ``t1`` (they must
-    sum to the graph's total vertex weight).  The default is the 50/50
-    split.  With a target, the default strict tolerance is the minimum
-    deviation any 2-partition of the vertex weights can achieve.
     """
     if graph.num_vertices == 0:
         raise ValueError("cannot bisect the empty graph")
@@ -98,20 +86,6 @@ def fiduccia_mattheyses(
     rng = resolve_rng(rng)
 
     csr = csr_view(graph)
-    vertex_weights = csr.vertex_weight_list()
-    total = csr.total_vertex_weight
-    if target_weights is None:
-        target_diff = 0
-        strict_default = default_tolerance(graph)
-    else:
-        t0, t1 = target_weights
-        if t0 < 0 or t1 < 0 or t0 + t1 != total:
-            raise ValueError(
-                f"target_weights must be nonnegative and sum to {total}, got {target_weights}"
-            )
-        target_diff = t0 - t1
-        strict_default = minimum_achievable_deviation(vertex_weights, target_diff)
-
     if init is not None:
         if init.graph is not graph and init.graph != graph:
             raise ValueError("init bisection belongs to a different graph")
@@ -119,8 +93,8 @@ def fiduccia_mattheyses(
     else:
         sides = random_sides(graph, rng)
 
-    strict_tol = strict_default if balance_tolerance is None else balance_tolerance
-    max_weight = max(vertex_weights)
+    strict_tol = default_tolerance(graph) if balance_tolerance is None else balance_tolerance
+    max_weight = max(csr.vertex_weight_list())
     loose_tol = max(strict_tol, 2 * max_weight)
 
     gains = csr_move_gains(csr, sides)
@@ -133,11 +107,9 @@ def fiduccia_mattheyses(
     with span("fm.run", vertices=graph.num_vertices):
         while max_passes is None or passes < max_passes:
             w0, w1 = csr_side_weights(csr, sides)
-            was_balanced = abs(w0 - w1 - target_diff) <= strict_tol
+            was_balanced = abs(w0 - w1) <= strict_tol
             with span("fm.pass"):
-                gain, kept = fm_pass_csr(
-                    csr, sides, gains, strict_tol, loose_tol, target_diff, stats
-                )
+                gain, kept = fm_pass_csr(csr, sides, gains, strict_tol, loose_tol, stats)
             passes += 1
             cut -= gain
             total_moves += kept

@@ -9,7 +9,9 @@ this class, which keeps the logic unit-testable without a socket.
 **Caps.**  Every client shares one server, so two caps bound what an
 outside client can make it hold: :data:`MAX_INFLIGHT_JOBS` unfinished
 (queued + running) jobs and :data:`MAX_GRAPHS` stored graphs.  A request
-beyond either is rejected with :class:`QuotaError` (HTTP 429).
+beyond either is rejected with :class:`QuotaError` (HTTP 429).  A
+submission of more than :data:`MAX_INFLIGHT_JOBS` jobs could never fit,
+so it is a :class:`ValidationError` (HTTP 400) instead.
 
 **Graphs.**  Uploaded or generated graphs are stored in memory keyed by
 their canonical fingerprint (:func:`~repro.graphs.graph.graph_fingerprint`),
@@ -42,8 +44,6 @@ __all__ = [
     "graph_from_generator_spec",
 ]
 
-#: Hard ceiling on jobs a single submission may expand to (starts/seeds).
-MAX_JOBS_PER_SUBMIT = 1024
 #: Unfinished (queued + running) jobs the server holds at once.
 MAX_INFLIGHT_JOBS = 64
 #: Graphs the server stores; a stored graph is kept until the server stops.
@@ -283,10 +283,11 @@ class ServiceState:
             if starts < 1:
                 raise ValidationError("'starts' must be at least 1")
             count = starts
-        # Checked before any seed is derived: derivation is linear in starts.
-        if count > MAX_JOBS_PER_SUBMIT:
+        # Checked before any seed is derived (derivation is linear in
+        # starts): a submission past the in-flight cap can never fit.
+        if count > MAX_INFLIGHT_JOBS:
             raise ValidationError(
-                f"submission expands to {count} jobs (limit: {MAX_JOBS_PER_SUBMIT})"
+                f"submission expands to {count} jobs (limit: {MAX_INFLIGHT_JOBS})"
             )
         if "seeds" in payload:
             try:

@@ -16,7 +16,6 @@ from repro.partition.bisection import (
     cut_weight,
     _subset_sums,
     default_tolerance,
-    minimum_achievable_deviation,
     minimum_achievable_imbalance,
     rebalance,
     side_weights,
@@ -172,11 +171,8 @@ class TestMinimumAchievableImbalance:
                 reachable |= reachable << w
                 total += w
             assert _subset_sums(weights) == (reachable, total)
-            target = rng.randrange(-total - 2, total + 3)
-            assert minimum_achievable_deviation(weights, target) == min(
-                abs(2 * s - total - target)
-                for s in range(total + 1)
-                if (reachable >> s) & 1
+            assert minimum_achievable_imbalance(weights) == min(
+                abs(2 * s - total) for s in range(total + 1) if (reachable >> s) & 1
             )
 
 

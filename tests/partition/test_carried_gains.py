@@ -112,16 +112,14 @@ class _FMOracle:
         self.unbalanced_starts = 0
         real = fm_module.fm_pass_csr
 
-        def hooked(csr, sides, gains, strict_tol, loose_tol, target_diff, stats):
+        def hooked(csr, sides, gains, strict_tol, loose_tol, stats):
             cut = _recounted_cut(csr, sides, gains)
             self.entry_cuts.append(cut)
             w0, w1 = csr_side_weights(csr, sides)
-            if abs(w0 - w1 - target_diff) > strict_tol:
+            if abs(w0 - w1) > strict_tol:
                 self.unbalanced_starts += 1
             considered = stats.get("moves_considered", 0)
-            gain, kept = real(
-                csr, sides, gains, strict_tol, loose_tol, target_diff, stats
-            )
+            gain, kept = real(csr, sides, gains, strict_tol, loose_tol, stats)
             if kept < stats["moves_considered"] - considered:
                 self.rollbacks += 1
             assert _recounted_cut(csr, sides, gains) == cut - gain

@@ -50,6 +50,10 @@ class TestFMBasics:
         with pytest.raises(ValueError):
             fiduccia_mattheyses(two_cliques, init=Bisection.from_sides(triangle, [0]))
 
+    def test_default_is_even_split(self, small_grid):
+        result = fiduccia_mattheyses(small_grid, rng=4)
+        assert result.bisection.imbalance == 0
+
     def test_deterministic(self, gbreg_sample):
         a = fiduccia_mattheyses(gbreg_sample.graph, rng=4)
         b = fiduccia_mattheyses(gbreg_sample.graph, rng=4)
@@ -95,57 +99,6 @@ class TestFMQuality:
         result = fiduccia_mattheyses(coarse, rng=6)
         assert result.bisection.is_balanced()
         assert result.cut == cut_weight(coarse, result.bisection.assignment())
-
-
-class TestFMTargetWeights:
-    def test_unequal_split_hits_target(self):
-        g = grid_graph(8, 8)
-        result = fiduccia_mattheyses(g, rng=1, target_weights=(40, 24))
-        assert result.bisection.weights == (40, 24) or result.bisection.weights == (24, 40)
-
-    def test_target_on_weighted_graph(self, weighted_graph):
-        # Total weight 10; ask for a 6/4 split.
-        result = fiduccia_mattheyses(weighted_graph, rng=2, target_weights=(6, 4))
-        w0, w1 = result.bisection.weights
-        assert {w0, w1} == {6, 4}
-
-    def test_extreme_target(self):
-        g = grid_graph(4, 4)
-        result = fiduccia_mattheyses(g, rng=3, target_weights=(2, 14))
-        assert min(result.bisection.weights) == 2
-
-    def test_default_is_even_split(self, small_grid):
-        result = fiduccia_mattheyses(small_grid, rng=4)
-        assert result.bisection.imbalance == 0
-
-    def test_invalid_target_sum_rejected(self, small_grid):
-        with pytest.raises(ValueError):
-            fiduccia_mattheyses(small_grid, target_weights=(3, 4))
-
-    def test_negative_target_rejected(self, small_grid):
-        with pytest.raises(ValueError):
-            fiduccia_mattheyses(small_grid, target_weights=(-1, 17))
-
-    def test_unreachable_target_best_effort(self):
-        # All weight-2 vertices, target 3/5: closest achievable is 4/4 or 2/6.
-        from repro.graphs.graph import Graph
-
-        g = Graph()
-        for v in range(4):
-            g.add_vertex(v, 2)
-        g.add_edge(0, 1)
-        g.add_edge(2, 3)
-        result = fiduccia_mattheyses(g, rng=5, target_weights=(3, 5))
-        assert min(result.bisection.weights) in (2, 4)
-
-    def test_target_cut_quality(self):
-        # Grid 8x8 with a 48/16 target: optimal is a straight cut of 8.
-        g = grid_graph(8, 8)
-        best = min(
-            fiduccia_mattheyses(g, rng=s, target_weights=(48, 16)).cut
-            for s in range(3)
-        )
-        assert best <= 16
 
 
 class TestFMProperties:

@@ -1,96 +1,38 @@
-"""Unit tests for partition persistence."""
+"""Unit tests for the partition file ``run --save-partition`` writes."""
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.graphs.generators import gnp, grid_graph
 from repro.graphs.graph import Graph
 from repro.partition.bisection import Bisection
-from repro.partition.io import (
-    partition_from_string,
-    partition_to_string,
-    read_bisection,
-    read_partition,
-    write_partition,
-)
-from repro.partition.kway import recursive_kway
+from repro.partition.io import write_partition
+
+
+def _read_sides(path) -> tuple[str, dict[str, int]]:
+    """The header line and the ``label -> side`` map of a partition file."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    return header, {label: int(side) for label, side in map(str.split, lines)}
 
 
 class TestBisectionRoundtrip:
-    def test_roundtrip(self, small_grid):
-        b = Bisection.from_sides(small_grid, range(8))
-        restored = read_bisection(small_grid, _as_stream(partition_to_string(b)))
-        assert restored == b
-
-    def test_file_roundtrip(self, tmp_path, small_grid):
+    def test_roundtrip(self, tmp_path, small_grid):
         b = Bisection.from_sides(small_grid, range(8))
         path = tmp_path / "p.txt"
         write_partition(b, path)
-        assert read_bisection(small_grid, path) == b
+        header, sides = _read_sides(path)
+        assert header == "# repro partition k=2"
+        assert Bisection(small_grid, {int(v): s for v, s in sides.items()}) == b
 
-    def test_string_labels(self):
+    def test_file_roundtrip(self, tmp_path, small_grid):
+        # Byte for byte: the header, then one "<vertex> <side>" line per vertex.
+        b = Bisection.from_sides(small_grid, range(8))
+        path = tmp_path / "p.txt"
+        write_partition(b, str(path))
+        expected = "".join(f"{v} {b.side_of(v)}\n" for v in small_grid.vertices())
+        assert path.read_text(encoding="utf-8") == "# repro partition k=2\n" + expected
+
+    def test_string_labels(self, tmp_path):
         g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
         b = Bisection.from_sides(g, ["a", "b"])
-        assert read_bisection(g, _as_stream(partition_to_string(b))) == b
-
-
-class TestKwayRoundtrip:
-    def test_roundtrip(self):
-        g = grid_graph(6, 6)
-        p = recursive_kway(g, 4, rng=1)
-        restored = partition_from_string(g, partition_to_string(p))
-        assert restored.parts == p.parts
-        assert restored.cut == p.cut
-
-    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=2, max_value=5))
-    @settings(max_examples=15, deadline=None)
-    def test_random_roundtrips(self, seed, k):
-        g = gnp(20, 0.2, seed)
-        p = recursive_kway(g, k, rng=seed)
-        restored = partition_from_string(g, partition_to_string(p))
-        assert restored.parts == p.parts
-
-
-class TestValidation:
-    def test_missing_header(self, small_grid):
-        with pytest.raises(ValueError, match="header"):
-            read_partition(small_grid, _as_stream("0 0\n"))
-
-    def test_missing_vertex(self, small_grid):
-        text = "# repro partition k=2\n0 0\n"
-        with pytest.raises(ValueError, match="missing"):
-            read_partition(small_grid, _as_stream(text))
-
-    def test_unknown_vertex(self, triangle):
-        text = "# repro partition k=2\n0 0\n1 0\n2 1\n99 1\n"
-        with pytest.raises(ValueError, match="unknown"):
-            read_partition(triangle, _as_stream(text))
-
-    def test_part_out_of_range(self, triangle):
-        text = "# repro partition k=2\n0 0\n1 0\n2 5\n"
-        with pytest.raises(ValueError, match="range"):
-            read_partition(triangle, _as_stream(text))
-
-    def test_malformed_line(self, triangle):
-        text = "# repro partition k=2\n0 0 extra\n"
-        with pytest.raises(ValueError, match="malformed"):
-            read_partition(triangle, _as_stream(text))
-
-    def test_read_bisection_rejects_kway(self):
-        g = grid_graph(4, 4)
-        p = recursive_kway(g, 4, rng=1)
-        with pytest.raises(ValueError, match="k=4"):
-            read_bisection(g, _as_stream(partition_to_string(p)))
-
-    def test_write_rejects_unknown_type(self, tmp_path):
-        with pytest.raises(TypeError):
-            write_partition({"not": "a partition"}, tmp_path / "x.txt")
-
-
-def _as_stream(text: str):
-    import io
-
-    return io.StringIO(text)
+        path = tmp_path / "p.txt"
+        write_partition(b, path)
+        assert _read_sides(path)[1] == {"a": 0, "b": 0, "c": 1, "d": 1}

@@ -20,7 +20,7 @@ from repro.partition import (
     fiduccia_mattheyses,
     greedy_improvement,
     kernighan_lin,
-    minimum_achievable_deviation,
+    minimum_achievable_imbalance,
     simulated_annealing,
 )
 from repro.partition.annealing import AnnealingSchedule
@@ -108,11 +108,10 @@ class TestExtremeVertexWeights:
         b = result.bisection
         assert b.side(b.side_of(0)) == frozenset([0])
 
-    def test_minimum_deviation_math(self):
-        assert minimum_achievable_deviation([100, 1, 1, 1, 1, 1], 95) == 0
-        assert minimum_achievable_deviation([100, 1, 1, 1, 1, 1], 0) == 95
-        assert minimum_achievable_deviation([4, 4, 4], 0) == 4
-        assert minimum_achievable_deviation([4, 4, 4], 4) == 0
+    def test_minimum_imbalance_math(self):
+        assert minimum_achievable_imbalance([100, 1, 1, 1, 1, 1]) == 95
+        assert minimum_achievable_imbalance([4, 4, 4]) == 4
+        assert minimum_achievable_imbalance([4, 4, 2, 2]) == 0
 
     def test_bisection_weights_on_skewed_graph(self):
         g = Graph()

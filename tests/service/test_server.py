@@ -172,12 +172,24 @@ def test_job_timeout_is_rejected(client):
 
 
 def test_inflight_cap_is_a_one_line_429():
+    with ServiceThread(workers=0) as svc:  # no workers: submitted jobs stay queued
+        client = ServiceClient(svc.url)
+        record = client.generate_graph("gbreg", vertices=20, width=2, degree=3)
+        client.submit(record["id"], "kl", seed=MAX_INFLIGHT_JOBS)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit(record["id"], "kl", seeds=list(range(MAX_INFLIGHT_JOBS)))
+        assert excinfo.value.status == 429
+        assert excinfo.value.message and "\n" not in excinfo.value.message
+        assert client.health()["jobs"] == 1
+
+
+def test_submission_past_the_cap_is_a_one_line_400():
     with ServiceThread(workers=0) as svc:
         client = ServiceClient(svc.url)
         record = client.generate_graph("gbreg", vertices=20, width=2, degree=3)
         with pytest.raises(ServiceClientError) as excinfo:
-            client.submit(record["id"], "kl", seeds=list(range(MAX_INFLIGHT_JOBS + 1)))
-        assert excinfo.value.status == 429
+            client.submit(record["id"], "kl", seed=0, starts=MAX_INFLIGHT_JOBS + 1)
+        assert excinfo.value.status == 400
         assert excinfo.value.message and "\n" not in excinfo.value.message
         assert client.health()["jobs"] == 0
 

@@ -116,14 +116,35 @@ class TestTenancy:
         )
         seeds = list(range(MAX_INFLIGHT_JOBS + 1))
         submission = {"graph": record["id"], "algorithm": "kl"}
+        state.submit_jobs({**submission, "seed": seeds[-1]})
+        # A submission that fits on its own is refused whole beside queued jobs.
         with pytest.raises(QuotaError):
-            state.submit_jobs({**submission, "seeds": seeds})
-        assert (state.health()["jobs"], state.runner.pending()) == (0, 0)
+            state.submit_jobs({**submission, "seeds": seeds[:-1]})
+        assert (state.health()["jobs"], state.runner.pending()) == (1, 1)
+        state.runner.step()  # a finished job no longer counts
         state.submit_jobs({**submission, "seeds": seeds[:-1]})
         with pytest.raises(QuotaError):
-            state.submit_jobs({**submission, "seed": seeds[-1]})
-        state.runner.step()  # a finished job no longer counts
-        state.submit_jobs({**submission, "seed": seeds[-1]})
+            state.submit_jobs({**submission, "seed": MAX_INFLIGHT_JOBS + 1})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"seed": 0, "starts": MAX_INFLIGHT_JOBS + 1},
+         {"seeds": list(range(MAX_INFLIGHT_JOBS + 1))}],
+        ids=["starts", "seeds"],
+    )
+    def test_submission_past_the_cap_is_invalid(self, state, monkeypatch, payload):
+        import repro.service.state as state_module
+
+        def derived(*args):
+            raise AssertionError("seeds derived for a submission that cannot fit")
+
+        monkeypatch.setattr(state_module, "start_seeds", derived)
+        record = state.create_graph(
+            {"generator": "gbreg", "params": {"vertices": 12, "width": 2}}
+        )
+        with pytest.raises(ValidationError, match=f"limit: {MAX_INFLIGHT_JOBS}"):
+            state.submit_jobs({"graph": record["id"], "algorithm": "kl", **payload})
+        assert (state.health()["jobs"], state.runner.pending()) == (0, 0)
 
     def test_inflight_cap_with_many_finished_records(self, state):
         record = state.create_graph(

@@ -98,8 +98,12 @@ class TestRun:
                 "--save-partition", str(saved)]
         assert main(argv) == 0
         cut = capsys.readouterr().out.split("cut=")[1].split()[0]
-        assert main(["score", str(mixed), str(saved)]) == 0
-        assert f"cut={cut} " in capsys.readouterr().out
+        header, *lines = saved.read_text(encoding="utf-8").splitlines()
+        assert header == "# repro partition k=2"
+        side = dict(line.split() for line in lines)
+        assert len(side) == graph.num_vertices
+        crossing = sum(side[str(label[u])] != side[str(label[v])] for u, v, _ in graph.edges())
+        assert str(crossing) == cut
 
     def test_cycles_solver(self, tmp_path, capsys):
         out = tmp_path / "c.edges"
@@ -121,33 +125,6 @@ class TestTable:
     def test_unknown_table_rejected(self):
         with pytest.raises(SystemExit):
             main(["table", "nonsense"])
-
-
-class TestKway:
-    def test_kway_partition(self, tmp_path, capsys):
-        out = tmp_path / "g.edges"
-        main(["generate", "grid", "--vertices", "64", "--out", str(out)])
-        assert main(["kway", str(out), "--k", "4", "--seed", "1"]) == 0
-        text = capsys.readouterr().out.splitlines()[-1]
-        assert "k=4" in text
-        assert "part_weights=(16, 16, 16, 16)" in text
-
-    def test_kway_odd_k(self, tmp_path, capsys):
-        out = tmp_path / "g.edges"
-        main(["generate", "grid", "--vertices", "36", "--out", str(out)])
-        assert main(["kway", str(out), "--k", "3"]) == 0
-        assert "k=3" in capsys.readouterr().out
-
-
-class TestCertify:
-    def test_run_with_certify(self, tmp_path, capsys):
-        out = tmp_path / "g.edges"
-        main(["generate", "gbreg", "--vertices", "60", "--width", "4",
-              "--degree", "3", "--seed", "5", "--out", str(out)])
-        assert main(["run", str(out), "--algorithm", "ckl", "--certify"]) == 0
-        text = capsys.readouterr().out
-        assert "lower bound:" in text
-        assert "gap ratio:" in text
 
 
 class TestReport:
@@ -183,29 +160,20 @@ class TestInputErrors:
         "argv",
         [
             ["run", "{missing}"],
-            ["info", "{missing}"],
             ["run", "{malformed}"],
-            ["kway", "{malformed}", "--k", "2"],
-            ["score", "{malformed}", "{missing}"],
-            ["info", "{tmp}"],
+            ["run", "{tmp}"],
             ["run", "{good}", "--telemetry", "{tmp}/no/such/dir/t.jsonl"],
-            ["score", "{good}", "{missing_part}"],
-            ["score", "{good}", "{malformed_part}"],
             ["generate", "gbreg", "--vertices", "7", "--width", "2", "--degree", "3",
              "--out", "{out}"],
             ["generate", "gbreg", "--vertices", "10", "--width", "100", "--degree", "3",
              "--out", "{out}"],
             ["generate", "gnp", "--vertices", "10", "--p", "2", "--out", "{out}"],
             ["generate", "btree", "--vertices", "0", "--out", "{out}"],
-            ["kway", "{good}", "--k", "0"],
-            ["kway", "{good}", "--k", "99"],
             ["cache", "prune", "--max-bytes", "-5", "--cache-dir", "{tmp}/cache"],
             ["run", "{empty}"],
             ["netlist", "run", "x.hgr"],
             ["run", "{good}", "--save-partition", "{tmp}/no/such/dir/p.part"],
             ["run", "{good}", "--save-partition", "{tmp}"],
-            ["kway", "{good}", "--k", "2", "--save-partition", "{tmp}/no/such/dir/p.part"],
-            ["kway", "{good}", "--k", "2", "--save-partition", "{tmp}"],
             ["generate", "ladder", "--vertices", "8", "--out", "{tmp}/no/such/dir/g.edges"],
             ["generate", "ladder", "--vertices", "8", "--out", "{tmp}"],
             ["batch", "{spec}", "--no-cache", "--out", "{tmp}/no/such/dir/r.jsonl"],
@@ -215,14 +183,11 @@ class TestInputErrors:
             ["check", "--quick", "--algorithm", "kl", "--json", "{tmp}/no/such/dir/c.json"],
             ["lint", "--rule", "R001", "--out", "{tmp}/no/such/dir/l.txt"],
         ],
-        ids=["run-missing", "info-missing", "run-malformed", "kway-malformed",
-             "score-malformed", "info-directory", "run-telemetry-dir",
-             "score-missing-partition", "score-malformed-partition",
+        ids=["run-missing", "run-malformed", "run-graph-directory", "run-telemetry-dir",
              "generate-gbreg-odd", "generate-gbreg-width", "generate-gnp-p",
-             "generate-btree-empty", "kway-k0", "kway-k-too-large",
-             "cache-prune-negative", "run-empty-graph", "netlist-removed",
-             "run-save-missing-dir", "run-save-directory", "kway-save-missing-dir",
-             "kway-save-directory", "generate-out-missing-dir", "generate-out-directory",
+             "generate-btree-empty", "cache-prune-negative", "run-empty-graph",
+             "netlist-removed", "run-save-missing-dir", "run-save-directory",
+             "generate-out-missing-dir", "generate-out-directory",
              "batch-out-missing-dir", "batch-out-directory", "report-out-missing-dir",
              "report-out-directory", "check-json-missing-dir", "lint-out-missing-dir"],
     )
@@ -232,7 +197,6 @@ class TestInputErrors:
         (tmp_path / "spec.json").write_text(
             '{"jobs": [{"graph": "g.edges", "algorithm": "kl"}]}', encoding="utf-8"
         )
-        (tmp_path / "bad.part").write_text("# repro partition k=2\n0\n", encoding="utf-8")
         (tmp_path / "empty.edges").write_text("", encoding="utf-8")
         main(["generate", "ladder", "--vertices", "8", "--out", str(tmp_path / "g.edges")])
         capsys.readouterr()
@@ -241,8 +205,6 @@ class TestInputErrors:
             "malformed": tmp_path / "bad.edges",
             "good": tmp_path / "g.edges",
             "tmp": tmp_path,
-            "missing_part": tmp_path / "missing.part",
-            "malformed_part": tmp_path / "bad.part",
             "out": tmp_path / "o.edges",
             "empty": tmp_path / "empty.edges",
             "spec": tmp_path / "spec.json",
@@ -266,8 +228,12 @@ class TestInputErrors:
             (["top", "events.jsonl", "--once"], "invalid choice: 'top'"),
             (["run", "g.edges", "--profile", "p.txt"],
              "unrecognized arguments: --profile p.txt"),
+            (["kway", "g.edges", "--k", "4"], "invalid choice: 'kway'"),
+            (["score", "g.edges", "p.part"], "invalid choice: 'score'"),
+            (["info", "g.edges"], "invalid choice: 'info'"),
+            (["run", "g.edges", "--certify"], "unrecognized arguments: --certify"),
         ],
-        ids=["top", "run-profile"],
+        ids=["top", "run-profile", "kway", "score", "info", "run-certify"],
     )
     def test_removed_viewer_options_are_argparse_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -287,8 +253,6 @@ class TestInputErrors:
         [
             ["run", "{good}", "--save-partition", "{tmp}/no/such/dir/p.part"],
             ["run", "{good}", "--save-partition", "{tmp}"],
-            ["kway", "{good}", "--k", "2", "--save-partition", "{tmp}/no/such/dir/p.part"],
-            ["kway", "{good}", "--k", "2", "--save-partition", "{tmp}"],
             ["batch", "{spec}", "--no-cache", "--out", "{tmp}/no/such/dir/r.jsonl"],
             ["batch", "{spec}", "--no-cache", "--out", "{tmp}"],
             ["report", "--kl-only", "--no-cache", "--out", "{tmp}/no/such/dir/r.txt"],
@@ -296,9 +260,8 @@ class TestInputErrors:
             ["check", "--quick", "--algorithm", "kl", "--json", "{tmp}/no/such/dir/c.json"],
             ["check", "--quick", "--algorithm", "kl", "--json", "{tmp}"],
         ],
-        ids=["run-missing-dir", "run-directory", "kway-missing-dir", "kway-directory",
-             "batch-missing-dir", "batch-directory", "report-missing-dir",
-             "report-directory", "check-missing-dir", "check-directory"],
+        ids=["run-missing-dir", "run-directory", "batch-missing-dir", "batch-directory",
+             "report-missing-dir", "report-directory", "check-missing-dir", "check-directory"],
     )
     def test_unwritable_output_is_refused_before_the_work(
         self, tmp_path, capsys, monkeypatch, argv

@@ -1,4 +1,4 @@
-"""CLI tests for the engine-backed commands: info, batch, --jobs, caching."""
+"""CLI tests for the engine-backed commands: batch, --jobs, caching."""
 
 from __future__ import annotations
 
@@ -19,21 +19,6 @@ def graph_file(tmp_path):
         ]
     )
     return str(out)
-
-
-class TestInfo:
-    def test_reports_fingerprint_and_stats(self, graph_file, capsys):
-        assert main(["info", graph_file]) == 0
-        out = capsys.readouterr().out
-        assert "fingerprint:" in out
-        assert "vertices: 60" in out
-        assert "connected components:" in out
-
-    def test_fingerprint_is_stable(self, graph_file, capsys):
-        main(["info", graph_file])
-        first = capsys.readouterr().out
-        main(["info", graph_file])
-        assert capsys.readouterr().out.splitlines()[1] == first.splitlines()[1]
 
 
 class TestRunStarts:

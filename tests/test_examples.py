@@ -21,7 +21,6 @@ EXPECTED_MARKERS = {
     "model_study.py": "random graph models",
     "annealing_tuning.py": "SA schedule tuning",
     "compaction_anatomy.py": "compaction, step by step",
-    "kway_floorplan.py": "k-way floorplanning",
 }
 
 

@@ -20,7 +20,6 @@ from repro.core.compaction import compact
 from repro.core.matching import random_maximal_matching
 from repro.core.pipeline import ckl
 from repro.graphs.generators import gbreg, gnp, random_tree
-from repro.graphs.graph import Graph
 from repro.graphs.traversal import is_connected
 from repro.partition import (
     Bisection,
@@ -30,9 +29,7 @@ from repro.partition import (
     fiduccia_mattheyses,
     greedy_improvement,
     kernighan_lin,
-    recursive_kway,
     simulated_annealing,
-    stoer_wagner,
 )
 from repro.partition.annealing import AnnealingSchedule
 
@@ -60,11 +57,10 @@ class TestEveryBisectorContract:
         assert result.cut == b.cut, name
 
     @pytest.mark.parametrize("name,bisector", ALL_BISECTORS)
-    def test_never_below_global_min_cut(self, name, bisector):
-        g = gbreg(60, 4, 3, rng=9).graph
-        floor = stoer_wagner(g).weight
+    def test_never_below_the_exact_width(self, name, bisector):
+        g = gbreg(16, 2, 3, rng=9).graph
         result = bisector(g, 1)
-        assert result.cut >= floor, name
+        assert result.cut >= exact_bisection_width(g), name
 
 
 class TestMultilevelCutExactness:
@@ -97,16 +93,6 @@ class TestOracleAgreement:
         slow = exact_bisection_width(sample.graph)
         assert fast == slow
 
-    @given(st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=8, deadline=None)
-    def test_kway_k2_equals_bisection_contract(self, seed):
-        g = gnp(20, 0.2, seed)
-        partition = recursive_kway(g, 2, rng=seed)
-        sizes = sorted(len(p) for p in partition.parts)
-        assert sizes == [10, 10]
-        # The 2-way cut equals the Bisection cut of the same split.
-        assert partition.cut == Bisection.from_sides(g, partition.parts[0]).cut
-
 
 class TestTreeBisectionSanity:
     @given(st.integers(min_value=0, max_value=2**31))
@@ -137,14 +123,6 @@ class TestFailureInjection:
         del assignment[next(iter(g.vertices()))]
         with pytest.raises(ValueError):
             Bisection(g, assignment)
-
-    def test_kway_validate_catches_duplicates(self):
-        from repro.partition.kway import KWayPartition
-
-        g = Graph.from_edges([(0, 1), (1, 2)])
-        bad = KWayPartition(g, (frozenset([0, 1]), frozenset([1, 2])))
-        with pytest.raises(AssertionError):
-            bad.validate()
 
     def test_compaction_rejects_stale_matching(self):
         g = gnp(20, 0.2, rng=4)
